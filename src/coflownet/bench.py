@@ -30,7 +30,6 @@ class BenchConfig:
     epsilons: tuple[float, ...] = (0.2,)
     trials: int = 20
     seed: int = 0
-    backend: str = "highs"
     workers: int = 4
 
 
@@ -61,7 +60,7 @@ def _run_row(instance, strategy: str, epsilon: float | None, config: BenchConfig
             trials=config.trials,
             seed=config.seed,
             epsilon=epsilon,
-            options=SolveOptions(backend=config.backend),
+            options=SolveOptions(),
         )
         return BenchRow(
             seed=seed,

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage/IO error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -14,15 +15,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from .generate import GenConfig, TOPOLOGIES, demo_instance, generate_instance
-from .lp import (
-    build_interval_lp,
-    build_time_indexed_lp,
-    extract_fractional,
-    horizon_upper_bound,
-    interval_grid_for,
-)
+from .lp import build_time_indexed_lp, extract_fractional, horizon_upper_bound
 from .model import RoutingModel, completion_times, validate_instance
-from .mps import read_mps, save_mps
 from .openshop import reduce_open_shop
 from .pipeline import STRATEGIES, SolveFailure, VerificationFailure, run_pipeline
 from .serialize import (
@@ -54,14 +48,13 @@ def _load_instance(path: str):
         raise _Usage(f"cannot read instance {path}: {exc}")
 
 
-def _solve_options(spec: str) -> tuple[SolveOptions, str | None]:
-    """Parse --solver: builtin | highs | mps:<path> (export, then solve
-    the exported file with the HiGHS backend)."""
-    if spec in ("builtin", "highs"):
-        return SolveOptions(backend=spec), None
-    if spec.startswith("mps:"):
-        return SolveOptions(backend="highs"), spec[4:]
-    raise _Usage(f"unknown solver {spec!r} (builtin | highs | mps:<path>)")
+def _solve_options(spec: str) -> SolveOptions:
+    """Parse --solver: highs | mps:<path> (write the LP to <path>, then
+    solve the file read back from it with HiGHS)."""
+    try:
+        return SolveOptions(backend=spec)
+    except ValueError as exc:
+        raise _Usage(f"--solver: {exc}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -95,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--strategy", choices=STRATEGIES, default="stretch")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--solver", type=str, default="builtin")
+    p.add_argument("--solver", type=str, default="highs")
     _add_common(p)
 
     p = sub.add_parser("validate", help="validate an instance (and optionally a schedule)")
@@ -112,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--release-mean", type=float, default=0.0)
     p.add_argument("--slot-length", type=float, default=1.0)
-    p.add_argument("--solver", type=str, default="highs")
     p.add_argument("--workers", type=int, default=4)
     _add_common(p)
 
@@ -124,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("check", help="run the analysis identity checks")
     p.add_argument("--instance", type=str, default=None)
     p.add_argument("--model", choices=[m.value for m in RoutingModel], default="single_path")
-    p.add_argument("--solver", type=str, default="builtin")
+    p.add_argument("--solver", type=str, default="highs")
     _add_common(p)
 
     args = parser.parse_args(argv)
@@ -139,6 +131,9 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFY_FAIL
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -174,9 +169,11 @@ def _dispatch(args) -> int:
         if problems:
             raise _Usage(f"invalid instance: {problems[0]} (+{len(problems) - 1} more)"
                          if len(problems) > 1 else f"invalid instance: {problems[0]}")
-        options, mps_path = _solve_options(args.solver)
-        if mps_path:
-            _export_mps(instance, mps_path, args.strategy, args.epsilon)
+        options = _solve_options(args.solver)
+        if args.trials < 1:
+            raise _Usage(f"--trials must be at least 1, got {args.trials}")
+        if args.strategy == "interval-stretch" and not 0 < args.epsilon < math.inf:
+            raise _Usage(f"--epsilon must be positive and finite, got {args.epsilon}")
         result = run_pipeline(
             instance,
             strategy=args.strategy,
@@ -237,7 +234,6 @@ def _dispatch(args) -> int:
             epsilons=epsilons,
             trials=args.trials,
             seed=args.seed,
-            backend="highs" if args.solver.startswith("mps:") else args.solver,
             workers=args.workers,
         )
         rows = bench_mod.run_bench(config)
@@ -265,17 +261,6 @@ def _dispatch(args) -> int:
     raise _Usage(f"unknown command {args.command!r}")
 
 
-def _export_mps(instance, path: str, strategy: str, epsilon: float) -> None:
-    """Export the relaxation the strategy will solve, then re-parse it as
-    a syntax self-check."""
-    if strategy == "interval-stretch":
-        problem = build_interval_lp(instance, interval_grid_for(instance, epsilon))
-    else:
-        problem = build_time_indexed_lp(instance, horizon_upper_bound(instance))
-    save_mps(problem, path)
-    read_mps(Path(path).read_text())
-
-
 def _run_checks(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst_identity = check_identity_on_vectors(rng, trials=100)
@@ -286,7 +271,7 @@ def _run_checks(args) -> int:
         instance = _load_instance(args.instance)
     else:
         instance = demo_instance(RoutingModel(args.model))
-    options, _ = _solve_options(args.solver)
+    options = _solve_options(args.solver)
     horizon = horizon_upper_bound(instance)
     problem = build_time_indexed_lp(instance, horizon)
     solution = solve(problem, options)

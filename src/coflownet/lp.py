@@ -32,40 +32,92 @@ for every slot ``t <= r``, or for every interval not lying wholly after
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import max_flow_value, path_bottleneck, usable_edges
 from .model import FractionalSchedule, Instance, RoutingModel
 
 
 @dataclass(frozen=True)
+class ColumnLayout:
+    """Column indices of the variable blocks a builder created.
+
+    ``completion[j]`` is ``C_{j+1}``. Row ``f`` of ``x`` holds the step
+    columns ``x_j_i_1 .. x_j_i_T`` of the f-th flow in
+    ``Instance.iter_flows`` order. For free path, ``xe[f]`` maps each
+    usable edge id of that flow to its step columns ``xe_j_i_t_e``.
+    """
+
+    completion: np.ndarray
+    x: np.ndarray
+    xe: tuple[dict[str, np.ndarray], ...] | None = None
+
+
+@dataclass(frozen=True)
 class LPProblem:
-    """A minimization LP in sparse row form, immutable after construction."""
+    """``min objective @ x`` subject to ``row_lower <= A @ x <= row_upper``
+    and ``col_lower <= x <= col_upper``; immutable after construction.
+
+    ``A`` is a CSR matrix. Every row is an equality (equal bounds) or
+    one-sided (the other bound infinite). Build problems with
+    :meth:`from_rows`; ``layout`` is set by the relaxation builders and
+    is what solution extraction reads.
+    """
 
     objective: np.ndarray
     col_lower: np.ndarray
     col_upper: np.ndarray
     col_names: tuple[str, ...]
     row_names: tuple[str, ...]
-    row_cols: tuple[np.ndarray, ...]
-    row_vals: tuple[np.ndarray, ...]
-    relations: tuple[str, ...]
-    rhs: np.ndarray
+    A: sp.csr_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    layout: ColumnLayout | None = None
 
     def __post_init__(self):
         if len(set(self.col_names)) != len(self.col_names):
             raise ValueError("column names are not unique")
         if len(set(self.row_names)) != len(self.row_names):
             raise ValueError("row names are not unique")
-        for rel in self.relations:
-            if rel not in ("<=", "=", ">="):
-                raise ValueError(f"bad relation {rel!r}")
-        for cols in self.row_cols:
-            if cols.size and (cols.min() < 0 or cols.max() >= self.num_cols):
-                raise ValueError("row references an unknown column")
+        if self.A.shape != (self.num_rows, self.num_cols):
+            raise ValueError(f"matrix shape {self.A.shape} does not match the names")
+        one_sided = np.isinf(self.row_lower) != np.isinf(self.row_upper)
+        if not np.all(one_sided | (self.row_lower == self.row_upper)):
+            raise ValueError("every row must be an equality or one-sided")
+
+    @classmethod
+    def from_rows(cls, objective, col_lower, col_upper, col_names, rows, layout=None) -> "LPProblem":
+        """Assemble the CSR matrix from ``rows``, a sequence of
+        ``(name, cols, vals, relation, rhs)`` with relation one of
+        ``<=``, ``=``, ``>=``."""
+        names, cols, vals, relations, rhs = zip(*rows) if rows else ((),) * 5
+        if not set(relations) <= {"<=", "=", ">="}:
+            raise ValueError(f"bad relation in {sorted(set(relations))}")
+        indptr = np.zeros(len(names) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, cols), dtype=np.int64, count=len(names)), out=indptr[1:])
+        nnz = int(indptr[-1])
+        indices = np.fromiter(chain.from_iterable(cols), dtype=np.int64, count=nnz)
+        if nnz and (indices.min() < 0 or indices.max() >= len(col_names)):
+            raise ValueError("row references an unknown column")
+        data = np.fromiter(chain.from_iterable(vals), dtype=float, count=nnz)
+        relations = np.array(relations, dtype=object)
+        rhs = np.array(rhs, dtype=float)
+        return cls(
+            objective=np.array(objective, dtype=float),
+            col_lower=np.array(col_lower, dtype=float),
+            col_upper=np.array(col_upper, dtype=float),
+            col_names=tuple(col_names),
+            row_names=tuple(names),
+            A=sp.csr_matrix((data, indices, indptr), shape=(len(names), len(col_names))),
+            row_lower=np.where(relations == "<=", -math.inf, rhs),
+            row_upper=np.where(relations == ">=", math.inf, rhs),
+            layout=layout,
+        )
 
     @property
     def num_cols(self) -> int:
@@ -79,21 +131,25 @@ class LPProblem:
     def name_map(self) -> dict[str, int]:
         return {name: idx for idx, name in enumerate(self.col_names)}
 
+    @cached_property
+    def row_cols(self) -> tuple[np.ndarray, ...]:
+        """Column indices of each row, as read-only views into ``A``."""
+        indices = self.A.indices.view()
+        indices.flags.writeable = False
+        bounds = self.A.indptr.tolist()
+        return tuple(indices[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
     def permuted_rows(self, order) -> "LPProblem":
         """Same LP with rows reordered (for solver-invariance checks)."""
-        order = list(order)
-        if sorted(order) != list(range(self.num_rows)):
+        order = np.asarray(order, dtype=np.int64)
+        if sorted(order.tolist()) != list(range(self.num_rows)):
             raise ValueError("order is not a permutation of the rows")
-        return LPProblem(
-            objective=self.objective,
-            col_lower=self.col_lower,
-            col_upper=self.col_upper,
-            col_names=self.col_names,
+        return replace(
+            self,
             row_names=tuple(self.row_names[r] for r in order),
-            row_cols=tuple(self.row_cols[r] for r in order),
-            row_vals=tuple(self.row_vals[r] for r in order),
-            relations=tuple(self.relations[r] for r in order),
-            rhs=self.rhs[order],
+            A=self.A[order],
+            row_lower=self.row_lower[order],
+            row_upper=self.row_upper[order],
         )
 
 
@@ -115,17 +171,9 @@ class _LPBuilder:
     def add_row(self, name: str, cols: list[int], vals: list[float], rel: str, rhs: float) -> None:
         self._rows.append((name, cols, vals, rel, rhs))
 
-    def build(self) -> LPProblem:
-        return LPProblem(
-            objective=np.array(self._obj),
-            col_lower=np.array(self._lb),
-            col_upper=np.array(self._ub),
-            col_names=tuple(self._col_names),
-            row_names=tuple(r[0] for r in self._rows),
-            row_cols=tuple(np.array(r[1], dtype=np.int64) for r in self._rows),
-            row_vals=tuple(np.array(r[2], dtype=float) for r in self._rows),
-            relations=tuple(r[3] for r in self._rows),
-            rhs=np.array([r[4] for r in self._rows]),
+    def build(self, layout: ColumnLayout) -> LPProblem:
+        return LPProblem.from_rows(
+            self._obj, self._lb, self._ub, self._col_names, self._rows, layout=layout
         )
 
 
@@ -342,6 +390,10 @@ def _add_free_path_rows(b, instance, steps, step_lengths, x_col, step_allowed):
             cols = [edge_col[j, i, t, e.id] for j, i, _ in users]
             vals = [demand for _, _, demand in users]
             b.add_row(f"cap_{e.id}_{t}", cols, vals, "<=", step_lengths[t - 1] * e.cap)
+    return tuple(
+        {e.id: np.array([edge_col[j, i, t, e.id] for t in range(1, steps + 1)]) for e in edges}
+        for (j, i), edges in flow_edges.items()
+    )
 
 
 def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:
@@ -357,19 +409,11 @@ def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:
         raise ValueError(
             f"horizon {horizon} does not exceed the latest release {instance.max_release}"
         )
-    b = _LPBuilder()
-    step_lengths = [1.0] * horizon
 
     def allowed(fl, t: int) -> bool:
         return t > fl.release
 
-    c_col, x_col, cum_col = _add_schedule_columns(b, instance, horizon, allowed, horizon + 1.0)
-    _add_shared_rows(b, instance, horizon, step_lengths, c_col, x_col, cum_col)
-    if instance.model is RoutingModel.SINGLE_PATH:
-        _add_single_path_capacity(b, instance, horizon, step_lengths, x_col)
-    else:
-        _add_free_path_rows(b, instance, horizon, step_lengths, x_col, allowed)
-    return b.build()
+    return _assemble(instance, horizon, [1.0] * horizon, allowed, horizon + 1.0)
 
 
 def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
@@ -393,14 +437,26 @@ def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
                 f"grid horizon {grid.horizon} leaves no interval after release "
                 f"of coflow {j + 1} flow {i + 1}"
             )
+    return _assemble(instance, steps, lengths, allowed, grid.horizon + 1.0)
+
+
+def _assemble(instance, steps, lengths, allowed, completion_ub) -> LPProblem:
     b = _LPBuilder()
-    c_col, x_col, cum_col = _add_schedule_columns(b, instance, steps, allowed, grid.horizon + 1.0)
+    c_col, x_col, cum_col = _add_schedule_columns(b, instance, steps, allowed, completion_ub)
     _add_shared_rows(b, instance, steps, lengths, c_col, x_col, cum_col)
+    xe = None
     if instance.model is RoutingModel.SINGLE_PATH:
         _add_single_path_capacity(b, instance, steps, lengths, x_col)
     else:
-        _add_free_path_rows(b, instance, steps, lengths, x_col, allowed)
-    return b.build()
+        xe = _add_free_path_rows(b, instance, steps, lengths, x_col, allowed)
+    x = [[x_col[j, i, t] for t in range(1, steps + 1)] for j, i, _, _ in instance.iter_flows()]
+    return b.build(
+        ColumnLayout(
+            completion=np.array(list(c_col.values()), dtype=np.int64),
+            x=np.array(x, dtype=np.int64).reshape(len(x), steps),
+            xe=xe,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,42 +467,26 @@ def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, steps: int):
     """Pull per-flow step fractions (and free-path edge splits) out of a
     solved column vector, clipping solver dust and renormalizing each flow
     to sum exactly to one."""
-    name = problem.name_map
-    fractions = []
-    edge_fractions = [] if instance.model is RoutingModel.FREE_PATH else None
-    for j, cf in enumerate(instance.coflows):
-        flow_rows = []
-        flow_edges = []
-        for i, fl in enumerate(cf.flows):
-            series = np.array(
-                [x[name[f"x_{j + 1}_{i + 1}_{t}"]] for t in range(1, steps + 1)]
+    layout = problem.layout
+    if layout is None or layout.x.shape != (instance.flow_count, steps):
+        raise ValueError("problem has no column layout for this instance and step count")
+    fractions = [[] for _ in instance.coflows]
+    edge_fractions = [[] for _ in instance.coflows]
+    for f, (j, i, _, _) in enumerate(instance.iter_flows()):
+        series = np.clip(x[layout.x[f]], 0.0, None)
+        total = series.sum()
+        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-5):
+            raise ValueError(
+                f"flow (coflow {j + 1}, flow {i + 1}) schedules {total}, expected 1"
             )
-            series = np.clip(series, 0.0, None)
-            total = series.sum()
-            if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-5):
-                raise ValueError(
-                    f"flow (coflow {j + 1}, flow {i + 1}) schedules {total}, expected 1"
-                )
-            series /= total
-            flow_rows.append(series)
-            if edge_fractions is not None:
-                edges = {}
-                for e in usable_edges(instance.network, fl.src, fl.dst):
-                    vals = np.array(
-                        [
-                            x[name[f"xe_{j + 1}_{i + 1}_{t}_{e.id}"]]
-                            for t in range(1, steps + 1)
-                        ]
-                    )
-                    vals = np.clip(vals, 0.0, None) / total
-                    if np.any(vals > 0):
-                        edges[e.id] = vals
-                flow_edges.append(edges)
-        fractions.append(tuple(flow_rows))
-        if edge_fractions is not None:
-            edge_fractions.append(tuple(flow_edges))
-    completion = tuple(float(x[name[f"C_{j + 1}"]]) for j in range(len(instance.coflows)))
-    return fractions, edge_fractions, completion
+        series /= total
+        fractions[j].append(series)
+        if layout.xe is not None:
+            splits = {eid: np.clip(x[cols], 0.0, None) / total for eid, cols in layout.xe[f].items()}
+            edge_fractions[j].append({eid: v for eid, v in splits.items() if np.any(v > 0)})
+    completion = tuple(float(v) for v in x[layout.completion])
+    edges = tuple(map(tuple, edge_fractions)) if layout.xe is not None else None
+    return tuple(map(tuple, fractions)), edges, completion
 
 
 def extract_fractional(
@@ -460,10 +500,10 @@ def extract_fractional(
     )
     return FractionalSchedule(
         slot_count=horizon,
-        fractions=tuple(fractions),
+        fractions=fractions,
         cumulative=cumulative,
         lp_completion=completion,
-        edge_fractions=tuple(edge_fractions) if edge_fractions is not None else None,
+        edge_fractions=edge_fractions,
     )
 
 
@@ -485,7 +525,7 @@ def extract_interval_solution(
     )
     return IntervalSolution(
         grid=grid,
-        fractions=tuple(fractions),
-        edge_fractions=tuple(edge_fractions) if edge_fractions is not None else None,
+        fractions=fractions,
+        edge_fractions=edge_fractions,
         lp_completion=completion,
     )

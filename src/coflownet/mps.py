@@ -17,8 +17,7 @@ import numpy as np
 from .lp import LPProblem
 
 _OBJ = "OBJ"
-_REL_TO_TAG = {"<=": "L", ">=": "G", "=": "E"}
-_TAG_TO_REL = {v: k for k, v in _REL_TO_TAG.items()}
+_TAG_TO_REL = {"L": "<=", "G": ">=", "E": "="}
 
 
 def _fmt(value: float) -> str:
@@ -36,18 +35,22 @@ def write_mps(problem: LPProblem, name: str = "COFLOW") -> str:
     def field(s: str) -> str:
         return s.ljust(width)
 
+    equality = problem.row_lower == problem.row_upper
+    rhs = np.where(np.isinf(problem.row_upper), problem.row_lower, problem.row_upper)
     lines = [f"NAME          {name}", "ROWS", f" N  {_OBJ}"]
-    for r, rel in enumerate(problem.relations):
-        lines.append(f" {_REL_TO_TAG[rel]}  {problem.row_names[r]}")
+    for r, row_name in enumerate(problem.row_names):
+        tag = "E" if equality[r] else "L" if np.isinf(problem.row_lower[r]) else "G"
+        lines.append(f" {tag}  {row_name}")
 
+    csc = problem.A.tocsc()
     entries: list[list[tuple[str, float]]] = [[] for _ in range(problem.num_cols)]
     for c in range(problem.num_cols):
         if problem.objective[c] != 0.0:
             entries[c].append((_OBJ, float(problem.objective[c])))
-    for r in range(problem.num_rows):
-        for c, v in zip(problem.row_cols[r], problem.row_vals[r]):
+        span = slice(csc.indptr[c], csc.indptr[c + 1])
+        for r, v in zip(csc.indices[span], csc.data[span]):
             if v != 0.0:
-                entries[int(c)].append((problem.row_names[r], float(v)))
+                entries[c].append((problem.row_names[r], float(v)))
 
     lines.append("COLUMNS")
     for c in range(problem.num_cols):
@@ -61,8 +64,8 @@ def write_mps(problem: LPProblem, name: str = "COFLOW") -> str:
 
     lines.append("RHS")
     for r in range(problem.num_rows):
-        if problem.rhs[r] != 0.0:
-            lines.append(f"    {field('RHS')}{field(problem.row_names[r])}{_fmt(problem.rhs[r]).rjust(vwidth)}")
+        if rhs[r] != 0.0:
+            lines.append(f"    {field('RHS')}{field(problem.row_names[r])}{_fmt(rhs[r]).rjust(vwidth)}")
 
     lines.append("BOUNDS")
     for c in range(problem.num_cols):
@@ -94,7 +97,7 @@ def read_mps(text: str) -> LPProblem:
     objective: list[float] = []
     lower: list[float] = []
     upper: list[float] = []
-    row_entries: dict[str, list[tuple[int, float]]] = {}
+    row_entries: dict[str, tuple[list[int], list[float]]] = {}
     rhs: dict[str, float] = {}
 
     def ensure_col(name: str) -> int:
@@ -121,7 +124,7 @@ def read_mps(text: str) -> LPProblem:
             else:
                 row_rel[name] = _TAG_TO_REL[tag]
                 row_order.append(name)
-                row_entries[name] = []
+                row_entries[name] = ([], [])
         elif section == "COLUMNS":
             col = ensure_col(tokens[0])
             pairs = tokens[1:]
@@ -131,7 +134,8 @@ def read_mps(text: str) -> LPProblem:
                 if rname == obj_row:
                     objective[col] += float(val)
                 else:
-                    row_entries[rname].append((col, float(val)))
+                    row_entries[rname][0].append(col)
+                    row_entries[rname][1].append(float(val))
         elif section == "RHS":
             pairs = tokens[1:]
             for rname, val in zip(pairs[::2], pairs[1::2]):
@@ -153,19 +157,8 @@ def read_mps(text: str) -> LPProblem:
             else:
                 raise ValueError(f"unsupported bound kind {kind!r}")
 
-    return LPProblem(
-        objective=np.array(objective),
-        col_lower=np.array(lower),
-        col_upper=np.array(upper),
-        col_names=tuple(col_order),
-        row_names=tuple(row_order),
-        row_cols=tuple(
-            np.array([c for c, _ in row_entries[r]], dtype=np.int64) for r in row_order
-        ),
-        row_vals=tuple(np.array([v for _, v in row_entries[r]]) for r in row_order),
-        relations=tuple(row_rel[r] for r in row_order),
-        rhs=np.array([rhs.get(r, 0.0) for r in row_order]),
-    )
+    rows = [(r, *row_entries[r], row_rel[r], rhs.get(r, 0.0)) for r in row_order]
+    return LPProblem.from_rows(objective, lower, upper, col_order, rows)
 
 
 def load_mps(path: str | Path) -> LPProblem:

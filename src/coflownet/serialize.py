@@ -7,6 +7,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,13 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _release_slot(value) -> int:
+    """A release time as a slot index: fractional releases round up, so
+    a flow never transmits before it is released (float noise such as
+    ``2.0000000001`` is tolerated)."""
+    return int(math.ceil(float(value) - 1e-9))
+
+
 def instance_from_dict(data: dict) -> Instance:
     _check_version(data, "instance")
     try:
@@ -83,7 +91,7 @@ def instance_from_dict(data: dict) -> Instance:
                         src=f["src"],
                         dst=f["dst"],
                         demand=float(f["demand"]),
-                        release=int(f.get("release", 0)),
+                        release=_release_slot(f.get("release", 0)),
                         path=tuple(f["path"]) if "path" in f else None,
                     )
                     for f in cf["flows"]
@@ -92,7 +100,7 @@ def instance_from_dict(data: dict) -> Instance:
             )
             for cf in data["coflows"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"instance: malformed record ({exc})") from exc
     return Instance(network=network, coflows=coflows, model=model)
 

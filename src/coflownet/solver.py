@@ -1,8 +1,9 @@
-"""LP solving front end: built-in simplex or scipy's HiGHS, re-verified.
+"""LP solving front end: scipy's HiGHS (``linprog(method="highs")``),
+re-verified.
 
-Whichever backend answers, an ``optimal`` result is re-checked against
-the original problem (row residuals, bounds, objective recomputation) so
-backend identity never affects correctness.
+An ``optimal`` result is re-checked against the original problem (row
+residuals, bounds, objective recomputation), so a solve through an MPS
+file can never hand back a point that the in-memory problem rejects.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .lp import LPProblem
-from .simplex import solve_simplex
-
-BACKENDS = ("builtin", "highs")
+from .mps import load_mps, save_mps
 
 
 class SolveStatus(str, Enum):
@@ -26,6 +25,17 @@ class SolveStatus(str, Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    NUMERICAL = "numerical"
+
+
+#: ``linprog`` status code -> status; linprog documents exactly these five.
+_LINPROG_STATUS = {
+    0: SolveStatus.OPTIMAL,
+    1: SolveStatus.ITERATION_LIMIT,
+    2: SolveStatus.INFEASIBLE,
+    3: SolveStatus.UNBOUNDED,
+    4: SolveStatus.NUMERICAL,
+}
 
 
 class SolverError(RuntimeError):
@@ -36,7 +46,13 @@ class SolverError(RuntimeError):
 class SolveOptions:
     tolerance: float = 1e-7
     iteration_limit: int = 100_000
-    backend: str = "builtin"
+    backend: str = "highs"
+
+    def __post_init__(self):
+        if self.backend != "highs" and not (
+            self.backend.startswith("mps:") and len(self.backend) > 4
+        ):
+            raise ValueError(f"unknown backend {self.backend!r} (expected highs or mps:<path>)")
 
 
 @dataclass(frozen=True)
@@ -47,21 +63,22 @@ class LPSolution:
 
 
 def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution:
-    """Minimize ``problem``. Deterministic given identical inputs/options.
+    """Minimize ``problem`` with HiGHS. Deterministic given identical
+    inputs/options.
 
-    Infeasible/unbounded come back as statuses, not exceptions; an
-    iteration-limited solve carries the best-known point.
+    ``backend="highs"`` solves the problem in memory. ``backend="mps:<path>"``
+    writes it to ``<path>``, reads the file back and solves what was read,
+    so the file on disk is exactly what gets solved.
+
+    Infeasible, unbounded and numerically failed solves come back as
+    statuses, not exceptions. An iteration-limited solve may carry no
+    point (``x is None``).
     """
     options = options or SolveOptions()
-    if options.backend == "builtin":
-        status, x, obj = solve_simplex(
-            problem, tolerance=options.tolerance, iteration_limit=options.iteration_limit
-        )
-    elif options.backend == "highs":
-        status, x, obj = _solve_highs(problem, options)
+    if options.backend == "highs":
+        solution = _solve_highs(problem, options)
     else:
-        raise ValueError(f"unknown backend {options.backend!r} (expected one of {BACKENDS})")
-    solution = LPSolution(status=SolveStatus(status), objective=obj, x=x)
+        solution = _solve_via_mps(problem, options.backend[4:], options)
     if solution.status is SolveStatus.OPTIMAL:
         failures = check_solution(problem, solution, tol=options.tolerance)
         if failures:
@@ -72,45 +89,40 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
     return solution
 
 
-def _solve_highs(problem: LPProblem, options: SolveOptions):
-    a_ub_rows, a_ub_rhs, a_eq_rows, a_eq_rhs = [], [], [], []
-    for r in range(problem.num_rows):
-        row = (problem.row_cols[r], problem.row_vals[r])
-        rel = problem.relations[r]
-        if rel == "=":
-            a_eq_rows.append(row)
-            a_eq_rhs.append(problem.rhs[r])
-        elif rel == "<=":
-            a_ub_rows.append(row)
-            a_ub_rhs.append(problem.rhs[r])
-        else:
-            a_ub_rows.append((row[0], -row[1]))
-            a_ub_rhs.append(-problem.rhs[r])
+def _solve_via_mps(problem: LPProblem, path: str, options: SolveOptions) -> LPSolution:
+    save_mps(problem, path)
+    reread = load_mps(path)
+    solution = _solve_highs(reread, options)
+    if solution.x is None:
+        return solution
+    # a column the file never mentions has bounds [0, inf), cost 0 and no rows
+    x = np.zeros(problem.num_cols)
+    x[[problem.name_map[name] for name in reread.col_names]] = solution.x
+    return LPSolution(solution.status, solution.objective, x)
 
-    def matrix(rows):
-        data, ri, ci = [], [], []
-        for k, (cols, vals) in enumerate(rows):
-            ri.extend([k] * len(cols))
-            ci.extend(cols.tolist())
-            data.extend(vals.tolist())
-        return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), problem.num_cols))
 
+def _solve_highs(problem: LPProblem, options: SolveOptions) -> LPSolution:
+    # linprog takes A_ub x <= b_ub and A_eq x = b_eq: the one-sided rows go
+    # to A_ub in row order, with the >= rows negated
+    lower, upper = problem.row_lower, problem.row_upper
+    eq = lower == upper
+    ub = np.flatnonzero(~eq)
+    geq = np.isinf(upper[ub])
+    rows = problem.A[ub]
+    data = np.where(np.repeat(geq, np.diff(rows.indptr)), -rows.data, rows.data)
+    a_ub = sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape)
     res = linprog(
         c=problem.objective,
-        A_ub=matrix(a_ub_rows) if a_ub_rows else None,
-        b_ub=np.array(a_ub_rhs) if a_ub_rhs else None,
-        A_eq=matrix(a_eq_rows) if a_eq_rows else None,
-        b_eq=np.array(a_eq_rhs) if a_eq_rhs else None,
-        bounds=list(zip(problem.col_lower, np.where(np.isinf(problem.col_upper), None, problem.col_upper))),
+        A_ub=a_ub if ub.size else None,
+        b_ub=np.where(geq, -lower[ub], upper[ub]) if ub.size else None,
+        A_eq=problem.A[eq] if eq.any() else None,
+        b_eq=upper[eq] if eq.any() else None,
+        bounds=np.column_stack([problem.col_lower, problem.col_upper]),
         method="highs",
         options={"maxiter": options.iteration_limit},
     )
-    status = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}.get(
-        res.status, "infeasible"
-    )
-    x = res.x if res.x is not None else None
     obj = float(res.fun) if res.fun is not None else math.nan
-    return status, x, obj
+    return LPSolution(status=_LINPROG_STATUS[res.status], objective=obj, x=res.x)
 
 
 def check_solution(problem: LPProblem, solution: LPSolution, tol: float = 1e-7) -> list[str]:
@@ -129,19 +141,10 @@ def check_solution(problem: LPProblem, solution: LPSolution, tol: float = 1e-7) 
     if high.max(initial=0.0) > tol:
         k = int(np.argmax(high))
         failures.append(f"column {problem.col_names[k]} above upper bound by {high[k]:.3e}")
-    for r in range(problem.num_rows):
-        lhs = float(problem.row_vals[r] @ x[problem.row_cols[r]])
-        rhs = problem.rhs[r]
-        rel = problem.relations[r]
-        resid = 0.0
-        if rel == "<=":
-            resid = lhs - rhs
-        elif rel == ">=":
-            resid = rhs - lhs
-        else:
-            resid = abs(lhs - rhs)
-        if resid > tol:
-            failures.append(f"row {problem.row_names[r]} violated by {resid:.3e}")
+    lhs = problem.A @ x
+    resid = np.maximum(problem.row_lower - lhs, lhs - problem.row_upper)
+    for r in np.flatnonzero(~(resid <= tol)):
+        failures.append(f"row {problem.row_names[r]} violated by {resid[r]:.3e}")
     recomputed = float(problem.objective @ x)
     scale = max(1.0, abs(recomputed))
     if abs(recomputed - solution.objective) > tol * scale:

@@ -6,7 +6,6 @@ from coflownet import (
     Flow,
     Instance,
     RoutingModel,
-    SolveOptions,
     build_time_indexed_lp,
     extract_fractional,
     horizon_upper_bound,
@@ -60,10 +59,10 @@ def demo_free():
     return demo_instance(RoutingModel.FREE_PATH)
 
 
-def _solved(instance, backend="builtin"):
+def _solved(instance):
     horizon = horizon_upper_bound(instance)
     problem = build_time_indexed_lp(instance, horizon)
-    solution = solve(problem, SolveOptions(backend=backend))
+    solution = solve(problem)
     fractional = extract_fractional(problem, solution.x, instance, horizon)
     return problem, solution, fractional
 

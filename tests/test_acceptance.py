@@ -22,10 +22,10 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def _solve_fractional(instance, backend="builtin"):
+def _solve_fractional(instance):
     horizon = cn.horizon_upper_bound(instance)
     problem = cn.build_time_indexed_lp(instance, horizon)
-    solution = cn.solve(problem, SolveOptions(backend=backend))
+    solution = cn.solve(problem)
     return cn.extract_fractional(problem, solution.x, instance, horizon), solution
 
 
@@ -78,7 +78,7 @@ def test_criterion_3_oracle_sandwich():
     for k in range(instances):
         shop = cn.random_shop(rng, max_jobs=6, max_machines=4, max_time=5, max_weight=10)
         inst = cn.reduce_open_shop(shop)
-        fractional, solution = _solve_fractional(inst, backend="highs")
+        fractional, solution = _solve_fractional(inst)
         exact, _ = cn.open_shop_optimal(shop)
         assert cn.check_lp_lower_bound(inst, solution.objective, exact) is None
         result = cn.run_stretch(inst, fractional, trials=200, seed=1000 + k)
@@ -102,8 +102,7 @@ def test_criterion_4_per_trial_ceiling():
     shops = [cn.random_shop(rng, max_jobs=5, max_machines=3) for _ in range(10)]
     cases.extend(cn.reduce_open_shop(s) for s in shops)
     for inst in cases:
-        backend = "builtin" if len(inst.coflows) <= 4 else "highs"
-        fractional, _ = _solve_fractional(inst, backend=backend)
+        fractional, _ = _solve_fractional(inst)
         result = cn.run_stretch(inst, fractional, trials=20, seed=31337)
         for trial in result.trials:
             bounds = cn.completion_ceilings(fractional, trial.lam)

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import coflownet.mps
+import coflownet.solver
 from coflownet.cli import main
 from coflownet.bench import CSV_HEADER
 
@@ -67,6 +69,49 @@ def test_mps_solver_escape_hatch(tmp_path, capsys):
     text = exported.read_text()
     assert text.startswith("NAME")
     assert "ENDATA" in text
+
+
+def test_mps_solver_solves_the_file_it_wrote(tmp_path, monkeypatch):
+    inst = tmp_path / "inst.json"
+    exported = tmp_path / "exported.mps"
+    assert run(["gen", "--jobs", 2, "--seed", 5, "--out", inst]) == 0
+    read_back, handed = [], []
+    real_read, real_highs = coflownet.mps.read_mps, coflownet.solver._solve_highs
+
+    def spy_read(text):
+        read_back.append(real_read(text))
+        return read_back[-1]
+
+    def spy_highs(problem, options):
+        handed.append(problem)
+        return real_highs(problem, options)
+
+    monkeypatch.setattr(coflownet.mps, "read_mps", spy_read)
+    monkeypatch.setattr(coflownet.solver, "_solve_highs", spy_highs)
+    assert run(["solve", inst, "--strategy", "heuristic", "--solver", f"mps:{exported}"]) == 0
+    # HiGHS saw exactly one problem: the one parsed from the file
+    assert len(read_back) == 1 and len(handed) == 1
+    assert handed[0] is read_back[0]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", 0], "--trials"),
+        (["--strategy", "interval-stretch", "--epsilon", 0], "--epsilon"),
+        (["--solver", "builtin"], "unknown backend"),
+        (["--solver", "glpk"], "unknown backend"),
+        (["--solver", "mps:"], "unknown backend"),
+        (["--solver", "mps:{tmp}/missing-dir/out.mps"], "missing-dir"),
+    ],
+    ids=["trials-0", "epsilon-0", "builtin", "unknown", "mps-no-path", "mps-unwritable"],
+)
+def test_bad_solve_flags_exit_2(tmp_path, capsys, flags, message):
+    inst = tmp_path / "inst.json"
+    assert run(["gen", "--jobs", 2, "--seed", 1, "--out", inst]) == 0
+    flags = [str(f).format(tmp=tmp_path) for f in flags]
+    assert run(["solve", inst] + flags) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_reduce_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,28 +12,28 @@ from coflownet import (
     horizon_upper_bound,
     solve,
 )
+import coflownet.solver
 from coflownet.mps import read_mps, write_mps
-from coflownet.solver import check_solution
-
-BACKENDS = ("builtin", "highs")
+from coflownet.solver import LPSolution, check_solution
 
 
 def problem(objective, rows, lower=None, upper=None, names=None):
     n = len(objective)
-    return LPProblem(
-        objective=np.array(objective, dtype=float),
-        col_lower=np.array(lower if lower is not None else [0.0] * n),
-        col_upper=np.array(upper if upper is not None else [math.inf] * n),
-        col_names=tuple(names if names is not None else (f"v{k}" for k in range(n))),
-        row_names=tuple(f"r{k}" for k in range(len(rows))),
-        row_cols=tuple(np.array(cols, dtype=np.int64) for cols, _, _, _ in rows),
-        row_vals=tuple(np.array(vals, dtype=float) for _, vals, _, _ in rows),
-        relations=tuple(rel for _, _, rel, _ in rows),
-        rhs=np.array([rhs for _, _, _, rhs in rows]),
+    return LPProblem.from_rows(
+        objective,
+        lower if lower is not None else [0.0] * n,
+        upper if upper is not None else [math.inf] * n,
+        names if names is not None else [f"v{k}" for k in range(n)],
+        [(f"r{k}", *row) for k, row in enumerate(rows)],
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.fixture(params=["highs", "mps"])
+def backend(request, tmp_path):
+    """In-memory HiGHS, and HiGHS on the problem read back from an MPS file."""
+    return "highs" if request.param == "highs" else f"mps:{tmp_path / 'p.mps'}"
+
+
 def test_minimize_with_lower_bound_row(backend):
     p = problem([1.0], [([0], [1.0], ">=", 3.0)])
     sol = solve(p, SolveOptions(backend=backend))
@@ -40,7 +41,6 @@ def test_minimize_with_lower_bound_row(backend):
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_objective_is_the_contract_not_the_vertex(backend):
     p = problem(
         [1.0, 1.0],
@@ -52,21 +52,18 @@ def test_objective_is_the_contract_not_the_vertex(backend):
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_infeasible_reported_as_status(backend):
     p = problem([1.0], [([0], [1.0], ">=", 2.0)], upper=[1.0])
     sol = solve(p, SolveOptions(backend=backend))
     assert sol.status is SolveStatus.INFEASIBLE
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_unbounded_reported_as_status(backend):
     p = problem([-1.0], [([0], [1.0], ">=", 0.0)])
     sol = solve(p, SolveOptions(backend=backend))
     assert sol.status is SolveStatus.UNBOUNDED
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_equality_and_mixed_rows(backend):
     # min 2x + y  s.t.  x + y = 1, x - y <= 0.2, y <= 0.8
     p = problem(
@@ -83,22 +80,34 @@ def test_equality_and_mixed_rows(backend):
     assert sol.x[0] == pytest.approx(0.2, abs=1e-9)
 
 
-def test_iteration_limit_carries_point():
-    p = problem([1.0, 1.0], [([0, 1], [1.0, 1.0], ">=", 2.0)])
-    sol = solve(p, SolveOptions(backend="builtin", iteration_limit=1))
-    assert sol.status is SolveStatus.ITERATION_LIMIT
-    assert sol.x is not None
-
-
-def test_builtin_deterministic(solved_free):
+def test_iteration_limit_reported_as_status(solved_free):
+    # HiGHS stops without a primal point when the limit cuts it short
     p, _, _ = solved_free
-    a = solve(p, SolveOptions(backend="builtin"))
-    b = solve(p, SolveOptions(backend="builtin"))
+    sol = solve(p, SolveOptions(iteration_limit=1))
+    assert sol.status is SolveStatus.ITERATION_LIMIT
+    assert sol.x is None or sol.x.shape == (p.num_cols,)
+
+
+def test_numerical_failure_reported_as_status(monkeypatch):
+    p = problem([1.0], [([0], [1.0], ">=", 3.0)])
+
+    def failed(*args, **kwargs):
+        return SimpleNamespace(status=4, x=None, fun=None)
+
+    monkeypatch.setattr(coflownet.solver, "linprog", failed)
+    sol = solve(p)
+    assert sol.status is SolveStatus.NUMERICAL
+    assert sol.x is None
+
+
+def test_highs_deterministic(solved_free):
+    p, _, _ = solved_free
+    a = solve(p)
+    b = solve(p)
     assert np.array_equal(a.x, b.x)
     assert a.objective == b.objective
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_row_permutation_invariance(backend, solved_free, rng):
     p, base, _ = solved_free
     for _ in range(3):
@@ -107,23 +116,30 @@ def test_row_permutation_invariance(backend, solved_free, rng):
         assert sol.objective == pytest.approx(base.objective, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["builtin", "glpk", "mps:"])
+def test_unknown_backend_lists_accepted_values(name):
+    with pytest.raises(ValueError, match=r"highs.*mps:<path>"):
+        SolveOptions(backend=name)
+
+
 def test_check_solution_catches_corruption(solved_single):
     p, sol, _ = solved_single
     assert check_solution(p, sol) == []
     bad = sol.x.copy()
     bad[p.name_map["x_1_1_1"]] += 0.5
-    from coflownet.solver import LPSolution
-
     failures = check_solution(p, LPSolution(sol.status, sol.objective, bad))
     assert failures
 
 
-def test_backends_agree_on_golden_lps(demo_single, demo_free):
-    for inst in (demo_single, demo_free):
-        p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-        a = solve(p, SolveOptions(backend="builtin"))
-        b = solve(p, SolveOptions(backend="highs"))
-        assert a.objective == pytest.approx(b.objective, abs=1e-7)
+def test_row_cols_view_matches_matrix(solved_free):
+    p, _, _ = solved_free
+    assert len(p.row_cols) == p.num_rows
+    assert sum(cols.size for cols in p.row_cols) == p.A.nnz
+    first = p.A.getrow(0).indices
+    np.testing.assert_array_equal(p.row_cols[0], first)
+    assert not p.row_cols[0].flags.writeable
+    empty = read_mps(write_mps(problem([1.0, 2.0], [])))
+    assert empty.num_rows == 0 and empty.row_cols == ()
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +151,20 @@ def test_mps_round_trip_preserves_problem(solved_free):
     back = read_mps(write_mps(p))
     assert back.col_names == p.col_names
     assert back.row_names == p.row_names
-    assert back.relations == p.relations
-    np.testing.assert_allclose(back.rhs, p.rhs, atol=1e-12)
+    np.testing.assert_array_equal(back.row_lower, p.row_lower)
+    np.testing.assert_array_equal(back.row_upper, p.row_upper)
+    np.testing.assert_allclose(back.A.toarray(), p.A.toarray(), atol=1e-12)
     np.testing.assert_allclose(back.objective, p.objective, atol=1e-12)
     np.testing.assert_allclose(back.col_lower, p.col_lower, atol=1e-12)
     np.testing.assert_allclose(back.col_upper, p.col_upper, atol=1e-12)
 
 
-def test_exported_mps_cross_checks_builtin(demo_free, tmp_path):
-    # dual route: builder + builtin simplex vs exported MPS + HiGHS
+def test_mps_backend_matches_in_memory_highs(demo_free, tmp_path):
+    # dual route: builder + in-memory HiGHS vs exported MPS + HiGHS
     p = build_time_indexed_lp(demo_free, horizon_upper_bound(demo_free))
-    builtin = solve(p, SolveOptions(backend="builtin"))
-    path = tmp_path / "golden.mps"
-    path.write_text(write_mps(p))
-    reparsed = read_mps(path.read_text())
-    external = solve(reparsed, SolveOptions(backend="highs"))
+    in_memory = solve(p)
+    external = solve(p, SolveOptions(backend=f"mps:{tmp_path / 'golden.mps'}"))
     assert external.status is SolveStatus.OPTIMAL
     assert external.objective <= 5.0 + 1e-6
-    assert builtin.objective == pytest.approx(external.objective, abs=1e-6)
+    assert in_memory.objective == pytest.approx(external.objective, abs=1e-6)
+

@@ -19,6 +19,7 @@ from coflownet import (
     verify_schedule,
 )
 from coflownet.graphs import max_flow_value, path_bottleneck
+from coflownet.serialize import instance_from_dict
 
 
 def sequential_schedule(instance):
@@ -100,7 +101,7 @@ def test_golden_lp_objectives(solved_single, solved_free):
     assert single.objective <= 7.0 + 1e-6
     assert single.objective >= 5.0 - 1e-6
     assert free.objective <= 5.0 + 1e-6
-    # frozen regression values, agreed by both backends
+    # frozen regression values
     assert single.objective == pytest.approx(6.0, abs=1e-7)
     assert free.objective == pytest.approx(5.0, abs=1e-7)
 
@@ -115,6 +116,26 @@ def test_release_respected_in_solution():
         ),
         model=RoutingModel.SINGLE_PATH,
     )
+    horizon = horizon_upper_bound(inst)
+    problem = build_time_indexed_lp(inst, horizon)
+    sol = solve(problem)
+    for t in (1, 2):
+        assert sol.x[problem.name_map[f"x_1_1_{t}"]] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fractional_release_rounds_up():
+    # released at 1.5, the flow may transmit only from slot 3 on
+    inst = instance_from_dict({
+        "format": 1,
+        "model": "single_path",
+        "nodes": ["a", "b"],
+        "edges": [{"id": "e1", "src": "a", "dst": "b", "cap": 1.0}],
+        "coflows": [
+            {"weight": 1.0, "flows": [{"src": "a", "dst": "b", "demand": 1.0, "release": 1.5, "path": ["e1"]}]},
+            {"weight": 1.0, "flows": [{"src": "a", "dst": "b", "demand": 1.0, "release": 0, "path": ["e1"]}]},
+        ],
+    })
+    assert inst.coflows[0].flows[0].release == 2
     horizon = horizon_upper_bound(inst)
     problem = build_time_indexed_lp(inst, horizon)
     sol = solve(problem)
