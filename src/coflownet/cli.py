@@ -48,6 +48,15 @@ def _load_instance(path: str):
         raise _Usage(f"cannot read instance {path}: {exc}")
 
 
+def _load_valid_instance(path: str):
+    instance = _load_instance(path)
+    problems = validate_instance(instance)
+    if problems:
+        raise _Usage(f"invalid instance: {problems[0]} (+{len(problems) - 1} more)"
+                     if len(problems) > 1 else f"invalid instance: {problems[0]}")
+    return instance
+
+
 def _solve_options(spec: str) -> SolveOptions:
     """Parse --solver: highs | mps:<path> (write the LP to <path>, then
     solve the file read back from it with HiGHS)."""
@@ -164,11 +173,7 @@ def _dispatch(args) -> int:
         return OK
 
     if args.command == "solve":
-        instance = _load_instance(args.instance)
-        problems = validate_instance(instance)
-        if problems:
-            raise _Usage(f"invalid instance: {problems[0]} (+{len(problems) - 1} more)"
-                         if len(problems) > 1 else f"invalid instance: {problems[0]}")
+        instance = _load_valid_instance(args.instance)
         options = _solve_options(args.solver)
         if args.trials < 1:
             raise _Usage(f"--trials must be at least 1, got {args.trials}")
@@ -268,7 +273,7 @@ def _run_checks(args) -> int:
     failed = worst_identity > 1e-12
 
     if args.instance:
-        instance = _load_instance(args.instance)
+        instance = _load_valid_instance(args.instance)
     else:
         instance = demo_instance(RoutingModel(args.model))
     options = _solve_options(args.solver)

@@ -7,6 +7,7 @@ interval), and edge id ``e``:
 - ``C_j``      completion-time variable of coflow j
 - ``X_j_t``    fraction of coflow j completed by the end of step t
 - ``x_j_i_t``  fraction of flow (j, i) scheduled during step t
+- ``S_j_i_t``  fraction of flow (j, i) scheduled by the end of step t
 - ``xe_j_i_t_e``  free-path only: fraction of flow (j, i) routed over
   edge e during step t
 
@@ -14,7 +15,12 @@ Constraint families (row-name prefixes):
 
 - ``dem``  every flow is fully scheduled (sum of fractions = 1)
 - ``cum``  coflow progress is capped by each member flow's prefix sum,
-  one row per (coflow, flow, step) with no aggregation
+  as a pair of rows per (coflow, flow, step): ``cum_j_i_t_s`` defines
+  the prefix ``S_j_i_t - S_j_i_{t-1} - x_j_i_t = 0`` and ``cum_j_i_t``
+  caps progress by it, ``X_j_t - S_j_i_t <= 0``. Projected onto the
+  other columns this is the one-row form ``X_j_t <= sum_{l<=t} x_j_i_l``,
+  but with at most five nonzeros per (flow, step) instead of ``t + 1``,
+  so the family grows linearly in the step count, not quadratically
 - ``fin``  the completion bound, rearranged into a single row per coflow:
   ``C_j + sum_t len_t * X_j_t >= 1 + sum_t len_t`` (slot steps have
   ``len_t = 1``), which is algebraically the mean-progress lower bound
@@ -307,14 +313,23 @@ def _add_schedule_columns(
 
 
 def _add_shared_rows(b, instance, steps, step_lengths, c_col, x_col, cum_col):
+    """Rows shared by both relaxations, plus the prefix columns ``S``
+    that only the ``cum`` rows read."""
     for j, i, _, fl in instance.iter_flows():
         cols = [x_col[j, i, t] for t in range(1, steps + 1)]
         b.add_row(f"dem_{j + 1}_{i + 1}", cols, [1.0] * steps, "=", 1.0)
     for j, i, _, fl in instance.iter_flows():
+        prev = None
         for t in range(1, steps + 1):
-            cols = [cum_col[j, t]] + [x_col[j, i, l] for l in range(1, t + 1)]
-            vals = [1.0] + [-1.0] * t
-            b.add_row(f"cum_{j + 1}_{i + 1}_{t}", cols, vals, "<=", 0.0)
+            tag = f"{j + 1}_{i + 1}_{t}"
+            s = b.add_col(f"S_{tag}", ub=1.0)
+            cols, vals = [s, x_col[j, i, t]], [1.0, -1.0]
+            if prev is not None:
+                cols.append(prev)
+                vals.append(-1.0)
+            b.add_row(f"cum_{tag}_s", cols, vals, "=", 0.0)
+            b.add_row(f"cum_{tag}", [cum_col[j, t], s], [1.0, -1.0], "<=", 0.0)
+            prev = s
     total_len = math.fsum(step_lengths)
     for j in range(len(instance.coflows)):
         cols = [c_col[j]] + [cum_col[j, t] for t in range(1, steps + 1)]

@@ -195,13 +195,19 @@ def validate_instance(instance: Instance) -> list[str]:
             problems.append(f"edge {e.id}: target node {e.dst!r} not declared")
         if not e.cap > 0:
             problems.append(f"edge {e.id}: capacity not positive ({e.cap})")
+        elif not math.isfinite(e.cap):
+            problems.append(f"edge {e.id}: capacity not finite ({e.cap})")
 
+    if not instance.coflows:
+        problems.append("instance has no coflows")
     reach_cache: dict[str, set[str]] = {}
     for j, cf in enumerate(instance.coflows):
         if not cf.flows:
             problems.append(f"coflow {j + 1}: has no flows")
         if not cf.weight > 0:
             problems.append(f"coflow {j + 1}: weight not positive ({cf.weight})")
+        elif not math.isfinite(cf.weight):
+            problems.append(f"coflow {j + 1}: weight not finite ({cf.weight})")
         for i, fl in enumerate(cf.flows):
             tag = f"coflow {j + 1} flow {i + 1}"
             if fl.src == fl.dst:
@@ -212,6 +218,8 @@ def validate_instance(instance: Instance) -> list[str]:
                 problems.append(f"{tag}: sink node {fl.dst!r} not declared")
             if not fl.demand > 0:
                 problems.append(f"{tag}: demand not positive ({fl.demand})")
+            elif not math.isfinite(fl.demand):
+                problems.append(f"{tag}: demand not finite ({fl.demand})")
             if fl.release < 0 or fl.release != int(fl.release):
                 problems.append(f"{tag}: release not a nonnegative integer ({fl.release})")
             if instance.model is RoutingModel.SINGLE_PATH:

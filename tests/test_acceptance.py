@@ -75,12 +75,17 @@ def test_criterion_3_oracle_sandwich():
     rng = np.random.default_rng(42)
     instances = 50
     worst_mean_ratio = 0.0
+    worst_interval_ratio = 0.0
     for k in range(instances):
         shop = cn.random_shop(rng, max_jobs=6, max_machines=4, max_time=5, max_weight=10)
         inst = cn.reduce_open_shop(shop)
         fractional, solution = _solve_fractional(inst)
         exact, _ = cn.open_shop_optimal(shop)
         assert cn.check_lp_lower_bound(inst, solution.objective, exact) is None
+        for epsilon in (0.2, 0.5436):
+            interval = cn.solve(cn.build_interval_lp(inst, cn.interval_grid_for(inst, epsilon)))
+            assert cn.check_lp_lower_bound(inst, interval.objective, exact) is None
+            worst_interval_ratio = max(worst_interval_ratio, interval.objective / exact)
         result = cn.run_stretch(inst, fractional, trials=200, seed=1000 + k)
         assert result.best.report.objective >= exact - 1e-9
         mean_ratio = result.average_objective / solution.objective
@@ -91,6 +96,7 @@ def test_criterion_3_oracle_sandwich():
         "criterion 3 (oracle sandwich)",
         elapsed < 120.0,
         f"{instances} reduced instances: lp <= exact <= best-lambda, "
+        f"interval lp / exact <= {worst_interval_ratio:.3f} at eps 0.2 and 0.5436, "
         f"worst mean/lp ratio {worst_mean_ratio:.3f} <= 2.1, {elapsed:.1f}s < 2min",
     )
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -53,6 +54,39 @@ def test_validate_flags_bad_instance(tmp_path, capsys):
     }))
     assert run(["validate", bad]) == 1
     assert "capacity not positive" in capsys.readouterr().out
+
+
+def _one_edge_instance(cap=1.0, demand=1.0, weight=1.0):
+    return {
+        "format": 1,
+        "model": "single_path",
+        "nodes": ["a", "b"],
+        "edges": [{"id": "e", "src": "a", "dst": "b", "cap": cap}],
+        "coflows": [{"weight": weight, "flows": [{"src": "a", "dst": "b", "demand": demand, "release": 0, "path": ["e"]}]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({**_one_edge_instance(), "coflows": []}, "instance has no coflows"),
+        (_one_edge_instance(cap=math.inf), "capacity not finite"),
+        (_one_edge_instance(cap=math.nan), "capacity not positive"),
+        (_one_edge_instance(demand=math.inf), "demand not finite"),
+        (_one_edge_instance(weight=math.inf), "weight not finite"),
+    ],
+    ids=["no-coflows", "cap-inf", "cap-nan", "demand-inf", "weight-inf"],
+)
+def test_degenerate_instance_is_reported_not_raised(tmp_path, capsys, data, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    for command in (["solve", inst], ["check", "--instance", inst]):
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert run(["validate", inst]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.out and "Traceback" not in captured.err
 
 
 def test_validate_rejects_unknown_format(tmp_path):

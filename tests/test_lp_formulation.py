@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+
+from conftest import fuzz_instance
 
 from coflownet import (
     Coflow,
     Edge,
     Flow,
     Instance,
+    LPProblem,
     Network,
     RateSchedule,
     RoutingModel,
@@ -193,6 +198,7 @@ def test_variable_naming_convention(solved_single, solved_free):
     assert "C_1" in p_single.name_map
     assert "X_4_3" in p_single.name_map
     assert "x_4_1_2" in p_single.name_map
+    assert "S_4_1_2" in p_single.name_map
     assert "xe_4_1_2_s-v1" in p_free.name_map
 
 
@@ -273,3 +279,66 @@ def test_interval_grid_padding_keeps_lp_feasible():
     grid = interval_grid_for(inst, 0.5436)
     sol = solve(build_interval_lp(inst, grid))
     assert sol.status.value == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# cum rows: prefix formulation against the quadratic one
+
+
+def quadratic_cum_reference(instance, problem):
+    """``problem`` with its prefix columns ``S`` and ``cum`` rows replaced
+    by the textbook rows ``X_j_t - sum_{l <= t} x_j_i_l <= 0``, one per
+    (coflow, flow, step)."""
+    keep = [k for k, name in enumerate(problem.col_names) if not name.startswith("S_")]
+    new_index = np.full(problem.num_cols, -1)
+    new_index[keep] = np.arange(len(keep))
+    rows = []
+    for r, name in enumerate(problem.row_names):
+        if name.startswith("cum_"):
+            continue
+        lo, hi = problem.row_lower[r], problem.row_upper[r]
+        rel, rhs = ("=", lo) if lo == hi else ("<=", hi) if math.isinf(lo) else (">=", lo)
+        row = problem.A.getrow(r)
+        rows.append((name, new_index[row.indices].tolist(), row.data.tolist(), rel, rhs))
+    steps = problem.layout.x.shape[1]
+    for f, (j, i, _, _) in enumerate(instance.iter_flows()):
+        for t in range(1, steps + 1):
+            progress = new_index[problem.name_map[f"X_{j + 1}_{t}"]]
+            cols = [progress] + new_index[problem.layout.x[f, :t]].tolist()
+            rows.append((f"cum_{j + 1}_{i + 1}_{t}", cols, [1.0] + [-1.0] * t, "<=", 0.0))
+    return LPProblem.from_rows(
+        problem.objective[keep],
+        problem.col_lower[keep],
+        problem.col_upper[keep],
+        [problem.col_names[k] for k in keep],
+        rows,
+    )
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_prefix_cum_rows_match_quadratic_reference(model):
+    rng = np.random.default_rng(2027)
+    for k in range(10):
+        inst = fuzz_instance(rng, model)
+        epsilon = (0.2, 0.5436)[k % 2]
+        for problem in (
+            build_time_indexed_lp(inst, horizon_upper_bound(inst)),
+            build_interval_lp(inst, interval_grid_for(inst, epsilon)),
+        ):
+            got, want = solve(problem), solve(quadratic_cum_reference(inst, problem))
+            assert got.status.value == want.status.value == "optimal"
+            assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=0)
+
+
+def _cum_nnz(problem):
+    return sum(
+        cols.size for name, cols in zip(problem.row_names, problem.row_cols)
+        if name.startswith("cum_")
+    )
+
+
+def test_cum_nonzeros_grow_linearly_in_the_horizon(demo_single):
+    horizon = 4 * horizon_upper_bound(demo_single)
+    small = _cum_nnz(build_time_indexed_lp(demo_single, horizon))
+    large = _cum_nnz(build_time_indexed_lp(demo_single, 2 * horizon))
+    assert large <= 2 * small + demo_single.flow_count
