@@ -64,7 +64,16 @@ from .openshop import (
     random_shop,
     reduce_open_shop,
 )
-from .pipeline import PipelineResult, SolveFailure, VerificationFailure, run_pipeline, solve_lp
+from .pipeline import (
+    MAX_SLOT_COLUMNS,
+    HorizonTooLarge,
+    PipelineResult,
+    SolveFailure,
+    VerificationFailure,
+    checked_horizon,
+    run_pipeline,
+    solve_lp,
+)
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen | solve | validate | bench | reduce | check.
-Exit codes: 0 ok, 1 verification failure, 2 usage/IO error, 3 solver failure.
+Exit codes: 0 ok, 1 verification failure, 2 usage/IO error or an instance
+too large to build, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -15,10 +16,17 @@ import numpy as np
 
 from . import bench as bench_mod
 from .generate import GenConfig, TOPOLOGIES, demo_instance, generate_instance
-from .lp import build_time_indexed_lp, extract_fractional, horizon_upper_bound
+from .lp import build_time_indexed_lp, extract_fractional
 from .model import RoutingModel, completion_times, validate_instance
 from .openshop import reduce_open_shop
-from .pipeline import STRATEGIES, SolveFailure, VerificationFailure, run_pipeline
+from .pipeline import (
+    STRATEGIES,
+    HorizonTooLarge,
+    SolveFailure,
+    VerificationFailure,
+    checked_horizon,
+    run_pipeline,
+)
 from .serialize import (
     FormatError,
     dumps,
@@ -131,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except _Usage as exc:
+    except (_Usage, HorizonTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except SolveFailure as exc:
@@ -277,7 +285,7 @@ def _run_checks(args) -> int:
     else:
         instance = demo_instance(RoutingModel(args.model))
     options = _solve_options(args.solver)
-    horizon = horizon_upper_bound(instance)
+    horizon = checked_horizon(instance)
     problem = build_time_indexed_lp(instance, horizon)
     solution = solve(problem, options)
     if solution.status is not SolveStatus.OPTIMAL:

@@ -33,6 +33,18 @@ Release times are enforced by fixing variables to zero rather than by
 rows: a flow released at ``r`` gets ``x`` (and ``xe``) upper bounds of 0
 for every slot ``t <= r``, or for every interval not lying wholly after
 ``r`` in the interval relaxation.
+
+Both relaxations come from one assembly (``_assemble``) that never
+touches a row in Python. Columns are index blocks laid out in the order
+``C`` (J), ``X`` (J x T), ``x`` (F x T), ``S`` (F x T), then one T x E_f
+block of ``xe`` per free-path flow f over its E_f usable edges. Each row
+family is emitted as numpy arrays of per-row nonzero counts, column
+indices, values and row bounds: ``dem``, ``cum`` (definition and cap row
+interleaved per flow and step), ``fin``, free-path flow rows, ``cap``.
+The ``src``/``snk``/``bal`` rows of a flow are a one-step incidence
+template over its usable edges plus its ``x`` column, tiled across steps
+by column offset; ``cap`` rows gather each edge's users per step. The
+counts give the CSR ``indptr`` directly.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import max_flow_value, path_bottleneck, usable_edges
-from .model import FractionalSchedule, Instance, RoutingModel
+from .model import Edge, FractionalSchedule, Instance, RoutingModel
 
 
 @dataclass(frozen=True)
@@ -70,9 +82,10 @@ class LPProblem:
     and ``col_lower <= x <= col_upper``; immutable after construction.
 
     ``A`` is a CSR matrix. Every row is an equality (equal bounds) or
-    one-sided (the other bound infinite). Build problems with
-    :meth:`from_rows`; ``layout`` is set by the relaxation builders and
-    is what solution extraction reads.
+    one-sided (the other bound infinite). The relaxation builders
+    assemble ``A`` directly; :meth:`from_rows` builds a problem from a row
+    list. ``layout`` is set by the relaxation builders and is what
+    solution extraction reads.
     """
 
     objective: np.ndarray
@@ -159,30 +172,6 @@ class LPProblem:
         )
 
 
-class _LPBuilder:
-    def __init__(self):
-        self._obj: list[float] = []
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._col_names: list[str] = []
-        self._rows: list[tuple[str, list[int], list[float], str, float]] = []
-
-    def add_col(self, name: str, obj: float = 0.0, lb: float = 0.0, ub: float = math.inf) -> int:
-        self._col_names.append(name)
-        self._obj.append(obj)
-        self._lb.append(lb)
-        self._ub.append(ub)
-        return len(self._col_names) - 1
-
-    def add_row(self, name: str, cols: list[int], vals: list[float], rel: str, rhs: float) -> None:
-        self._rows.append((name, cols, vals, rel, rhs))
-
-    def build(self, layout: ColumnLayout) -> LPProblem:
-        return LPProblem.from_rows(
-            self._obj, self._lb, self._ub, self._col_names, self._rows, layout=layout
-        )
-
-
 # ---------------------------------------------------------------------------
 # horizon
 
@@ -210,6 +199,15 @@ def horizon_upper_bound(instance: Instance) -> int:
                 raise ValueError(f"unroutable flow: coflow {j + 1} flow {i + 1}")
         total += _ceil_slots(fl.demand / rate)
     return total
+
+
+def columns_per_slot(instance: Instance) -> int:
+    """Columns the slot LP has per slot: ``X``, ``x`` and ``S`` per coflow
+    or flow, plus one ``xe`` per usable edge of each free-path flow."""
+    per_slot = len(instance.coflows) + 2 * instance.flow_count
+    if instance.model is RoutingModel.FREE_PATH:
+        per_slot += sum(map(len, _flow_edges(instance)))
+    return per_slot
 
 
 # ---------------------------------------------------------------------------
@@ -289,125 +287,149 @@ def interval_grid_for(instance: Instance, epsilon: float) -> IntervalGrid:
 # LP assembly
 
 
-def _add_schedule_columns(
-    b: _LPBuilder,
-    instance: Instance,
-    steps: int,
-    step_allowed,
-    completion_ub: float,
-):
-    """Columns shared by both relaxations. Returns index lookup tables."""
-    c_col = {}
-    x_col = {}
-    cum_col = {}
-    for j, cf in enumerate(instance.coflows):
-        c_col[j] = b.add_col(f"C_{j + 1}", obj=cf.weight, ub=completion_ub)
-    for j, cf in enumerate(instance.coflows):
-        for t in range(1, steps + 1):
-            cum_col[j, t] = b.add_col(f"X_{j + 1}_{t}", ub=1.0)
+def _flow_edges(instance: Instance) -> list[tuple[Edge, ...]]:
+    """Usable edges of each flow in ``iter_flows`` order (free path)."""
+    out = []
     for j, i, _, fl in instance.iter_flows():
-        for t in range(1, steps + 1):
-            ub = 1.0 if step_allowed(fl, t) else 0.0
-            x_col[j, i, t] = b.add_col(f"x_{j + 1}_{i + 1}_{t}", ub=ub)
-    return c_col, x_col, cum_col
-
-
-def _add_shared_rows(b, instance, steps, step_lengths, c_col, x_col, cum_col):
-    """Rows shared by both relaxations, plus the prefix columns ``S``
-    that only the ``cum`` rows read."""
-    for j, i, _, fl in instance.iter_flows():
-        cols = [x_col[j, i, t] for t in range(1, steps + 1)]
-        b.add_row(f"dem_{j + 1}_{i + 1}", cols, [1.0] * steps, "=", 1.0)
-    for j, i, _, fl in instance.iter_flows():
-        prev = None
-        for t in range(1, steps + 1):
-            tag = f"{j + 1}_{i + 1}_{t}"
-            s = b.add_col(f"S_{tag}", ub=1.0)
-            cols, vals = [s, x_col[j, i, t]], [1.0, -1.0]
-            if prev is not None:
-                cols.append(prev)
-                vals.append(-1.0)
-            b.add_row(f"cum_{tag}_s", cols, vals, "=", 0.0)
-            b.add_row(f"cum_{tag}", [cum_col[j, t], s], [1.0, -1.0], "<=", 0.0)
-            prev = s
-    total_len = math.fsum(step_lengths)
-    for j in range(len(instance.coflows)):
-        cols = [c_col[j]] + [cum_col[j, t] for t in range(1, steps + 1)]
-        vals = [1.0] + [step_lengths[t - 1] for t in range(1, steps + 1)]
-        b.add_row(f"fin_{j + 1}", cols, vals, ">=", 1.0 + total_len)
-
-
-def _add_single_path_capacity(b, instance, steps, step_lengths, x_col):
-    by_edge: dict[str, list[tuple[int, int, float]]] = {}
-    for j, i, _, fl in instance.iter_flows():
-        for eid in fl.path:
-            by_edge.setdefault(eid, []).append((j, i, fl.demand))
-    for e in instance.network.edges:
-        users = by_edge.get(e.id)
-        if not users:
-            continue
-        for t in range(1, steps + 1):
-            cols = [x_col[j, i, t] for j, i, _ in users]
-            vals = [demand for _, _, demand in users]
-            b.add_row(f"cap_{e.id}_{t}", cols, vals, "<=", step_lengths[t - 1] * e.cap)
-
-
-def _add_free_path_rows(b, instance, steps, step_lengths, x_col, step_allowed):
-    edge_col = {}
-    flow_edges = {}
-    for j, i, _, fl in instance.iter_flows():
-        edges = usable_edges(instance.network, fl.src, fl.dst)
-        if not any(e.src == fl.src for e in edges):
+        out.append(usable_edges(instance.network, fl.src, fl.dst))
+        if not any(e.src == fl.src for e in out[-1]):
             raise ValueError(f"unroutable flow: coflow {j + 1} flow {i + 1}")
-        flow_edges[j, i] = edges
-        for t in range(1, steps + 1):
-            ub = math.inf if step_allowed(fl, t) else 0.0
-            for e in edges:
-                edge_col[j, i, t, e.id] = b.add_col(
-                    f"xe_{j + 1}_{i + 1}_{t}_{e.id}", ub=ub
-                )
-    for j, i, _, fl in instance.iter_flows():
-        edges = flow_edges[j, i]
-        nodes = {e.src for e in edges} | {e.dst for e in edges}
-        for t in range(1, steps + 1):
-            out_src = [edge_col[j, i, t, e.id] for e in edges if e.src == fl.src]
-            b.add_row(
-                f"src_{j + 1}_{i + 1}_{t}",
-                out_src + [x_col[j, i, t]],
-                [1.0] * len(out_src) + [-1.0],
-                "=",
-                0.0,
+    return out
+
+
+def _block(names, counts, indices, data, lower, upper):
+    """One row family in row order: names, nonzeros per row, column
+    indices, values and row bounds; scalars broadcast."""
+    rows = len(names)
+    return (
+        names, np.broadcast_to(counts, rows), indices, np.broadcast_to(data, len(indices)),
+        np.broadcast_to(lower, rows), np.broadcast_to(upper, rows),
+    )
+
+
+def _flow_rows(tag: str, fl, edges, x_cols: np.ndarray, first: int):
+    """``src``/``snk``/``bal`` rows of one free-path flow whose ``xe``
+    columns start at ``first``, one block of ``len(edges)`` per step."""
+    ins: dict[str, list[int]] = {}  # node -> positions of its in-edges in ``edges``
+    outs: dict[str, list[int]] = {}
+    for k, e in enumerate(edges):
+        outs.setdefault(e.src, []).append(k)
+        ins.setdefault(e.dst, []).append(k)
+    interior = sorted((ins.keys() | outs.keys()) - {fl.src, fl.dst})
+    # one step's rows as (+1 columns, -1 columns); -1 stands for the step's x
+    template = [(outs.get(fl.src, []), [-1]), (ins.get(fl.dst, []), [-1])]
+    template += [(ins.get(v, []), outs.get(v, [])) for v in interior]
+    local = np.array([k for plus, minus in template for k in plus + minus], dtype=np.int64)
+    vals = [v for plus, minus in template for v in [1.0] * len(plus) + [-1.0] * len(minus)]
+    steps = len(x_cols)
+    cols = first + len(edges) * np.arange(steps)[:, None] + local
+    cols[:, local < 0] = x_cols[:, None]
+    names = [n for t in range(1, steps + 1) for n in (
+        f"src_{tag}_{t}", f"snk_{tag}_{t}", *(f"bal_{tag}_{t}_{v}" for v in interior))]
+    counts = np.tile([len(plus) + len(minus) for plus, minus in template], steps)
+    return _block(names, counts, cols.ravel(), np.tile(vals, steps), 0.0, 0.0)
+
+
+def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
+    """``cap`` rows per used edge and step; ``users[e]`` lists, per flow on
+    edge e, its column at step 1, its column stride per step, its demand."""
+    steps = np.arange(len(lengths))[:, None]
+    for e in network.edges:
+        if e.id in users:
+            first, stride, demand = map(np.array, zip(*users[e.id]))
+            yield _block(
+                [f"cap_{e.id}_{t}" for t in range(1, len(lengths) + 1)],
+                len(first),
+                (first + steps * stride).ravel(),
+                np.tile(demand, len(lengths)),
+                -math.inf,
+                lengths * e.cap,
             )
-            in_snk = [edge_col[j, i, t, e.id] for e in edges if e.dst == fl.dst]
-            b.add_row(
-                f"snk_{j + 1}_{i + 1}_{t}",
-                in_snk + [x_col[j, i, t]],
-                [1.0] * len(in_snk) + [-1.0],
-                "=",
-                0.0,
-            )
-            for v in sorted(nodes - {fl.src, fl.dst}):
-                cols = [edge_col[j, i, t, e.id] for e in edges if e.dst == v]
-                vals = [1.0] * len(cols)
-                outs = [edge_col[j, i, t, e.id] for e in edges if e.src == v]
-                cols += outs
-                vals += [-1.0] * len(outs)
-                b.add_row(f"bal_{j + 1}_{i + 1}_{t}_{v}", cols, vals, "=", 0.0)
-    for e in instance.network.edges:
-        users = [
-            (j, i, fl.demand)
-            for j, i, _, fl in instance.iter_flows()
-            if (j, i, 1, e.id) in edge_col
-        ]
-        if not users:
-            continue
-        for t in range(1, steps + 1):
-            cols = [edge_col[j, i, t, e.id] for j, i, _ in users]
-            vals = [demand for _, _, demand in users]
-            b.add_row(f"cap_{e.id}_{t}", cols, vals, "<=", step_lengths[t - 1] * e.cap)
-    return tuple(
-        {e.id: np.array([edge_col[j, i, t, e.id] for t in range(1, steps + 1)]) for e in edges}
-        for (j, i), edges in flow_edges.items()
+
+
+def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub) -> LPProblem:
+    """Either relaxation over ``len(lengths)`` steps; ``open_steps[f, t]``
+    says whether the f-th flow may transmit in step ``t + 1``."""
+    lengths = np.asarray(lengths, dtype=float)
+    flows = list(instance.iter_flows())
+    J, F, T = len(instance.coflows), len(flows), len(lengths)
+    tags = [f"{j + 1}_{i + 1}" for j, i, _, _ in flows]
+    owner = np.array([j for j, _, _, _ in flows], dtype=np.int64)
+    t_range = range(1, T + 1)
+    # column blocks: C (J), X (J x T), x (F x T), S (F x T), then xe per flow
+    X = J + np.arange(J * T, dtype=np.int64).reshape(J, T)
+    x = J * (T + 1) + np.arange(F * T, dtype=np.int64).reshape(F, T)
+    S = x + F * T
+    names = [f"C_{j + 1}" for j in range(J)]
+    names += [f"X_{j + 1}_{t}" for j in range(J) for t in t_range]
+    names += [f"x_{tag}_{t}" for tag in tags for t in t_range]
+    names += [f"S_{tag}_{t}" for tag in tags for t in t_range]
+    upper = [np.full(J, completion_ub), np.ones(J * T), open_steps.ravel().astype(float)]
+    upper.append(np.ones(F * T))
+
+    # cum: per (flow, step) the rows S - x - S_prev = 0 (no S_prev at step 1), X - S <= 0
+    cum_cols = np.stack([S, x, S - 1, X[owner], S], axis=-1)
+    later = np.arange(T) > 0
+    keep = np.broadcast_to(later[:, None] | (np.arange(5) != 2), cum_cols.shape)
+    cum_counts = np.broadcast_to(np.stack([2 + later, np.full(T, 2)], axis=-1), (F, T, 2))
+    blocks = [
+        _block([f"dem_{tag}" for tag in tags], T, x.ravel(), 1.0, 1.0, 1.0),
+        _block(
+            [n for tag in tags for t in t_range for n in (f"cum_{tag}_{t}_s", f"cum_{tag}_{t}")],
+            cum_counts.ravel(),
+            cum_cols[keep],
+            np.broadcast_to([1.0, -1.0, -1.0, 1.0, -1.0], keep.shape)[keep],
+            np.tile([0.0, -math.inf], F * T),
+            0.0,
+        ),
+        _block(
+            [f"fin_{j + 1}" for j in range(J)],
+            T + 1,
+            np.hstack([np.arange(J, dtype=np.int64)[:, None], X]).ravel(),
+            np.tile(np.concatenate([[1.0], lengths]), J),
+            1.0 + math.fsum(lengths),
+            math.inf,
+        ),
+    ]
+
+    users: dict[str, list] = {}
+    xe = None
+    if instance.model is RoutingModel.SINGLE_PATH:
+        for f, (_, _, _, fl) in enumerate(flows):
+            for eid in fl.path:
+                users.setdefault(eid, []).append((x[f, 0], 1, fl.demand))
+    else:
+        xe = []
+        first = len(names)
+        for f, ((_, _, _, fl), edges, tag) in enumerate(zip(flows, _flow_edges(instance), tags)):
+            width = len(edges)
+            names += [f"xe_{tag}_{t}_{e.id}" for t in t_range for e in edges]
+            upper.append(np.repeat(np.where(open_steps[f], math.inf, 0.0), width))
+            blocks.append(_flow_rows(tag, fl, edges, x[f], first))
+            cols = first + np.arange(width)[:, None] + width * np.arange(T)
+            xe.append({e.id: cols[k] for k, e in enumerate(edges)})
+            for k, e in enumerate(edges):
+                users.setdefault(e.id, []).append((first + k, width, fl.demand))
+            first += width * T
+        xe = tuple(xe)
+    blocks.extend(_cap_rows(instance.network, users, lengths))
+
+    row_names, counts, indices, data, row_lower, row_upper = zip(*blocks)
+    counts = np.concatenate(counts)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    data, indices = np.concatenate(data), np.concatenate(indices)
+    A = sp.csr_matrix((data, indices, indptr), shape=(len(counts), len(names)))
+    return LPProblem(
+        objective=np.concatenate([[c.weight for c in instance.coflows], np.zeros(len(names) - J)]),
+        col_lower=np.zeros(len(names)),
+        col_upper=np.concatenate(upper),
+        col_names=tuple(names),
+        row_names=tuple(chain.from_iterable(row_names)),
+        A=A,
+        row_lower=np.concatenate(row_lower),
+        row_upper=np.concatenate(row_upper),
+        layout=ColumnLayout(completion=np.arange(J, dtype=np.int64), x=x, xe=xe),
     )
 
 
@@ -424,11 +446,9 @@ def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:
         raise ValueError(
             f"horizon {horizon} does not exceed the latest release {instance.max_release}"
         )
-
-    def allowed(fl, t: int) -> bool:
-        return t > fl.release
-
-    return _assemble(instance, horizon, [1.0] * horizon, allowed, horizon + 1.0)
+    release = np.array([fl.release for _, _, _, fl in instance.iter_flows()], dtype=float)
+    open_steps = np.arange(1, horizon + 1) > release[:, None]
+    return _assemble(instance, np.ones(horizon), open_steps, horizon + 1.0)
 
 
 def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
@@ -439,39 +459,16 @@ def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
     flow may be scheduled only in intervals wholly after its release, so
     uniform-speed expansion never transmits early.
     """
-    steps = grid.interval_count
-    lengths = list(grid.lengths)
-    bounds = grid.boundaries
-
-    def allowed(fl, t: int) -> bool:
-        return bounds[t - 1] >= fl.release - 1e-9
-
-    for j, i, _, fl in instance.iter_flows():
-        if not any(allowed(fl, t) for t in range(1, steps + 1)):
-            raise ValueError(
-                f"grid horizon {grid.horizon} leaves no interval after release "
-                f"of coflow {j + 1} flow {i + 1}"
-            )
-    return _assemble(instance, steps, lengths, allowed, grid.horizon + 1.0)
-
-
-def _assemble(instance, steps, lengths, allowed, completion_ub) -> LPProblem:
-    b = _LPBuilder()
-    c_col, x_col, cum_col = _add_schedule_columns(b, instance, steps, allowed, completion_ub)
-    _add_shared_rows(b, instance, steps, lengths, c_col, x_col, cum_col)
-    xe = None
-    if instance.model is RoutingModel.SINGLE_PATH:
-        _add_single_path_capacity(b, instance, steps, lengths, x_col)
-    else:
-        xe = _add_free_path_rows(b, instance, steps, lengths, x_col, allowed)
-    x = [[x_col[j, i, t] for t in range(1, steps + 1)] for j, i, _, _ in instance.iter_flows()]
-    return b.build(
-        ColumnLayout(
-            completion=np.array(list(c_col.values()), dtype=np.int64),
-            x=np.array(x, dtype=np.int64).reshape(len(x), steps),
-            xe=xe,
+    release = np.array([fl.release for _, _, _, fl in instance.iter_flows()], dtype=float)
+    open_steps = np.array(grid.boundaries[:-1]) >= release[:, None] - 1e-9
+    blocked = np.flatnonzero(~open_steps.any(axis=1))
+    if blocked.size:
+        j, i, _, _ = list(instance.iter_flows())[blocked[0]]
+        raise ValueError(
+            f"grid horizon {grid.horizon} leaves no interval after release "
+            f"of coflow {j + 1} flow {i + 1}"
         )
-    )
+    return _assemble(instance, grid.lengths, open_steps, grid.horizon + 1.0)
 
 
 # ---------------------------------------------------------------------------

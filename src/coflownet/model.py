@@ -253,6 +253,14 @@ def _check_path(net: Network, fl: Flow, tag: str) -> list[str]:
             problems.append(f"{tag}: path edges {a.id!r} -> {b.id!r} do not chain")
     if edges[-1].dst != fl.dst:
         problems.append(f"{tag}: path does not end at sink")
+    if not problems:
+        # horizon_upper_bound assumes a flow crosses each path edge once per slot
+        seen = {fl.src}
+        for e in edges:
+            if e.dst in seen:
+                problems.append(f"{tag}: path visits node {e.dst!r} twice")
+                break
+            seen.add(e.dst)
     return problems
 
 

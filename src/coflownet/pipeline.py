@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .lp import (
     build_interval_lp,
     build_time_indexed_lp,
+    columns_per_slot,
     extract_fractional,
     extract_interval_solution,
     horizon_upper_bound,
@@ -23,6 +24,13 @@ from .verify import verify_schedule
 
 STRATEGIES = ("stretch", "heuristic", "interval-stretch")
 
+#: Most slot-level columns, ``horizon_upper_bound`` times
+#: ``columns_per_slot``, for which the pipeline allocates anything that
+#: grows with the horizon (the slot LP, or the interval schedule's
+#: expansion to slots). Building the slot LP takes about 320 bytes per
+#: column.
+MAX_SLOT_COLUMNS = 2_000_000
+
 
 class SolveFailure(RuntimeError):
     """The LP backend did not return an optimal solution."""
@@ -30,6 +38,10 @@ class SolveFailure(RuntimeError):
     def __init__(self, status: SolveStatus):
         self.status = status
         super().__init__(f"solver finished with status {status.value}")
+
+
+class HorizonTooLarge(ValueError):
+    """The horizon bound makes the slot-level model too large to build."""
 
 
 class VerificationFailure(RuntimeError):
@@ -55,12 +67,26 @@ class PipelineResult:
     trial_count: int
 
 
+def checked_horizon(instance: Instance) -> int:
+    """``horizon_upper_bound(instance)``, or :class:`HorizonTooLarge` when
+    that many slots times the columns per slot exceeds ``MAX_SLOT_COLUMNS``."""
+    horizon = horizon_upper_bound(instance)
+    per_slot = columns_per_slot(instance)
+    if horizon * per_slot > MAX_SLOT_COLUMNS:
+        raise HorizonTooLarge(
+            f"horizon bound of {horizon:,} slots needs about {horizon * per_slot:,} LP columns "
+            f"({per_slot:,} per slot), more than the limit of {MAX_SLOT_COLUMNS:,}"
+        )
+    return horizon
+
+
 def solve_lp(
     instance: Instance, options: SolveOptions | None = None, horizon: int | None = None
 ) -> tuple[FractionalSchedule, LPSolution]:
     """Build and solve the slot-indexed relaxation, returning the
-    extracted fractional schedule alongside the raw solution."""
-    horizon = horizon if horizon is not None else horizon_upper_bound(instance)
+    extracted fractional schedule alongside the raw solution. Without a
+    ``horizon``, the checked horizon bound is used."""
+    horizon = horizon if horizon is not None else checked_horizon(instance)
     problem = build_time_indexed_lp(instance, horizon)
     solution = solve(problem, options)
     if solution.status is not SolveStatus.OPTIMAL:
@@ -78,6 +104,8 @@ def run_pipeline(
 ) -> PipelineResult:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} (one of {STRATEGIES})")
+    # refuses the instance before anything that grows with the horizon exists
+    horizon = checked_horizon(instance)
 
     if strategy == "interval-stretch":
         eps = 0.2 if epsilon is None else epsilon
@@ -91,7 +119,7 @@ def run_pipeline(
         lp_objective = solution.objective
     else:
         eps = None
-        fractional, solution = solve_lp(instance, options)
+        fractional, solution = solve_lp(instance, options, horizon)
         lp_objective = solution.objective
 
     if strategy == "heuristic":

@@ -1,13 +1,22 @@
 import csv
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coflownet
 import coflownet.mps
 import coflownet.solver
+from coflownet import MAX_SLOT_COLUMNS, RoutingModel
 from coflownet.cli import main
 from coflownet.bench import CSV_HEADER
+from coflownet.generate import demo_instance
+from coflownet.serialize import save_instance
 
 
 def run(args):
@@ -66,6 +75,25 @@ def _one_edge_instance(cap=1.0, demand=1.0, weight=1.0):
     }
 
 
+def _looping_path_instance():
+    # a valid chain a-b, b-a, a-b, b-c that loads edge ab twice per slot
+    flow = {"src": "a", "dst": "c", "demand": 1.0, "release": 0}
+    return {
+        "format": 1,
+        "model": "single_path",
+        "nodes": ["a", "b", "c"],
+        "edges": [
+            {"id": "ab", "src": "a", "dst": "b", "cap": 1.0},
+            {"id": "ba", "src": "b", "dst": "a", "cap": 1.0},
+            {"id": "bc", "src": "b", "dst": "c", "cap": 1.0},
+        ],
+        "coflows": [
+            {"weight": 1.0, "flows": [{**flow, "path": ["ab", "ba", "ab", "bc"]}]},
+            {"weight": 1.0, "flows": [{**flow, "path": ["ab", "bc"]}]},
+        ],
+    }
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -74,8 +102,9 @@ def _one_edge_instance(cap=1.0, demand=1.0, weight=1.0):
         (_one_edge_instance(cap=math.nan), "capacity not positive"),
         (_one_edge_instance(demand=math.inf), "demand not finite"),
         (_one_edge_instance(weight=math.inf), "weight not finite"),
+        (_looping_path_instance(), "path visits node 'a' twice"),
     ],
-    ids=["no-coflows", "cap-inf", "cap-nan", "demand-inf", "weight-inf"],
+    ids=["no-coflows", "cap-inf", "cap-nan", "demand-inf", "weight-inf", "path-loop"],
 )
 def test_degenerate_instance_is_reported_not_raised(tmp_path, capsys, data, message):
     inst = tmp_path / "inst.json"
@@ -200,3 +229,50 @@ def test_usage_error_on_unknown_strategy(tmp_path, capsys):
     assert run(["gen", "--jobs", 2, "--seed", 1, "--out", inst]) == 0
     with pytest.raises(SystemExit):
         run(["solve", inst, "--strategy", "zigzag"])
+
+
+SRC = Path(coflownet.__file__).resolve().parent.parent
+
+
+def run_module(args, address_space=None):
+    """``python -m coflownet ARGS`` in a fresh interpreter, optionally with
+    its address space capped so that a runaway allocation fails fast."""
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "coflownet", *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap if address_space else None,
+    )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    inst = tmp_path / "demo.json"
+    save_instance(demo_instance(RoutingModel.FREE_PATH), inst)
+    done = run_module(["validate", inst])
+    assert done.returncode == 0, done.stderr
+    assert "instance ok" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "data, horizon",
+    [(_one_edge_instance(demand=1e9), 10**9), (_one_edge_instance(cap=1e-9), 10**9)],
+    ids=["demand-1e9", "cap-1e-9"],
+)
+def test_horizon_blow_up_is_refused_before_allocating(tmp_path, data, horizon):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    columns = f"{3 * horizon:,} LP columns"  # X, x and S per slot
+    for command in (
+        ["solve", inst],
+        ["solve", inst, "--strategy", "interval-stretch"],
+        ["check", "--instance", inst],
+    ):
+        done = run_module(command, address_space=1 << 30)
+        assert done.returncode == 2, done.stderr
+        assert columns in done.stderr and f"{MAX_SLOT_COLUMNS:,}" in done.stderr
+        assert "Traceback" not in done.stderr

@@ -23,7 +23,8 @@ from coflownet import (
     solve,
     verify_schedule,
 )
-from coflownet.graphs import max_flow_value, path_bottleneck
+from coflownet.graphs import max_flow_value, path_bottleneck, usable_edges
+from coflownet.lp import ColumnLayout
 from coflownet.serialize import instance_from_dict
 
 
@@ -342,3 +343,119 @@ def test_cum_nonzeros_grow_linearly_in_the_horizon(demo_single):
     small = _cum_nnz(build_time_indexed_lp(demo_single, horizon))
     large = _cum_nnz(build_time_indexed_lp(demo_single, 2 * horizon))
     assert large <= 2 * small + demo_single.flow_count
+
+
+# ---------------------------------------------------------------------------
+# block assembly against a row-at-a-time reference
+
+
+def reference_assembly(instance, lengths, allowed, completion_ub):
+    """The relaxation written one column and one row at a time, in the
+    documented order, and assembled by ``LPProblem.from_rows``."""
+    steps = range(1, len(lengths) + 1)
+    flows = list(instance.iter_flows())
+    obj, upper, names, rows = [], [], [], []
+
+    def col(name, cost=0.0, ub=1.0):
+        names.append(name)
+        obj.append(cost)
+        upper.append(ub)
+        return len(names) - 1
+
+    def row(name, plus, minus, rel, rhs, vals=None):
+        vals = vals or [1.0] * len(plus) + [-1.0] * len(minus)
+        rows.append((name, plus + minus, vals, rel, rhs))
+
+    C = [col(f"C_{j + 1}", cf.weight, completion_ub) for j, cf in enumerate(instance.coflows)]
+    X = {(j, t): col(f"X_{j + 1}_{t}") for j in range(len(C)) for t in steps}
+    tags = [f"{j + 1}_{i + 1}" for j, i, _, _ in flows]
+    x = {
+        (f, t): col(f"x_{tags[f]}_{t}", ub=float(allowed(fl, t)))
+        for f, (_, _, _, fl) in enumerate(flows) for t in steps
+    }
+    S = {(f, t): col(f"S_{tags[f]}_{t}") for f in range(len(flows)) for t in steps}
+    for f in range(len(flows)):
+        row(f"dem_{tags[f]}", [x[f, t] for t in steps], [], "=", 1.0)
+    for f, (j, _, _, _) in enumerate(flows):
+        for t in steps:
+            prev = [S[f, t - 1]] if t > 1 else []
+            row(f"cum_{tags[f]}_{t}_s", [S[f, t]], [x[f, t]] + prev, "=", 0.0)
+            row(f"cum_{tags[f]}_{t}", [X[j, t]], [S[f, t]], "<=", 0.0)
+    for j in range(len(C)):
+        cols = [C[j]] + [X[j, t] for t in steps]
+        row(f"fin_{j + 1}", cols, [], ">=", 1.0 + math.fsum(lengths), [1.0] + list(lengths))
+    users = {}  # edge id -> [(column per step, demand)]
+    xe = None
+    if instance.model is RoutingModel.SINGLE_PATH:
+        for f, (_, _, _, fl) in enumerate(flows):
+            for eid in fl.path:
+                users.setdefault(eid, []).append(([x[f, t] for t in steps], fl.demand))
+    else:
+        xe = []
+        for f, (_, _, _, fl) in enumerate(flows):
+            edges = usable_edges(instance.network, fl.src, fl.dst)
+            ub = {t: math.inf if allowed(fl, t) else 0.0 for t in steps}
+            cols = {(t, e.id): col(f"xe_{tags[f]}_{t}_{e.id}", ub=ub[t]) for t in steps for e in edges}
+            xe.append({e.id: np.array([cols[t, e.id] for t in steps]) for e in edges})
+            for e in edges:
+                users.setdefault(e.id, []).append(([cols[t, e.id] for t in steps], fl.demand))
+            nodes = {e.src for e in edges} | {e.dst for e in edges}
+            for t in steps:
+                def on(keep):
+                    return [cols[t, e.id] for e in edges if keep(e)]
+
+                row(f"src_{tags[f]}_{t}", on(lambda e: e.src == fl.src), [x[f, t]], "=", 0.0)
+                row(f"snk_{tags[f]}_{t}", on(lambda e: e.dst == fl.dst), [x[f, t]], "=", 0.0)
+                for v in sorted(nodes - {fl.src, fl.dst}):
+                    ins, outs = on(lambda e: e.dst == v), on(lambda e: e.src == v)
+                    row(f"bal_{tags[f]}_{t}_{v}", ins, outs, "=", 0.0)
+        xe = tuple(xe)
+    for e in instance.network.edges:
+        for t in steps if e.id in users else ():
+            cols = [c[t - 1] for c, _ in users[e.id]]
+            rhs = lengths[t - 1] * e.cap
+            row(f"cap_{e.id}_{t}", cols, [], "<=", rhs, [d for _, d in users[e.id]])
+    layout = ColumnLayout(
+        completion=np.array(C),
+        x=np.array([[x[f, t] for t in steps] for f in range(len(flows))]),
+        xe=xe,
+    )
+    return LPProblem.from_rows(obj, [0.0] * len(names), upper, names, rows, layout=layout)
+
+
+def assert_same_problem(got, want):
+    """Bit for bit: names, bounds, objective, CSR arrays and layout."""
+    assert got.col_names == want.col_names
+    assert got.row_names == want.row_names
+    pairs = [
+        (getattr(got, k), getattr(want, k))
+        for k in ("objective", "col_lower", "col_upper", "row_lower", "row_upper")
+    ]
+    pairs += [(getattr(got.A, k), getattr(want.A, k)) for k in ("indptr", "indices", "data")]
+    pairs += [(got.layout.completion, want.layout.completion), (got.layout.x, want.layout.x)]
+    assert (got.layout.xe is None) == (want.layout.xe is None)
+    for a, b in zip(got.layout.xe or (), want.layout.xe or (), strict=True):
+        assert list(a) == list(b)
+        pairs += [(a[eid], b[eid]) for eid in a]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_block_assembly_matches_row_reference(model):
+    rng = np.random.default_rng(4242)
+    for k in range(12):
+        inst = fuzz_instance(rng, model)
+        horizon = horizon_upper_bound(inst)
+        slot = reference_assembly(
+            inst, [1.0] * horizon, lambda fl, t: t > fl.release, horizon + 1.0
+        )
+        assert_same_problem(build_time_indexed_lp(inst, horizon), slot)
+        grid = interval_grid_for(inst, (0.2, 0.5436)[k % 2])
+        interval = reference_assembly(
+            inst,
+            list(grid.lengths),
+            lambda fl, t: grid.boundaries[t - 1] >= fl.release - 1e-9,
+            grid.horizon + 1.0,
+        )
+        assert_same_problem(build_interval_lp(inst, grid), interval)
