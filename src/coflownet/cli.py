@@ -28,7 +28,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .serialize import (
-    FormatError,
     dumps,
     instance_to_dict,
     load_instance,
@@ -46,14 +45,19 @@ class _Usage(Exception):
     pass
 
 
-def _load_instance(path: str):
+def _load(path: str, what: str, loader):
+    """``loader(path)``; a missing or unreadable file is a usage error."""
     p = Path(path)
     if not p.exists():
-        raise _Usage(f"instance not found: {path}")
+        raise _Usage(f"{what} not found: {path}")
     try:
-        return load_instance(p)
-    except (FormatError, ValueError) as exc:
-        raise _Usage(f"cannot read instance {path}: {exc}")
+        return loader(p)
+    except ValueError as exc:  # FormatError, JSONDecodeError and UnicodeDecodeError too
+        raise _Usage(f"cannot read {what} {path}: {exc}")
+
+
+def _load_instance(path: str):
+    return _load(path, "instance", load_instance)
 
 
 def _load_valid_instance(path: str):
@@ -72,6 +76,15 @@ def _solve_options(spec: str) -> SolveOptions:
         return SolveOptions(backend=spec)
     except ValueError as exc:
         raise _Usage(f"--solver: {exc}")
+
+
+def _check_rounding_flags(trials: int, epsilons) -> None:
+    """``--trials`` and the interval-grid ``--epsilon`` values in use."""
+    if trials < 1:
+        raise _Usage(f"--trials must be at least 1, got {trials}")
+    for eps in epsilons:
+        if not 0 < eps < math.inf:
+            raise _Usage(f"--epsilon must be positive and finite, got {eps}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -162,31 +175,31 @@ def _emit(text: str, out: str | None) -> None:
 
 def _dispatch(args) -> int:
     if args.command == "gen":
-        config = GenConfig(
-            topology=args.topology,
-            model=RoutingModel(args.model),
-            jobs=args.jobs,
-            flows_per_job=(args.flows_min, args.flows_max),
-            demand_range=(args.demand_min, args.demand_max),
-            weight_range=(args.weight_min, args.weight_max),
-            release_mean=args.release_mean,
-            slot_length=args.slot_length,
-            nodes=args.nodes,
-            links=args.links,
-            cap=args.cap,
-            seed=args.seed,
-        )
-        instance = generate_instance(config)
+        try:
+            config = GenConfig(
+                topology=args.topology,
+                model=RoutingModel(args.model),
+                jobs=args.jobs,
+                flows_per_job=(args.flows_min, args.flows_max),
+                demand_range=(args.demand_min, args.demand_max),
+                weight_range=(args.weight_min, args.weight_max),
+                release_mean=args.release_mean,
+                slot_length=args.slot_length,
+                nodes=args.nodes,
+                links=args.links,
+                cap=args.cap,
+                seed=args.seed,
+            )
+            instance = generate_instance(config)
+        except ValueError as exc:  # a config or topology the flags cannot make
+            raise _Usage(str(exc))
         _emit(dumps(instance_to_dict(instance)), args.out)
         return OK
 
     if args.command == "solve":
         instance = _load_valid_instance(args.instance)
         options = _solve_options(args.solver)
-        if args.trials < 1:
-            raise _Usage(f"--trials must be at least 1, got {args.trials}")
-        if args.strategy == "interval-stretch" and not 0 < args.epsilon < math.inf:
-            raise _Usage(f"--epsilon must be positive and finite, got {args.epsilon}")
+        _check_rounding_flags(args.trials, [args.epsilon] if args.strategy == "interval-stretch" else ())
         result = run_pipeline(
             instance,
             strategy=args.strategy,
@@ -214,10 +227,7 @@ def _dispatch(args) -> int:
             return VERIFY_FAIL
         print("instance ok")
         if args.schedule:
-            spath = Path(args.schedule)
-            if not spath.exists():
-                raise _Usage(f"schedule not found: {args.schedule}")
-            schedule = load_schedule(spath)
+            schedule = _load(args.schedule, "schedule", load_schedule)
             violations = verify_schedule(schedule, instance)
             for v in violations:
                 print(f"schedule: {v}")
@@ -232,16 +242,27 @@ def _dispatch(args) -> int:
         for s in strategies:
             if s not in STRATEGIES:
                 raise _Usage(f"unknown strategy {s!r}")
-        epsilons = tuple(float(e) for e in args.epsilon.split(",") if e.strip())
-        config = bench_mod.BenchConfig(
-            gen=GenConfig(
+        try:
+            epsilons = tuple(float(e) for e in args.epsilon.split(",") if e.strip())
+        except ValueError:
+            raise _Usage(f"--epsilon must be a comma-separated list of numbers, got {args.epsilon!r}")
+        interval = "interval-stretch" in strategies
+        if interval and not epsilons:
+            raise _Usage("--epsilon lists no value for interval-stretch")
+        _check_rounding_flags(args.trials, epsilons if interval else ())
+        try:
+            gen = GenConfig(
                 topology=args.topology,
                 model=RoutingModel(args.model),
                 jobs=args.jobs,
                 release_mean=args.release_mean,
                 slot_length=args.slot_length,
                 seed=args.seed,
-            ),
+            )
+        except ValueError as exc:
+            raise _Usage(str(exc))
+        config = bench_mod.BenchConfig(
+            gen=gen,
             instances=args.instances,
             strategies=strategies,
             epsilons=epsilons,
@@ -257,14 +278,11 @@ def _dispatch(args) -> int:
         return OK
 
     if args.command == "reduce":
-        spath = Path(args.shop)
-        if not spath.exists():
-            raise _Usage(f"shop file not found: {args.shop}")
+        shop = _load(args.shop, "shop file", load_shop)
         try:
-            shop = load_shop(spath)
-        except (FormatError, ValueError) as exc:
-            raise _Usage(f"cannot read shop {args.shop}: {exc}")
-        instance = reduce_open_shop(shop, RoutingModel(args.model))
+            instance = reduce_open_shop(shop, RoutingModel(args.model))
+        except ValueError as exc:
+            raise _Usage(f"cannot reduce shop {args.shop}: {exc}")
         _emit(dumps(instance_to_dict(instance)), args.out)
         return OK
 

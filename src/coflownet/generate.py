@@ -104,9 +104,18 @@ class GenConfig:
 
     def __post_init__(self):
         if self.jobs < 1:
-            raise ValueError("need at least one job")
-        if self.weight_range[0] <= 0 or self.weight_range[1] < self.weight_range[0]:
-            raise ValueError("weight range must be positive and ordered")
+            raise ValueError(f"need at least one job, got {self.jobs}")
+        low, high = self.flows_per_job
+        if not 1 <= low <= high:
+            raise ValueError(f"flows per job must satisfy 1 <= min <= max, got ({low}, {high})")
+        for name, (low, high) in (("demand", self.demand_range), ("weight", self.weight_range)):
+            if not 0 < low <= high < math.inf:
+                raise ValueError(f"{name} range must be positive, finite and ordered, got ({low}, {high})")
+        for name, value in (("cap", self.cap), ("slot length", self.slot_length)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.release_mean < math.inf:
+            raise ValueError(f"release mean must be non-negative and finite, got {self.release_mean}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r} (one of {TOPOLOGIES})")
 

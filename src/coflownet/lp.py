@@ -271,7 +271,12 @@ def interval_grid_for(instance: Instance, epsilon: float) -> IntervalGrid:
     the last release; pad until the demand horizon fits past the first
     boundary at or beyond the max release.
     """
-    bound = horizon_upper_bound(instance)
+    return _padded_grid(instance, horizon_upper_bound(instance), epsilon)
+
+
+def _padded_grid(instance: Instance, bound: int, epsilon: float) -> IntervalGrid:
+    """:func:`interval_grid_for` with the instance's ``horizon_upper_bound``
+    already computed as ``bound``."""
     release = instance.max_release
     demand_slots = bound - release
     target = bound

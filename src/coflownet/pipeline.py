@@ -9,13 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lp import (
+    _padded_grid,
     build_interval_lp,
     build_time_indexed_lp,
     columns_per_slot,
     extract_fractional,
     extract_interval_solution,
     horizon_upper_bound,
-    interval_grid_for,
 )
 from .model import CompletionReport, FractionalSchedule, Instance, RateSchedule, as_fractional
 from .rounding import StretchTrial, expand_interval_schedule, lp_heuristic, run_stretch
@@ -109,7 +109,7 @@ def run_pipeline(
 
     if strategy == "interval-stretch":
         eps = 0.2 if epsilon is None else epsilon
-        grid = interval_grid_for(instance, eps)
+        grid = _padded_grid(instance, horizon, eps)
         problem = build_interval_lp(instance, grid)
         solution = solve(problem, options)
         if solution.status is not SolveStatus.OPTIMAL:

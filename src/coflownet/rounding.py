@@ -8,9 +8,17 @@ combination of at most two original slots (the overlap weights sum to
 one), and truncation only ever scales a flow's slot contribution down,
 so feasibility survives the whole chain.
 
-``expand_interval_schedule`` turns an interval-grid solution back into
-per-slot rates (uniform speed within each interval) so the same rounding
-machinery applies to interval relaxations.
+Every step works on stacked arrays: a schedule's flows are the rows of
+one (F, T) array in ``Instance.iter_flows`` order, and free-path edge
+series the rows of one (R, T) array, each tagged with the flow that owns
+it. Replaying rows on another time grid is one product with the sparse
+slot-overlap matrix of :func:`_overlap`: its bounds are ``t / lambda``
+for the dilation, and the grid boundaries for
+``expand_interval_schedule``, which turns an interval-grid solution back
+into per-slot rates (uniform speed within each interval) so the same
+rounding applies to interval relaxations. Truncation is a running
+difference along each row, compaction moves whole columns, and only the
+results are sliced back into the nested ``RateSchedule``.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lp import IntervalSolution
 from .model import (
@@ -80,28 +90,67 @@ def sample_lambda(u: float) -> Lambda:
     return Lambda(math.sqrt(u))
 
 
-def _spread_uniform(
-    out: np.ndarray, a: float, bnd: float, rate: float, out_slots: int
-) -> None:
-    """Add ``rate`` per unit time over the real interval [a, bnd] onto the
-    1-based slot grid, pro-rating boundary slots."""
-    first = int(math.floor(a)) + 1
-    last = min(int(math.ceil(bnd)), out_slots)
-    if last < first:
-        return
-    ks = np.arange(first, last + 1, dtype=float)
-    overlap = np.minimum(ks, bnd) - np.maximum(ks - 1.0, a)
-    np.clip(overlap, 0.0, None, out=overlap)
-    out[first - 1 : last] += rate * overlap
+def _overlap(bounds: np.ndarray, out_slots: int) -> sp.csr_matrix:
+    """Slot-overlap matrix: entry (t, k) is the length of
+    ``[bounds[t], bounds[t + 1]]`` inside unit slot ``k + 1`` (the real
+    interval [k, k + 1]), over the first ``out_slots`` slots.
+
+    Sending ``rates[:, t]`` per unit time over interval t lands on the
+    slot grid as ``rates @ _overlap(bounds, out_slots)``. Consecutive
+    intervals share at most one slot, so the matrix has at most
+    ``len(bounds) - 1 + out_slots`` nonzeros.
+    """
+    a, b = bounds[:-1], bounds[1:]
+    first = np.floor(a).astype(np.int64)
+    counts = np.maximum(np.minimum(np.ceil(b).astype(np.int64), out_slots) - first, 0)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    rows = np.repeat(np.arange(a.size), counts)
+    cols = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - first, counts)
+    ks = cols + 1.0
+    data = np.clip(np.minimum(ks, b[rows]) - np.maximum(ks - 1.0, a[rows]), 0.0, None)
+    # the index dtype scipy would choose, passed in so that it does not rescan
+    index = np.int32 if a.size + out_slots < 2**31 else np.int64
+    return sp.csr_matrix((data, cols.astype(index), indptr.astype(index)), shape=(a.size, out_slots))
 
 
-def _stretch_series(series: np.ndarray, lam: float, out_slots: int) -> np.ndarray:
-    """Dilate a per-slot series by 1/lam at preserved rate: output slot k
-    collects ``series[t] * |[k-1, k] cut [(t-1)/lam, t/lam]|``."""
-    out = np.zeros(out_slots)
-    for t in np.nonzero(series > AMOUNT_EPS)[0]:
-        _spread_uniform(out, t / lam, (t + 1) / lam, series[t], out_slots)
-    return out
+def _above_dust(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with every entry at or below ``AMOUNT_EPS`` set to zero."""
+    return np.where(rows > AMOUNT_EPS, rows, 0.0)
+
+
+def _stack(rows, slots: int) -> np.ndarray:
+    """Series of ``slots`` entries each as the rows of one array."""
+    rows = list(rows)
+    return np.array(rows, dtype=float).reshape(len(rows), slots)
+
+
+def _stack_edges(nested, slots: int):
+    """Free-path edge series as the rows of one (R, slots) array, with the
+    stacked flow index owning each row and each row's edge id."""
+    rows, owner, eids = [], [], []
+    for f, by_edge in enumerate(chain.from_iterable(nested)):
+        for eid, series in by_edge.items():
+            rows.append(series)
+            owner.append(f)
+            eids.append(eid)
+    return _stack(rows, slots), np.array(owner, dtype=np.int64), eids
+
+
+def _unstack(slots: int, like, amounts: np.ndarray, edges=None) -> RateSchedule:
+    """Slice stacked rows back into a ``RateSchedule`` nested like
+    ``like``; ``edges`` is ``(rows, owner, eids)`` as from ``_stack_edges``."""
+
+    def nest(rows):
+        flat = iter(rows)
+        return tuple(tuple(islice(flat, len(flows))) for flows in like)
+
+    edge_amounts = None
+    if edges is not None:
+        by_flow = [{} for _ in range(len(amounts))]
+        for series, f, eid in zip(*edges):
+            by_flow[f][eid] = series
+        edge_amounts = nest(by_flow)
+    return RateSchedule(slot_count=slots, amounts=nest(amounts), edge_amounts=edge_amounts)
 
 
 def stretch_schedule(fractional: FractionalSchedule, lam: Lambda, instance: Instance) -> RateSchedule:
@@ -117,40 +166,21 @@ def stretch_schedule(fractional: FractionalSchedule, lam: Lambda, instance: Inst
     if lam.value < 1.0 / (10.0 * horizon):
         raise ValueError(f"lambda {lam.value} below the 1/(10*{horizon}) memory guard")
     out_slots = int(math.ceil(horizon / lam.value - 1e-12))
-    amounts = []
-    edge_amounts = [] if fractional.edge_fractions is not None else None
-    for j, cf in enumerate(instance.coflows):
-        flow_amounts = []
-        flow_edges = []
-        for i in range(len(cf.flows)):
-            raw = _stretch_series(fractional.fractions[j][i], lam.value, out_slots)
-            taken = np.zeros(out_slots)
-            factors = np.zeros(out_slots)
-            remaining = 1.0
-            for k in np.nonzero(raw > AMOUNT_EPS)[0]:
-                if remaining <= _DONE_EPS:
-                    break
-                take = min(raw[k], remaining)
-                taken[k] = take
-                factors[k] = take / raw[k]
-                remaining -= take
-            flow_amounts.append(taken)
-            if edge_amounts is not None:
-                edges = {}
-                for eid, series in fractional.edge_fractions[j][i].items():
-                    stretched = _stretch_series(series, lam.value, out_slots)
-                    scaled = stretched * factors
-                    if np.any(scaled > AMOUNT_EPS):
-                        edges[eid] = scaled
-                flow_edges.append(edges)
-        amounts.append(tuple(flow_amounts))
-        if edge_amounts is not None:
-            edge_amounts.append(tuple(flow_edges))
-    return RateSchedule(
-        slot_count=out_slots,
-        amounts=tuple(amounts),
-        edge_amounts=tuple(edge_amounts) if edge_amounts is not None else None,
-    )
+    dilate = _overlap(np.arange(horizon + 1) / lam.value, out_slots)
+    rates = _stack(chain.from_iterable(fractional.fractions), horizon)
+    # solver dust is dropped before dilating, overlap dust after it
+    raw = _above_dust(_above_dust(rates) @ dilate)
+    # demand left before each slot, 1 - raw[0] - raw[1] - ..., subtracted in slot order
+    left = np.subtract.accumulate(np.hstack([np.ones((len(raw), 1)), raw[:, :-1]]), axis=1)
+    taken = np.where(left > _DONE_EPS, np.minimum(raw, left), 0.0)
+    edges = None
+    if fractional.edge_fractions is not None:
+        factors = np.divide(taken, raw, out=np.zeros_like(raw), where=raw > 0.0)
+        rows, owner, eids = _stack_edges(fractional.edge_fractions, horizon)
+        scaled = (_above_dust(rows) @ dilate) * factors[owner]
+        keep = np.any(scaled > AMOUNT_EPS, axis=1)
+        edges = (scaled[keep], owner[keep], [e for e, k in zip(eids, keep) if k])
+    return _unstack(out_slots, fractional.fractions, taken, edges)
 
 
 def compact_idle_slots(schedule: RateSchedule, instance: Instance) -> RateSchedule:
@@ -158,57 +188,39 @@ def compact_idle_slots(schedule: RateSchedule, instance: Instance) -> RateSchedu
     its flows have been released before (strictly). Scans slots in
     ascending order; freed slots become candidates for later content.
     Never delays any flow, so no coflow's completion time can grow.
+
+    A slot is busy when some flow sends more than ``AMOUNT_EPS`` in it;
+    moving it moves the whole slot (every flow and edge series) and
+    leaves an empty one behind.
     """
     slots = schedule.slot_count
-    amounts = [[a.copy() for a in flows] for flows in schedule.amounts]
-    edges = None
-    if schedule.edge_amounts is not None:
-        edges = [
-            [{eid: s.copy() for eid, s in flow.items()} for flow in flows]
-            for flows in schedule.edge_amounts
-        ]
-
-    users_by_slot: dict[int, list[tuple[int, int]]] = {}
-    for j, flows in enumerate(amounts):
-        for i, series in enumerate(flows):
-            for t in np.nonzero(series > AMOUNT_EPS)[0]:
-                users_by_slot.setdefault(int(t) + 1, []).append((j, i))
-    busy = sorted(users_by_slot)
-    idle = [t for t in range(1, slots + 1) if t not in users_by_slot]
-    for t in busy:
-        users = users_by_slot[t]
-        min_slot = 1 + max(
-            instance.coflows[j].flows[i].release for j, i in users
-        )  # strictly after every release
-        pos = bisect.bisect_left(idle, min_slot)
+    amounts = _stack(chain.from_iterable(schedule.amounts), slots)
+    users = amounts > AMOUNT_EPS
+    release = np.array([fl.release for _, _, _, fl in instance.iter_flows()])
+    # 0-based: a flow released at r may use column r (slot r + 1) onwards
+    earliest = np.where(users, release[:, None], 0).max(axis=0, initial=0).tolist()
+    busy = users.any(axis=0)
+    idle = np.flatnonzero(~busy).tolist()
+    source = np.arange(slots)  # column c ends up holding column source[c]; `slots` is empty
+    for t in np.flatnonzero(busy).tolist():
+        pos = bisect.bisect_left(idle, earliest[t])
         if pos >= len(idle) or idle[pos] >= t:
             continue
         target = idle.pop(pos)
-        for j, i in users:
-            amounts[j][i][target - 1] = amounts[j][i][t - 1]
-            amounts[j][i][t - 1] = 0.0
-            if edges is not None:
-                for series in edges[j][i].values():
-                    series[target - 1] = series[t - 1]
-                    series[t - 1] = 0.0
+        source[target], source[t] = t, slots
         bisect.insort(idle, t)
 
-    last_busy = 1
-    for flows in amounts:
-        for series in flows:
-            pos = np.nonzero(series > AMOUNT_EPS)[0]
-            if pos.size:
-                last_busy = max(last_busy, int(pos[-1]) + 1)
-    return RateSchedule(
-        slot_count=last_busy,
-        amounts=tuple(tuple(a[:last_busy] for a in flows) for flows in amounts),
-        edge_amounts=tuple(
-            tuple({eid: s[:last_busy] for eid, s in flow.items()} for flow in flows)
-            for flows in edges
-        )
-        if edges is not None
-        else None,
-    )
+    def moved(rows: np.ndarray) -> np.ndarray:
+        return np.hstack([rows, np.zeros((len(rows), 1))])[:, source]
+
+    amounts = moved(amounts)
+    used = np.flatnonzero((amounts > AMOUNT_EPS).any(axis=0))
+    last_busy = int(used[-1]) + 1 if used.size else 1
+    edges = None
+    if schedule.edge_amounts is not None:
+        rows, owner, eids = _stack_edges(schedule.edge_amounts, slots)
+        edges = (moved(rows)[:, :last_busy], owner, eids)
+    return _unstack(last_busy, schedule.amounts, amounts[:, :last_busy], edges)
 
 
 def expand_interval_schedule(solution: IntervalSolution, instance: Instance) -> RateSchedule:
@@ -219,37 +231,20 @@ def expand_interval_schedule(solution: IntervalSolution, instance: Instance) -> 
     loads inherit feasibility from the length-scaled interval capacities.
     """
     grid = solution.grid
+    steps = grid.interval_count
     out_slots = int(math.ceil(grid.horizon - 1e-9))
+    spread = _overlap(np.array(grid.boundaries), out_slots)
+    lengths = np.array(grid.lengths)
 
-    def spread(series: np.ndarray) -> np.ndarray:
-        out = np.zeros(out_slots)
-        for k in np.nonzero(series > AMOUNT_EPS)[0]:
-            a, bnd = grid.boundaries[k], grid.boundaries[k + 1]
-            _spread_uniform(out, a, bnd, series[k] / (bnd - a), out_slots)
-        return out
+    def expand(rows: np.ndarray) -> np.ndarray:
+        return (_above_dust(rows) / lengths) @ spread
 
-    amounts = []
-    edge_amounts = [] if solution.edge_fractions is not None else None
-    for j, cf in enumerate(instance.coflows):
-        flow_amounts = []
-        flow_edges = []
-        for i in range(len(cf.flows)):
-            flow_amounts.append(spread(solution.fractions[j][i]))
-            if edge_amounts is not None:
-                flow_edges.append(
-                    {
-                        eid: spread(series)
-                        for eid, series in solution.edge_fractions[j][i].items()
-                    }
-                )
-        amounts.append(tuple(flow_amounts))
-        if edge_amounts is not None:
-            edge_amounts.append(tuple(flow_edges))
-    return RateSchedule(
-        slot_count=out_slots,
-        amounts=tuple(amounts),
-        edge_amounts=tuple(edge_amounts) if edge_amounts is not None else None,
-    )
+    amounts = expand(_stack(chain.from_iterable(solution.fractions), steps))
+    edges = None
+    if solution.edge_fractions is not None:
+        rows, owner, eids = _stack_edges(solution.edge_fractions, steps)
+        edges = (expand(rows), owner, eids)
+    return _unstack(out_slots, solution.fractions, amounts, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ class FormatError(ValueError):
 
 
 def _check_version(data: dict, what: str) -> None:
+    if not isinstance(data, dict):
+        raise FormatError(f"{what}: expected a JSON object, got {type(data).__name__}")
     if data.get("format") != FORMAT_VERSION:
         raise FormatError(f"{what}: unsupported format {data.get('format')!r}")
 
@@ -100,7 +102,7 @@ def instance_from_dict(data: dict) -> Instance:
             )
             for cf in data["coflows"]
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise FormatError(f"instance: malformed record ({exc})") from exc
     return Instance(network=network, coflows=coflows, model=model)
 
@@ -153,22 +155,27 @@ def schedule_to_dict(schedule: RateSchedule) -> dict:
 
 def schedule_from_dict(data: dict) -> RateSchedule:
     _check_version(data, "schedule")
-    slots = int(data["slot_count"])
     amounts = []
     edge_amounts = []
     has_edges = False
-    for cf in data["coflows"]:
-        flow_amounts = []
-        flow_edges = []
-        for fl in cf["flows"]:
-            flow_amounts.append(_dense(fl["amounts"], slots))
-            edges = {
-                eid: _dense(pairs, slots) for eid, pairs in fl.get("edge_amounts", {}).items()
-            }
-            has_edges = has_edges or bool(edges)
-            flow_edges.append(edges)
-        amounts.append(tuple(flow_amounts))
-        edge_amounts.append(tuple(flow_edges))
+    try:
+        slots = int(data["slot_count"])
+        for cf in data["coflows"]:
+            flow_amounts = []
+            flow_edges = []
+            for fl in cf["flows"]:
+                flow_amounts.append(_dense(fl["amounts"], slots))
+                edges = {
+                    eid: _dense(pairs, slots) for eid, pairs in fl.get("edge_amounts", {}).items()
+                }
+                has_edges = has_edges or bool(edges)
+                flow_edges.append(edges)
+            amounts.append(tuple(flow_amounts))
+            edge_amounts.append(tuple(flow_edges))
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise FormatError(f"schedule: malformed record ({exc})") from exc
     return RateSchedule(
         slot_count=slots,
         amounts=tuple(amounts),
@@ -202,15 +209,20 @@ def shop_from_dict(data: dict):
     from .openshop import OpenShopInstance
 
     _check_version(data, "shop")
-    machines = int(data["machines"])
-    processing = []
-    weights = []
-    for job in data["jobs"]:
-        p = tuple(float(v) for v in job["p"])
-        if len(p) != machines:
-            raise FormatError("shop: job processing vector length != machines")
-        processing.append(p)
-        weights.append(float(job["weight"]))
+    try:
+        machines = int(data["machines"])
+        processing = []
+        weights = []
+        for job in data["jobs"]:
+            p = tuple(float(v) for v in job["p"])
+            if len(p) != machines:
+                raise FormatError("shop: job processing vector length != machines")
+            processing.append(p)
+            weights.append(float(job["weight"]))
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"shop: malformed record ({exc})") from exc
     return OpenShopInstance(
         machines=machines, processing=tuple(processing), weights=tuple(weights)
     )

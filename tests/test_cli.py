@@ -177,6 +177,46 @@ def test_bad_solve_flags_exit_2(tmp_path, capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
+_SCHEDULE = ["validate", "inst.json", "--schedule", "in.json"]
+_OUT_OF_RANGE = {"format": 1, "slot_count": 2, "coflows": [{"flows": [{"amounts": [[5, 1.0]]}]}]}
+_ZERO_JOB_SHOP = {"format": 1, "machines": 2, "jobs": [{"weight": 1, "p": [0, 0]}, {"weight": 1, "p": [1, 2]}]}
+
+
+@pytest.mark.parametrize(
+    "text, command, message",
+    [
+        ('{"format": 1}', _SCHEDULE, "schedule: malformed record ('slot_count')"),
+        ("not json", _SCHEDULE, "cannot read schedule"),
+        (json.dumps(_OUT_OF_RANGE), _SCHEDULE, "slot 5 outside 1..2"),
+        ("[1, 2]", _SCHEDULE, "schedule: expected a JSON object"),
+        (json.dumps(_ZERO_JOB_SHOP), ["reduce", "in.json"], "job 1 has no positive processing time"),
+        ('{"format": 1}', ["reduce", "in.json"], "shop: malformed record ('machines')"),
+        (None, ["gen", "--jobs", 0], "need at least one job"),
+        (None, ["gen", "--flows-min", 3, "--flows-max", 1], "flows per job must satisfy"),
+        (None, ["gen", "--demand-min", -1], "demand range must be positive"),
+        (None, ["gen", "--cap", 0], "cap must be positive and finite"),
+        (None, ["bench", "--epsilon", "abc"], "--epsilon must be a comma-separated list"),
+        (None, ["bench", "--trials", 0], "--trials must be at least 1"),
+        (None, ["bench", "--strategies", "interval-stretch", "--epsilon", 0], "--epsilon must be positive"),
+    ],
+    ids=[
+        "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
+        "schedule-not-object", "shop-all-zero-job", "shop-no-machines", "gen-jobs-0",
+        "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-epsilon-abc",
+        "bench-trials-0", "bench-interval-epsilon-0",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, command, message):
+    monkeypatch.chdir(tmp_path)
+    save_instance(demo_instance(RoutingModel.SINGLE_PATH), "inst.json")
+    if text is not None:
+        Path("in.json").write_text(text)
+    assert run(command) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert "coflows" not in captured.out  # no instance was written
+
+
 def test_reduce_round_trip(tmp_path):
     shop = tmp_path / "shop.json"
     out = tmp_path / "reduced.json"

@@ -81,6 +81,28 @@ def test_slot_length_scales_capacity():
     assert all(e.cap == pytest.approx(50.0) for e in inst.network.edges)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("jobs", 0),
+        ("flows_per_job", (0, 2)),
+        ("flows_per_job", (3, 1)),
+        ("demand_range", (-1.0, 3.0)),
+        ("demand_range", (2.0, 1.0)),
+        ("demand_range", (0.5, float("inf"))),
+        ("weight_range", (1.0, float("nan"))),
+        ("cap", 0.0),
+        ("cap", float("inf")),
+        ("slot_length", -1.0),
+        ("release_mean", -0.5),
+        ("release_mean", float("nan")),
+    ],
+)
+def test_config_rejects_knobs_that_make_invalid_instances(field, value):
+    with pytest.raises(ValueError):
+        GenConfig(**{field: value})
+
+
 def test_demo_instance_weights_and_demands():
     inst = demo_instance(RoutingModel.SINGLE_PATH)
     assert [cf.weight for cf in inst.coflows] == [1.0] * 4

@@ -282,6 +282,23 @@ def test_interval_grid_padding_keeps_lp_feasible():
     assert sol.status.value == "optimal"
 
 
+def test_interval_pipeline_bounds_the_horizon_once(demo_free, monkeypatch):
+    import coflownet.lp
+    import coflownet.pipeline
+
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return horizon_upper_bound(instance)
+
+    monkeypatch.setattr(coflownet.lp, "horizon_upper_bound", counted)
+    monkeypatch.setattr(coflownet.pipeline, "horizon_upper_bound", counted)
+    result = coflownet.pipeline.run_pipeline(demo_free, "interval-stretch", trials=2, epsilon=0.2)
+    assert len(calls) == 1
+    assert result.fractional.slot_count == math.ceil(interval_grid_for(demo_free, 0.2).horizon - 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # cum rows: prefix formulation against the quadratic one
 

@@ -1,3 +1,6 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from coflownet import (
     completion_ceilings,
     completion_times,
     expand_interval_schedule,
+    geometric_intervals,
     lambda_point,
     lp_heuristic,
     run_stretch,
@@ -24,7 +28,8 @@ from coflownet import (
     stretch_schedule,
     verify_schedule,
 )
-from coflownet.rounding import _stretch_series
+from coflownet.model import AMOUNT_EPS
+from coflownet.rounding import _overlap
 
 
 def single_flow_fractional(slot_values, release=0):
@@ -73,10 +78,25 @@ def test_lambda_type_rejects_out_of_range():
 
 
 def test_stretch_series_overlap_arithmetic():
-    raw = _stretch_series(np.array([1.0]), 0.5, 2)
+    raw = np.array([1.0]) @ _overlap(np.arange(2) / 0.5, 2)
     np.testing.assert_allclose(raw, [1.0, 1.0])
-    raw = _stretch_series(np.array([0.6, 0.4]), 0.5, 4)
+    raw = np.array([0.6, 0.4]) @ _overlap(np.arange(3) / 0.5, 4)
     np.testing.assert_allclose(raw, [0.6, 0.6, 0.4, 0.4])
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 40])
+def test_overlap_nonzeros_stay_linear_at_the_lambda_floor(horizon):
+    lam = 1.0 / (10.0 * horizon)
+    out_slots = int(math.ceil(horizon / lam - 1e-12))
+    dilate = _overlap(np.arange(horizon + 1) / lam, out_slots)
+    assert dilate.nnz <= horizon + out_slots
+    np.testing.assert_allclose(dilate.sum(axis=1), 1.0 / lam)
+    # geometric intervals shorter than a slot share it, with the same bound
+    grid = geometric_intervals(horizon, 0.05)
+    out_slots = int(math.ceil(grid.horizon - 1e-9))
+    spread = _overlap(np.array(grid.boundaries), out_slots)
+    assert spread.nnz <= grid.interval_count + out_slots
+    np.testing.assert_allclose(np.ravel(spread.sum(axis=1)), grid.lengths)
 
 
 def test_stretch_single_slot_flow_truncates_to_first_slot():
@@ -319,3 +339,160 @@ def test_stretch_then_verify_via_pipeline_strategies(demo_single, demo_free):
             result = run_pipeline(inst, strategy=strategy, trials=5, seed=2, epsilon=0.2)
             assert verify_schedule(result.schedule, inst) == []
             assert result.report.objective >= result.lp_objective - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the stacked rounding against a per-slot reference
+
+
+def _reference_spread(out, a, bnd, rate, out_slots):
+    """Add ``rate`` per unit time over [a, bnd] onto the 1-based slot
+    grid, one interval at a time."""
+    first = int(math.floor(a)) + 1
+    last = min(int(math.ceil(bnd)), out_slots)
+    if last < first:
+        return
+    ks = np.arange(first, last + 1, dtype=float)
+    overlap = np.minimum(ks, bnd) - np.maximum(ks - 1.0, a)
+    np.clip(overlap, 0.0, None, out=overlap)
+    out[first - 1 : last] += rate * overlap
+
+
+def _reference_dilate(series, lam, out_slots):
+    out = np.zeros(out_slots)
+    for t in np.nonzero(series > AMOUNT_EPS)[0]:
+        _reference_spread(out, t / lam, (t + 1) / lam, series[t], out_slots)
+    return out
+
+
+def reference_stretch(fractional, lam, instance):
+    """Stretch one flow and one slot at a time: dilate, then walk the
+    slots in order taking what is left of the demand."""
+    out_slots = int(math.ceil(fractional.slot_count / lam.value - 1e-12))
+    amounts, edge_amounts = [], []
+    for j, cf in enumerate(instance.coflows):
+        flow_amounts, flow_edges = [], []
+        for i in range(len(cf.flows)):
+            raw = _reference_dilate(fractional.fractions[j][i], lam.value, out_slots)
+            taken, factors = np.zeros(out_slots), np.zeros(out_slots)
+            remaining = 1.0
+            for k in np.nonzero(raw > AMOUNT_EPS)[0]:
+                if remaining <= AMOUNT_EPS:
+                    break
+                taken[k] = min(raw[k], remaining)
+                factors[k] = taken[k] / raw[k]
+                remaining -= taken[k]
+            flow_amounts.append(taken)
+            if fractional.edge_fractions is not None:
+                edges = {}
+                for eid, series in fractional.edge_fractions[j][i].items():
+                    scaled = _reference_dilate(series, lam.value, out_slots) * factors
+                    if np.any(scaled > AMOUNT_EPS):
+                        edges[eid] = scaled
+                flow_edges.append(edges)
+        amounts.append(tuple(flow_amounts))
+        edge_amounts.append(tuple(flow_edges))
+    has_edges = fractional.edge_fractions is not None
+    return RateSchedule(out_slots, tuple(amounts), tuple(edge_amounts) if has_edges else None)
+
+
+def reference_expand(solution, instance):
+    grid = solution.grid
+    out_slots = int(math.ceil(grid.horizon - 1e-9))
+
+    def spread(series):
+        out = np.zeros(out_slots)
+        for k in np.nonzero(series > AMOUNT_EPS)[0]:
+            a, bnd = grid.boundaries[k], grid.boundaries[k + 1]
+            _reference_spread(out, a, bnd, series[k] / (bnd - a), out_slots)
+        return out
+
+    amounts = tuple(tuple(spread(s) for s in flows) for flows in solution.fractions)
+    edges = None
+    if solution.edge_fractions is not None:
+        edges = tuple(
+            tuple({eid: spread(s) for eid, s in flow.items()} for flow in flows)
+            for flows in solution.edge_fractions
+        )
+    return RateSchedule(out_slots, amounts, edges)
+
+
+def reference_compact(schedule, instance):
+    """Compaction that moves only the series of the flows busy in a slot."""
+    amounts = [[a.copy() for a in flows] for flows in schedule.amounts]
+    edges = None
+    if schedule.edge_amounts is not None:
+        edges = [[{e: s.copy() for e, s in f.items()} for f in flows] for flows in schedule.edge_amounts]
+    users_by_slot = {}
+    for j, flows in enumerate(amounts):
+        for i, series in enumerate(flows):
+            for t in np.nonzero(series > AMOUNT_EPS)[0]:
+                users_by_slot.setdefault(int(t) + 1, []).append((j, i))
+    idle = [t for t in range(1, schedule.slot_count + 1) if t not in users_by_slot]
+    for t in sorted(users_by_slot):
+        users = users_by_slot[t]
+        min_slot = 1 + max(instance.coflows[j].flows[i].release for j, i in users)
+        pos = bisect.bisect_left(idle, min_slot)
+        if pos >= len(idle) or idle[pos] >= t:
+            continue
+        target = idle.pop(pos)
+        for j, i in users:
+            for series in [amounts[j][i], *(edges[j][i].values() if edges else ())]:
+                series[target - 1], series[t - 1] = series[t - 1], 0.0
+        bisect.insort(idle, t)
+    last = max([1] + [int(np.nonzero(s > AMOUNT_EPS)[0][-1]) + 1 for f in amounts for s in f if np.any(s > AMOUNT_EPS)])
+    return RateSchedule(
+        last,
+        tuple(tuple(s[:last] for s in flows) for flows in amounts),
+        None if edges is None else tuple(
+            tuple({e: s[:last] for e, s in f.items()} for f in flows) for flows in edges
+        ),
+    )
+
+
+def assert_same_schedule(got, want, instance):
+    assert got.slot_count == want.slot_count
+    for flows_got, flows_want in zip(got.amounts, want.amounts, strict=True):
+        for a, b in zip(flows_got, flows_want, strict=True):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    assert (got.edge_amounts is None) == (want.edge_amounts is None)
+    if got.edge_amounts is not None:
+        for flows_got, flows_want in zip(got.edge_amounts, want.edge_amounts, strict=True):
+            for a, b in zip(flows_got, flows_want, strict=True):
+                assert list(a) == list(b)
+                for eid in a:
+                    np.testing.assert_allclose(a[eid], b[eid], rtol=0, atol=1e-12)
+    assert completion_times(got, instance) == completion_times(want, instance)
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_stacked_rounding_matches_per_slot_reference(model):
+    from conftest import fuzz_instance
+
+    from coflownet import (
+        build_interval_lp,
+        build_time_indexed_lp,
+        extract_fractional,
+        extract_interval_solution,
+        horizon_upper_bound,
+        interval_grid_for,
+        solve,
+    )
+
+    rng = np.random.default_rng(2024)
+    for _ in range(6):
+        inst = fuzz_instance(rng, model)
+        horizon = horizon_upper_bound(inst)
+        problem = build_time_indexed_lp(inst, horizon)
+        frac = extract_fractional(problem, solve(problem).x, inst, horizon)
+        for value in (1.0, 0.8, 0.45, 0.1, 1.0 / (10.0 * horizon)):
+            lam = Lambda(value)
+            got = stretch_schedule(frac, lam, inst)
+            assert_same_schedule(got, reference_stretch(frac, lam, inst), inst)
+            assert_same_schedule(compact_idle_slots(got, inst), reference_compact(got, inst), inst)
+
+        grid = interval_grid_for(inst, 0.2)
+        problem = build_interval_lp(inst, grid)
+        interval = extract_interval_solution(problem, solve(problem).x, inst, grid)
+        want = reference_expand(interval, inst)
+        assert_same_schedule(expand_interval_schedule(interval, inst), want, inst)
