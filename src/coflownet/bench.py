@@ -1,9 +1,9 @@
 """Benchmark sweeps: generated instances x strategies x grid epsilons,
 one CSV row each.
 
-Rows are dispatched to a thread pool but collected and written in
-submission order, so re-running with the same seed reproduces the CSV
-bit for bit (wall_ms excepted). Per-row failures are recorded in the row
+Rows run one after another in a fixed order, so re-running with the same
+seed reproduces the CSV bit for bit (wall_ms excepted), and each row's
+wall_ms is that row's own time. Per-row failures are recorded in the row
 and the sweep keeps going.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .generate import GenConfig, generate_instance
@@ -30,7 +29,6 @@ class BenchConfig:
     epsilons: tuple[float, ...] = (0.2,)
     trials: int = 20
     seed: int = 0
-    workers: int = 4
 
 
 @dataclass(frozen=True)
@@ -85,22 +83,14 @@ def _run_row(instance, strategy: str, epsilon: float | None, config: BenchConfig
 
 
 def run_bench(config: BenchConfig) -> list[BenchRow]:
-    tasks = []
+    rows = []
     for k in range(config.instances):
         seed = config.seed + k
         instance = generate_instance(replace(config.gen, seed=seed))
         for strategy in config.strategies:
-            if strategy == "interval-stretch":
-                for eps in config.epsilons:
-                    tasks.append((instance, strategy, eps, seed))
-            else:
-                tasks.append((instance, strategy, None, seed))
-    with ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        futures = [
-            pool.submit(_run_row, instance, strategy, eps, config, seed)
-            for instance, strategy, eps, seed in tasks
-        ]
-        return [f.result() for f in futures]
+            epsilons = config.epsilons if strategy == "interval-stretch" else (None,)
+            rows.extend(_run_row(instance, strategy, eps, config, seed) for eps in epsilons)
+    return rows
 
 
 def _num(value: float | None) -> str:

@@ -19,6 +19,7 @@ from .generate import GenConfig, TOPOLOGIES, demo_instance, generate_instance
 from .lp import build_time_indexed_lp, extract_fractional
 from .model import RoutingModel, completion_times, validate_instance
 from .openshop import reduce_open_shop
+from .rounding import MAX_TRIALS
 from .pipeline import (
     STRATEGIES,
     HorizonTooLarge,
@@ -82,6 +83,8 @@ def _check_rounding_flags(trials: int, epsilons) -> None:
     """``--trials`` and the interval-grid ``--epsilon`` values in use."""
     if trials < 1:
         raise _Usage(f"--trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise _Usage(f"--trials must be at most {MAX_TRIALS:,}, got {trials:,}")
     for eps in epsilons:
         if not 0 < eps < math.inf:
             raise _Usage(f"--epsilon must be positive and finite, got {eps}")
@@ -135,7 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--release-mean", type=float, default=0.0)
     p.add_argument("--slot-length", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=4)
     _add_common(p)
 
     p = sub.add_parser("reduce", help="reduce an open-shop file to a coflow instance")
@@ -268,7 +270,6 @@ def _dispatch(args) -> int:
             epsilons=epsilons,
             trials=args.trials,
             seed=args.seed,
-            workers=args.workers,
         )
         rows = bench_mod.run_bench(config)
         for row in rows:

@@ -271,6 +271,25 @@ def weighted_objective(completions, weights) -> float:
     return math.fsum(w * c for w, c in zip(weights, completions))
 
 
+def flow_coflows(instance: Instance) -> np.ndarray:
+    """The coflow index of every flow, in ``Instance.iter_flows`` order."""
+    sizes = [len(cf.flows) for cf in instance.coflows]
+    return np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+
+
+def completion_report(amounts: np.ndarray, coflow: np.ndarray, weights) -> CompletionReport:
+    """Completion slot per coflow, and the weighted objective, of a
+    schedule whose flows are the rows of ``amounts``, row f belonging to
+    coflow ``coflow[f]`` of ``len(weights)``. A coflow completes in the
+    last slot in which a member flow sends more than ``AMOUNT_EPS`` (0 if
+    none does)."""
+    last = np.where(amounts > AMOUNT_EPS, np.arange(1, amounts.shape[1] + 1), 0).max(axis=1, initial=0)
+    done = np.zeros(len(weights), dtype=np.int64)
+    np.maximum.at(done, coflow, last)
+    completions = done.tolist()
+    return CompletionReport(tuple(completions), weighted_objective(completions, weights))
+
+
 def completion_times(schedule: RateSchedule, instance: Instance) -> CompletionReport:
     """Completion slot per coflow: the last slot any member flow transmits.
 
@@ -278,18 +297,14 @@ def completion_times(schedule: RateSchedule, instance: Instance) -> CompletionRe
     """
     if len(schedule.amounts) != len(instance.coflows):
         raise ValueError("schedule/instance shape mismatch: coflow counts differ")
-    completions = []
     for j, cf in enumerate(instance.coflows):
         if len(schedule.amounts[j]) != len(cf.flows):
             raise ValueError(f"schedule/instance shape mismatch: coflow {j + 1} flow counts differ")
-        last = 0
-        for amounts in schedule.amounts[j]:
-            pos = np.nonzero(amounts > AMOUNT_EPS)[0]
-            if pos.size:
-                last = max(last, int(pos[-1]) + 1)
-        completions.append(last)
-    weights = [cf.weight for cf in instance.coflows]
-    return CompletionReport(tuple(completions), weighted_objective(completions, weights))
+    rows = [series for flows in schedule.amounts for series in flows]
+    if any(len(series) != schedule.slot_count for series in rows):
+        raise ValueError("schedule shape mismatch: a flow's amounts are not slot_count long")
+    amounts = np.array(rows, dtype=float).reshape(len(rows), schedule.slot_count)
+    return completion_report(amounts, flow_coflows(instance), [cf.weight for cf in instance.coflows])
 
 
 def as_fractional(schedule: RateSchedule, instance: Instance) -> FractionalSchedule:

@@ -25,6 +25,12 @@ from .model import (
 
 FORMAT_VERSION = 1
 
+#: Most dense values a schedule file may unpack to: ``slot_count`` times
+#: the number of series (one per flow plus one per listed edge series).
+#: At 8 bytes a value this is 160 MB; a larger file is refused before
+#: anything is allocated.
+MAX_SCHEDULE_VALUES = 20_000_000
+
 
 class FormatError(ValueError):
     """Raised when a file does not match the expected schema/version."""
@@ -160,6 +166,12 @@ def schedule_from_dict(data: dict) -> RateSchedule:
     has_edges = False
     try:
         slots = int(data["slot_count"])
+        series = sum(1 + len(fl.get("edge_amounts", {})) for cf in data["coflows"] for fl in cf["flows"])
+        if slots * series > MAX_SCHEDULE_VALUES:
+            raise FormatError(
+                f"schedule: {slots:,} slots x {series:,} series is more than "
+                f"{MAX_SCHEDULE_VALUES:,} values"
+            )
         for cf in data["coflows"]:
             flow_amounts = []
             flow_edges = []

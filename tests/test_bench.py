@@ -89,7 +89,6 @@ def test_bench_records_row_failures_and_continues(monkeypatch):
         strategies=("heuristic",),
         trials=1,
         seed=5,
-        workers=1,
     )
     rows = run_bench(config)
     assert len(rows) == 2

@@ -13,6 +13,8 @@ import coflownet
 import coflownet.mps
 import coflownet.solver
 from coflownet import MAX_SLOT_COLUMNS, RoutingModel
+from coflownet.rounding import MAX_TRIALS
+from coflownet.serialize import MAX_SCHEDULE_VALUES
 from coflownet.cli import main
 from coflownet.bench import CSV_HEADER
 from coflownet.generate import demo_instance
@@ -161,20 +163,22 @@ def test_mps_solver_solves_the_file_it_wrote(tmp_path, monkeypatch):
     "flags, message",
     [
         (["--trials", 0], "--trials"),
+        (["--trials", MAX_TRIALS + 1], f"--trials must be at most {MAX_TRIALS:,}"),
         (["--strategy", "interval-stretch", "--epsilon", 0], "--epsilon"),
         (["--solver", "builtin"], "unknown backend"),
         (["--solver", "glpk"], "unknown backend"),
         (["--solver", "mps:"], "unknown backend"),
         (["--solver", "mps:{tmp}/missing-dir/out.mps"], "missing-dir"),
     ],
-    ids=["trials-0", "epsilon-0", "builtin", "unknown", "mps-no-path", "mps-unwritable"],
+    ids=["trials-0", "trials-over-cap", "epsilon-0", "builtin", "unknown", "mps-no-path", "mps-unwritable"],
 )
 def test_bad_solve_flags_exit_2(tmp_path, capsys, flags, message):
     inst = tmp_path / "inst.json"
     assert run(["gen", "--jobs", 2, "--seed", 1, "--out", inst]) == 0
     flags = [str(f).format(tmp=tmp_path) for f in flags]
     assert run(["solve", inst] + flags) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 _SCHEDULE = ["validate", "inst.json", "--schedule", "in.json"]
@@ -197,13 +201,14 @@ _ZERO_JOB_SHOP = {"format": 1, "machines": 2, "jobs": [{"weight": 1, "p": [0, 0]
         (None, ["gen", "--cap", 0], "cap must be positive and finite"),
         (None, ["bench", "--epsilon", "abc"], "--epsilon must be a comma-separated list"),
         (None, ["bench", "--trials", 0], "--trials must be at least 1"),
+        (None, ["bench", "--trials", MAX_TRIALS + 1], f"--trials must be at most {MAX_TRIALS:,}"),
         (None, ["bench", "--strategies", "interval-stretch", "--epsilon", 0], "--epsilon must be positive"),
     ],
     ids=[
         "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
         "schedule-not-object", "shop-all-zero-job", "shop-no-machines", "gen-jobs-0",
         "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-epsilon-abc",
-        "bench-trials-0", "bench-interval-epsilon-0",
+        "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, command, message):
@@ -316,3 +321,14 @@ def test_horizon_blow_up_is_refused_before_allocating(tmp_path, data, horizon):
         assert done.returncode == 2, done.stderr
         assert columns in done.stderr and f"{MAX_SLOT_COLUMNS:,}" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_oversized_schedule_is_refused_before_allocating(tmp_path):
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    save_instance(demo_instance(RoutingModel.SINGLE_PATH), inst)
+    flows = [{"flows": [{"amounts": [[1, 1.0]]}]} for _ in range(4)]
+    sched.write_text(json.dumps({"format": 1, "slot_count": 10**12, "coflows": flows}))
+    done = run_module(["validate", inst, "--schedule", sched], address_space=1 << 30)
+    assert done.returncode == 2, done.stderr
+    assert f"more than {MAX_SCHEDULE_VALUES:,} values" in done.stderr
+    assert "Traceback" not in done.stderr

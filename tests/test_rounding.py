@@ -28,8 +28,9 @@ from coflownet import (
     stretch_schedule,
     verify_schedule,
 )
-from coflownet.model import AMOUNT_EPS
-from coflownet.rounding import _overlap
+import coflownet.rounding as rounding
+from coflownet.model import AMOUNT_EPS, CompletionReport, weighted_objective
+from coflownet.rounding import MAX_TRIALS, StretchBoundError, StretchResult, StretchTrial, _overlap, _taps
 
 
 def single_flow_fractional(slot_values, release=0):
@@ -97,6 +98,18 @@ def test_overlap_nonzeros_stay_linear_at_the_lambda_floor(horizon):
     spread = _overlap(np.array(grid.boundaries), out_slots)
     assert spread.nnz <= grid.interval_count + out_slots
     np.testing.assert_allclose(np.ravel(spread.sum(axis=1)), grid.lengths)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 40])
+def test_taps_reproduce_the_overlap_product(horizon):
+    rates = np.random.default_rng(horizon).random((3, horizon))
+    values = np.array([1.0, 0.999, 0.8, 0.5, 0.37, 1.0 / (10.0 * horizon)])
+    for value, (t0, w0, t1, w1) in zip(values, _taps(horizon, values), strict=True):
+        out_slots = int(math.ceil(horizon / value - 1e-12))
+        assert t0.size == out_slots
+        want = rates @ _overlap(np.arange(horizon + 1) / value, out_slots)
+        np.testing.assert_array_equal(rates[:, t0] * w0 + rates[:, t1] * w1, want)
+        assert np.all(t1 - t0 <= 1) and np.all(w0 > 0.0) and np.all(w1 >= 0.0)
 
 
 def test_stretch_single_slot_flow_truncates_to_first_slot():
@@ -264,6 +277,53 @@ def test_run_stretch_deterministic(demo_single, solved_single):
     )
     c = run_stretch(demo_single, frac, trials=8, seed=12)
     assert [t.lam.value for t in a.trials] != [t.lam.value for t in c.trials]
+
+
+def test_run_stretch_caps_trials(demo_single, solved_single):
+    _, _, frac = solved_single
+    with pytest.raises(ValueError, match="at most"):
+        run_stretch(demo_single, frac, trials=MAX_TRIALS + 1, seed=0)
+
+
+def test_too_tight_ceiling_raises(monkeypatch, demo_free, solved_free):
+    _, _, frac = solved_free
+    def zero_ceilings(fractional, values):
+        return np.zeros((values.size, len(fractional.cumulative)), dtype=np.int64)
+
+    monkeypatch.setattr(rounding, "_ceilings", zero_ceilings)
+    with pytest.raises(StretchBoundError, match="ceiling 0"):
+        run_stretch(demo_free, frac, trials=3, seed=1)
+    with pytest.raises(StretchBoundError):
+        lp_heuristic(demo_free, frac)
+
+
+def test_run_stretch_builds_no_sparse_matrix_per_trial(monkeypatch, demo_free, solved_free):
+    import scipy.sparse._base as spbase
+
+    built = []
+    real = spbase._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(spbase._spbase, "__init__", counting)
+    _, _, frac = solved_free
+    counts = []
+    for trials in (1, 25):
+        built.clear()
+        run_stretch(demo_free, frac, trials=trials, seed=3)
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+
+
+def test_completion_times_of_an_empty_coflow_is_zero():
+    inst, _ = single_flow_fractional([1.0])
+    inst = Instance(inst.network, (Coflow((), 2.0),) + inst.coflows + (Coflow((), 3.0),), inst.model)
+    sched = RateSchedule(3, ((), (np.array([0.0, 0.5, 0.5]),), ()))
+    assert completion_times(sched, inst) == CompletionReport((0, 3, 0), 3.0)
+    with pytest.raises(ValueError, match="slot_count"):
+        completion_times(RateSchedule(2, ((), (np.array([0.0, 0.5, 0.5]),), ())), inst)
 
 
 def test_lambda_one_trial_equals_heuristic(demo_free, solved_free):
@@ -496,3 +556,67 @@ def test_stacked_rounding_matches_per_slot_reference(model):
         interval = extract_interval_solution(problem, solve(problem).x, inst, grid)
         want = reference_expand(interval, inst)
         assert_same_schedule(expand_interval_schedule(interval, inst), want, inst)
+
+
+# ---------------------------------------------------------------------------
+# run_stretch against a trial-by-trial reference
+
+
+def reference_completion_times(schedule, instance):
+    """The last slot each flow sends more than AMOUNT_EPS, one flow at a time."""
+    completions = []
+    for flows in schedule.amounts:
+        last = 0
+        for amounts in flows:
+            pos = np.nonzero(amounts > AMOUNT_EPS)[0]
+            if pos.size:
+                last = max(last, int(pos[-1]) + 1)
+        completions.append(last)
+    weights = [cf.weight for cf in instance.coflows]
+    return CompletionReport(tuple(completions), weighted_objective(completions, weights))
+
+
+def reference_run_stretch(instance, fractional, trials, seed):
+    """``run_stretch`` one trial at a time: the same draws, then the
+    per-slot references and a per-flow completion loop."""
+    floor = 1.0 / (10.0 * fractional.slot_count)
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        lam = rounding.sample_lambda(1.0 - np.random.default_rng(child).random())
+        lam = lam if lam.value >= floor else Lambda(floor)
+        stretched = reference_stretch(fractional, lam, instance)
+        pre = reference_completion_times(stretched, instance)
+        assert all(got <= bound for got, bound in zip(pre.completions, completion_ceilings(fractional, lam)))
+        compacted = reference_compact(stretched, instance)
+        out.append(StretchTrial(lam, compacted, reference_completion_times(compacted, instance), pre))
+    best = min(range(trials), key=lambda k: (out[k].report.objective, k))
+    average = float(np.mean([t.report.objective for t in out]))
+    return StretchResult(best=out[best], average_objective=average, trials=tuple(out))
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_run_stretch_matches_trial_by_trial_reference(monkeypatch, model):
+    from conftest import fuzz_instance
+
+    from coflownet import build_time_indexed_lp, extract_fractional, horizon_upper_bound, solve
+
+    # every draw below 0.1 becomes a factor under the floor, so that some trials run at it
+    real = rounding.sample_lambda
+    monkeypatch.setattr(rounding, "sample_lambda", lambda u: Lambda(1e-9) if u < 0.1 else real(u))
+    rng = np.random.default_rng(77)
+    at_floor = 0
+    for k in range(5):
+        inst = fuzz_instance(rng, model)
+        horizon = horizon_upper_bound(inst)
+        problem = build_time_indexed_lp(inst, horizon)
+        frac = extract_fractional(problem, solve(problem).x, inst, horizon)
+        got = run_stretch(inst, frac, trials=10, seed=k)
+        want = reference_run_stretch(inst, frac, trials=10, seed=k)
+        for a, b in zip(got.trials, want.trials, strict=True):
+            assert a.lam == b.lam
+            assert a.pre_compaction == b.pre_compaction and a.report == b.report
+            assert_same_schedule(a.schedule, b.schedule, inst)
+        at_floor += sum(t.lam.value == 1.0 / (10.0 * horizon) for t in got.trials)
+        assert [t is got.best for t in got.trials] == [t is want.best for t in want.trials]
+        assert got.average_objective == want.average_objective
+    assert at_floor > 0
