@@ -32,6 +32,7 @@ from .lp import (
     extract_fractional,
     extract_interval_solution,
     geometric_intervals,
+    horizon_lower_bound,
     horizon_upper_bound,
     interval_grid_for,
 )

@@ -211,6 +211,11 @@ def _dispatch(args) -> int:
             options=options,
         )
         print(f"lp_objective      {result.lp_objective:.6f}")
+        unit = "intervals" if args.strategy == "interval-stretch" else "slots"
+        print(
+            f"horizon           bound {result.horizon_bound} slots, "
+            f"LP solved {result.lp_steps} {unit}"
+        )
         print(f"schedule_objective {result.report.objective:.6f}")
         print(f"ratio             {result.report.objective / result.lp_objective:.4f}")
         print(f"best_lambda       {result.best_lambda:.6f}")

@@ -45,6 +45,13 @@ The ``src``/``snk``/``bal`` rows of a flow are a one-step incidence
 template over its usable edges plus its ``x`` column, tiled across steps
 by column offset; ``cap`` rows gather each edge's users per step. The
 counts give the CSR ``indptr`` directly.
+
+The assembly also records a :class:`StepMap`: the step of every column
+and row, the value each column takes once its coflow or flow is done
+(``X``/``S`` at 1, ``x``/``xe`` at 0), and each ``cum_j_i_t_s`` row's
+same-flow twin one step earlier. With it the solver can solve a prefix
+of the steps and certify that prefix optimal for the whole relaxation
+(see :func:`coflownet.solver.solve`).
 """
 
 from __future__ import annotations
@@ -77,6 +84,39 @@ class ColumnLayout:
 
 
 @dataclass(frozen=True)
+class StepMap:
+    """Where each column and row of a relaxation sits in time.
+
+    ``col_step``/``row_step`` hold the 1-based step of each column and
+    row, 0 for ``C`` and for the ``dem``/``fin`` rows that span every
+    step. ``col_after`` is the value a column takes when the schedule
+    ended before its step: 1 for ``X``/``S``, 0 for ``x``/``xe``.
+    ``row_twin`` is the index of a ``cum_j_i_t_s`` row's twin at step
+    ``t - 1`` of the same flow, -1 for every other row. ``first_prefix``
+    is the step count worth trying first, from
+    :func:`horizon_lower_bound`.
+    """
+
+    col_step: np.ndarray
+    col_after: np.ndarray
+    row_step: np.ndarray
+    row_twin: np.ndarray
+    step_count: int
+    first_prefix: int
+
+    def permuted_rows(self, order: np.ndarray) -> "StepMap":
+        """The map of :meth:`LPProblem.permuted_rows`; twins follow their rows."""
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        twin = self.row_twin[order]
+        return replace(
+            self,
+            row_step=self.row_step[order],
+            row_twin=np.where(twin >= 0, position[twin], -1),
+        )
+
+
+@dataclass(frozen=True)
 class LPProblem:
     """``min objective @ x`` subject to ``row_lower <= A @ x <= row_upper``
     and ``col_lower <= x <= col_upper``; immutable after construction.
@@ -84,8 +124,8 @@ class LPProblem:
     ``A`` is a CSR matrix. Every row is an equality (equal bounds) or
     one-sided (the other bound infinite). The relaxation builders
     assemble ``A`` directly; :meth:`from_rows` builds a problem from a row
-    list. ``layout`` is set by the relaxation builders and is what
-    solution extraction reads.
+    list. ``layout`` and ``step_map`` are set by the relaxation builders;
+    solution extraction reads the first, the solver the second.
     """
 
     objective: np.ndarray
@@ -97,6 +137,7 @@ class LPProblem:
     row_lower: np.ndarray
     row_upper: np.ndarray
     layout: ColumnLayout | None = None
+    step_map: StepMap | None = None
 
     def __post_init__(self):
         if len(set(self.col_names)) != len(self.col_names):
@@ -108,6 +149,12 @@ class LPProblem:
         one_sided = np.isinf(self.row_lower) != np.isinf(self.row_upper)
         if not np.all(one_sided | (self.row_lower == self.row_upper)):
             raise ValueError("every row must be an equality or one-sided")
+        m = self.step_map
+        if m is not None and not (
+            len(m.col_step) == len(m.col_after) == self.num_cols
+            and len(m.row_step) == len(m.row_twin) == self.num_rows
+        ):
+            raise ValueError("step map does not match the problem's rows and columns")
 
     @classmethod
     def from_rows(cls, objective, col_lower, col_upper, col_names, rows, layout=None) -> "LPProblem":
@@ -169,6 +216,7 @@ class LPProblem:
             A=self.A[order],
             row_lower=self.row_lower[order],
             row_upper=self.row_upper[order],
+            step_map=self.step_map.permuted_rows(order) if self.step_map else None,
         )
 
 
@@ -181,15 +229,10 @@ def _ceil_slots(value: float) -> int:
     return max(1, int(math.ceil(value - 1e-9)))
 
 
-def horizon_upper_bound(instance: Instance) -> int:
-    """A slot count by which some feasible schedule finishes everything.
-
-    max release plus, summed over flows, the slots one flow needs alone:
-    demand over the path bottleneck (single-path) or over the source-sink
-    max-flow value (free-path). Scheduling flows one at a time after the
-    last release realizes this bound, so it is always feasible.
-    """
-    total = instance.max_release
+def _solo_slots(instance: Instance):
+    """Per flow in ``iter_flows`` order: the flow and the slots it needs
+    alone, demand over the path bottleneck (single-path) or over the
+    source-sink max-flow value (free-path)."""
     for j, i, _, fl in instance.iter_flows():
         if instance.model is RoutingModel.SINGLE_PATH:
             rate = path_bottleneck(instance.network, fl.path)
@@ -197,8 +240,43 @@ def horizon_upper_bound(instance: Instance) -> int:
             rate = max_flow_value(instance.network, fl.src, fl.dst)
             if rate <= 1e-12:
                 raise ValueError(f"unroutable flow: coflow {j + 1} flow {i + 1}")
-        total += _ceil_slots(fl.demand / rate)
-    return total
+        yield fl, _ceil_slots(fl.demand / rate)
+
+
+def horizon_upper_bound(instance: Instance) -> int:
+    """A slot count by which some feasible schedule finishes everything.
+
+    max release plus, summed over flows, the slots one flow needs alone.
+    Scheduling flows one at a time after the last release realizes this
+    bound, so it is always feasible.
+    """
+    return instance.max_release + sum(slots for _, slots in _solo_slots(instance))
+
+
+def horizon_lower_bound(instance: Instance) -> int:
+    """A slot count below which no schedule, and no solution of the slot
+    LP, finishes every flow.
+
+    The largest of each flow's release plus the slots it needs alone and,
+    for single-path instances, the slots the most loaded edge needs for
+    the summed demand of the flows routed over it.
+    """
+    solo, load = _lower_bounds(instance)
+    return max([load, *(fl.release + slots for fl, slots in solo)])
+
+
+def _lower_bounds(instance: Instance) -> tuple[list, int]:
+    """:func:`horizon_lower_bound`'s parts: ``(flow, solo slots)`` per
+    flow, and the most loaded edge's slots (0 for free path)."""
+    solo = list(_solo_slots(instance))
+    if instance.model is not RoutingModel.SINGLE_PATH:
+        return solo, 0
+    load: dict[str, float] = {}
+    for fl, _ in solo:
+        for eid in fl.path:
+            load[eid] = load.get(eid, 0.0) + fl.demand
+    edges = instance.network.edge_by_id
+    return solo, max((_ceil_slots(v / edges[eid].cap) for eid, v in load.items()), default=0)
 
 
 def columns_per_slot(instance: Instance) -> int:
@@ -302,13 +380,13 @@ def _flow_edges(instance: Instance) -> list[tuple[Edge, ...]]:
     return out
 
 
-def _block(names, counts, indices, data, lower, upper):
+def _block(names, counts, indices, data, lower, upper, step):
     """One row family in row order: names, nonzeros per row, column
-    indices, values and row bounds; scalars broadcast."""
+    indices, values, row bounds and row steps; scalars broadcast."""
     rows = len(names)
     return (
         names, np.broadcast_to(counts, rows), indices, np.broadcast_to(data, len(indices)),
-        np.broadcast_to(lower, rows), np.broadcast_to(upper, rows),
+        np.broadcast_to(lower, rows), np.broadcast_to(upper, rows), np.broadcast_to(step, rows),
     )
 
 
@@ -332,7 +410,8 @@ def _flow_rows(tag: str, fl, edges, x_cols: np.ndarray, first: int):
     names = [n for t in range(1, steps + 1) for n in (
         f"src_{tag}_{t}", f"snk_{tag}_{t}", *(f"bal_{tag}_{t}_{v}" for v in interior))]
     counts = np.tile([len(plus) + len(minus) for plus, minus in template], steps)
-    return _block(names, counts, cols.ravel(), np.tile(vals, steps), 0.0, 0.0)
+    row_steps = np.repeat(np.arange(1, steps + 1), len(template))
+    return _block(names, counts, cols.ravel(), np.tile(vals, steps), 0.0, 0.0, row_steps)
 
 
 def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
@@ -349,12 +428,16 @@ def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
                 np.tile(demand, len(lengths)),
                 -math.inf,
                 lengths * e.cap,
+                steps.ravel() + 1,
             )
 
 
-def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub) -> LPProblem:
+def _assemble(
+    instance: Instance, lengths, open_steps: np.ndarray, completion_ub, first_prefix: int
+) -> LPProblem:
     """Either relaxation over ``len(lengths)`` steps; ``open_steps[f, t]``
-    says whether the f-th flow may transmit in step ``t + 1``."""
+    says whether the f-th flow may transmit in step ``t + 1``.
+    ``first_prefix`` is the step map's first prefix to try."""
     lengths = np.asarray(lengths, dtype=float)
     flows = list(instance.iter_flows())
     J, F, T = len(instance.coflows), len(flows), len(lengths)
@@ -371,6 +454,9 @@ def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub
     names += [f"S_{tag}_{t}" for tag in tags for t in t_range]
     upper = [np.full(J, completion_ub), np.ones(J * T), open_steps.ravel().astype(float)]
     upper.append(np.ones(F * T))
+    step = np.arange(1, T + 1)
+    col_step = [np.zeros(J, dtype=np.int64), np.tile(step, J), np.tile(step, F), np.tile(step, F)]
+    col_after = [np.zeros(J), np.ones(J * T), np.zeros(F * T), np.ones(F * T)]
 
     # cum: per (flow, step) the rows S - x - S_prev = 0 (no S_prev at step 1), X - S <= 0
     cum_cols = np.stack([S, x, S - 1, X[owner], S], axis=-1)
@@ -378,7 +464,7 @@ def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub
     keep = np.broadcast_to(later[:, None] | (np.arange(5) != 2), cum_cols.shape)
     cum_counts = np.broadcast_to(np.stack([2 + later, np.full(T, 2)], axis=-1), (F, T, 2))
     blocks = [
-        _block([f"dem_{tag}" for tag in tags], T, x.ravel(), 1.0, 1.0, 1.0),
+        _block([f"dem_{tag}" for tag in tags], T, x.ravel(), 1.0, 1.0, 1.0, 0),
         _block(
             [n for tag in tags for t in t_range for n in (f"cum_{tag}_{t}_s", f"cum_{tag}_{t}")],
             cum_counts.ravel(),
@@ -386,6 +472,7 @@ def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub
             np.broadcast_to([1.0, -1.0, -1.0, 1.0, -1.0], keep.shape)[keep],
             np.tile([0.0, -math.inf], F * T),
             0.0,
+            np.repeat(np.tile(step, F), 2),
         ),
         _block(
             [f"fin_{j + 1}" for j in range(J)],
@@ -394,6 +481,7 @@ def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub
             np.tile(np.concatenate([[1.0], lengths]), J),
             1.0 + math.fsum(lengths),
             math.inf,
+            0,
         ),
     ]
 
@@ -410,6 +498,8 @@ def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub
             width = len(edges)
             names += [f"xe_{tag}_{t}_{e.id}" for t in t_range for e in edges]
             upper.append(np.repeat(np.where(open_steps[f], math.inf, 0.0), width))
+            col_step.append(np.repeat(step, width))
+            col_after.append(np.zeros(width * T))
             blocks.append(_flow_rows(tag, fl, edges, x[f], first))
             cols = first + np.arange(width)[:, None] + width * np.arange(T)
             xe.append({e.id: cols[k] for k, e in enumerate(edges)})
@@ -419,8 +509,12 @@ def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub
         xe = tuple(xe)
     blocks.extend(_cap_rows(instance.network, users, lengths))
 
-    row_names, counts, indices, data, row_lower, row_upper = zip(*blocks)
+    row_names, counts, indices, data, row_lower, row_upper, row_step = zip(*blocks)
     counts = np.concatenate(counts)
+    # the cum_j_i_t_s rows follow the F dem rows, every second row per (flow, step)
+    definitions = F + 2 * np.arange(F * T, dtype=np.int64).reshape(F, T)
+    row_twin = np.full(len(counts), -1, dtype=np.int64)
+    row_twin[definitions[:, 1:]] = definitions[:, :-1]
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     data, indices = np.concatenate(data), np.concatenate(indices)
@@ -435,6 +529,14 @@ def _assemble(instance: Instance, lengths, open_steps: np.ndarray, completion_ub
         row_lower=np.concatenate(row_lower),
         row_upper=np.concatenate(row_upper),
         layout=ColumnLayout(completion=np.arange(J, dtype=np.int64), x=x, xe=xe),
+        step_map=StepMap(
+            col_step=np.concatenate(col_step),
+            col_after=np.concatenate(col_after),
+            row_step=np.concatenate(row_step),
+            row_twin=row_twin,
+            step_count=T,
+            first_prefix=first_prefix,
+        ),
     )
 
 
@@ -453,7 +555,9 @@ def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:
         )
     release = np.array([fl.release for _, _, _, fl in instance.iter_flows()], dtype=float)
     open_steps = np.arange(1, horizon + 1) > release[:, None]
-    return _assemble(instance, np.ones(horizon), open_steps, horizon + 1.0)
+    return _assemble(
+        instance, np.ones(horizon), open_steps, horizon + 1.0, horizon_lower_bound(instance)
+    )
 
 
 def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
@@ -473,7 +577,13 @@ def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
             f"grid horizon {grid.horizon} leaves no interval after release "
             f"of coflow {j + 1} flow {i + 1}"
         )
-    return _assemble(instance, grid.lengths, open_steps, grid.horizon + 1.0)
+    # first prefix: the interval holding the latest time some flow can end
+    # alone, counted from the first interval it may use, or the edge bound
+    solo, load = _lower_bounds(instance)
+    starts = np.array(grid.boundaries)[open_steps.argmax(axis=1)]
+    ends = starts + np.array([slots for _, slots in solo])
+    first = int(np.searchsorted(grid.boundaries, max(ends.max(), load) - 1e-9))
+    return _assemble(instance, grid.lengths, open_steps, grid.horizon + 1.0, first)
 
 
 # ---------------------------------------------------------------------------

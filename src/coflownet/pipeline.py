@@ -65,6 +65,11 @@ class PipelineResult:
     best_lambda: float | None
     average_objective: float | None
     trial_count: int
+    #: ``horizon_upper_bound`` of the instance, in slots.
+    horizon_bound: int
+    #: LP steps (slots, or intervals for ``interval-stretch``) the solver
+    #: solved: a certified prefix, or all of them (``LPSolution.steps``).
+    lp_steps: int
 
 
 def checked_horizon(instance: Instance) -> int:
@@ -147,4 +152,6 @@ def run_pipeline(
         best_lambda=best_lambda,
         average_objective=average,
         trial_count=1 if strategy == "heuristic" else trials,
+        horizon_bound=horizon,
+        lp_steps=solution.steps,
     )

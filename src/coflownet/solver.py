@@ -4,12 +4,22 @@ re-verified.
 An ``optimal`` result is re-checked against the original problem (row
 residuals, bounds, objective recomputation), so a solve through an MPS
 file can never hand back a point that the in-memory problem rejects.
+
+A relaxation built with a step map is first solved on a prefix of its
+time steps, with every later column fixed at its after-prefix value.
+The prefix's row duals, extended to the later rows, give a weak-duality
+bound on the whole problem; the prefix point is returned only when that
+bound reaches its objective, which proves it optimal for every step. A
+prefix that is infeasible, stops early or is not certified grows by
+``PREFIX_GROWTH`` until it covers every step, and then the whole problem
+is solved as it is. This is the pricing step of time-indexed column
+generation (van den Akker, Hurkens & Savelsbergh, 2000).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -38,6 +48,10 @@ _LINPROG_STATUS = {
 }
 
 
+#: Factor by which a prefix of time steps grows after a failed attempt.
+PREFIX_GROWTH = 1.25
+
+
 class SolverError(RuntimeError):
     """A backend reported optimal but the solution fails re-verification."""
 
@@ -60,15 +74,19 @@ class LPSolution:
     status: SolveStatus
     objective: float
     x: np.ndarray | None
+    #: Time steps HiGHS solved: the certified prefix, or every step of
+    #: the problem; None for a problem without a step map.
+    steps: int | None = None
 
 
 def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution:
     """Minimize ``problem`` with HiGHS. Deterministic given identical
     inputs/options.
 
-    ``backend="highs"`` solves the problem in memory. ``backend="mps:<path>"``
-    writes it to ``<path>``, reads the file back and solves what was read,
-    so the file on disk is exactly what gets solved.
+    ``backend="highs"`` solves the problem in memory, a certified prefix
+    of its steps first when it has a step map. ``backend="mps:<path>"``
+    writes the whole problem to ``<path>``, reads the file back and
+    solves what was read, so the file on disk is exactly what gets solved.
 
     Infeasible, unbounded and numerically failed solves come back as
     statuses, not exceptions. An iteration-limited solve may carry no
@@ -76,9 +94,14 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
     """
     options = options or SolveOptions()
     if options.backend == "highs":
+        solution = _solve_prefixes(problem, options)
+        if solution is not None:
+            return solution  # certified and checked against the whole problem
         solution = _solve_highs(problem, options)
     else:
         solution = _solve_via_mps(problem, options.backend[4:], options)
+    if problem.step_map is not None:
+        solution = replace(solution, steps=problem.step_map.step_count)
     if solution.status is SolveStatus.OPTIMAL:
         failures = check_solution(problem, solution, tol=options.tolerance)
         if failures:
@@ -102,27 +125,145 @@ def _solve_via_mps(problem: LPProblem, path: str, options: SolveOptions) -> LPSo
 
 
 def _solve_highs(problem: LPProblem, options: SolveOptions) -> LPSolution:
+    status, objective, x, _ = _linprog(
+        problem.objective, problem.A, problem.row_lower, problem.row_upper,
+        problem.col_lower, problem.col_upper, options,
+    )
+    return LPSolution(status, objective, x)
+
+
+def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options):
+    """HiGHS on ``row_lower <= A @ x <= row_upper``: status, objective,
+    point and, when optimal, the row duals (the objective's sensitivity to
+    each row's finite bound)."""
     # linprog takes A_ub x <= b_ub and A_eq x = b_eq: the one-sided rows go
     # to A_ub in row order, with the >= rows negated
-    lower, upper = problem.row_lower, problem.row_upper
-    eq = lower == upper
+    eq = row_lower == row_upper
     ub = np.flatnonzero(~eq)
-    geq = np.isinf(upper[ub])
-    rows = problem.A[ub]
+    geq = np.isinf(row_upper[ub])
+    rows = A[ub]
     data = np.where(np.repeat(geq, np.diff(rows.indptr)), -rows.data, rows.data)
     a_ub = sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape)
     res = linprog(
-        c=problem.objective,
+        c=objective,
         A_ub=a_ub if ub.size else None,
-        b_ub=np.where(geq, -lower[ub], upper[ub]) if ub.size else None,
-        A_eq=problem.A[eq] if eq.any() else None,
-        b_eq=upper[eq] if eq.any() else None,
-        bounds=np.column_stack([problem.col_lower, problem.col_upper]),
+        b_ub=np.where(geq, -row_lower[ub], row_upper[ub]) if ub.size else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=row_upper[eq] if eq.any() else None,
+        bounds=np.column_stack([col_lower, col_upper]),
         method="highs",
         options={"maxiter": options.iteration_limit},
     )
+    status = _LINPROG_STATUS[res.status]
+    duals = None
+    if status is SolveStatus.OPTIMAL:
+        duals = np.zeros(len(row_lower))
+        if eq.any():
+            duals[eq] = res.eqlin.marginals
+        if ub.size:
+            duals[ub] = np.where(geq, -res.ineqlin.marginals, res.ineqlin.marginals)
     obj = float(res.fun) if res.fun is not None else math.nan
-    return LPSolution(status=_LINPROG_STATUS[res.status], objective=obj, x=res.x)
+    return status, obj, res.x, duals
+
+
+def _solve_prefixes(problem: LPProblem, options: SolveOptions) -> LPSolution | None:
+    """The first certified prefix solution, trying ever longer prefixes
+    shorter than the whole problem; None when none certifies or the
+    problem has no step map."""
+    step_map = problem.step_map
+    if step_map is None:
+        return None
+    prefix = step_map.first_prefix
+    while prefix < step_map.step_count:
+        solution = _solve_prefix(problem, prefix, options)
+        if solution is not None:
+            return solution
+        prefix = max(prefix + 1, math.ceil(prefix * PREFIX_GROWTH))
+    return None
+
+
+def _solve_prefix(problem: LPProblem, prefix: int, options: SolveOptions) -> LPSolution | None:
+    """Solve steps ``1..prefix`` with every later column fixed at its
+    after-prefix value. The full-length point when a weak-duality bound
+    on the whole problem certifies it optimal and it passes
+    :func:`check_solution`; None otherwise."""
+    step_map = problem.step_map
+    kept = step_map.col_step <= prefix
+    cols = np.flatnonzero(kept)
+    rows = np.flatnonzero(step_map.row_step <= prefix)
+    tail = np.where(kept, 0.0, step_map.col_after)
+    head = problem.A[rows]
+    shift = head @ tail
+    status, objective, x, duals = _linprog(
+        problem.objective[cols], head[:, cols],
+        problem.row_lower[rows] - shift, problem.row_upper[rows] - shift,
+        problem.col_lower[cols], problem.col_upper[cols], options,
+    )
+    if status is not SolveStatus.OPTIMAL:
+        return None
+    objective += float(problem.objective @ tail)
+    y = _extended_duals(step_map, rows, duals, prefix)
+    if _dual_bound(problem, y) < objective - options.tolerance * max(1.0, abs(objective)):
+        return None
+    point = tail
+    point[cols] = x
+    solution = LPSolution(SolveStatus.OPTIMAL, objective, point, prefix)
+    return None if check_solution(problem, solution, tol=options.tolerance) else solution
+
+
+def _extended_duals(step_map, rows: np.ndarray, duals: np.ndarray, prefix: int) -> np.ndarray:
+    """Row duals of the whole problem from the prefix's: each later
+    ``cum_j_i_t_s`` row copies its twin chain's dual at step ``prefix``,
+    every other later row gets 0."""
+    y = np.zeros(len(step_map.row_step))
+    y[rows] = duals
+    later = (step_map.row_step > prefix) & (step_map.row_twin >= 0)
+    source = np.arange(len(y))
+    source[later] = step_map.row_twin[later]
+    # pointer doubling: every chain reaches its row at step prefix
+    for _ in range(max(1, step_map.step_count).bit_length()):
+        source = source[source]
+    return y[source]
+
+
+def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
+    """Weak-duality lower bound on ``problem``'s optimum from row duals
+    ``y``, after clipping entries whose sign the row bounds do not allow.
+
+    ``sum(y+ * row_lower - y- * row_upper) + sum(min(d * lb, d * ub))``
+    with ``d = c - A.T @ y``. A column with no upper bound takes the one
+    its packing rows imply (see :func:`_implied_upper`).
+    """
+    lower, upper = problem.row_lower, problem.row_upper
+    y = np.where(np.isinf(lower), np.minimum(y, 0.0), y)
+    y = np.where(np.isinf(upper), np.maximum(y, 0.0), y)
+    d = problem.objective - problem.A.T @ y
+    pos, neg = y > 0, y < 0
+    bound = float(y[pos] @ lower[pos] + y[neg] @ upper[neg])
+    up, down = d > 0, np.flatnonzero(d < 0)
+    ceiling = problem.col_upper[down]
+    if np.isinf(ceiling).any():
+        ceiling = np.minimum(ceiling, _implied_upper(problem, down))
+    return bound + float(d[up] @ problem.col_lower[up] + d[down] @ ceiling)
+
+
+def _implied_upper(problem: LPProblem, cols: np.ndarray) -> np.ndarray:
+    """Upper bounds of ``cols`` implied by packing rows: ``<=`` rows whose
+    coefficients are all positive on columns that are all nonnegative, so
+    each term is at most the row bound (a free-path ``cap`` row bounds
+    its ``xe`` columns). ``inf`` where no packing row holds a column."""
+    A = problem.A
+    row_of = np.repeat(np.arange(problem.num_rows), np.diff(A.indptr))
+    packing = np.isinf(problem.row_lower)
+    packing[row_of[(A.data <= 0) | (problem.col_lower[A.indices] < 0)]] = False
+    wanted = np.zeros(problem.num_cols, dtype=bool)
+    wanted[cols] = True
+    entries = packing[row_of] & wanted[A.indices]
+    best = np.full(problem.num_cols, math.inf)
+    np.minimum.at(
+        best, A.indices[entries], problem.row_upper[row_of[entries]] / A.data[entries]
+    )
+    return best[cols]
 
 
 def check_solution(problem: LPProblem, solution: LPSolution, tol: float = 1e-7) -> list[str]:

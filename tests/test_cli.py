@@ -49,6 +49,20 @@ def test_solve_writes_verified_schedule(tmp_path, capsys):
     assert run(["validate", inst, "--schedule", sched]) == 0
 
 
+@pytest.mark.parametrize("strategy, unit", [("stretch", "slots"), ("interval-stretch", "intervals")])
+def test_solve_prints_the_lp_steps_beside_the_horizon_bound(tmp_path, capsys, strategy, unit):
+    instance = demo_instance(RoutingModel.FREE_PATH)
+    path = tmp_path / "inst.json"
+    save_instance(instance, path)
+    assert run(["solve", path, "--strategy", strategy, "--trials", 2]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("horizon ")]
+    result = coflownet.run_pipeline(instance, strategy=strategy, trials=2)
+    assert result.horizon_bound == coflownet.horizon_upper_bound(instance)
+    assert lines == [
+        f"horizon           bound {result.horizon_bound} slots, LP solved {result.lp_steps} {unit}"
+    ]
+
+
 def test_solve_missing_instance_exit_2(capsys):
     assert run(["solve", "definitely-missing.json"]) == 2
     assert "instance not found" in capsys.readouterr().err

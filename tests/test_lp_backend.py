@@ -1,20 +1,32 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import fuzz_instance
+
 from coflownet import (
+    Coflow,
+    Edge,
+    Flow,
+    Instance,
     LPProblem,
+    Network,
+    RoutingModel,
     SolveOptions,
     SolveStatus,
+    build_interval_lp,
     build_time_indexed_lp,
     horizon_upper_bound,
+    interval_grid_for,
     solve,
 )
 import coflownet.solver
+from coflownet.generate import demo_instance
 from coflownet.mps import read_mps, write_mps
-from coflownet.solver import LPSolution, check_solution
+from coflownet.solver import PREFIX_GROWTH, LPSolution, check_solution
 
 
 def problem(objective, rows, lower=None, upper=None, names=None):
@@ -168,3 +180,112 @@ def test_mps_backend_matches_in_memory_highs(demo_free, tmp_path):
     assert external.objective <= 5.0 + 1e-6
     assert in_memory.objective == pytest.approx(external.objective, abs=1e-6)
 
+
+
+# ---------------------------------------------------------------------------
+# certified prefix solve
+
+
+def full_solve(p):
+    """HiGHS on every step of ``p``: the same problem without a step map."""
+    return solve(replace(p, step_map=None))
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_prefix_solve_matches_full_solve(model):
+    rng = np.random.default_rng(808)
+    prefixes = 0
+    for _ in range(12):
+        inst = fuzz_instance(rng, model)
+        slot = build_time_indexed_lp(inst, horizon_upper_bound(inst))
+        interval = build_interval_lp(inst, interval_grid_for(inst, 0.5))
+        for p in (slot, interval):
+            got, want = solve(p), full_solve(p)
+            assert want.steps is None
+            assert got.status is want.status is SolveStatus.OPTIMAL
+            assert got.objective == pytest.approx(want.objective, rel=1e-9)
+            assert check_solution(p, got) == []
+            assert 1 <= got.steps <= p.step_map.step_count
+            prefixes += got.steps < p.step_map.step_count
+    assert prefixes > 0
+
+
+def _rungs(step_map):
+    prefix, out = step_map.first_prefix, []
+    while prefix < step_map.step_count:
+        out.append(prefix)
+        prefix = max(prefix + 1, math.ceil(prefix * PREFIX_GROWTH))
+    return out
+
+
+def _count_linprog(monkeypatch):
+    """Record (columns, status) of every HiGHS call the solver makes."""
+    calls = []
+    inner = coflownet.solver._linprog
+
+    def counted(objective, *args):
+        out = inner(objective, *args)
+        calls.append((len(objective), out[0]))
+        return out
+
+    monkeypatch.setattr(coflownet.solver, "_linprog", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_uncertified_prefixes_fall_back_to_the_full_solve(monkeypatch, model):
+    inst = demo_instance(model)
+    p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
+    want = full_solve(p)
+
+    def zero_duals(step_map, rows, duals, prefix):
+        # proves only the bound 0, below every objective (weights are positive)
+        return np.zeros(len(step_map.row_step))
+
+    monkeypatch.setattr(coflownet.solver, "_extended_duals", zero_duals)
+    calls = _count_linprog(monkeypatch)
+    got = solve(p)
+    rungs = _rungs(p.step_map)
+    assert rungs
+    assert [cols for cols, _ in calls] == [
+        *(np.count_nonzero(p.step_map.col_step <= prefix) for prefix in rungs), p.num_cols
+    ]
+    assert got.steps == p.step_map.step_count
+    assert got.objective == want.objective
+
+
+def test_infeasible_prefix_moves_on_to_the_next_rung(monkeypatch):
+    # two flows released at 2 share a unit edge: slot 3 alone cannot carry both
+    edges = [Edge("e0", "a", "b", 1.0)] + [Edge(f"e{k}", "a", f"v{k}", 1.0) for k in (1, 2, 3, 4)]
+    late = [Flow("a", "b", 1.0, 2, ("e0",)), Flow("a", "b", 1.0, 2, ("e0",))]
+    early = [Flow("a", f"v{k}", 1.0, 0, (f"e{k}",)) for k in (1, 2, 3, 4)]
+    inst = Instance(
+        Network(("a", "b", "v1", "v2", "v3", "v4"), tuple(edges)),
+        (Coflow(tuple(late), 2.0), Coflow(tuple(early), 1.0)),
+        RoutingModel.SINGLE_PATH,
+    )
+    p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
+    assert (p.step_map.first_prefix, p.step_map.step_count) == (3, 8)
+    calls = _count_linprog(monkeypatch)
+    got = solve(p)
+    assert [status for _, status in calls] == [SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
+    assert got.steps == 4
+    assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
+
+
+def test_step_map_follows_row_permutations_and_is_checked(solved_free, rng):
+    p, _, _ = solved_free
+    order = rng.permutation(p.num_rows)
+    q = p.permuted_rows(order)
+    np.testing.assert_array_equal(q.step_map.row_step, p.step_map.row_step[order])
+    has = q.step_map.row_twin >= 0
+    twins = p.step_map.row_twin[order][has]
+    assert [q.row_names[r] for r in q.step_map.row_twin[has]] == [p.row_names[r] for r in twins]
+    assert solve(q).steps == solve(p).steps < p.step_map.step_count
+    # a map left in the old row order misplaces rows: no error, same optimum
+    unpermuted = solve(replace(q, step_map=p.step_map))
+    assert unpermuted.objective == pytest.approx(solve(p).objective, rel=1e-9)
+    stale = replace(p.step_map, row_step=p.step_map.row_step[1:])
+    with pytest.raises(ValueError, match="step map"):
+        replace(p, step_map=stale)
+    assert read_mps(write_mps(p)).step_map is None

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from coflownet import (
     build_time_indexed_lp,
     extract_fractional,
     geometric_intervals,
+    horizon_lower_bound,
     horizon_upper_bound,
     interval_grid_for,
     solve,
@@ -81,6 +83,54 @@ def test_horizon_unroutable_free_path():
     )
     with pytest.raises(ValueError, match="unroutable"):
         horizon_upper_bound(inst)
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_horizon_lower_bound_below_the_last_slot_the_lp_uses(model):
+    rng = np.random.default_rng(515)
+    for _ in range(15):
+        inst = fuzz_instance(rng, model)
+        horizon = horizon_upper_bound(inst)
+        problem = build_time_indexed_lp(inst, horizon)
+        # the full LP, not a prefix: a problem without a step map is solved whole
+        sol = solve(replace(problem, step_map=None))
+        used = max(int(np.flatnonzero(sol.x[cols] > 1e-9)[-1]) + 1 for cols in problem.layout.x)
+        assert horizon_lower_bound(inst) <= used <= horizon
+
+
+def _step_of(name: str) -> int:
+    """The step a column or row name carries (0 for C, dem and fin)."""
+    parts = name.split("_")
+    position = {"X": 2, "x": 3, "S": 3, "xe": 3, "cum": 3, "src": 3, "snk": 3, "bal": 3}
+    if parts[0] in ("C", "dem", "fin"):
+        return 0
+    return int(parts[-1] if parts[0] == "cap" else parts[position[parts[0]]])
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_step_map_matches_the_names(model):
+    inst = fuzz_instance(np.random.default_rng(5), model)
+    for problem in (
+        build_time_indexed_lp(inst, horizon_upper_bound(inst)),
+        build_interval_lp(inst, interval_grid_for(inst, 0.5)),
+    ):
+        m = problem.step_map
+        assert m.col_step.tolist() == [_step_of(n) for n in problem.col_names]
+        assert m.row_step.tolist() == [_step_of(n) for n in problem.row_names]
+        after = [float(n.split("_")[0] in ("X", "S")) for n in problem.col_names]
+        assert m.col_after.tolist() == after
+        twins = {
+            problem.row_names[r]: problem.row_names[t] for r, t in enumerate(m.row_twin) if t >= 0
+        }
+        defs = [n for n in problem.row_names if n.startswith("cum_") and n.endswith("_s")]
+        expected = {}
+        for name in defs:
+            _, j, i, t, _ = name.split("_")
+            if int(t) > 1:
+                expected[name] = f"cum_{j}_{i}_{int(t) - 1}_s"
+        assert twins == expected
+        assert m.step_count == len(problem.layout.x[0])
+        assert 1 <= m.first_prefix
 
 
 def _tiny_instance():

@@ -44,3 +44,26 @@ def test_lp_counts_match_the_problem(perfbench, model):
     assert families == counts["lp.nnz"]
     assert (counts["lp.nnz.flow"] > 0) == (model is cn.RoutingModel.FREE_PATH)
     assert 0 < counts["lp.horizon_used"] <= counts["lp.horizon_bound"]
+
+
+@pytest.mark.parametrize(
+    "model, strategy",
+    [
+        (cn.RoutingModel.SINGLE_PATH, "stretch"),
+        (cn.RoutingModel.FREE_PATH, "stretch"),
+        (cn.RoutingModel.FREE_PATH, "interval-stretch"),
+    ],
+)
+def test_traced_replica_reproduces_run_pipeline(perfbench, model, strategy):
+    _, tracing, workloads = perfbench
+    instance = demo_instance(model)
+    call = workloads.Call(strategy, trials=3, epsilon=0.2 if strategy == "interval-stretch" else None)
+    result = cn.run_pipeline(
+        instance, strategy, trials=call.trials, seed=1, epsilon=call.epsilon, options=workloads.OPTIONS
+    )
+    spans = tracing.Spans()
+    with spans.span("pipeline.request", 0) as root:
+        traced = tracing.traced_call(spans, 0, root, instance, call, 1, workloads.OPTIONS)
+    assert (traced.solution.objective, traced.stretch.best.report.objective) == (
+        result.lp_objective, result.report.objective
+    )
