@@ -48,10 +48,10 @@ counts give the CSR ``indptr`` directly.
 
 The assembly also records a :class:`StepMap`: the step of every column
 and row, the value each column takes once its coflow or flow is done
-(``X``/``S`` at 1, ``x``/``xe`` at 0), and each ``cum_j_i_t_s`` row's
-same-flow twin one step earlier. With it the solver can solve a prefix
-of the steps and certify that prefix optimal for the whole relaxation
-(see :func:`coflownet.solver.solve`).
+(``X``/``S`` at 1, ``x``/``xe`` at 0), and the ``dem`` row of each
+``cum_j_i_t_s`` row's flow. With it the solver can solve a prefix of the
+steps and certify that prefix optimal for the whole relaxation (see
+:func:`coflownet.solver.solve`).
 """
 
 from __future__ import annotations
@@ -91,28 +91,29 @@ class StepMap:
     row, 0 for ``C`` and for the ``dem``/``fin`` rows that span every
     step. ``col_after`` is the value a column takes when the schedule
     ended before its step: 1 for ``X``/``S``, 0 for ``x``/``xe``.
-    ``row_twin`` is the index of a ``cum_j_i_t_s`` row's twin at step
-    ``t - 1`` of the same flow, -1 for every other row. ``first_prefix``
-    is the step count worth trying first, from
-    :func:`horizon_lower_bound`.
+    ``row_dem`` is, for each ``cum_j_i_t_s`` row, the index of its flow's
+    ``dem`` row, -1 for every other row; the solver prices a later
+    ``cum_j_i_t_s`` row from that ``dem`` row's dual. ``first_prefix`` is
+    the step count worth trying first, from :func:`horizon_lower_bound`.
     """
 
     col_step: np.ndarray
     col_after: np.ndarray
     row_step: np.ndarray
-    row_twin: np.ndarray
+    row_dem: np.ndarray
     step_count: int
     first_prefix: int
 
     def permuted_rows(self, order: np.ndarray) -> "StepMap":
-        """The map of :meth:`LPProblem.permuted_rows`; twins follow their rows."""
+        """The map of :meth:`LPProblem.permuted_rows`; ``dem`` rows follow
+        their rows."""
         position = np.empty_like(order)
         position[order] = np.arange(len(order))
-        twin = self.row_twin[order]
+        dem = self.row_dem[order]
         return replace(
             self,
             row_step=self.row_step[order],
-            row_twin=np.where(twin >= 0, position[twin], -1),
+            row_dem=np.where(dem >= 0, position[dem], -1),
         )
 
 
@@ -152,7 +153,7 @@ class LPProblem:
         m = self.step_map
         if m is not None and not (
             len(m.col_step) == len(m.col_after) == self.num_cols
-            and len(m.row_step) == len(m.row_twin) == self.num_rows
+            and len(m.row_step) == len(m.row_dem) == self.num_rows
         ):
             raise ValueError("step map does not match the problem's rows and columns")
 
@@ -255,28 +256,50 @@ def horizon_upper_bound(instance: Instance) -> int:
 
 def horizon_lower_bound(instance: Instance) -> int:
     """A slot count below which no schedule, and no solution of the slot
-    LP, finishes every flow.
-
-    The largest of each flow's release plus the slots it needs alone and,
-    for single-path instances, the slots the most loaded edge needs for
-    the summed demand of the flows routed over it.
+    LP, finishes every flow: the largest ``release + slots`` of
+    :func:`_lower_bound_terms`.
     """
-    solo, load = _lower_bounds(instance)
-    return max([load, *(fl.release + slots for fl, slots in solo)])
+    return max(release + slots for release, slots in _lower_bound_terms(instance))
 
 
-def _lower_bounds(instance: Instance) -> tuple[list, int]:
-    """:func:`horizon_lower_bound`'s parts: ``(flow, solo slots)`` per
-    flow, and the most loaded edge's slots (0 for free path)."""
-    solo = list(_solo_slots(instance))
-    if instance.model is not RoutingModel.SINGLE_PATH:
-        return solo, 0
-    load: dict[str, float] = {}
-    for fl, _ in solo:
-        for eid in fl.path:
-            load[eid] = load.get(eid, 0.0) + fl.demand
-    edges = instance.network.edge_by_id
-    return solo, max((_ceil_slots(v / edges[eid].cap) for eid, v in load.items()), default=0)
+def _lower_bound_terms(instance: Instance) -> list[tuple[int, int]]:
+    """``(release, slots)`` pairs such that no schedule, and no solution of
+    the slot LP, finishes every flow within ``slots`` slots after
+    ``release``.
+
+    - Single path: per flow, its release and the slots it needs alone at
+      its path bottleneck; and release 0 with the slots the most loaded
+      edge needs for the summed demand of the flows routed over it.
+    - Free path, per node v and release r: the slots v's out-edges need
+      for the demand of the flows out of v released at r or later, which
+      may use only slots after r; likewise v's in-edges for the flows
+      into v. A flow's max-flow slots are not a term: the relaxations'
+      ``src``/``snk`` rows count gross flow, so a cycle back into the
+      source lets them beat the max-flow rate.
+    """
+    if instance.model is RoutingModel.SINGLE_PATH:
+        solo = list(_solo_slots(instance))
+        load: dict[str, float] = {}
+        for fl, _ in solo:
+            for eid in fl.path:
+                load[eid] = load.get(eid, 0.0) + fl.demand
+        edges = instance.network.edge_by_id
+        edge_slots = (_ceil_slots(v / edges[eid].cap) for eid, v in load.items())
+        return [(fl.release, slots) for fl, slots in solo] + [(0, max(edge_slots, default=0))]
+    flows = sorted(instance.iter_flows(), key=lambda item: -item[3].release)
+    terms = []
+    for end in ("src", "dst"):
+        cap: dict[str, float] = {}
+        for e in instance.network.edges:
+            cap[getattr(e, end)] = cap.get(getattr(e, end), 0.0) + e.cap
+        demand: dict[str, float] = {}
+        for j, i, _, fl in flows:
+            node = getattr(fl, end)
+            if cap.get(node, 0.0) <= 1e-12:
+                raise ValueError(f"unroutable flow: coflow {j + 1} flow {i + 1}")
+            demand[node] = demand.get(node, 0.0) + fl.demand
+            terms.append((fl.release, _ceil_slots(demand[node] / cap[node])))
+    return terms
 
 
 def columns_per_slot(instance: Instance) -> int:
@@ -512,9 +535,8 @@ def _assemble(
     row_names, counts, indices, data, row_lower, row_upper, row_step = zip(*blocks)
     counts = np.concatenate(counts)
     # the cum_j_i_t_s rows follow the F dem rows, every second row per (flow, step)
-    definitions = F + 2 * np.arange(F * T, dtype=np.int64).reshape(F, T)
-    row_twin = np.full(len(counts), -1, dtype=np.int64)
-    row_twin[definitions[:, 1:]] = definitions[:, :-1]
+    row_dem = np.full(len(counts), -1, dtype=np.int64)
+    row_dem[F + 2 * np.arange(F * T)] = np.repeat(np.arange(F), T)
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     data, indices = np.concatenate(data), np.concatenate(indices)
@@ -533,7 +555,7 @@ def _assemble(
             col_step=np.concatenate(col_step),
             col_after=np.concatenate(col_after),
             row_step=np.concatenate(row_step),
-            row_twin=row_twin,
+            row_dem=row_dem,
             step_count=T,
             first_prefix=first_prefix,
         ),
@@ -577,12 +599,12 @@ def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
             f"grid horizon {grid.horizon} leaves no interval after release "
             f"of coflow {j + 1} flow {i + 1}"
         )
-    # first prefix: the interval holding the latest time some flow can end
-    # alone, counted from the first interval it may use, or the edge bound
-    solo, load = _lower_bounds(instance)
-    starts = np.array(grid.boundaries)[open_steps.argmax(axis=1)]
-    ends = starts + np.array([slots for _, slots in solo])
-    first = int(np.searchsorted(grid.boundaries, max(ends.max(), load) - 1e-9))
+    # first prefix: the interval holding the latest end of a lower-bound
+    # term, counted from the first boundary at or after its release
+    boundaries = np.array(grid.boundaries)
+    release, slots = np.array(_lower_bound_terms(instance)).T
+    ends = boundaries[np.searchsorted(boundaries, release - 1e-9)] + slots
+    first = int(np.searchsorted(boundaries, ends.max() - 1e-9))
     return _assemble(instance, grid.lengths, open_steps, grid.horizon + 1.0, first)
 
 
@@ -609,8 +631,10 @@ def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, steps: int):
         series /= total
         fractions[j].append(series)
         if layout.xe is not None:
-            splits = {eid: np.clip(x[cols], 0.0, None) / total for eid, cols in layout.xe[f].items()}
-            edge_fractions[j].append({eid: v for eid, v in splits.items() if np.any(v > 0)})
+            eids = list(layout.xe[f])
+            splits = np.clip(x[np.stack(list(layout.xe[f].values()))], 0.0, None) / total
+            used = np.flatnonzero((splits > 0).any(axis=1))
+            edge_fractions[j].append({eids[k]: splits[k] for k in used})
     completion = tuple(float(v) for v in x[layout.completion])
     edges = tuple(map(tuple, edge_fractions)) if layout.xe is not None else None
     return tuple(map(tuple, fractions)), edges, completion

@@ -7,13 +7,20 @@ file can never hand back a point that the in-memory problem rejects.
 
 A relaxation built with a step map is first solved on a prefix of its
 time steps, with every later column fixed at its after-prefix value.
-The prefix's row duals, extended to the later rows, give a weak-duality
-bound on the whole problem; the prefix point is returned only when that
-bound reaches its objective, which proves it optimal for every step. A
-prefix that is infeasible, stops early or is not certified grows by
-``PREFIX_GROWTH`` until it covers every step, and then the whole problem
-is solved as it is. This is the pricing step of time-indexed column
-generation (van den Akker, Hurkens & Savelsbergh, 2000).
+The prefix's row duals, extended to the later rows (each later
+``cum_j_i_t_s`` row takes its flow's ``dem`` dual clipped at 0), give a
+weak-duality bound on the whole problem; the prefix point is returned
+only when that bound reaches its objective, which proves it optimal for
+every step. A prefix that is infeasible, stops early or is not
+certified grows by ``PREFIX_GROWTH`` until it covers every step, and
+then the whole problem is solved as it is. This is the pricing step of
+time-indexed column generation (van den Akker, Hurkens & Savelsbergh,
+2000).
+
+HiGHS itself only ever sees the columns whose bounds leave them free
+and the rows that touch one of them: fixed columns (a flow's steps
+before its release) are substituted into the row bounds before each
+call, see :func:`_linprog`.
 """
 
 from __future__ import annotations
@@ -135,7 +142,45 @@ def _solve_highs(problem: LPProblem, options: SolveOptions) -> LPSolution:
 def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options):
     """HiGHS on ``row_lower <= A @ x <= row_upper``: status, objective,
     point and, when optimal, the row duals (the objective's sensitivity to
-    each row's finite bound)."""
+    each row's finite bound).
+
+    HiGHS gets only the columns whose bounds leave them free and the rows
+    that touch one of them. A fixed column's activity moves into the row
+    bounds, and the column takes its bound in the point. A dropped row
+    has dual 0; one whose shifted bounds exclude 0 (beyond the tolerance)
+    makes the problem infeasible without a HiGHS call.
+    """
+    fixed = (col_lower == col_upper) & np.isfinite(col_lower)
+    if not fixed.any():
+        return _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options)
+    value = np.where(fixed, col_lower, 0.0)
+    shift = A @ value
+    lower, upper = row_lower - shift, row_upper - shift
+    # rows with a stored entry in a free column
+    seen = np.concatenate([[0], np.cumsum(~fixed[A.indices])])
+    live = seen[A.indptr[1:]] > seen[A.indptr[:-1]]
+    if np.any(lower[~live] > options.tolerance) or np.any(upper[~live] < -options.tolerance):
+        return SolveStatus.INFEASIBLE, math.nan, None, None
+    base = float(objective @ value)
+    cols, rows = np.flatnonzero(~fixed), np.flatnonzero(live)
+    if not cols.size:
+        return SolveStatus.OPTIMAL, base, value, np.zeros(len(row_lower))
+    status, obj, x, y = _highs(
+        objective[cols], A[rows][:, cols], lower[rows], upper[rows],
+        col_lower[cols], col_upper[cols], options,
+    )
+    if x is not None:
+        value[cols] = x
+        x = value
+    if y is not None:
+        duals = np.zeros(len(row_lower))
+        duals[rows] = y
+        y = duals
+    return status, obj + base, x, y
+
+
+def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options):
+    """:func:`_linprog` with every column and row handed to HiGHS."""
     # linprog takes A_ub x <= b_ub and A_eq x = b_eq: the one-sided rows go
     # to A_ub in row order, with the >= rows negated
     eq = row_lower == row_upper
@@ -213,17 +258,22 @@ def _solve_prefix(problem: LPProblem, prefix: int, options: SolveOptions) -> LPS
 
 def _extended_duals(step_map, rows: np.ndarray, duals: np.ndarray, prefix: int) -> np.ndarray:
     """Row duals of the whole problem from the prefix's: each later
-    ``cum_j_i_t_s`` row copies its twin chain's dual at step ``prefix``,
-    every other later row gets 0."""
+    ``cum_j_i_t_s`` row gets its flow's ``dem`` dual clipped at 0, every
+    other later row gets 0.
+
+    With the later columns at their after-values, complementary slackness
+    asks of a flow's later ``cum_j_i_t_s`` duals that they not increase
+    (``S`` at 1), stay at least 0 (the last ``S``) and at least the ``dem``
+    dual (``x`` at 0), and start at most ``-d(S_prefix)``, the prefix
+    LP's reduced cost of the flow's last prefix ``S``. The constant
+    ``max(y_dem, 0)`` is the smallest choice that meets the first three,
+    so it meets the last whenever any choice does.
+    """
     y = np.zeros(len(step_map.row_step))
     y[rows] = duals
-    later = (step_map.row_step > prefix) & (step_map.row_twin >= 0)
-    source = np.arange(len(y))
-    source[later] = step_map.row_twin[later]
-    # pointer doubling: every chain reaches its row at step prefix
-    for _ in range(max(1, step_map.step_count).bit_length()):
-        source = source[source]
-    return y[source]
+    later = np.flatnonzero((step_map.row_step > prefix) & (step_map.row_dem >= 0))
+    y[later] = np.maximum(y[step_map.row_dem[later]], 0.0)
+    return y
 
 
 def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:

@@ -19,12 +19,13 @@ from coflownet import (
     SolveStatus,
     build_interval_lp,
     build_time_indexed_lp,
+    horizon_lower_bound,
     horizon_upper_bound,
     interval_grid_for,
     solve,
 )
 import coflownet.solver
-from coflownet.generate import demo_instance
+from coflownet.generate import GenConfig, demo_instance, generate_instance
 from coflownet.mps import read_mps, write_mps
 from coflownet.solver import PREFIX_GROWTH, LPSolution, check_solution
 
@@ -182,6 +183,52 @@ def test_mps_backend_matches_in_memory_highs(demo_free, tmp_path):
 
 
 
+def test_fixed_column_is_substituted_into_the_rows():
+    # x2 fixed at 1.5: min x0 + 2 x1 + 4.5 with x0 + x1 >= 2.5, x0 <= 3.5;
+    # the last row only holds x2 and is dropped with dual 0
+    rows = [([0, 1, 2], [1.0, 1.0, 1.0], ">=", 4.0), ([0, 2], [1.0, -1.0], "<=", 2.0),
+            ([2], [1.0], "<=", 2.0)]
+    fixed = problem([1.0, 2.0, 3.0], rows, upper=[math.inf, math.inf, 1.5], lower=[0.0, 0.0, 1.5])
+    substituted = problem([1.0, 2.0], [([0, 1], [1.0, 1.0], ">=", 2.5), ([0], [1.0], "<=", 3.5)])
+    got, want = solve(fixed), solve(substituted)
+    assert got.objective == want.objective + 4.5
+    assert got.x.tolist() == [*want.x, 1.5]
+    _, _, _, duals = _raw_linprog(fixed)
+    _, _, _, want_duals = _raw_linprog(substituted)
+    assert duals.tolist() == [*want_duals, 0.0]
+
+
+def _raw_linprog(p):
+    return coflownet.solver._linprog(
+        p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper, SolveOptions()
+    )
+
+
+def _no_highs(monkeypatch):
+    def called(*args, **kwargs):
+        raise AssertionError("HiGHS was called")
+
+    monkeypatch.setattr(coflownet.solver, "linprog", called)
+
+
+def test_emptied_row_that_excludes_the_fixed_activity_is_infeasible(monkeypatch):
+    # x1 fixed at 1 leaves the second row 1 >= 2 with no free column
+    p = problem([1.0, 1.0], [([0, 1], [1.0, 1.0], ">=", 1.0), ([1], [1.0], ">=", 2.0)],
+                lower=[0.0, 1.0], upper=[math.inf, 1.0])
+    _no_highs(monkeypatch)
+    assert solve(p).status is SolveStatus.INFEASIBLE
+
+
+def test_all_fixed_problem_is_solved_without_highs(monkeypatch):
+    p = problem([2.0, -1.0], [([0, 1], [1.0, 1.0], "=", 3.0), ([0], [1.0], "<=", 4.0)],
+                lower=[1.0, 2.0], upper=[1.0, 2.0])
+    _no_highs(monkeypatch)
+    got = solve(p)
+    assert got.status is SolveStatus.OPTIMAL
+    assert got.objective == 0.0
+    assert got.x.tolist() == [1.0, 2.0]
+
+
 # ---------------------------------------------------------------------------
 # certified prefix solve
 
@@ -273,14 +320,54 @@ def test_infeasible_prefix_moves_on_to_the_next_rung(monkeypatch):
     assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
 
 
+def test_released_demand_through_a_cut_sets_the_first_prefix(monkeypatch):
+    # a's only out-edge carries both flows, neither before slot 3: 2 + 2 slots
+    net = Network(("a", "b", "c", "d"), (Edge("ab", "a", "b", 1.0), Edge("cd", "c", "d", 1.0)))
+    late = Coflow((Flow("a", "b", 1.0, 2), Flow("a", "b", 1.0, 2)), 1.0)
+    inst = Instance(net, (late, Coflow((Flow("c", "d", 1.0, 0),), 1.0)), RoutingModel.FREE_PATH)
+    assert horizon_lower_bound(inst) == 4
+    p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
+    assert (p.step_map.first_prefix, p.step_map.step_count) == (4, 5)
+    calls = _count_linprog(monkeypatch)
+    got = solve(p)
+    assert [status for _, status in calls] == [SolveStatus.OPTIMAL]
+    assert got.steps == 4
+    assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
+
+
+def _free_corpus(seed):
+    """Instance ``seed`` of the benchmark's free-path corpus."""
+    return generate_instance(GenConfig(
+        topology="gscale-like", model=RoutingModel.FREE_PATH, jobs=20, release_mean=1.0, seed=seed
+    ))
+
+
+def test_free_corpus_lps_certify_at_their_first_prefix(monkeypatch):
+    # seeds 1, 5 and 9 need the cut term for a feasible first prefix; on 2,
+    # 4 and 6 the reduced LP's duals certify under the per-flow dem extension
+    # but not when each later cum row copies the previous step's dual
+    problems = []
+    for seed in (1, 4, 5, 6, 9):
+        inst = _free_corpus(seed)
+        problems.append(build_time_indexed_lp(inst, horizon_upper_bound(inst)))
+    inst = _free_corpus(2)
+    problems.append(build_interval_lp(inst, interval_grid_for(inst, 0.2)))
+    calls = _count_linprog(monkeypatch)
+    for p in problems:
+        calls.clear()
+        got = solve(p)
+        assert [status for _, status in calls] == [SolveStatus.OPTIMAL]
+        assert got.steps == p.step_map.first_prefix < p.step_map.step_count
+
+
 def test_step_map_follows_row_permutations_and_is_checked(solved_free, rng):
     p, _, _ = solved_free
     order = rng.permutation(p.num_rows)
     q = p.permuted_rows(order)
     np.testing.assert_array_equal(q.step_map.row_step, p.step_map.row_step[order])
-    has = q.step_map.row_twin >= 0
-    twins = p.step_map.row_twin[order][has]
-    assert [q.row_names[r] for r in q.step_map.row_twin[has]] == [p.row_names[r] for r in twins]
+    has = q.step_map.row_dem >= 0
+    dems = p.step_map.row_dem[order][has]
+    assert [q.row_names[r] for r in q.step_map.row_dem[has]] == [p.row_names[r] for r in dems]
     assert solve(q).steps == solve(p).steps < p.step_map.step_count
     # a map left in the old row order misplaces rows: no error, same optimum
     unpermuted = solve(replace(q, step_map=p.step_map))

@@ -15,6 +15,7 @@ from coflownet import (
     Network,
     RateSchedule,
     RoutingModel,
+    SolveStatus,
     build_interval_lp,
     build_time_indexed_lp,
     extract_fractional,
@@ -83,6 +84,8 @@ def test_horizon_unroutable_free_path():
     )
     with pytest.raises(ValueError, match="unroutable"):
         horizon_upper_bound(inst)
+    with pytest.raises(ValueError, match="unroutable"):
+        horizon_lower_bound(inst)
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
@@ -96,6 +99,19 @@ def test_horizon_lower_bound_below_the_last_slot_the_lp_uses(model):
         sol = solve(replace(problem, step_map=None))
         used = max(int(np.flatnonzero(sol.x[cols] > 1e-9)[-1]) + 1 for cols in problem.layout.x)
         assert horizon_lower_bound(inst) <= used <= horizon
+
+
+def test_free_path_lp_one_slot_below_the_lower_bound_is_infeasible():
+    rng = np.random.default_rng(919)
+    checked = 0
+    for _ in range(40):
+        inst = fuzz_instance(rng, RoutingModel.FREE_PATH)
+        bound = horizon_lower_bound(inst)
+        if bound - 1 > inst.max_release:
+            problem = build_time_indexed_lp(inst, bound - 1)
+            assert solve(replace(problem, step_map=None)).status is SolveStatus.INFEASIBLE
+            checked += 1
+    assert checked >= 10
 
 
 def _step_of(name: str) -> int:
@@ -119,16 +135,11 @@ def test_step_map_matches_the_names(model):
         assert m.row_step.tolist() == [_step_of(n) for n in problem.row_names]
         after = [float(n.split("_")[0] in ("X", "S")) for n in problem.col_names]
         assert m.col_after.tolist() == after
-        twins = {
-            problem.row_names[r]: problem.row_names[t] for r, t in enumerate(m.row_twin) if t >= 0
+        dems = {
+            problem.row_names[r]: problem.row_names[d] for r, d in enumerate(m.row_dem) if d >= 0
         }
         defs = [n for n in problem.row_names if n.startswith("cum_") and n.endswith("_s")]
-        expected = {}
-        for name in defs:
-            _, j, i, t, _ = name.split("_")
-            if int(t) > 1:
-                expected[name] = f"cum_{j}_{i}_{int(t) - 1}_s"
-        assert twins == expected
+        assert dems == {name: "dem_{}_{}".format(*name.split("_")[1:3]) for name in defs}
         assert m.step_count == len(problem.layout.x[0])
         assert 1 <= m.first_prefix
 
@@ -526,3 +537,24 @@ def test_block_assembly_matches_row_reference(model):
             grid.horizon + 1.0,
         )
         assert_same_problem(build_interval_lp(inst, grid), interval)
+
+
+def test_edge_splits_match_per_edge_reference():
+    rng = np.random.default_rng(77)
+    for _ in range(6):
+        inst = fuzz_instance(rng, RoutingModel.FREE_PATH)
+        horizon = horizon_upper_bound(inst)
+        problem = build_time_indexed_lp(inst, horizon)
+        x = solve(problem).x
+        x = x + np.where(rng.random(len(x)) < 0.2, -1e-10, 0.0)  # solver dust to clip
+        got = extract_fractional(problem, x, inst, horizon).edge_fractions
+        for f, (j, i, _, _) in enumerate(inst.iter_flows()):
+            total = np.clip(x[problem.layout.x[f]], 0.0, None).sum()
+            splits = {
+                eid: np.clip(x[cols], 0.0, None) / total
+                for eid, cols in problem.layout.xe[f].items()
+            }
+            want = {eid: v for eid, v in splits.items() if np.any(v > 0)}
+            assert list(got[j][i]) == list(want)
+            for eid, v in want.items():
+                assert got[j][i][eid].tobytes() == v.tobytes()
