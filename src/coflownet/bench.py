@@ -3,8 +3,8 @@ one CSV row each.
 
 Rows run one after another in a fixed order, so re-running with the same
 seed reproduces the CSV bit for bit (wall_ms excepted), and each row's
-wall_ms is that row's own time. Per-row failures are recorded in the row
-and the sweep keeps going.
+wall_ms is that row's own time. A row that fails keeps its numeric fields
+empty and records why in its ``error`` column, and the sweep keeps going.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ from .generate import GenConfig, generate_instance
 from .pipeline import run_pipeline
 from .solver import SolveOptions
 
-CSV_HEADER = ("seed", "model", "strategy", "epsilon", "lp_objective", "schedule_objective", "ratio", "wall_ms")
+CSV_HEADER = (
+    "seed", "model", "strategy", "epsilon", "lp_objective", "schedule_objective", "ratio", "wall_ms",
+    "error",
+)
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,7 @@ class BenchRow:
 
 def _run_row(instance, strategy: str, epsilon: float | None, config: BenchConfig, seed: int) -> BenchRow:
     start = time.perf_counter()
+    lp_objective = schedule_objective = error = None
     try:
         result = run_pipeline(
             instance,
@@ -60,26 +64,19 @@ def _run_row(instance, strategy: str, epsilon: float | None, config: BenchConfig
             epsilon=epsilon,
             options=SolveOptions(),
         )
-        return BenchRow(
-            seed=seed,
-            model=instance.model.value,
-            strategy=strategy,
-            epsilon=epsilon,
-            lp_objective=result.lp_objective,
-            schedule_objective=result.report.objective,
-            wall_ms=(time.perf_counter() - start) * 1000.0,
-        )
+        lp_objective, schedule_objective = result.lp_objective, result.report.objective
     except Exception as exc:  # per-row failures must not kill the sweep
-        return BenchRow(
-            seed=seed,
-            model=instance.model.value,
-            strategy=strategy,
-            epsilon=epsilon,
-            lp_objective=None,
-            schedule_objective=None,
-            wall_ms=(time.perf_counter() - start) * 1000.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
+    return BenchRow(
+        seed=seed,
+        model=instance.model.value,
+        strategy=strategy,
+        epsilon=epsilon,
+        lp_objective=lp_objective,
+        schedule_objective=schedule_objective,
+        wall_ms=(time.perf_counter() - start) * 1000.0,
+        error=error,
+    )
 
 
 def run_bench(config: BenchConfig) -> list[BenchRow]:
@@ -112,6 +109,7 @@ def rows_to_csv(rows: list[BenchRow]) -> str:
                 _num(row.schedule_objective),
                 _num(row.ratio),
                 f"{row.wall_ms:.3f}",
+                row.error or "",
             ]
         )
     return buf.getvalue()

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import bench as bench_mod
 from .generate import GenConfig, TOPOLOGIES, demo_instance, generate_instance
-from .lp import build_time_indexed_lp, extract_fractional
 from .model import RoutingModel, completion_times, validate_instance
 from .openshop import reduce_open_shop
 from .rounding import MAX_TRIALS
@@ -25,8 +24,8 @@ from .pipeline import (
     HorizonTooLarge,
     SolveFailure,
     VerificationFailure,
-    checked_horizon,
     run_pipeline,
+    solve_lp,
 )
 from .serialize import (
     dumps,
@@ -36,7 +35,7 @@ from .serialize import (
     load_shop,
     save_schedule,
 )
-from .solver import SolveOptions, SolveStatus, solve
+from .solver import SolveOptions
 from .verify import check_identity_on_vectors, continuous_interpolation_checks, verify_schedule
 
 OK, VERIFY_FAIL, USAGE, SOLVER_FAIL = 0, 1, 2, 3
@@ -308,13 +307,7 @@ def _run_checks(args) -> int:
         instance = _load_valid_instance(args.instance)
     else:
         instance = demo_instance(RoutingModel(args.model))
-    options = _solve_options(args.solver)
-    horizon = checked_horizon(instance)
-    problem = build_time_indexed_lp(instance, horizon)
-    solution = solve(problem, options)
-    if solution.status is not SolveStatus.OPTIMAL:
-        raise SolveFailure(solution.status)
-    fractional = extract_fractional(problem, solution.x, instance, horizon)
+    fractional, _ = solve_lp(instance, _solve_options(args.solver))
     for j, report in enumerate(continuous_interpolation_checks(fractional)):
         print(
             f"coflow {j + 1}: integral {report.integral:.6f} "

@@ -29,18 +29,20 @@ Constraint families (row-name prefixes):
 - ``src``/``snk``/``bal``  free-path flow conservation: source out-flow
   and sink in-flow match the step total, interior nodes balance
 
-Release times are enforced by fixing variables to zero rather than by
-rows: a flow released at ``r`` gets ``x`` (and ``xe``) upper bounds of 0
-for every slot ``t <= r``, or for every interval not lying wholly after
-``r`` in the interval relaxation.
+The two relaxations differ only in their step boundaries (slot t is
+``(t - 1, t]``, interval t is ``(tau_{t-1}, tau_t]``), and one assembly
+(``_assemble``) derives all of their time structure from them. Release
+times are enforced by fixing variables to zero rather than by rows: a
+flow released at ``r`` gets ``x`` (and ``xe``) upper bounds of 0 for
+every step that starts before ``r``.
 
-Both relaxations come from one assembly (``_assemble``) that never
-touches a row in Python. Columns are index blocks laid out in the order
-``C`` (J), ``X`` (J x T), ``x`` (F x T), ``S`` (F x T), then one T x E_f
-block of ``xe`` per free-path flow f over its E_f usable edges. Each row
-family is emitted as numpy arrays of per-row nonzero counts, column
-indices, values and row bounds: ``dem``, ``cum`` (definition and cap row
-interleaved per flow and step), ``fin``, free-path flow rows, ``cap``.
+The assembly never touches a row in Python. Columns are index blocks
+laid out in the order ``C`` (J), ``X`` (J x T), ``x`` (F x T), ``S``
+(F x T), then one T x E_f block of ``xe`` per free-path flow f over its
+E_f usable edges. Each row family is emitted as numpy arrays of per-row
+nonzero counts, column indices, values and row bounds: ``dem``, ``cum``
+(definition and cap row interleaved per flow and step), ``fin``,
+free-path flow rows, ``cap``.
 The ``src``/``snk``/``bal`` rows of a flow are a one-step incidence
 template over its usable edges plus its ``x`` column, tiled across steps
 by column offset; ``cap`` rows gather each edge's users per step. The
@@ -123,10 +125,12 @@ class LPProblem:
     and ``col_lower <= x <= col_upper``; immutable after construction.
 
     ``A`` is a CSR matrix. Every row is an equality (equal bounds) or
-    one-sided (the other bound infinite). The relaxation builders
-    assemble ``A`` directly; :meth:`from_rows` builds a problem from a row
-    list. ``layout`` and ``step_map`` are set by the relaxation builders;
-    solution extraction reads the first, the solver the second.
+    one-sided (the other bound infinite). Column and row names are
+    unique: the relaxation builders assemble ``A`` and the names directly,
+    unique by construction; :meth:`from_rows` builds a problem from a row
+    list and checks them. ``layout`` and ``step_map`` are set by the
+    relaxation builders; solution extraction reads the first, the solver
+    the second.
     """
 
     objective: np.ndarray
@@ -141,10 +145,6 @@ class LPProblem:
     step_map: StepMap | None = None
 
     def __post_init__(self):
-        if len(set(self.col_names)) != len(self.col_names):
-            raise ValueError("column names are not unique")
-        if len(set(self.row_names)) != len(self.row_names):
-            raise ValueError("row names are not unique")
         if self.A.shape != (self.num_rows, self.num_cols):
             raise ValueError(f"matrix shape {self.A.shape} does not match the names")
         one_sided = np.isinf(self.row_lower) != np.isinf(self.row_upper)
@@ -161,8 +161,12 @@ class LPProblem:
     def from_rows(cls, objective, col_lower, col_upper, col_names, rows, layout=None) -> "LPProblem":
         """Assemble the CSR matrix from ``rows``, a sequence of
         ``(name, cols, vals, relation, rhs)`` with relation one of
-        ``<=``, ``=``, ``>=``."""
+        ``<=``, ``=``, ``>=``. Column and row names must be unique."""
         names, cols, vals, relations, rhs = zip(*rows) if rows else ((),) * 5
+        if len(set(col_names)) != len(col_names):
+            raise ValueError("column names are not unique")
+        if len(set(names)) != len(names):
+            raise ValueError("row names are not unique")
         if not set(relations) <= {"<=", "=", ">="}:
             raise ValueError(f"bad relation in {sorted(set(relations))}")
         indptr = np.zeros(len(names) + 1, dtype=np.int64)
@@ -455,14 +459,34 @@ def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
             )
 
 
-def _assemble(
-    instance: Instance, lengths, open_steps: np.ndarray, completion_ub, first_prefix: int
-) -> LPProblem:
-    """Either relaxation over ``len(lengths)`` steps; ``open_steps[f, t]``
-    says whether the f-th flow may transmit in step ``t + 1``.
-    ``first_prefix`` is the step map's first prefix to try."""
-    lengths = np.asarray(lengths, dtype=float)
+def _assemble(instance: Instance, boundaries) -> LPProblem:
+    """Either relaxation over the steps between consecutive ``boundaries``:
+    step t is ``(boundaries[t-1], boundaries[t]]``.
+
+    A flow may transmit only in steps that start at or after its release
+    (on slot boundaries, slots ``t > release``), the completion columns
+    are bounded by the last boundary plus one, and the step map's first
+    prefix is the step holding the latest end of a
+    :func:`_lower_bound_terms` term, each counted from the first boundary
+    at or after its release (on slot boundaries,
+    :func:`horizon_lower_bound`, or ``T + 1`` when that exceeds the ``T``
+    slots).
+    """
+    boundaries = np.asarray(boundaries, dtype=float)
+    lengths = np.diff(boundaries)
     flows = list(instance.iter_flows())
+    release = np.array([fl.release for _, _, _, fl in flows], dtype=float)
+    open_steps = boundaries[:-1] >= release[:, None] - 1e-9
+    blocked = np.flatnonzero(~open_steps.any(axis=1))
+    if blocked.size:
+        j, i, _, _ = flows[blocked[0]]
+        raise ValueError(
+            f"horizon {boundaries[-1]} leaves no interval after release "
+            f"of coflow {j + 1} flow {i + 1}"
+        )
+    term_release, term_slots = np.array(_lower_bound_terms(instance)).T
+    ends = boundaries[np.searchsorted(boundaries, term_release - 1e-9)] + term_slots
+    first_prefix = int(np.searchsorted(boundaries, ends.max() - 1e-9))
     J, F, T = len(instance.coflows), len(flows), len(lengths)
     tags = [f"{j + 1}_{i + 1}" for j, i, _, _ in flows]
     owner = np.array([j for j, _, _, _ in flows], dtype=np.int64)
@@ -475,7 +499,7 @@ def _assemble(
     names += [f"X_{j + 1}_{t}" for j in range(J) for t in t_range]
     names += [f"x_{tag}_{t}" for tag in tags for t in t_range]
     names += [f"S_{tag}_{t}" for tag in tags for t in t_range]
-    upper = [np.full(J, completion_ub), np.ones(J * T), open_steps.ravel().astype(float)]
+    upper = [np.full(J, boundaries[-1] + 1.0), np.ones(J * T), open_steps.ravel().astype(float)]
     upper.append(np.ones(F * T))
     step = np.arange(1, T + 1)
     col_step = [np.zeros(J, dtype=np.int64), np.tile(step, J), np.tile(step, F), np.tile(step, F)]
@@ -575,11 +599,7 @@ def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:
         raise ValueError(
             f"horizon {horizon} does not exceed the latest release {instance.max_release}"
         )
-    release = np.array([fl.release for _, _, _, fl in instance.iter_flows()], dtype=float)
-    open_steps = np.arange(1, horizon + 1) > release[:, None]
-    return _assemble(
-        instance, np.ones(horizon), open_steps, horizon + 1.0, horizon_lower_bound(instance)
-    )
+    return _assemble(instance, np.arange(horizon + 1.0))
 
 
 def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
@@ -590,22 +610,7 @@ def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
     flow may be scheduled only in intervals wholly after its release, so
     uniform-speed expansion never transmits early.
     """
-    release = np.array([fl.release for _, _, _, fl in instance.iter_flows()], dtype=float)
-    open_steps = np.array(grid.boundaries[:-1]) >= release[:, None] - 1e-9
-    blocked = np.flatnonzero(~open_steps.any(axis=1))
-    if blocked.size:
-        j, i, _, _ = list(instance.iter_flows())[blocked[0]]
-        raise ValueError(
-            f"grid horizon {grid.horizon} leaves no interval after release "
-            f"of coflow {j + 1} flow {i + 1}"
-        )
-    # first prefix: the interval holding the latest end of a lower-bound
-    # term, counted from the first boundary at or after its release
-    boundaries = np.array(grid.boundaries)
-    release, slots = np.array(_lower_bound_terms(instance)).T
-    ends = boundaries[np.searchsorted(boundaries, release - 1e-9)] + slots
-    first = int(np.searchsorted(boundaries, ends.max() - 1e-9))
-    return _assemble(instance, grid.lengths, open_steps, grid.horizon + 1.0, first)
+    return _assemble(instance, grid.boundaries)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,22 @@ MAX_SCHEDULE_VALUES = 20_000_000
 
 class FormatError(ValueError):
     """Raised when a file does not match the expected schema/version."""
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float. A string or a bool is refused, not
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """A JSON number with an integral value (``2`` or ``2.0``) as an int;
+    ``2.7`` is refused, not truncated."""
+    if not _number(value, name).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_version(data: dict, what: str) -> None:
@@ -78,7 +95,7 @@ def _release_slot(value) -> int:
     """A release time as a slot index: fractional releases round up, so
     a flow never transmits before it is released (float noise such as
     ``2.0000000001`` is tolerated)."""
-    return int(math.ceil(float(value) - 1e-9))
+    return int(math.ceil(_number(value, "release") - 1e-9))
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -88,7 +105,7 @@ def instance_from_dict(data: dict) -> Instance:
         network = Network(
             nodes=tuple(data["nodes"]),
             edges=tuple(
-                Edge(id=e["id"], src=e["src"], dst=e["dst"], cap=float(e["cap"]))
+                Edge(id=e["id"], src=e["src"], dst=e["dst"], cap=_number(e["cap"], "cap"))
                 for e in data["edges"]
             ),
         )
@@ -98,13 +115,13 @@ def instance_from_dict(data: dict) -> Instance:
                     Flow(
                         src=f["src"],
                         dst=f["dst"],
-                        demand=float(f["demand"]),
+                        demand=_number(f["demand"], "demand"),
                         release=_release_slot(f.get("release", 0)),
                         path=tuple(f["path"]) if "path" in f else None,
                     )
                     for f in cf["flows"]
                 ),
-                weight=float(cf["weight"]),
+                weight=_number(cf["weight"], "weight"),
             )
             for cf in data["coflows"]
         )
@@ -132,9 +149,10 @@ def _sparse(series: np.ndarray) -> list[list[float]]:
 def _dense(pairs, slots: int) -> np.ndarray:
     out = np.zeros(slots)
     for t, v in pairs:
-        if not 1 <= int(t) <= slots:
+        t = _integer(t, "slot")
+        if not 1 <= t <= slots:
             raise FormatError(f"schedule: slot {t} outside 1..{slots}")
-        out[int(t) - 1] = float(v)
+        out[t - 1] = _number(v, "amount")
     return out
 
 
@@ -165,7 +183,7 @@ def schedule_from_dict(data: dict) -> RateSchedule:
     edge_amounts = []
     has_edges = False
     try:
-        slots = int(data["slot_count"])
+        slots = _integer(data["slot_count"], "slot_count")
         series = sum(1 + len(fl.get("edge_amounts", {})) for cf in data["coflows"] for fl in cf["flows"])
         if slots * series > MAX_SCHEDULE_VALUES:
             raise FormatError(
@@ -222,15 +240,15 @@ def shop_from_dict(data: dict):
 
     _check_version(data, "shop")
     try:
-        machines = int(data["machines"])
+        machines = _integer(data["machines"], "machines")
         processing = []
         weights = []
         for job in data["jobs"]:
-            p = tuple(float(v) for v in job["p"])
+            p = tuple(_number(v, "processing time") for v in job["p"])
             if len(p) != machines:
                 raise FormatError("shop: job processing vector length != machines")
             processing.append(p)
-            weights.append(float(job["weight"]))
+            weights.append(_number(job["weight"], "weight"))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

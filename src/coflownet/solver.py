@@ -6,7 +6,8 @@ residuals, bounds, objective recomputation), so a solve through an MPS
 file can never hand back a point that the in-memory problem rejects.
 
 A relaxation built with a step map is first solved on a prefix of its
-time steps, with every later column fixed at its after-prefix value.
+time steps: the rows of steps ``1..L``, with every later column's bounds
+pinned at its after-prefix value.
 The prefix's row duals, extended to the later rows (each later
 ``cum_j_i_t_s`` row takes its flow's ``dem`` dual clipped at 0), give a
 weak-duality bound on the whole problem; the prefix point is returned
@@ -17,16 +18,17 @@ then the whole problem is solved as it is. This is the pricing step of
 time-indexed column generation (van den Akker, Hurkens & Savelsbergh,
 2000).
 
-HiGHS itself only ever sees the columns whose bounds leave them free
-and the rows that touch one of them: fixed columns (a flow's steps
-before its release) are substituted into the row bounds before each
-call, see :func:`_linprog`.
+Every HiGHS call goes through :func:`_linprog`, the one place that
+removes fixed columns: HiGHS sees only the columns whose bounds leave
+them free and the rows that touch one of them, and the fixed columns (a
+prefix's later steps, a flow's steps before its release) are
+substituted into the row bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -104,11 +106,21 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
         solution = _solve_prefixes(problem, options)
         if solution is not None:
             return solution  # certified and checked against the whole problem
-        solution = _solve_highs(problem, options)
+        solved = problem
     else:
-        solution = _solve_via_mps(problem, options.backend[4:], options)
-    if problem.step_map is not None:
-        solution = replace(solution, steps=problem.step_map.step_count)
+        save_mps(problem, options.backend[4:])
+        solved = load_mps(options.backend[4:])
+    status, objective, x, _ = _linprog(
+        solved.objective, solved.A, solved.row_lower, solved.row_upper,
+        solved.col_lower, solved.col_upper, options,
+    )
+    if x is not None and solved is not problem:
+        # a column the file never mentions has bounds [0, inf), cost 0 and no rows
+        point = np.zeros(problem.num_cols)
+        point[[problem.name_map[name] for name in solved.col_names]] = x
+        x = point
+    steps = problem.step_map.step_count if problem.step_map is not None else None
+    solution = LPSolution(status, objective, x, steps)
     if solution.status is SolveStatus.OPTIMAL:
         failures = check_solution(problem, solution, tol=options.tolerance)
         if failures:
@@ -117,26 +129,6 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
                 + "; ".join(failures[:5])
             )
     return solution
-
-
-def _solve_via_mps(problem: LPProblem, path: str, options: SolveOptions) -> LPSolution:
-    save_mps(problem, path)
-    reread = load_mps(path)
-    solution = _solve_highs(reread, options)
-    if solution.x is None:
-        return solution
-    # a column the file never mentions has bounds [0, inf), cost 0 and no rows
-    x = np.zeros(problem.num_cols)
-    x[[problem.name_map[name] for name in reread.col_names]] = solution.x
-    return LPSolution(solution.status, solution.objective, x)
-
-
-def _solve_highs(problem: LPProblem, options: SolveOptions) -> LPSolution:
-    status, objective, x, _ = _linprog(
-        problem.objective, problem.A, problem.row_lower, problem.row_upper,
-        problem.col_lower, problem.col_upper, options,
-    )
-    return LPSolution(status, objective, x)
 
 
 def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options):
@@ -228,31 +220,24 @@ def _solve_prefixes(problem: LPProblem, options: SolveOptions) -> LPSolution | N
 
 
 def _solve_prefix(problem: LPProblem, prefix: int, options: SolveOptions) -> LPSolution | None:
-    """Solve steps ``1..prefix`` with every later column fixed at its
-    after-prefix value. The full-length point when a weak-duality bound
-    on the whole problem certifies it optimal and it passes
-    :func:`check_solution`; None otherwise."""
+    """Solve the rows of steps ``1..prefix`` with every later column's
+    bounds pinned at its after-prefix value. The full-length point when a
+    weak-duality bound on the whole problem certifies it optimal and it
+    passes :func:`check_solution`; None otherwise."""
     step_map = problem.step_map
-    kept = step_map.col_step <= prefix
-    cols = np.flatnonzero(kept)
     rows = np.flatnonzero(step_map.row_step <= prefix)
-    tail = np.where(kept, 0.0, step_map.col_after)
-    head = problem.A[rows]
-    shift = head @ tail
+    later = step_map.col_step > prefix
     status, objective, x, duals = _linprog(
-        problem.objective[cols], head[:, cols],
-        problem.row_lower[rows] - shift, problem.row_upper[rows] - shift,
-        problem.col_lower[cols], problem.col_upper[cols], options,
+        problem.objective, problem.A[rows], problem.row_lower[rows], problem.row_upper[rows],
+        np.where(later, step_map.col_after, problem.col_lower),
+        np.where(later, step_map.col_after, problem.col_upper), options,
     )
     if status is not SolveStatus.OPTIMAL:
         return None
-    objective += float(problem.objective @ tail)
     y = _extended_duals(step_map, rows, duals, prefix)
     if _dual_bound(problem, y) < objective - options.tolerance * max(1.0, abs(objective)):
         return None
-    point = tail
-    point[cols] = x
-    solution = LPSolution(SolveStatus.OPTIMAL, objective, point, prefix)
+    solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
     return None if check_solution(problem, solution, tol=options.tolerance) else solution
 
 

@@ -98,6 +98,8 @@ def test_bench_records_row_failures_and_continues(monkeypatch):
     lines = csv_text.strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert lines[1].split(",")[4] == ""  # failed row leaves lp_objective empty
+    assert lines[1].split(",")[-1] == "RuntimeError: synthetic row failure"
+    assert lines[2].split(",")[-1] == ""
 
 
 def test_pipeline_surfaces_solver_failure(monkeypatch, demo_single):

@@ -18,7 +18,7 @@ from coflownet.serialize import MAX_SCHEDULE_VALUES
 from coflownet.cli import main
 from coflownet.bench import CSV_HEADER
 from coflownet.generate import demo_instance
-from coflownet.serialize import save_instance
+from coflownet.serialize import instance_to_dict, save_instance
 
 
 def run(args):
@@ -155,22 +155,23 @@ def test_mps_solver_solves_the_file_it_wrote(tmp_path, monkeypatch):
     exported = tmp_path / "exported.mps"
     assert run(["gen", "--jobs", 2, "--seed", 5, "--out", inst]) == 0
     read_back, handed = [], []
-    real_read, real_highs = coflownet.mps.read_mps, coflownet.solver._solve_highs
+    real_read, real_highs = coflownet.mps.read_mps, coflownet.solver._highs
 
     def spy_read(text):
         read_back.append(real_read(text))
         return read_back[-1]
 
-    def spy_highs(problem, options):
-        handed.append(problem)
-        return real_highs(problem, options)
+    def spy_highs(objective, A, *rest):
+        handed.append((objective, A))
+        return real_highs(objective, A, *rest)
 
     monkeypatch.setattr(coflownet.mps, "read_mps", spy_read)
-    monkeypatch.setattr(coflownet.solver, "_solve_highs", spy_highs)
+    monkeypatch.setattr(coflownet.solver, "_highs", spy_highs)
     assert run(["solve", inst, "--strategy", "heuristic", "--solver", f"mps:{exported}"]) == 0
-    # HiGHS saw exactly one problem: the one parsed from the file
+    # HiGHS saw exactly one problem: the one parsed from the file (it has
+    # no fixed column, so its arrays reach HiGHS as they are)
     assert len(read_back) == 1 and len(handed) == 1
-    assert handed[0] is read_back[0]
+    assert handed[0][0] is read_back[0].objective and handed[0][1] is read_back[0].A
 
 
 @pytest.mark.parametrize(
@@ -198,6 +199,21 @@ def test_bad_solve_flags_exit_2(tmp_path, capsys, flags, message):
 _SCHEDULE = ["validate", "inst.json", "--schedule", "in.json"]
 _OUT_OF_RANGE = {"format": 1, "slot_count": 2, "coflows": [{"flows": [{"amounts": [[5, 1.0]]}]}]}
 _ZERO_JOB_SHOP = {"format": 1, "machines": 2, "jobs": [{"weight": 1, "p": [0, 0]}, {"weight": 1, "p": [1, 2]}]}
+_FRACTIONAL_SLOT = {"format": 1, "slot_count": 2, "coflows": [{"flows": [{"amounts": [[1.5, 0.3]]}]}]}
+
+
+def _shop_text(**fields):
+    """A valid two-machine shop file with ``fields`` replaced."""
+    return json.dumps({"format": 1, "machines": 2, "jobs": [{"weight": 1, "p": [1, 2]}], **fields})
+
+
+def _instance_text(coflow=None, flow=None):
+    """The single-path demo instance with fields of its first coflow and
+    first flow replaced."""
+    data = instance_to_dict(demo_instance(RoutingModel.SINGLE_PATH))
+    data["coflows"][0].update(coflow or {})
+    data["coflows"][0]["flows"][0].update(flow or {})
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize(
@@ -209,6 +225,13 @@ _ZERO_JOB_SHOP = {"format": 1, "machines": 2, "jobs": [{"weight": 1, "p": [0, 0]
         ("[1, 2]", _SCHEDULE, "schedule: expected a JSON object"),
         (json.dumps(_ZERO_JOB_SHOP), ["reduce", "in.json"], "job 1 has no positive processing time"),
         ('{"format": 1}', ["reduce", "in.json"], "shop: malformed record ('machines')"),
+        (_shop_text(machines=2.7), ["reduce", "in.json"], "machines must be an integer, got 2.7"),
+        (_shop_text(machines="2"), ["reduce", "in.json"], "machines must be a number, got '2'"),
+        (_instance_text(coflow={"weight": "3"}), ["validate", "in.json"], "weight must be a number, got '3'"),
+        (_instance_text(flow={"demand": "1"}), ["validate", "in.json"], "demand must be a number, got '1'"),
+        (_instance_text(flow={"release": True}), ["validate", "in.json"], "release must be a number, got True"),
+        (json.dumps(_FRACTIONAL_SLOT), _SCHEDULE, "slot must be an integer, got 1.5"),
+        (json.dumps({**_OUT_OF_RANGE, "slot_count": 2.5}), _SCHEDULE, "slot_count must be an integer, got 2.5"),
         (None, ["gen", "--jobs", 0], "need at least one job"),
         (None, ["gen", "--flows-min", 3, "--flows-max", 1], "flows per job must satisfy"),
         (None, ["gen", "--demand-min", -1], "demand range must be positive"),
@@ -220,7 +243,10 @@ _ZERO_JOB_SHOP = {"format": 1, "machines": 2, "jobs": [{"weight": 1, "p": [0, 0]
     ],
     ids=[
         "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
-        "schedule-not-object", "shop-all-zero-job", "shop-no-machines", "gen-jobs-0",
+        "schedule-not-object", "shop-all-zero-job", "shop-no-machines", "shop-fractional-machines",
+        "shop-string-machines", "instance-string-weight", "instance-string-demand",
+        "instance-bool-release", "schedule-fractional-slot", "schedule-fractional-slot-count",
+        "gen-jobs-0",
         "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-epsilon-abc",
         "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
     ],
@@ -262,7 +288,10 @@ def test_bench_csv_contract(tmp_path):
     rows1 = list(csv.reader(out1.open()))
     rows2 = list(csv.reader(out2.open()))
     assert rows1[0] == list(CSV_HEADER)
-    assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2]  # wall_ms may differ
+    wall = CSV_HEADER.index("wall_ms")
+    # wall_ms may differ
+    assert [r[:wall] + r[wall + 1:] for r in rows1] == [r[:wall] + r[wall + 1:] for r in rows2]
+    assert all(row[CSV_HEADER.index("error")] == "" for row in rows1[1:])
     # 2 instances x (stretch, heuristic, interval x 2 epsilons)
     assert len(rows1) == 1 + 2 * 4
     for row in rows1[1:]:

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import fuzz_instance
 
@@ -144,6 +145,16 @@ def test_check_solution_catches_corruption(solved_single):
     assert failures
 
 
+def test_from_rows_rejects_duplicate_names():
+    with pytest.raises(ValueError, match="column names are not unique"):
+        problem([1.0, 1.0], [([0, 1], [1.0, 1.0], ">=", 1.0)], names=["v", "v"])
+    with pytest.raises(ValueError, match="row names are not unique"):
+        LPProblem.from_rows([1.0], [0.0], [1.0], ["v"], [("r", [0], [1.0], ">=", 0.5)] * 2)
+    text = write_mps(problem([1.0], [([0], [1.0], ">=", 0.5)]))
+    with pytest.raises(ValueError, match="row names are not unique"):
+        read_mps(text.replace(" G  r0\n", " G  r0\n G  r0\n"))
+
+
 def test_row_cols_view_matches_matrix(solved_free):
     p, _, _ = solved_free
     assert len(p.row_cols) == p.num_rows
@@ -279,6 +290,20 @@ def _count_linprog(monkeypatch):
     return calls
 
 
+def _highs_calls(monkeypatch):
+    """Record the arrays of every problem HiGHS gets: objective, matrix,
+    row bounds and column bounds."""
+    calls = []
+    inner = coflownet.solver._highs
+
+    def spy(*args):
+        calls.append(args[:6])
+        return inner(*args)
+
+    monkeypatch.setattr(coflownet.solver, "_highs", spy)
+    return calls
+
+
 @pytest.mark.parametrize("model", list(RoutingModel))
 def test_uncertified_prefixes_fall_back_to_the_full_solve(monkeypatch, model):
     inst = demo_instance(model)
@@ -290,15 +315,64 @@ def test_uncertified_prefixes_fall_back_to_the_full_solve(monkeypatch, model):
         return np.zeros(len(step_map.row_step))
 
     monkeypatch.setattr(coflownet.solver, "_extended_duals", zero_duals)
-    calls = _count_linprog(monkeypatch)
+    calls = _highs_calls(monkeypatch)
     got = solve(p)
     rungs = _rungs(p.step_map)
     assert rungs
-    assert [cols for cols, _ in calls] == [
-        *(np.count_nonzero(p.step_map.col_step <= prefix) for prefix in rungs), p.num_cols
+    free = p.col_lower < p.col_upper
+    assert [len(objective) for objective, *_ in calls] == [
+        *(np.count_nonzero(free & (p.step_map.col_step <= prefix)) for prefix in rungs),
+        np.count_nonzero(free),
     ]
     assert got.steps == p.step_map.step_count
     assert got.objective == want.objective
+
+
+def reference_prefix_arrays(p, prefix):
+    """The arrays a prefix solve handed to ``_linprog`` before pinned
+    columns went through its substitution: the prefix's rows and columns
+    sliced out, and the row bounds shifted by the later columns' values."""
+    step_map = p.step_map
+    kept = step_map.col_step <= prefix
+    cols = np.flatnonzero(kept)
+    rows = np.flatnonzero(step_map.row_step <= prefix)
+    tail = np.where(kept, 0.0, step_map.col_after)
+    head = p.A[rows]
+    shift = head @ tail
+    return (
+        p.objective[cols], head[:, cols], p.row_lower[rows] - shift, p.row_upper[rows] - shift,
+        p.col_lower[cols], p.col_upper[cols],
+    )
+
+
+def _bits(array):
+    """dtype, shape and bytes of a dense array, or of a CSR matrix's parts."""
+    if sp.issparse(array):
+        return [array.shape, *map(_bits, (array.indptr, array.indices, array.data))]
+    return [array.dtype, array.shape, array.tobytes()]
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_prefix_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, model):
+    handed = _highs_calls(monkeypatch)
+    rng = np.random.default_rng(606)
+    rungs = 0
+    for _ in range(6):
+        inst = fuzz_instance(rng, model)
+        for p in (
+            build_time_indexed_lp(inst, horizon_upper_bound(inst)),
+            build_interval_lp(inst, interval_grid_for(inst, 0.5)),
+        ):
+            for prefix in _rungs(p.step_map):
+                handed.clear()
+                coflownet.solver._solve_prefix(p, prefix, SolveOptions())
+                got = list(handed)
+                handed.clear()
+                coflownet.solver._linprog(*reference_prefix_arrays(p, prefix), SolveOptions())
+                assert len(got) == len(handed) == 1
+                assert list(map(_bits, got[0])) == list(map(_bits, handed[0]))
+                rungs += 1
+    assert rungs >= 10
 
 
 def test_infeasible_prefix_moves_on_to_the_next_rung(monkeypatch):

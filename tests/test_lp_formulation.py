@@ -144,6 +144,19 @@ def test_step_map_matches_the_names(model):
         assert 1 <= m.first_prefix
 
 
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_builder_names_are_unique(model):
+    rng = np.random.default_rng(313)
+    for k in range(10):
+        inst = fuzz_instance(rng, model)
+        for problem in (
+            build_time_indexed_lp(inst, horizon_upper_bound(inst)),
+            build_interval_lp(inst, interval_grid_for(inst, (0.2, 0.5436)[k % 2])),
+        ):
+            assert len(set(problem.col_names)) == problem.num_cols
+            assert len(set(problem.row_names)) == problem.num_rows
+
+
 def _tiny_instance():
     net = Network(("a", "b"), (Edge("e1", "a", "b", 1.0),))
     return Instance(
