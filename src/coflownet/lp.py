@@ -46,7 +46,9 @@ free-path flow rows, ``cap``.
 The ``src``/``snk``/``bal`` rows of a flow are a one-step incidence
 template over its usable edges plus its ``x`` column, tiled across steps
 by column offset; ``cap`` rows gather each edge's users per step. The
-counts give the CSR ``indptr`` directly.
+counts give the CSR ``indptr`` directly. Names are not built: each
+column block and row family records a :data:`NameBlock` pattern, and
+:class:`LPProblem` builds the strings when they are first read.
 
 The assembly also records a :class:`StepMap`: the step of every column
 and row, the value each column takes once its coflow or flow is done
@@ -61,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,6 +121,24 @@ class StepMap:
         )
 
 
+#: How to name a run of columns or rows: ``(fmt, axes)`` names them
+#: ``fmt.format(*combo)`` for each ``combo`` of ``itertools.product(*axes)``.
+NameBlock = tuple[str, tuple]
+
+
+def _named(names) -> tuple[NameBlock, ...]:
+    """The naming of exactly ``names``, in order."""
+    return (("{}", (tuple(names),)),)
+
+
+def _name_count(naming: tuple[NameBlock, ...]) -> int:
+    return sum(math.prod(map(len, axes)) for _, axes in naming)
+
+
+def _names(naming: tuple[NameBlock, ...]) -> tuple[str, ...]:
+    return tuple(fmt.format(*combo) for fmt, axes in naming for combo in product(*axes))
+
+
 @dataclass(frozen=True)
 class LPProblem:
     """``min objective @ x`` subject to ``row_lower <= A @ x <= row_upper``
@@ -126,27 +146,40 @@ class LPProblem:
 
     ``A`` is a CSR matrix. Every row is an equality (equal bounds) or
     one-sided (the other bound infinite). Column and row names are
-    unique: the relaxation builders assemble ``A`` and the names directly,
-    unique by construction; :meth:`from_rows` builds a problem from a row
-    list and checks them. ``layout`` and ``step_map`` are set by the
-    relaxation builders; solution extraction reads the first, the solver
-    the second.
+    unique, and built on first read of ``col_names``/``row_names`` from
+    ``col_naming``/``row_naming`` (see :data:`NameBlock`): the relaxation
+    builders record one block per variable or row family, unique by
+    construction; :meth:`from_rows` builds a problem from a row list and
+    checks the names it is given. ``layout`` and ``step_map`` are set by
+    the relaxation builders; solution extraction reads the first, the
+    solver the second.
     """
 
     objective: np.ndarray
     col_lower: np.ndarray
     col_upper: np.ndarray
-    col_names: tuple[str, ...]
-    row_names: tuple[str, ...]
     A: sp.csr_matrix
     row_lower: np.ndarray
     row_upper: np.ndarray
+    col_naming: tuple[NameBlock, ...]
+    row_naming: tuple[NameBlock, ...]
     layout: ColumnLayout | None = None
     step_map: StepMap | None = None
 
     def __post_init__(self):
-        if self.A.shape != (self.num_rows, self.num_cols):
+        rows, cols = self.A.shape
+        if (rows, cols) != (_name_count(self.row_naming), _name_count(self.col_naming)):
             raise ValueError(f"matrix shape {self.A.shape} does not match the names")
+        # HiGHS reads these through raw pointers, sized by the matrix
+        if {len(self.objective), len(self.col_lower), len(self.col_upper)} != {cols}:
+            raise ValueError(f"objective and column bounds must have {cols} entries")
+        if {len(self.row_lower), len(self.row_upper)} != {rows}:
+            raise ValueError(f"row bounds must have {rows} entries")
+        values = (self.objective, self.col_lower, self.col_upper, self.row_lower, self.row_upper)
+        if any(np.isnan(v).any() for v in (*values, self.A.data)):
+            raise ValueError("objective, bounds and matrix values must not be NaN")
+        if np.isinf(self.objective).any():
+            raise ValueError("objective coefficients must be finite")
         one_sided = np.isinf(self.row_lower) != np.isinf(self.row_upper)
         if not np.all(one_sided | (self.row_lower == self.row_upper)):
             raise ValueError("every row must be an equality or one-sided")
@@ -182,21 +215,29 @@ class LPProblem:
             objective=np.array(objective, dtype=float),
             col_lower=np.array(col_lower, dtype=float),
             col_upper=np.array(col_upper, dtype=float),
-            col_names=tuple(col_names),
-            row_names=tuple(names),
             A=sp.csr_matrix((data, indices, indptr), shape=(len(names), len(col_names))),
             row_lower=np.where(relations == "<=", -math.inf, rhs),
             row_upper=np.where(relations == ">=", math.inf, rhs),
+            col_naming=_named(col_names),
+            row_naming=_named(names),
             layout=layout,
         )
 
     @property
     def num_cols(self) -> int:
-        return len(self.col_names)
+        return self.A.shape[1]
 
     @property
     def num_rows(self) -> int:
-        return len(self.row_names)
+        return self.A.shape[0]
+
+    @cached_property
+    def col_names(self) -> tuple[str, ...]:
+        return _names(self.col_naming)
+
+    @cached_property
+    def row_names(self) -> tuple[str, ...]:
+        return _names(self.row_naming)
 
     @cached_property
     def name_map(self) -> dict[str, int]:
@@ -217,7 +258,7 @@ class LPProblem:
             raise ValueError("order is not a permutation of the rows")
         return replace(
             self,
-            row_names=tuple(self.row_names[r] for r in order),
+            row_naming=_named(self.row_names[r] for r in order),
             A=self.A[order],
             row_lower=self.row_lower[order],
             row_upper=self.row_upper[order],
@@ -306,12 +347,13 @@ def _lower_bound_terms(instance: Instance) -> list[tuple[int, int]]:
     return terms
 
 
-def columns_per_slot(instance: Instance) -> int:
+def columns_per_slot(instance: Instance, edges: FlowEdges) -> int:
     """Columns the slot LP has per slot: ``X``, ``x`` and ``S`` per coflow
-    or flow, plus one ``xe`` per usable edge of each free-path flow."""
+    or flow, plus one ``xe`` per usable edge of each free-path flow
+    (``edges``, from :func:`flow_edges`)."""
     per_slot = len(instance.coflows) + 2 * instance.flow_count
     if instance.model is RoutingModel.FREE_PATH:
-        per_slot += sum(map(len, _flow_edges(instance)))
+        per_slot += sum(map(len, edges))
     return per_slot
 
 
@@ -397,8 +439,19 @@ def _padded_grid(instance: Instance, bound: int, epsilon: float) -> IntervalGrid
 # LP assembly
 
 
-def _flow_edges(instance: Instance) -> list[tuple[Edge, ...]]:
-    """Usable edges of each flow in ``iter_flows`` order (free path)."""
+#: Usable edges of each free-path flow in ``iter_flows`` order, or None.
+FlowEdges = list[tuple[Edge, ...]] | None
+
+
+def flow_edges(instance: Instance) -> FlowEdges:
+    """Usable edges of each flow in ``iter_flows`` order for free path;
+    None for single path, whose flows keep their paths.
+
+    The builders compute them when not given them, so a caller that
+    builds more than one thing from them passes them on instead.
+    """
+    if instance.model is RoutingModel.SINGLE_PATH:
+        return None
     out = []
     for j, i, _, fl in instance.iter_flows():
         out.append(usable_edges(instance.network, fl.src, fl.dst))
@@ -407,12 +460,12 @@ def _flow_edges(instance: Instance) -> list[tuple[Edge, ...]]:
     return out
 
 
-def _block(names, counts, indices, data, lower, upper, step):
-    """One row family in row order: names, nonzeros per row, column
+def _block(naming: NameBlock, counts, indices, data, lower, upper, step):
+    """One row family in row order: its naming, nonzeros per row, column
     indices, values, row bounds and row steps; scalars broadcast."""
-    rows = len(names)
+    rows = _name_count((naming,))
     return (
-        names, np.broadcast_to(counts, rows), indices, np.broadcast_to(data, len(indices)),
+        naming, np.broadcast_to(counts, rows), indices, np.broadcast_to(data, len(indices)),
         np.broadcast_to(lower, rows), np.broadcast_to(upper, rows), np.broadcast_to(step, rows),
     )
 
@@ -426,6 +479,8 @@ def _flow_rows(tag: str, fl, edges, x_cols: np.ndarray, first: int):
         outs.setdefault(e.src, []).append(k)
         ins.setdefault(e.dst, []).append(k)
     interior = sorted((ins.keys() | outs.keys()) - {fl.src, fl.dst})
+    # per step: src_<tag>_<t>, snk_<tag>_<t>, then bal_<tag>_<t>_<v> per interior v
+    kinds = (("src", ""), ("snk", ""), *(("bal", f"_{v}") for v in interior))
     # one step's rows as (+1 columns, -1 columns); -1 stands for the step's x
     template = [(outs.get(fl.src, []), [-1]), (ins.get(fl.dst, []), [-1])]
     template += [(ins.get(v, []), outs.get(v, [])) for v in interior]
@@ -434,11 +489,10 @@ def _flow_rows(tag: str, fl, edges, x_cols: np.ndarray, first: int):
     steps = len(x_cols)
     cols = first + len(edges) * np.arange(steps)[:, None] + local
     cols[:, local < 0] = x_cols[:, None]
-    names = [n for t in range(1, steps + 1) for n in (
-        f"src_{tag}_{t}", f"snk_{tag}_{t}", *(f"bal_{tag}_{t}_{v}" for v in interior))]
+    naming = ("{2[0]}_{0}_{1}{2[1]}", ((tag,), range(1, steps + 1), kinds))
     counts = np.tile([len(plus) + len(minus) for plus, minus in template], steps)
     row_steps = np.repeat(np.arange(1, steps + 1), len(template))
-    return _block(names, counts, cols.ravel(), np.tile(vals, steps), 0.0, 0.0, row_steps)
+    return _block(naming, counts, cols.ravel(), np.tile(vals, steps), 0.0, 0.0, row_steps)
 
 
 def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
@@ -449,7 +503,7 @@ def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
         if e.id in users:
             first, stride, demand = map(np.array, zip(*users[e.id]))
             yield _block(
-                [f"cap_{e.id}_{t}" for t in range(1, len(lengths) + 1)],
+                ("cap_{}_{}", ((e.id,), range(1, len(lengths) + 1))),
                 len(first),
                 (first + steps * stride).ravel(),
                 np.tile(demand, len(lengths)),
@@ -459,9 +513,10 @@ def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
             )
 
 
-def _assemble(instance: Instance, boundaries) -> LPProblem:
+def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
     """Either relaxation over the steps between consecutive ``boundaries``:
-    step t is ``(boundaries[t-1], boundaries[t]]``.
+    step t is ``(boundaries[t-1], boundaries[t]]``, with the free-path
+    flows on ``edges`` (from :func:`flow_edges` when None).
 
     A flow may transmit only in steps that start at or after its release
     (on slot boundaries, slots ``t > release``), the completion columns
@@ -490,15 +545,16 @@ def _assemble(instance: Instance, boundaries) -> LPProblem:
     J, F, T = len(instance.coflows), len(flows), len(lengths)
     tags = [f"{j + 1}_{i + 1}" for j, i, _, _ in flows]
     owner = np.array([j for j, _, _, _ in flows], dtype=np.int64)
-    t_range = range(1, T + 1)
+    j_range, t_range = range(1, J + 1), range(1, T + 1)
     # column blocks: C (J), X (J x T), x (F x T), S (F x T), then xe per flow
     X = J + np.arange(J * T, dtype=np.int64).reshape(J, T)
     x = J * (T + 1) + np.arange(F * T, dtype=np.int64).reshape(F, T)
     S = x + F * T
-    names = [f"C_{j + 1}" for j in range(J)]
-    names += [f"X_{j + 1}_{t}" for j in range(J) for t in t_range]
-    names += [f"x_{tag}_{t}" for tag in tags for t in t_range]
-    names += [f"S_{tag}_{t}" for tag in tags for t in t_range]
+    cols = J * (T + 1) + 2 * F * T
+    col_naming = [
+        ("C_{}", (j_range,)), ("X_{}_{}", (j_range, t_range)),
+        ("x_{}_{}", (tags, t_range)), ("S_{}_{}", (tags, t_range)),
+    ]
     upper = [np.full(J, boundaries[-1] + 1.0), np.ones(J * T), open_steps.ravel().astype(float)]
     upper.append(np.ones(F * T))
     step = np.arange(1, T + 1)
@@ -511,9 +567,9 @@ def _assemble(instance: Instance, boundaries) -> LPProblem:
     keep = np.broadcast_to(later[:, None] | (np.arange(5) != 2), cum_cols.shape)
     cum_counts = np.broadcast_to(np.stack([2 + later, np.full(T, 2)], axis=-1), (F, T, 2))
     blocks = [
-        _block([f"dem_{tag}" for tag in tags], T, x.ravel(), 1.0, 1.0, 1.0, 0),
+        _block(("dem_{}", (tags,)), T, x.ravel(), 1.0, 1.0, 1.0, 0),
         _block(
-            [n for tag in tags for t in t_range for n in (f"cum_{tag}_{t}_s", f"cum_{tag}_{t}")],
+            ("cum_{}_{}{}", (tags, t_range, ("_s", ""))),
             cum_counts.ravel(),
             cum_cols[keep],
             np.broadcast_to([1.0, -1.0, -1.0, 1.0, -1.0], keep.shape)[keep],
@@ -522,7 +578,7 @@ def _assemble(instance: Instance, boundaries) -> LPProblem:
             np.repeat(np.tile(step, F), 2),
         ),
         _block(
-            [f"fin_{j + 1}" for j in range(J)],
+            ("fin_{}", (j_range,)),
             T + 1,
             np.hstack([np.arange(J, dtype=np.int64)[:, None], X]).ravel(),
             np.tile(np.concatenate([[1.0], lengths]), J),
@@ -540,23 +596,23 @@ def _assemble(instance: Instance, boundaries) -> LPProblem:
                 users.setdefault(eid, []).append((x[f, 0], 1, fl.demand))
     else:
         xe = []
-        first = len(names)
-        for f, ((_, _, _, fl), edges, tag) in enumerate(zip(flows, _flow_edges(instance), tags)):
-            width = len(edges)
-            names += [f"xe_{tag}_{t}_{e.id}" for t in t_range for e in edges]
+        edges = edges if edges is not None else flow_edges(instance)
+        for f, ((_, _, _, fl), usable, tag) in enumerate(zip(flows, edges, tags)):
+            width = len(usable)
+            col_naming.append(("xe_{}_{}_{}", ((tag,), t_range, [e.id for e in usable])))
             upper.append(np.repeat(np.where(open_steps[f], math.inf, 0.0), width))
             col_step.append(np.repeat(step, width))
             col_after.append(np.zeros(width * T))
-            blocks.append(_flow_rows(tag, fl, edges, x[f], first))
-            cols = first + np.arange(width)[:, None] + width * np.arange(T)
-            xe.append({e.id: cols[k] for k, e in enumerate(edges)})
-            for k, e in enumerate(edges):
-                users.setdefault(e.id, []).append((first + k, width, fl.demand))
-            first += width * T
+            blocks.append(_flow_rows(tag, fl, usable, x[f], cols))
+            series = cols + np.arange(width)[:, None] + width * np.arange(T)
+            xe.append({e.id: series[k] for k, e in enumerate(usable)})
+            for k, e in enumerate(usable):
+                users.setdefault(e.id, []).append((cols + k, width, fl.demand))
+            cols += width * T
         xe = tuple(xe)
     blocks.extend(_cap_rows(instance.network, users, lengths))
 
-    row_names, counts, indices, data, row_lower, row_upper, row_step = zip(*blocks)
+    row_naming, counts, indices, data, row_lower, row_upper, row_step = zip(*blocks)
     counts = np.concatenate(counts)
     # the cum_j_i_t_s rows follow the F dem rows, every second row per (flow, step)
     row_dem = np.full(len(counts), -1, dtype=np.int64)
@@ -564,16 +620,16 @@ def _assemble(instance: Instance, boundaries) -> LPProblem:
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     data, indices = np.concatenate(data), np.concatenate(indices)
-    A = sp.csr_matrix((data, indices, indptr), shape=(len(counts), len(names)))
+    A = sp.csr_matrix((data, indices, indptr), shape=(len(counts), cols))
     return LPProblem(
-        objective=np.concatenate([[c.weight for c in instance.coflows], np.zeros(len(names) - J)]),
-        col_lower=np.zeros(len(names)),
+        objective=np.concatenate([[c.weight for c in instance.coflows], np.zeros(cols - J)]),
+        col_lower=np.zeros(cols),
         col_upper=np.concatenate(upper),
-        col_names=tuple(names),
-        row_names=tuple(chain.from_iterable(row_names)),
         A=A,
         row_lower=np.concatenate(row_lower),
         row_upper=np.concatenate(row_upper),
+        col_naming=tuple(col_naming),
+        row_naming=row_naming,
         layout=ColumnLayout(completion=np.arange(J, dtype=np.int64), x=x, xe=xe),
         step_map=StepMap(
             col_step=np.concatenate(col_step),
@@ -586,8 +642,9 @@ def _assemble(instance: Instance, boundaries) -> LPProblem:
     )
 
 
-def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:
-    """The slot-indexed relaxation over slots ``1..horizon``.
+def build_time_indexed_lp(instance: Instance, horizon: int, edges: FlowEdges = None) -> LPProblem:
+    """The slot-indexed relaxation over slots ``1..horizon``, with the
+    free-path flows on ``edges`` (from :func:`flow_edges` when None).
 
     Minimizing it gives a lower bound on the weighted completion time of
     any feasible schedule. Raises if the horizon cannot even cover the
@@ -599,18 +656,19 @@ def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:
         raise ValueError(
             f"horizon {horizon} does not exceed the latest release {instance.max_release}"
         )
-    return _assemble(instance, np.arange(horizon + 1.0))
+    return _assemble(instance, np.arange(horizon + 1.0), edges)
 
 
-def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
-    """The geometric-interval relaxation on ``grid``.
+def build_interval_lp(instance: Instance, grid: IntervalGrid, edges: FlowEdges = None) -> LPProblem:
+    """The geometric-interval relaxation on ``grid``, with the free-path
+    flows on ``edges`` (from :func:`flow_edges` when None).
 
     Step t is the interval ``(tau_{t-1}, tau_t]``; capacities scale with
     interval length and the completion bound weighs progress by it. A
     flow may be scheduled only in intervals wholly after its release, so
     uniform-speed expansion never transmits early.
     """
-    return _assemble(instance, grid.boundaries)
+    return _assemble(instance, grid.boundaries, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,18 @@ class OpenShopInstance:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        if self.machines < 1:
+            raise ValueError(f"machines must be at least 1, got {self.machines}")
         if len(self.processing) != len(self.weights):
             raise ValueError("one weight per job required")
         for j, row in enumerate(self.processing):
             if len(row) != self.machines:
                 raise ValueError(f"job {j + 1}: expected {self.machines} processing times")
-            if any(p < 0 for p in row):
-                raise ValueError(f"job {j + 1}: negative processing time")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+            # written so that NaN fails too
+            if not all(0 <= p < math.inf for p in row):
+                raise ValueError(f"job {j + 1}: processing times must be finite and nonnegative")
+        if not all(0 < w < math.inf for w in self.weights):
+            raise ValueError("weights must be positive and finite")
 
     @property
     def job_count(self) -> int:

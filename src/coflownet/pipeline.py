@@ -9,12 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lp import (
+    FlowEdges,
     _padded_grid,
     build_interval_lp,
     build_time_indexed_lp,
     columns_per_slot,
     extract_fractional,
     extract_interval_solution,
+    flow_edges,
     horizon_upper_bound,
 )
 from .model import CompletionReport, FractionalSchedule, Instance, RateSchedule, as_fractional
@@ -72,11 +74,12 @@ class PipelineResult:
     lp_steps: int
 
 
-def checked_horizon(instance: Instance) -> int:
+def checked_horizon(instance: Instance, edges: FlowEdges) -> int:
     """``horizon_upper_bound(instance)``, or :class:`HorizonTooLarge` when
-    that many slots times the columns per slot exceeds ``MAX_SLOT_COLUMNS``."""
+    that many slots times the columns per slot exceeds ``MAX_SLOT_COLUMNS``
+    (free-path flows on ``edges``, from ``flow_edges``)."""
     horizon = horizon_upper_bound(instance)
-    per_slot = columns_per_slot(instance)
+    per_slot = columns_per_slot(instance, edges)
     if horizon * per_slot > MAX_SLOT_COLUMNS:
         raise HorizonTooLarge(
             f"horizon bound of {horizon:,} slots needs about {horizon * per_slot:,} LP columns "
@@ -86,13 +89,18 @@ def checked_horizon(instance: Instance) -> int:
 
 
 def solve_lp(
-    instance: Instance, options: SolveOptions | None = None, horizon: int | None = None
+    instance: Instance,
+    options: SolveOptions | None = None,
+    horizon: int | None = None,
+    edges: FlowEdges = None,
 ) -> tuple[FractionalSchedule, LPSolution]:
     """Build and solve the slot-indexed relaxation, returning the
     extracted fractional schedule alongside the raw solution. Without a
-    ``horizon``, the checked horizon bound is used."""
-    horizon = horizon if horizon is not None else checked_horizon(instance)
-    problem = build_time_indexed_lp(instance, horizon)
+    ``horizon``, the checked horizon bound is used; without ``edges``,
+    ``flow_edges(instance)``."""
+    edges = edges if edges is not None else flow_edges(instance)
+    horizon = horizon if horizon is not None else checked_horizon(instance, edges)
+    problem = build_time_indexed_lp(instance, horizon, edges)
     solution = solve(problem, options)
     if solution.status is not SolveStatus.OPTIMAL:
         raise SolveFailure(solution.status)
@@ -109,13 +117,15 @@ def run_pipeline(
 ) -> PipelineResult:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} (one of {STRATEGIES})")
-    # refuses the instance before anything that grows with the horizon exists
-    horizon = checked_horizon(instance)
+    # refuses the instance before anything that grows with the horizon exists;
+    # the free-path usable edges serve the check and the LP build
+    edges = flow_edges(instance)
+    horizon = checked_horizon(instance, edges)
 
     if strategy == "interval-stretch":
         eps = 0.2 if epsilon is None else epsilon
         grid = _padded_grid(instance, horizon, eps)
-        problem = build_interval_lp(instance, grid)
+        problem = build_interval_lp(instance, grid, edges)
         solution = solve(problem, options)
         if solution.status is not SolveStatus.OPTIMAL:
             raise SolveFailure(solution.status)
@@ -124,7 +134,7 @@ def run_pipeline(
         lp_objective = solution.objective
     else:
         eps = None
-        fractional, solution = solve_lp(instance, options, horizon)
+        fractional, solution = solve_lp(instance, options, horizon, edges)
         lp_objective = solution.objective
 
     if strategy == "heuristic":

@@ -1,5 +1,9 @@
-"""LP solving front end: scipy's HiGHS (``linprog(method="highs")``),
-re-verified.
+"""LP solving front end: HiGHS through scipy's binding, re-verified.
+
+HiGHS gets the problem's row-form CSR arrays as they are (``indptr``,
+``indices``, ``data``, the row and column bounds, infinities included)
+in one ``passModel`` call; its model status, point, row duals and
+objective come back unchanged.
 
 An ``optimal`` result is re-checked against the original problem (row
 residuals, bounds, objective recomputation), so a solve through an MPS
@@ -12,9 +16,10 @@ The prefix's row duals, extended to the later rows (each later
 ``cum_j_i_t_s`` row takes its flow's ``dem`` dual clipped at 0), give a
 weak-duality bound on the whole problem; the prefix point is returned
 only when that bound reaches its objective, which proves it optimal for
-every step. A prefix that is infeasible, stops early or is not
-certified grows by ``PREFIX_GROWTH`` until it covers every step, and
-then the whole problem is solved as it is. This is the pricing step of
+every step. A prefix whose point is optimal but not certified and uses
+its last step is binding, so it grows by one step; any other prefix
+that fails grows by ``PREFIX_GROWTH``. Once a prefix would cover every
+step, the whole problem is solved as it is. This is the pricing step of
 time-indexed column generation (van den Akker, Hurkens & Savelsbergh,
 2000).
 
@@ -32,8 +37,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+
+# private to scipy: pyproject.toml asks for the release this call was written against
+from scipy.optimize._highspy._core import HighsModelStatus, MatrixFormat, ObjSense, _Highs
 
 from .lp import LPProblem
 from .mps import load_mps, save_mps
@@ -47,13 +53,12 @@ class SolveStatus(str, Enum):
     NUMERICAL = "numerical"
 
 
-#: ``linprog`` status code -> status; linprog documents exactly these five.
-_LINPROG_STATUS = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.ITERATION_LIMIT,
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.NUMERICAL,
+#: HiGHS model status -> status; every other model status is NUMERICAL.
+_MODEL_STATUS = {
+    HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    HighsModelStatus.kIterationLimit: SolveStatus.ITERATION_LIMIT,
+    HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
 }
 
 
@@ -173,34 +178,26 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options):
 
 def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options):
     """:func:`_linprog` with every column and row handed to HiGHS."""
-    # linprog takes A_ub x <= b_ub and A_eq x = b_eq: the one-sided rows go
-    # to A_ub in row order, with the >= rows negated
-    eq = row_lower == row_upper
-    ub = np.flatnonzero(~eq)
-    geq = np.isinf(row_upper[ub])
-    rows = A[ub]
-    data = np.where(np.repeat(geq, np.diff(rows.indptr)), -rows.data, rows.data)
-    a_ub = sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape)
-    res = linprog(
-        c=objective,
-        A_ub=a_ub if ub.size else None,
-        b_ub=np.where(geq, -row_lower[ub], row_upper[ub]) if ub.size else None,
-        A_eq=A[eq] if eq.any() else None,
-        b_eq=row_upper[eq] if eq.any() else None,
-        bounds=np.column_stack([col_lower, col_upper]),
-        method="highs",
-        options={"maxiter": options.iteration_limit},
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("simplex_iteration_limit", options.iteration_limit)
+    highs.setOptionValue("ipm_iteration_limit", options.iteration_limit)
+    rows, cols = A.shape
+    highs.passModel(
+        cols, rows, A.nnz, int(MatrixFormat.kRowwise), int(ObjSense.kMinimize), 0.0,
+        objective, col_lower, col_upper, row_lower, row_upper,
+        A.indptr, A.indices, A.data, np.zeros(cols, dtype=np.int32),
     )
-    status = _LINPROG_STATUS[res.status]
-    duals = None
-    if status is SolveStatus.OPTIMAL:
-        duals = np.zeros(len(row_lower))
-        if eq.any():
-            duals[eq] = res.eqlin.marginals
-        if ub.size:
-            duals[ub] = np.where(geq, -res.ineqlin.marginals, res.ineqlin.marginals)
-    obj = float(res.fun) if res.fun is not None else math.nan
-    return status, obj, res.x, duals
+    highs.run()
+    # a model HiGHS refused to take is empty, which maps to NUMERICAL
+    status = _MODEL_STATUS.get(highs.getModelStatus(), SolveStatus.NUMERICAL)
+    if status is not SolveStatus.OPTIMAL:
+        return status, math.nan, None, None
+    solution = highs.getSolution()
+    return (
+        status, highs.getInfo().objective_function_value,
+        np.array(solution.col_value), np.array(solution.row_dual),
+    )
 
 
 def _solve_prefixes(problem: LPProblem, options: SolveOptions) -> LPSolution | None:
@@ -212,18 +209,25 @@ def _solve_prefixes(problem: LPProblem, options: SolveOptions) -> LPSolution | N
         return None
     prefix = step_map.first_prefix
     while prefix < step_map.step_count:
-        solution = _solve_prefix(problem, prefix, options)
+        solution, used = _solve_prefix(problem, prefix, options)
         if solution is not None:
             return solution
-        prefix = max(prefix + 1, math.ceil(prefix * PREFIX_GROWTH))
+        if used == prefix:  # the optimal point runs to the prefix's end
+            prefix += 1
+        else:
+            prefix = max(prefix + 1, math.ceil(prefix * PREFIX_GROWTH))
     return None
 
 
-def _solve_prefix(problem: LPProblem, prefix: int, options: SolveOptions) -> LPSolution | None:
+def _solve_prefix(
+    problem: LPProblem, prefix: int, options: SolveOptions
+) -> tuple[LPSolution | None, int | None]:
     """Solve the rows of steps ``1..prefix`` with every later column's
     bounds pinned at its after-prefix value. The full-length point when a
     weak-duality bound on the whole problem certifies it optimal and it
-    passes :func:`check_solution`; None otherwise."""
+    passes :func:`check_solution`, None otherwise; and the last step an
+    optimal point that is not returned uses (its last column away from
+    the column's after-value), None for every other outcome."""
     step_map = problem.step_map
     rows = np.flatnonzero(step_map.row_step <= prefix)
     later = step_map.col_step > prefix
@@ -233,12 +237,14 @@ def _solve_prefix(problem: LPProblem, prefix: int, options: SolveOptions) -> LPS
         np.where(later, step_map.col_after, problem.col_upper), options,
     )
     if status is not SolveStatus.OPTIMAL:
-        return None
+        return None, None
     y = _extended_duals(step_map, rows, duals, prefix)
-    if _dual_bound(problem, y) < objective - options.tolerance * max(1.0, abs(objective)):
-        return None
-    solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
-    return None if check_solution(problem, solution, tol=options.tolerance) else solution
+    if _dual_bound(problem, y) >= objective - options.tolerance * max(1.0, abs(objective)):
+        solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
+        if not check_solution(problem, solution, tol=options.tolerance):
+            return solution, None
+    used = step_map.col_step[np.abs(x - step_map.col_after) > options.tolerance]
+    return None, int(used.max(initial=0))
 
 
 def _extended_duals(step_map, rows: np.ndarray, duals: np.ndarray, prefix: int) -> np.ndarray:
@@ -323,7 +329,7 @@ def check_solution(problem: LPProblem, solution: LPSolution, tol: float = 1e-7) 
         failures.append(f"row {problem.row_names[r]} violated by {resid[r]:.3e}")
     recomputed = float(problem.objective @ x)
     scale = max(1.0, abs(recomputed))
-    if abs(recomputed - solution.objective) > tol * scale:
+    if not abs(recomputed - solution.objective) <= tol * scale:  # NaN fails too
         failures.append(
             f"objective mismatch: reported {solution.objective!r}, recomputed {recomputed!r}"
         )

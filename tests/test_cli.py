@@ -227,6 +227,15 @@ def _instance_text(coflow=None, flow=None):
         ('{"format": 1}', ["reduce", "in.json"], "shop: malformed record ('machines')"),
         (_shop_text(machines=2.7), ["reduce", "in.json"], "machines must be an integer, got 2.7"),
         (_shop_text(machines="2"), ["reduce", "in.json"], "machines must be a number, got '2'"),
+        (
+            '{"format": 1, "machines": 2, "jobs": [{"weight": 1, "p": [1, NaN]}]}',
+            ["reduce", "in.json"],
+            "job 1: processing times must be finite and nonnegative",
+        ),
+        (_shop_text(jobs=[{"weight": math.nan, "p": [1, 2]}]), ["reduce", "in.json"],
+         "weights must be positive and finite"),
+        ('{"format": 1, "machines": -1, "jobs": []}', ["reduce", "in.json"],
+         "machines must be at least 1, got -1"),
         (_instance_text(coflow={"weight": "3"}), ["validate", "in.json"], "weight must be a number, got '3'"),
         (_instance_text(flow={"demand": "1"}), ["validate", "in.json"], "demand must be a number, got '1'"),
         (_instance_text(flow={"release": True}), ["validate", "in.json"], "release must be a number, got True"),
@@ -244,7 +253,8 @@ def _instance_text(coflow=None, flow=None):
     ids=[
         "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
         "schedule-not-object", "shop-all-zero-job", "shop-no-machines", "shop-fractional-machines",
-        "shop-string-machines", "instance-string-weight", "instance-string-demand",
+        "shop-string-machines", "shop-nan-processing-time", "shop-nan-weight",
+        "shop-negative-machines", "instance-string-weight", "instance-string-demand",
         "instance-bool-release", "schedule-fractional-slot", "schedule-fractional-slot-count",
         "gen-jobs-0",
         "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-epsilon-abc",

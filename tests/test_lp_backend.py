@@ -1,10 +1,10 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize._highspy._core import HighsModelStatus, MatrixFormat, ObjSense, _Highs
 
 from conftest import fuzz_instance
 
@@ -105,13 +105,45 @@ def test_iteration_limit_reported_as_status(solved_free):
 def test_numerical_failure_reported_as_status(monkeypatch):
     p = problem([1.0], [([0], [1.0], ">=", 3.0)])
 
-    def failed(*args, **kwargs):
-        return SimpleNamespace(status=4, x=None, fun=None)
+    class Failing(_Highs):
+        def getModelStatus(self):
+            return HighsModelStatus.kSolveError
 
-    monkeypatch.setattr(coflownet.solver, "linprog", failed)
+    monkeypatch.setattr(coflownet.solver, "_Highs", Failing)
     sol = solve(p)
     assert sol.status is SolveStatus.NUMERICAL
     assert sol.x is None
+
+
+def test_scipy_ships_the_highs_binding_the_solver_uses():
+    # private to scipy: the names the solver imports (above), and the members
+    # it uses; ``_direct`` below calls the row-form ``passModel``
+    assert {"kOptimal", "kInfeasible", "kUnbounded", "kIterationLimit"} <= set(
+        HighsModelStatus.__members__
+    )
+    assert "kRowwise" in MatrixFormat.__members__ and "kMinimize" in ObjSense.__members__
+    assert callable(_Highs.passModel)
+
+
+def _direct(p, **options):
+    """The status of ``p`` handed to HiGHS as it is, with no prefix or pinning."""
+    status, _, x, duals = coflownet.solver._highs(
+        p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper,
+        SolveOptions(**options),
+    )
+    assert (x is None) == (duals is None) == (status is not SolveStatus.OPTIMAL)
+    return status
+
+
+def test_highs_model_statuses_map_to_solve_statuses(solved_free):
+    infeasible = problem([1.0], [([0], [1.0], ">=", 2.0)], upper=[1.0])
+    unbounded = problem([-1.0, 0.0], [([0, 1], [1.0, -1.0], "<=", 1.0)])
+    assert _direct(infeasible) is SolveStatus.INFEASIBLE
+    assert _direct(unbounded) is SolveStatus.UNBOUNDED
+    inst = _free_corpus(0)
+    corpus = build_time_indexed_lp(inst, horizon_upper_bound(inst))
+    assert _direct(corpus, iteration_limit=1) is SolveStatus.ITERATION_LIMIT
+    assert _direct(solved_free[0]) is SolveStatus.OPTIMAL
 
 
 def test_highs_deterministic(solved_free):
@@ -143,6 +175,7 @@ def test_check_solution_catches_corruption(solved_single):
     bad[p.name_map["x_1_1_1"]] += 0.5
     failures = check_solution(p, LPSolution(sol.status, sol.objective, bad))
     assert failures
+    assert check_solution(p, LPSolution(sol.status, math.nan, sol.x))
 
 
 def test_from_rows_rejects_duplicate_names():
@@ -153,6 +186,20 @@ def test_from_rows_rejects_duplicate_names():
     text = write_mps(problem([1.0], [([0], [1.0], ">=", 0.5)]))
     with pytest.raises(ValueError, match="row names are not unique"):
         read_mps(text.replace(" G  r0\n", " G  r0\n G  r0\n"))
+
+
+def test_arrays_that_do_not_match_the_matrix_or_hold_nan_are_refused():
+    with pytest.raises(ValueError, match="objective and column bounds must have 1 entries"):
+        LPProblem.from_rows([1.0, 2.0], [0.0], [1.0], ["v"], [("r", [0], [1.0], ">=", 0.5)])
+    p = problem([1.0], [([0], [1.0], ">=", 0.5)])
+    with pytest.raises(ValueError, match="row bounds must have 1 entries"):
+        replace(p, row_lower=np.zeros(2))
+    with pytest.raises(ValueError, match="must not be NaN"):
+        problem([1.0], [([0], [1.0], ">=", math.nan)])
+    with pytest.raises(ValueError, match="must not be NaN"):
+        problem([math.nan], [([0], [1.0], ">=", 0.5)])
+    with pytest.raises(ValueError, match="objective coefficients must be finite"):
+        problem([-math.inf], [([0], [1.0], ">=", 0.5)])
 
 
 def test_row_cols_view_matches_matrix(solved_free):
@@ -219,7 +266,7 @@ def _no_highs(monkeypatch):
     def called(*args, **kwargs):
         raise AssertionError("HiGHS was called")
 
-    monkeypatch.setattr(coflownet.solver, "linprog", called)
+    monkeypatch.setattr(coflownet.solver, "_Highs", called)
 
 
 def test_emptied_row_that_excludes_the_fixed_activity_is_infeasible(monkeypatch):
@@ -432,6 +479,19 @@ def test_free_corpus_lps_certify_at_their_first_prefix(monkeypatch):
         got = solve(p)
         assert [status for _, status in calls] == [SolveStatus.OPTIMAL]
         assert got.steps == p.step_map.first_prefix < p.step_map.step_count
+
+
+def test_binding_uncertified_prefix_grows_by_one_step(monkeypatch):
+    # instance 8's slot LP uses 31 slots; its first prefix of 30 is optimal
+    # and uses slot 30, but does not certify, so 31 is tried next (not 38)
+    inst = _free_corpus(8)
+    p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
+    assert p.step_map.first_prefix == 30
+    calls = _count_linprog(monkeypatch)
+    got = solve(p)
+    assert [status for _, status in calls] == [SolveStatus.OPTIMAL] * 2
+    assert got.steps == 31
+    assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
 
 
 def test_step_map_follows_row_permutations_and_is_checked(solved_free, rng):

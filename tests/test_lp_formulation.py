@@ -26,7 +26,9 @@ from coflownet import (
     solve,
     verify_schedule,
 )
+from coflownet.generate import demo_instance
 from coflownet.graphs import max_flow_value, path_bottleneck, usable_edges
+import coflownet.lp
 from coflownet.lp import ColumnLayout
 from coflownet.serialize import instance_from_dict
 
@@ -515,7 +517,9 @@ def reference_assembly(instance, lengths, allowed, completion_ub):
 
 
 def assert_same_problem(got, want):
-    """Bit for bit: names, bounds, objective, CSR arrays and layout."""
+    """Bit for bit: names, bounds, objective, CSR arrays and layout. The
+    builder's names are built here, on first read."""
+    assert "col_names" not in vars(got) and "row_names" not in vars(got)
     assert got.col_names == want.col_names
     assert got.row_names == want.row_names
     pairs = [
@@ -550,6 +554,30 @@ def test_block_assembly_matches_row_reference(model):
             grid.horizon + 1.0,
         )
         assert_same_problem(build_interval_lp(inst, grid), interval)
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_pipeline_builds_no_lp_name(monkeypatch, model):
+    def named(naming):
+        raise AssertionError("an LP name was built")
+
+    monkeypatch.setattr(coflownet.lp, "_names", named)
+    inst = demo_instance(model)
+    for strategy in coflownet.pipeline.STRATEGIES:
+        coflownet.pipeline.run_pipeline(inst, strategy=strategy, trials=2)
+
+
+@pytest.mark.parametrize("strategy", ["stretch", "interval-stretch"])
+def test_pipeline_finds_each_flows_usable_edges_once(demo_free, monkeypatch, strategy):
+    calls = []
+
+    def counted(network, src, dst):
+        calls.append((src, dst))
+        return usable_edges(network, src, dst)
+
+    monkeypatch.setattr(coflownet.lp, "usable_edges", counted)
+    coflownet.pipeline.run_pipeline(demo_free, strategy=strategy, trials=2)
+    assert len(calls) == demo_free.flow_count
 
 
 def test_edge_splits_match_per_edge_reference():
