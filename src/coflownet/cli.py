@@ -175,6 +175,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dispatch(args) -> int:
+    # numpy seeds only take non-negative integers; refuse before any work
+    if getattr(args, "seed", 0) < 0:
+        raise _Usage(f"--seed must be non-negative, got {args.seed}")
     if args.command == "gen":
         try:
             config = GenConfig(

@@ -117,6 +117,8 @@ def run_pipeline(
 ) -> PipelineResult:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} (one of {STRATEGIES})")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     # refuses the instance before anything that grows with the horizon exists;
     # the free-path usable edges serve the check and the LP build
     edges = flow_edges(instance)

@@ -21,10 +21,18 @@ and only the results are sliced back into the nested ``RateSchedule``.
 
 :func:`run_stretch` does everything that does not depend on lambda once
 per call: the dust-filtered rate and edge stacks, each flow's coflow,
-release and weight, the taps of every drawn factor (one pass over all
-their dilated slots) and the completion ceilings of every drawn factor
-(one pass per coflow). A trial is then a few numpy operations on arrays
-the size of its own schedule; no sparse matrix is built.
+release and weight, the last source slot that carries anything (later
+slots only dilate to idle ones, which compaction drops) and the
+completion ceilings of every drawn factor (one pass per coflow). It then
+rounds the trials in batches: a batch lays its trials end to end along
+the slot axis, dilates and truncates them in one pass over their used
+slots, and reads both completion reports of every trial off reductions
+over the flow rows, never touching the edge series. Without releases,
+compaction packs the busy slots to the front in order, so a coflow's
+compacted completion is the number of busy slots up to its completion
+before compaction; with releases, the greedy compaction plan runs per
+trial on the amounts only. Only the chosen trial's schedule is built;
+any other trial builds its own when its ``schedule`` is read.
 ``stretch_schedule``, ``compact_idle_slots`` and ``lp_heuristic`` run the
 same kernel on a single factor.
 
@@ -40,8 +48,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain, islice
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,16 +63,22 @@ from .model import (
     FractionalSchedule,
     Instance,
     RateSchedule,
-    completion_report,
     flow_coflows,
 )
 
 #: Remaining demand fractions below this are treated as already met.
 _DONE_EPS = 1e-12
 
-#: Most trials one ``run_stretch`` call runs. Every trial keeps its own
-#: compacted schedule, and the trial seeds are spawned up front, so the
-#: memory of a call grows with this; the test suite uses at most 200.
+#: Most cells (flows times dilated slots) ``run_stretch`` rounds in one
+#: batch. A batch takes trials in trial order while they fit, and a trial
+#: larger than this is a batch of its own, so the working memory of a call
+#: does not grow with its number of trials.
+_BATCH_CELLS = 1 << 18
+
+#: Most trials one ``run_stretch`` call runs. Trials are rounded in
+#: batches of at most ``_BATCH_CELLS`` cells and only the chosen trial's
+#: schedule is built, so a call keeps a factor and two completion reports
+#: per trial; the test suite runs this many once.
 MAX_TRIALS = 10_000
 
 
@@ -79,17 +95,24 @@ class Lambda:
 
 @dataclass(frozen=True)
 class StretchTrial:
-    """One rounded schedule: the draw, the result, and both reports.
+    """One rounded schedule: the draw, both reports, and the schedule.
 
     ``pre_compaction`` is the completion report of the truncated stretch
     before idle slots were compacted; the per-coflow ceiling guarantee is
-    stated against it.
+    stated against it. ``schedule`` is made by ``build`` when first read:
+    ``run_stretch`` and ``lp_heuristic`` build it for the trial they
+    choose, and no other.
     """
 
     lam: Lambda
-    schedule: RateSchedule
     report: CompletionReport
     pre_compaction: CompletionReport
+    build: Callable[[], RateSchedule] = field(repr=False, compare=False)
+
+    @cached_property
+    def schedule(self) -> RateSchedule:
+        """The compacted schedule."""
+        return self.build()
 
 
 @dataclass(frozen=True)
@@ -145,18 +168,24 @@ def _overlap(bounds: np.ndarray, out_slots: int) -> sp.csr_matrix:
     )
 
 
-def _taps(horizon: int, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """Per stretch factor in ``values``, the taps ``(t0, w0, t1, w1)`` of
-    each unit slot k of the dilated schedule: slot k receives
+def _out_slots(horizon: int, values: np.ndarray) -> np.ndarray:
+    """Unit slots of ``horizon`` source slots dilated by 1/value, per value."""
+    return np.ceil(horizon / values - 1e-12).astype(np.int64)
+
+
+def _taps(horizon: int, values: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The taps ``(t0, w0, t1, w1)`` of every unit slot k of the dilated
+    schedules, laid end to end in the order of ``values``, and the number
+    of unit slots of each: slot k receives
     ``rates[:, t0[k]] * w0[k] + rates[:, t1[k]] * w1[k]``.
 
-    The weights are the entries of ``_overlap(arange(horizon + 1) / lam,
-    out_slots)``, column by column. A factor of at most 1 dilates every
-    source slot to at least one unit, so each unit slot meets one or two
-    of them; a lone tap is paired with itself at weight 0. One pass over
-    the O(sum of out_slots) entries serves every factor.
+    A factor's weights are the entries of ``_overlap(arange(horizon + 1) /
+    lam, out_slots)``, column by column. A factor of at most 1 dilates
+    every source slot to at least one unit, so each unit slot meets one or
+    two of them; a lone tap is paired with itself at weight 0. One pass
+    over the O(sum of out_slots) entries serves every factor.
     """
-    out_slots = np.ceil(horizon / values - 1e-12).astype(np.int64)
+    out_slots = _out_slots(horizon, values)
     bounds = np.arange(horizon + 1) / values[:, None]
     _, rows, cols, data = _overlap_entries(
         bounds[:, :-1].ravel(), bounds[:, 1:].ravel(), np.repeat(out_slots, horizon)
@@ -168,8 +197,7 @@ def _taps(horizon: int, values: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     assert counts.min() >= 1 and counts.max() <= 2, "a unit slot meets one or two source slots"
     first = np.cumsum(counts) - counts
     last = first + counts - 1
-    taps = source[first], data[first], source[last], np.where(counts == 2, data[last], 0.0)
-    return list(zip(*(np.split(x, ends[:-1]) for x in taps)))
+    return (source[first], data[first], source[last], np.where(counts == 2, data[last], 0.0)), out_slots
 
 
 def _above_dust(rows: np.ndarray) -> np.ndarray:
@@ -216,18 +244,23 @@ def _releases(instance: Instance) -> np.ndarray:
     return np.array([fl.release for _, _, _, fl in instance.iter_flows()], dtype=np.int64)
 
 
-def _compact(amounts: np.ndarray, edges, release: np.ndarray):
-    """:func:`compact_idle_slots` on stacked rows: the moved amounts and
-    edges (``(rows, owner, eids)`` or None), cut after the last busy slot.
-    Slots move whole, so the busy slots after the moves are the targets
-    and the slots that stayed."""
-    slots = amounts.shape[1]
-    users = amounts > AMOUNT_EPS
+def _plan(users: np.ndarray, release: np.ndarray) -> np.ndarray:
+    """Compaction's moves for a schedule whose entries above ``AMOUNT_EPS``
+    are ``users`` (one row per flow, released at ``release``): column c of
+    the compacted schedule is column ``source[c]``, where index
+    ``users.shape[1]`` stands for an emptied column, cut after the last
+    busy column (at least one column is kept)."""
+    slots = users.shape[1]
+    busy = users.any(axis=0)
+    if not release.any():
+        # every busy slot moves to the earliest idle slot before it, so the
+        # busy slots end up packed at the front in their order
+        source = np.flatnonzero(busy)
+        return source if source.size else np.zeros(1, dtype=np.int64)
     # 0-based: a flow released at r may use column r (slot r + 1) onwards
     earliest = np.where(users, release[:, None], 0).max(axis=0, initial=0).tolist()
-    busy = users.any(axis=0)
     idle = np.flatnonzero(~busy).tolist()
-    source = np.arange(slots)  # column c ends up holding column source[c]; `slots` is empty
+    source = np.arange(slots)
     last_busy = 1  # one past the last column still busy after the moves (at least 1)
     for t in np.flatnonzero(busy).tolist():
         pos = bisect.bisect_left(idle, earliest[t])
@@ -238,15 +271,31 @@ def _compact(amounts: np.ndarray, edges, release: np.ndarray):
         source[target], source[t] = t, slots
         bisect.insort(idle, t)
         last_busy = max(last_busy, target + 1)
-    source = source[:last_busy]
+    return source[:last_busy]
 
-    def moved(rows: np.ndarray) -> np.ndarray:
-        return np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)[:, source]
 
+def _moved(rows: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Columns ``source`` of ``rows``; index ``rows.shape[1]`` is an empty column."""
+    return np.concatenate([rows, np.zeros((len(rows), 1), dtype=rows.dtype)], axis=1)[:, source]
+
+
+def _compact(amounts: np.ndarray, edges, release: np.ndarray):
+    """:func:`compact_idle_slots` on stacked rows: the moved amounts and
+    edges (``(rows, owner, eids)`` or None), cut after the last busy slot.
+    Slots move whole, so the busy slots after the moves are the targets
+    and the slots that stayed."""
+    source = _plan(amounts > AMOUNT_EPS, release)
     if edges is not None:
         rows, owner, eids = edges
-        edges = (moved(rows), owner, eids)
-    return moved(amounts), edges
+        edges = (_moved(rows, source), owner, eids)
+    return _moved(amounts, source), edges
+
+
+def _reports(completions: np.ndarray, weights: np.ndarray) -> list[CompletionReport]:
+    """One report per row of ``completions`` (one column per coflow), its
+    objective summed exactly as ``weighted_objective`` sums it."""
+    terms = (weights * completions).tolist()
+    return [CompletionReport(tuple(row), math.fsum(t)) for row, t in zip(completions.tolist(), terms)]
 
 
 class _Kernel:
@@ -258,25 +307,40 @@ class _Kernel:
         self.fractional = fractional
         # solver dust is dropped before dilating, overlap dust after it
         self.rates = _above_dust(_stack(chain.from_iterable(fractional.fractions), horizon))
+        carries = self.rates.any(axis=0)
         self.edges = None
         if fractional.edge_fractions is not None:
             rows, owner, eids = _stack_edges(fractional.edge_fractions, horizon)
             self.edges = (_above_dust(rows), owner, eids)
+            carries |= self.edges[0].any(axis=0)
+        # source slots after the last that carries anything dilate to idle
+        # slots, which compaction drops
+        self.used = int(np.flatnonzero(carries)[-1]) + 1 if carries.any() else 1
         self.coflow = flow_coflows(instance)
         self.release = _releases(instance)
-        self.weights = [cf.weight for cf in instance.coflows]
+        self.weights = np.array([cf.weight for cf in instance.coflows], dtype=float)
 
-    def stretch(self, taps):
-        """Dilate the stacked rows through ``taps`` (see :func:`_taps`) and
-        truncate every flow at its demand: the taken amounts, and the kept
-        edge rows as ``(rows, owner, eids)`` (free path) or None."""
+    def _truncate(self, taps, starts: np.ndarray, ends: np.ndarray):
+        """Dilate the stacked rates through ``taps`` (see :func:`_taps`) and
+        truncate every flow at its demand within each trial's columns
+        ``starts[k]:ends[k]``: the raw and the taken amounts."""
         t0, w0, t1, w1 = taps
         raw = _above_dust(self.rates[:, t0] * w0 + self.rates[:, t1] * w1)
         # demand left before each slot, 1 - raw[0] - raw[1] - ..., subtracted in slot order
-        left = np.subtract.accumulate(
-            np.concatenate([np.ones((len(raw), 1)), raw[:, :-1]], axis=1), axis=1
-        )
-        taken = np.where(left > _DONE_EPS, np.minimum(raw, left), 0.0)
+        before = np.empty_like(raw)
+        before[:, 1:] = raw[:, :-1]
+        before[:, starts] = 1.0
+        left = np.empty_like(raw)
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            np.subtract.accumulate(before[:, a:b], axis=1, out=left[:, a:b])
+        return raw, np.where(left > _DONE_EPS, np.minimum(raw, left), 0.0)
+
+    def stretch(self, taps):
+        """Dilate and truncate one trial (``taps`` of one factor): the taken
+        amounts, and the kept edge rows as ``(rows, owner, eids)`` (free
+        path) or None."""
+        t0, w0, t1, w1 = taps
+        raw, taken = self._truncate(taps, np.zeros(1, dtype=np.int64), np.array([t0.size]))
         if self.edges is None:
             return taken, None
         rows, owner, eids = self.edges
@@ -285,26 +349,65 @@ class _Kernel:
         keep = np.any(scaled > AMOUNT_EPS, axis=1)
         return taken, (scaled[keep], owner[keep], [e for e, k in zip(eids, keep) if k])
 
-    def trials(self, lams: list[Lambda]) -> list[StretchTrial]:
-        """Stretch, check against the ceiling, compact and report each factor."""
-        values = np.array([lam.value for lam in lams])
-        ceilings = _ceilings(self.fractional, values).tolist()
-        taps = _taps(self.fractional.slot_count, values)
-        return [self._trial(*args) for args in zip(lams, taps, ceilings)]
+    def schedule(self, lam: Lambda) -> RateSchedule:
+        """The compacted schedule of the trial at ``lam``."""
+        taps, _ = _taps(self.used, np.array([lam.value]))
+        amounts, edges = _compact(*self.stretch(taps), self.release)
+        return _unstack(amounts.shape[1], self.fractional.fractions, amounts, edges)
 
-    def _trial(self, lam: Lambda, taps, ceiling: list[int]) -> StretchTrial:
-        taken, edges = self.stretch(taps)
-        pre = completion_report(taken, self.coflow, self.weights)
-        for j, (got, bound) in enumerate(zip(pre.completions, ceiling)):
-            if got > bound:
-                raise StretchBoundError(
-                    f"coflow {j + 1} finished in slot {got} > ceiling {bound} "
-                    f"at lambda {lam.value}"
-                )
-        amounts, edges = _compact(taken, edges, self.release)
-        schedule = _unstack(amounts.shape[1], self.fractional.fractions, amounts, edges)
-        report = completion_report(amounts, self.coflow, self.weights)
-        return StretchTrial(lam=lam, schedule=schedule, report=report, pre_compaction=pre)
+    def _by_coflow(self, last: np.ndarray) -> np.ndarray:
+        """Per-flow completion slots, one column per trial, as one row per
+        trial of per-coflow ones."""
+        done = np.zeros((len(self.weights), last.shape[1]), dtype=np.int64)
+        np.maximum.at(done, self.coflow, last)
+        return done.T
+
+    def _batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Completion slots before and after compaction of the trials at
+        ``values``, laid end to end along the slot axis."""
+        taps, out_slots = _taps(self.used, values)
+        ends = np.cumsum(out_slots)
+        starts = ends - out_slots
+        users = self._truncate(taps, starts, ends)[1] > AMOUNT_EPS
+        slot = np.arange(1, ends[-1] + 1) - np.repeat(starts, out_slots)  # 1-based, per trial
+        pre = self._by_coflow(np.maximum.reduceat(np.where(users, slot, 0), starts, axis=1))
+        if not self.release.any():
+            # compaction packs the busy slots to the front in order (see
+            # _plan): a coflow then ends in the number of busy slots up to
+            # the one it ended in before
+            busy = np.concatenate([[0], np.cumsum(users.any(axis=0))])
+            return pre, busy[starts[:, None] + pre] - busy[starts][:, None]
+        last = np.zeros((len(users), values.size), dtype=np.int64)
+        for k, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+            moved = _moved(users[:, a:b], _plan(users[:, a:b], self.release))
+            last[:, k] = np.where(moved, np.arange(1, moved.shape[1] + 1), 0).max(axis=1, initial=0)
+        return pre, self._by_coflow(last)
+
+    def trials(self, lams: list[Lambda]) -> list[StretchTrial]:
+        """Round every factor in batches of at most ``_BATCH_CELLS`` cells,
+        check each trial against its ceiling in trial order, and report."""
+        values = np.array([lam.value for lam in lams])
+        ceilings = _ceilings(self.fractional, values)
+        pre = np.empty((values.size, self.weights.size), dtype=np.int64)
+        post = np.empty_like(pre)
+        ends = np.cumsum(_out_slots(self.used, values) * max(len(self.rates), 1))
+        start = 0
+        while start < values.size:
+            limit = (ends[start - 1] if start else 0) + _BATCH_CELLS
+            stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+            pre[start:stop], post[start:stop] = self._batch(values[start:stop])
+            start = stop
+        over = np.argwhere(pre > ceilings)
+        if over.size:
+            k, j = over[0].tolist()
+            raise StretchBoundError(
+                f"coflow {j + 1} finished in slot {pre[k, j]} > ceiling {ceilings[k, j]} "
+                f"at lambda {lams[k].value}"
+            )
+        return [
+            StretchTrial(lam=lam, report=after, pre_compaction=before, build=partial(self.schedule, lam))
+            for lam, after, before in zip(lams, _reports(post, self.weights), _reports(pre, self.weights))
+        ]
 
 
 def stretch_schedule(fractional: FractionalSchedule, lam: Lambda, instance: Instance) -> RateSchedule:
@@ -319,7 +422,7 @@ def stretch_schedule(fractional: FractionalSchedule, lam: Lambda, instance: Inst
     horizon = fractional.slot_count
     if lam.value < 1.0 / (10.0 * horizon):
         raise ValueError(f"lambda {lam.value} below the 1/(10*{horizon}) memory guard")
-    (taps,) = _taps(horizon, np.array([lam.value]))
+    taps, _ = _taps(horizon, np.array([lam.value]))
     taken, edges = _Kernel(instance, fractional).stretch(taps)
     return _unstack(taken.shape[1], fractional.fractions, taken, edges)
 
@@ -332,7 +435,8 @@ def compact_idle_slots(schedule: RateSchedule, instance: Instance) -> RateSchedu
 
     A slot is busy when some flow sends more than ``AMOUNT_EPS`` in it;
     moving it moves the whole slot (every flow and edge series) and
-    leaves an empty one behind.
+    leaves an empty one behind. When no flow has a release, this packs the
+    busy slots to the front in order, and that is done as one gather.
     """
     slots = schedule.slot_count
     amounts = _stack(chain.from_iterable(schedule.amounts), slots)
@@ -424,7 +528,8 @@ def run_stretch(
     substream ``k``, so best/average are reproducible and trials could be
     evaluated in parallel without changing the outcome. Sampled factors
     are floored at the stretch memory guard (an event with probability
-    below 1e-4 at desk scale). At most ``MAX_TRIALS`` trials.
+    below 1e-4 at desk scale). At most ``MAX_TRIALS`` trials. Only the
+    best trial's schedule is built here.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -439,6 +544,7 @@ def run_stretch(
     out = _Kernel(instance, fractional).trials(lams)
     best = min(range(trials), key=lambda k: (out[k].report.objective, k))
     average = float(np.mean([t.report.objective for t in out]))
+    out[best].schedule  # built now, as part of the rounding
     return StretchResult(best=out[best], average_objective=average, trials=tuple(out))
 
 
@@ -448,4 +554,6 @@ def lp_heuristic(instance: Instance, fractional: FractionalSchedule) -> StretchT
     Its objective is not bounded by the relaxation value in the worst
     case, but it is a strong heuristic in practice.
     """
-    return _Kernel(instance, fractional).trials([Lambda(1.0)])[0]
+    (trial,) = _Kernel(instance, fractional).trials([Lambda(1.0)])
+    trial.schedule  # built now, as part of the rounding
+    return trial

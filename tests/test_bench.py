@@ -126,3 +126,16 @@ def test_cli_exit_3_on_solver_failure(monkeypatch, tmp_path):
     path = tmp_path / "inst.json"
     save_instance(demo_instance(cn.RoutingModel.SINGLE_PATH), path)
     assert main(["solve", str(path), "--strategy", "heuristic"]) == 3
+
+
+@pytest.mark.parametrize("strategy", ["stretch", "heuristic", "interval-stretch"])
+def test_pipeline_refuses_a_negative_seed_before_any_lp(monkeypatch, demo_single, strategy):
+    import coflownet.pipeline as pipe
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was built")
+
+    monkeypatch.setattr(pipe, "build_time_indexed_lp", no_lp)
+    monkeypatch.setattr(pipe, "build_interval_lp", no_lp)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        pipe.run_pipeline(demo_single, strategy=strategy, seed=-1)

@@ -249,6 +249,10 @@ def _instance_text(coflow=None, flow=None):
         (None, ["bench", "--trials", 0], "--trials must be at least 1"),
         (None, ["bench", "--trials", MAX_TRIALS + 1], f"--trials must be at most {MAX_TRIALS:,}"),
         (None, ["bench", "--strategies", "interval-stretch", "--epsilon", 0], "--epsilon must be positive"),
+        (None, ["solve", "inst.json", "--seed", -1], "--seed must be non-negative, got -1"),
+        (None, ["bench", "--seed", -5], "--seed must be non-negative, got -5"),
+        (None, ["check", "--seed", -1], "--seed must be non-negative, got -1"),
+        (None, ["gen", "--seed", -1], "--seed must be non-negative, got -1"),
     ],
     ids=[
         "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
@@ -259,6 +263,7 @@ def _instance_text(coflow=None, flow=None):
         "gen-jobs-0",
         "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-epsilon-abc",
         "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
+        "solve-negative-seed", "bench-negative-seed", "check-negative-seed", "gen-negative-seed",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, command, message):

@@ -104,9 +104,11 @@ def test_overlap_nonzeros_stay_linear_at_the_lambda_floor(horizon):
 def test_taps_reproduce_the_overlap_product(horizon):
     rates = np.random.default_rng(horizon).random((3, horizon))
     values = np.array([1.0, 0.999, 0.8, 0.5, 0.37, 1.0 / (10.0 * horizon)])
-    for value, (t0, w0, t1, w1) in zip(values, _taps(horizon, values), strict=True):
+    taps, sizes = _taps(horizon, values)
+    per_factor = zip(*(np.split(x, np.cumsum(sizes)[:-1]) for x in taps))
+    for value, size, (t0, w0, t1, w1) in zip(values, sizes, per_factor, strict=True):
         out_slots = int(math.ceil(horizon / value - 1e-12))
-        assert t0.size == out_slots
+        assert size == t0.size == out_slots
         want = rates @ _overlap(np.arange(horizon + 1) / value, out_slots)
         np.testing.assert_array_equal(rates[:, t0] * w0 + rates[:, t1] * w1, want)
         assert np.all(t1 - t0 <= 1) and np.all(w0 > 0.0) and np.all(w1 >= 0.0)
@@ -295,6 +297,33 @@ def test_too_tight_ceiling_raises(monkeypatch, demo_free, solved_free):
         run_stretch(demo_free, frac, trials=3, seed=1)
     with pytest.raises(StretchBoundError):
         lp_heuristic(demo_free, frac)
+
+
+def test_ceiling_error_names_the_first_violation_in_trial_order(monkeypatch, demo_free, solved_free):
+    _, _, frac = solved_free
+    lams = [t.lam.value for t in run_stretch(demo_free, frac, trials=4, seed=1).trials]
+    real = rounding._ceilings
+
+    def tight_from_trial_1(fractional, values):
+        ceilings = real(fractional, values)
+        ceilings[1:] = 0
+        return ceilings
+
+    monkeypatch.setattr(rounding, "_ceilings", tight_from_trial_1)
+    with pytest.raises(StretchBoundError, match=rf"^coflow 1 finished .* at lambda {lams[1]}$"):
+        run_stretch(demo_free, frac, trials=4, seed=1)
+
+
+def test_run_stretch_reports_release_bound_compaction():
+    # one flow released at 2: compaction cannot pull its traffic before
+    # slot 3, which packing the busy slots to the front would do
+    inst, frac = single_flow_fractional([0.0, 0.0, 0.6, 0.4], release=2)
+    result = run_stretch(inst, frac, trials=30, seed=4)
+    for trial in result.trials:
+        assert trial.report.completions[0] >= 4
+        assert trial.report == completion_times(trial.schedule, inst)
+        rebuilt = compact_idle_slots(stretch_schedule(frac, trial.lam, inst), inst)
+        assert trial.report == completion_times(rebuilt, inst)
 
 
 def test_run_stretch_builds_no_sparse_matrix_per_trial(monkeypatch, demo_free, solved_free):
@@ -588,7 +617,8 @@ def reference_run_stretch(instance, fractional, trials, seed):
         pre = reference_completion_times(stretched, instance)
         assert all(got <= bound for got, bound in zip(pre.completions, completion_ceilings(fractional, lam)))
         compacted = reference_compact(stretched, instance)
-        out.append(StretchTrial(lam, compacted, reference_completion_times(compacted, instance), pre))
+        report = reference_completion_times(compacted, instance)
+        out.append(StretchTrial(lam, report, pre, build=lambda schedule=compacted: schedule))
     best = min(range(trials), key=lambda k: (out[k].report.objective, k))
     average = float(np.mean([t.report.objective for t in out]))
     return StretchResult(best=out[best], average_objective=average, trials=tuple(out))
@@ -612,11 +642,158 @@ def test_run_stretch_matches_trial_by_trial_reference(monkeypatch, model):
         frac = extract_fractional(problem, solve(problem).x, inst, horizon)
         got = run_stretch(inst, frac, trials=10, seed=k)
         want = reference_run_stretch(inst, frac, trials=10, seed=k)
+        # run_stretch built the best trial's schedule and no other
+        assert ["schedule" in vars(t) for t in got.trials] == [t is got.best for t in got.trials]
         for a, b in zip(got.trials, want.trials, strict=True):
             assert a.lam == b.lam
             assert a.pre_compaction == b.pre_compaction and a.report == b.report
+            if a is not got.best:
+                rebuilt = compact_idle_slots(stretch_schedule(frac, a.lam, inst), inst)
+                assert_same_schedule(rebuilt, b.schedule, inst)
+            # the best trial's schedule as run_stretch built it, any other built on this read
             assert_same_schedule(a.schedule, b.schedule, inst)
         at_floor += sum(t.lam.value == 1.0 / (10.0 * horizon) for t in got.trials)
         assert [t is got.best for t in got.trials] == [t is want.best for t in want.trials]
         assert got.average_objective == want.average_objective
     assert at_floor > 0
+
+
+# ---------------------------------------------------------------------------
+# batched trials: compaction as one gather, invariances, memory
+
+
+def _without_releases(instance):
+    from dataclasses import replace
+
+    coflows = tuple(
+        Coflow(tuple(replace(fl, release=0) for fl in cf.flows), cf.weight) for cf in instance.coflows
+    )
+    return Instance(instance.network, coflows, instance.model)
+
+
+def _fuzz_solved(model, releases, count, seed):
+    """``count`` fuzz instances of ``model`` (releases kept or zeroed),
+    each with its slot-LP fractional schedule."""
+    from conftest import fuzz_instance
+
+    from coflownet import build_time_indexed_lp, extract_fractional, horizon_upper_bound, solve
+
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        inst = fuzz_instance(rng, model)
+        if not releases:
+            inst = _without_releases(inst)
+        elif not any(fl.release for _, _, _, fl in inst.iter_flows()):
+            continue
+        horizon = horizon_upper_bound(inst)
+        problem = build_time_indexed_lp(inst, horizon)
+        out.append((inst, extract_fractional(problem, solve(problem).x, inst, horizon)))
+    return out
+
+
+def assert_bitwise_schedule(got, want):
+    assert got.slot_count == want.slot_count
+    for flows_got, flows_want in zip(got.amounts, want.amounts, strict=True):
+        for a, b in zip(flows_got, flows_want, strict=True):
+            np.testing.assert_array_equal(a, b)
+    assert (got.edge_amounts is None) == (want.edge_amounts is None)
+    if got.edge_amounts is not None:
+        for flows_got, flows_want in zip(got.edge_amounts, want.edge_amounts, strict=True):
+            for a, b in zip(flows_got, flows_want, strict=True):
+                assert list(a) == list(b)
+                for eid in a:
+                    np.testing.assert_array_equal(a[eid], b[eid])
+
+
+def assert_same_result(got, want):
+    """Two ``StretchResult``s agree bit for bit: every factor and report,
+    the best trial, the average and the best schedule."""
+    assert [t.lam for t in got.trials] == [t.lam for t in want.trials]
+    assert [(t.report, t.pre_compaction) for t in got.trials] == [
+        (t.report, t.pre_compaction) for t in want.trials
+    ]
+    assert [t is got.best for t in got.trials] == [t is want.best for t in want.trials]
+    assert got.average_objective == want.average_objective
+    assert_bitwise_schedule(got.best.schedule, want.best.schedule)
+
+
+@pytest.mark.parametrize("releases", [True, False], ids=["releases", "no-releases"])
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_compaction_matches_reference_bitwise(monkeypatch, model, releases):
+    if not releases:
+        # without releases compaction is one gather and runs no bisect plan
+        monkeypatch.setattr(rounding, "bisect", None)
+    for inst, frac in _fuzz_solved(model, releases, count=6, seed=515):
+        for value in (1.0, 0.7, 0.45, 0.2):
+            stretched = stretch_schedule(frac, Lambda(value), inst)
+            assert_bitwise_schedule(compact_idle_slots(stretched, inst), reference_compact(stretched, inst))
+        trial = lp_heuristic(inst, frac)
+        stretched = stretch_schedule(frac, Lambda(1.0), inst)
+        assert_bitwise_schedule(trial.schedule, reference_compact(stretched, inst))
+
+
+def _padded(frac, extra):
+    """``frac`` with ``extra`` all-zero slots appended."""
+
+    def pad(series):
+        return np.concatenate([series, np.zeros(extra)])
+
+    edges = None
+    if frac.edge_fractions is not None:
+        edges = tuple(
+            tuple({eid: pad(s) for eid, s in by_edge.items()} for by_edge in flows)
+            for flows in frac.edge_fractions
+        )
+    return FractionalSchedule(
+        slot_count=frac.slot_count + extra,
+        fractions=tuple(tuple(pad(s) for s in flows) for flows in frac.fractions),
+        cumulative=tuple(np.concatenate([c, np.full(extra, c[-1])]) for c in frac.cumulative),
+        lp_completion=frac.lp_completion,
+        edge_fractions=edges,
+    )
+
+
+@pytest.mark.parametrize("releases", [True, False], ids=["releases", "no-releases"])
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_trailing_zero_slots_change_no_trial(model, releases):
+    for k, (inst, frac) in enumerate(_fuzz_solved(model, releases, count=4, seed=616)):
+        floor = 1.0 / (10.0 * frac.slot_count)
+        got = run_stretch(inst, _padded(frac, 3 * frac.slot_count), trials=20, seed=k)
+        want = run_stretch(inst, frac, trials=20, seed=k)
+        for a, b in zip(got.trials, want.trials, strict=True):
+            if b.lam.value > floor:
+                assert a.lam == b.lam
+                assert a.report == b.report and a.pre_compaction == b.pre_compaction
+        assert want.best.lam.value > floor
+        assert got.best.lam == want.best.lam
+        assert_bitwise_schedule(got.best.schedule, want.best.schedule)
+
+
+@pytest.mark.parametrize("releases", [True, False], ids=["releases", "no-releases"])
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_one_trial_per_batch_gives_the_same_result(monkeypatch, model, releases):
+    cases = _fuzz_solved(model, releases, count=4, seed=717)
+    want = [run_stretch(inst, frac, trials=25, seed=k) for k, (inst, frac) in enumerate(cases)]
+    monkeypatch.setattr(rounding, "_BATCH_CELLS", 1)
+    for k, (inst, frac) in enumerate(cases):
+        assert_same_result(run_stretch(inst, frac, trials=25, seed=k), want[k])
+
+
+def test_max_trials_run_in_bounded_memory():
+    import tracemalloc
+
+    (inst, frac), = _fuzz_solved(RoutingModel.FREE_PATH, True, count=1, seed=1)
+    tracemalloc.start()
+    try:
+        result = run_stretch(inst, frac, trials=MAX_TRIALS, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.trials) == MAX_TRIALS
+    assert ["schedule" in vars(t) for t in result.trials].count(True) == 1
+    # the result keeps about 0.9 kB per trial (9 MB), the trial seeds are
+    # spawned up front (4.5 MB), and a batch of at most _BATCH_CELLS cells
+    # needs a few arrays of 2 MB each; keeping every trial's schedule took
+    # 113 MB here
+    assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
