@@ -373,8 +373,8 @@ class IntervalGrid:
     boundaries: tuple[float, ...]
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if any(b >= a for a, b in zip(self.boundaries[1:], self.boundaries)):
             raise ValueError("boundaries must be strictly increasing")
 
@@ -393,8 +393,8 @@ class IntervalGrid:
 
 def geometric_intervals(horizon: int, epsilon: float) -> IntervalGrid:
     """Grid whose k-th boundary is ``(1+eps)^(k-1)``, covering ``horizon``."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if horizon == 1:

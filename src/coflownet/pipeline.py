@@ -20,7 +20,7 @@ from .lp import (
     horizon_upper_bound,
 )
 from .model import CompletionReport, FractionalSchedule, Instance, RateSchedule, as_fractional
-from .rounding import StretchTrial, expand_interval_schedule, lp_heuristic, run_stretch
+from .rounding import StretchTrial, check_trials, expand_interval_schedule, lp_heuristic, run_stretch
 from .solver import LPSolution, SolveOptions, SolveStatus, solve
 from .verify import verify_schedule
 
@@ -119,6 +119,7 @@ def run_pipeline(
         raise ValueError(f"unknown strategy {strategy!r} (one of {STRATEGIES})")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    check_trials(trials)
     # refuses the instance before anything that grows with the horizon exists;
     # the free-path usable edges serve the check and the LP build
     edges = flow_edges(instance)

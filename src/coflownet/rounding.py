@@ -82,6 +82,14 @@ _BATCH_CELLS = 1 << 18
 MAX_TRIALS = 10_000
 
 
+def check_trials(trials: int) -> None:
+    """:class:`ValueError` unless ``1 <= trials <= MAX_TRIALS``."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most {MAX_TRIALS:,} trials, got {trials:,}")
+
+
 @dataclass(frozen=True)
 class Lambda:
     """A stretch factor in (0, 1]. The schedule is dilated by 1/value."""
@@ -531,10 +539,7 @@ def run_stretch(
     below 1e-4 at desk scale). At most ``MAX_TRIALS`` trials. Only the
     best trial's schedule is built here.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"at most {MAX_TRIALS:,} trials, got {trials:,}")
+    check_trials(trials)
     floor = 1.0 / (10.0 * fractional.slot_count)
     lams: list[Lambda] = []
     for child in np.random.SeedSequence(seed).spawn(trials):

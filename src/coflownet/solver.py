@@ -7,7 +7,9 @@ objective come back unchanged.
 
 An ``optimal`` result is re-checked against the original problem (row
 residuals, bounds, objective recomputation), so a solve through an MPS
-file can never hand back a point that the in-memory problem rejects.
+file (``backend="mps:<path>"``: HiGHS gets the same arrays plus the
+names, writes the file, reads it back and solves what it read) can
+never hand back a point that the in-memory problem rejects.
 
 A relaxation built with a step map is first solved on a prefix of its
 time steps: the rows of steps ``1..L``, with every later column's bounds
@@ -33,16 +35,19 @@ substituted into the row bounds.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 # private to scipy: pyproject.toml asks for the release this call was written against
-from scipy.optimize._highspy._core import HighsModelStatus, MatrixFormat, ObjSense, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs
 
-from .lp import LPProblem
-from .mps import load_mps, save_mps
+from .lp import LPProblem, _named
 
 
 class SolveStatus(str, Enum):
@@ -99,8 +104,9 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
 
     ``backend="highs"`` solves the problem in memory, a certified prefix
     of its steps first when it has a step map. ``backend="mps:<path>"``
-    writes the whole problem to ``<path>``, reads the file back and
-    solves what was read, so the file on disk is exactly what gets solved.
+    has HiGHS write the whole problem to ``<path>`` as MPS, whatever the
+    extension, read the file back and solve what was read, so the file on
+    disk is exactly what gets solved.
 
     Infeasible, unbounded and numerically failed solves come back as
     statuses, not exceptions. An iteration-limited solve may carry no
@@ -113,17 +119,12 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
             return solution  # certified and checked against the whole problem
         solved = problem
     else:
-        save_mps(problem, options.backend[4:])
-        solved = load_mps(options.backend[4:])
+        # HiGHS keeps every column in order, so the point read back fits problem
+        solved = _through_file(problem, Path(options.backend[4:]))
     status, objective, x, _ = _linprog(
         solved.objective, solved.A, solved.row_lower, solved.row_upper,
         solved.col_lower, solved.col_upper, options,
     )
-    if x is not None and solved is not problem:
-        # a column the file never mentions has bounds [0, inf), cost 0 and no rows
-        point = np.zeros(problem.num_cols)
-        point[[problem.name_map[name] for name in solved.col_names]] = x
-        x = point
     steps = problem.step_map.step_count if problem.step_map is not None else None
     solution = LPSolution(status, objective, x, steps)
     if solution.status is SolveStatus.OPTIMAL:
@@ -176,18 +177,24 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options):
     return status, obj + base, x, y
 
 
-def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options):
-    """:func:`_linprog` with every column and row handed to HiGHS."""
+def _passed(objective, A, row_lower, row_upper, col_lower, col_upper) -> _Highs:
+    """A silent HiGHS holding the arrays as they are, from one ``passModel`` call."""
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("simplex_iteration_limit", options.iteration_limit)
-    highs.setOptionValue("ipm_iteration_limit", options.iteration_limit)
     rows, cols = A.shape
     highs.passModel(
         cols, rows, A.nnz, int(MatrixFormat.kRowwise), int(ObjSense.kMinimize), 0.0,
         objective, col_lower, col_upper, row_lower, row_upper,
         A.indptr, A.indices, A.data, np.zeros(cols, dtype=np.int32),
     )
+    return highs
+
+
+def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options):
+    """:func:`_linprog` with every column and row handed to HiGHS."""
+    highs = _passed(objective, A, row_lower, row_upper, col_lower, col_upper)
+    highs.setOptionValue("simplex_iteration_limit", options.iteration_limit)
+    highs.setOptionValue("ipm_iteration_limit", options.iteration_limit)
     highs.run()
     # a model HiGHS refused to take is empty, which maps to NUMERICAL
     status = _MODEL_STATUS.get(highs.getModelStatus(), SolveStatus.NUMERICAL)
@@ -198,6 +205,56 @@ def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options):
         status, highs.getInfo().objective_function_value,
         np.array(solution.col_value), np.array(solution.row_dual),
     )
+
+
+def save_mps(problem: LPProblem, path: str | Path) -> None:
+    """Have HiGHS write ``problem`` and its names to ``path``, in the format
+    the extension picks (``.mps`` for MPS); OSError when it cannot."""
+    p = problem
+    highs = _passed(p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper)
+    for c, name in enumerate(p.col_names):
+        highs.passColName(c, name)
+    for r, name in enumerate(p.row_names):
+        highs.passRowName(r, name)
+    if highs.writeModel(str(path)) == HighsStatus.kError:
+        raise OSError(f"HiGHS could not write {path}")
+
+
+def load_mps(path: str | Path) -> LPProblem:
+    """The problem HiGHS reads from the MPS file ``path``, names included;
+    OSError when it cannot, ValueError when two columns or rows share a name."""
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.readModel(str(path)) == HighsStatus.kError:
+        raise OSError(f"HiGHS could not read {path}")
+    highs.ensureRowwise()
+    lp = highs.getLp()
+    # HiGHS drops a file's names when two of them are the same
+    if len(set(lp.col_names_)) != lp.num_col_:
+        raise ValueError("column names are not unique")
+    if len(set(lp.row_names_)) != lp.num_row_:
+        raise ValueError("row names are not unique")
+    m = lp.a_matrix_
+    A = sp.csr_matrix((m.value_, m.index_, m.start_), shape=(lp.num_row_, lp.num_col_))
+    columns = [np.array(v, dtype=float) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_)]
+    rows = [np.array(v, dtype=float) for v in (lp.row_lower_, lp.row_upper_)]
+    return LPProblem(*columns, A, *rows, _named(lp.col_names_), _named(lp.row_names_))
+
+
+def _through_file(problem: LPProblem, path: Path) -> LPProblem:
+    """``problem`` written to ``path`` as MPS and read back. HiGHS picks the
+    format from the extension, so it writes and reads an ``.mps`` file in a
+    temporary directory beside ``path``, then renamed onto ``path``: that
+    file is the one read."""
+    try:
+        with tempfile.TemporaryDirectory(prefix=".coflownet-", dir=path.parent) as temp:
+            written = Path(temp) / "lp.mps"
+            save_mps(problem, written)
+            read = load_mps(written)
+            os.replace(written, path)
+    except OSError as exc:
+        raise OSError(f"cannot write the LP to {path}: {exc.strerror or exc}") from exc
+    return read
 
 
 def _solve_prefixes(problem: LPProblem, options: SolveOptions) -> LPSolution | None:

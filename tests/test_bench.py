@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 import coflownet as cn
 from coflownet.bench import BenchConfig, CSV_HEADER, rows_to_csv, run_bench
 from coflownet.generate import GenConfig, generate_instance
 from coflownet.pipeline import SolveFailure, run_pipeline
+from coflownet.rounding import MAX_TRIALS
 from coflownet.solver import LPSolution, SolveOptions, SolveStatus
 
 
@@ -139,3 +142,43 @@ def test_pipeline_refuses_a_negative_seed_before_any_lp(monkeypatch, demo_single
     monkeypatch.setattr(pipe, "build_interval_lp", no_lp)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         pipe.run_pipeline(demo_single, strategy=strategy, seed=-1)
+
+
+def _count_solves(monkeypatch):
+    import coflownet.pipeline as pipe
+
+    calls = []
+    real = pipe.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipe, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["stretch", "heuristic", "interval-stretch"])
+@pytest.mark.parametrize(
+    "trials, message",
+    [(0, "need at least one trial"), (MAX_TRIALS + 1, f"at most {MAX_TRIALS:,} trials, got {MAX_TRIALS + 1:,}")],
+    ids=["zero", "over-cap"],
+)
+def test_pipeline_refuses_a_trial_count_before_any_lp(monkeypatch, demo_single, strategy, trials, message):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(demo_single, strategy=strategy, trials=trials)
+    assert calls == []
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+def test_non_finite_or_non_positive_epsilon_is_refused_before_any_lp(monkeypatch, demo_free, epsilon):
+    calls = _count_solves(monkeypatch)
+    message = "epsilon must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(demo_free, strategy="interval-stretch", epsilon=epsilon)
+    assert calls == []
+    with pytest.raises(ValueError, match=message):
+        cn.geometric_intervals(10, epsilon)
+    with pytest.raises(ValueError, match=message):
+        cn.IntervalGrid(epsilon=epsilon, boundaries=(0.0, 1.0))

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import coflownet
-import coflownet.mps
 import coflownet.solver
 from coflownet import MAX_SLOT_COLUMNS, RoutingModel
 from coflownet.rounding import MAX_TRIALS
@@ -155,23 +154,50 @@ def test_mps_solver_solves_the_file_it_wrote(tmp_path, monkeypatch):
     exported = tmp_path / "exported.mps"
     assert run(["gen", "--jobs", 2, "--seed", 5, "--out", inst]) == 0
     read_back, handed = [], []
-    real_read, real_highs = coflownet.mps.read_mps, coflownet.solver._highs
+    real_load, real_highs = coflownet.solver.load_mps, coflownet.solver._highs
 
-    def spy_read(text):
-        read_back.append(real_read(text))
+    def spy_load(path):
+        read_back.append(real_load(path))
         return read_back[-1]
 
     def spy_highs(objective, A, *rest):
         handed.append((objective, A))
         return real_highs(objective, A, *rest)
 
-    monkeypatch.setattr(coflownet.mps, "read_mps", spy_read)
+    monkeypatch.setattr(coflownet.solver, "load_mps", spy_load)
     monkeypatch.setattr(coflownet.solver, "_highs", spy_highs)
     assert run(["solve", inst, "--strategy", "heuristic", "--solver", f"mps:{exported}"]) == 0
-    # HiGHS saw exactly one problem: the one parsed from the file (it has
+    # HiGHS saw exactly one problem: the one read from the file (it has
     # no fixed column, so its arrays reach HiGHS as they are)
     assert len(read_back) == 1 and len(handed) == 1
     assert handed[0][0] is read_back[0].objective and handed[0][1] is read_back[0].A
+    # the file read is the file left on disk, and nothing else is
+    on_disk = real_load(exported)
+    assert on_disk.col_names == read_back[0].col_names
+    assert (on_disk.A != read_back[0].A).nnz == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exported.mps", "inst.json"]
+
+
+_REPORT = ("lp_objective ", "horizon ", "schedule_objective ", "ratio ", "best_lambda ", "completions ")
+
+
+@pytest.mark.parametrize("name", ["model.txt", "model.lp"])
+def test_mps_solver_writes_mps_text_whatever_the_extension(tmp_path, capfd, name):
+    inst = tmp_path / "inst.json"
+    assert run(["gen", "--jobs", 2, "--seed", 5, "--out", inst]) == 0
+    assert run(["solve", inst, "--strategy", "heuristic"]) == 0
+    in_memory = capfd.readouterr().out.splitlines()
+    assert run(["solve", inst, "--strategy", "heuristic", "--solver", f"mps:{tmp_path / name}"]) == 0
+    captured = capfd.readouterr()
+    text = (tmp_path / name).read_text()
+    assert text.startswith("NAME") and "ENDATA" in text
+    # HiGHS prints nothing: stdout holds the report lines and no others
+    lines = captured.out.splitlines()
+    assert lines and all(line.startswith(_REPORT) for line in lines) and not captured.err
+    assert lines[0] == in_memory[0] and lines[0].startswith("lp_objective ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["inst.json", name])
+    # permissions as for any new file, not those of a private temporary one
+    assert (tmp_path / name).stat().st_mode == inst.stat().st_mode
 
 
 @pytest.mark.parametrize(
@@ -184,8 +210,12 @@ def test_mps_solver_solves_the_file_it_wrote(tmp_path, monkeypatch):
         (["--solver", "glpk"], "unknown backend"),
         (["--solver", "mps:"], "unknown backend"),
         (["--solver", "mps:{tmp}/missing-dir/out.mps"], "missing-dir"),
+        (["--solver", "mps:{tmp}"], "cannot write the LP to {tmp}:"),
     ],
-    ids=["trials-0", "trials-over-cap", "epsilon-0", "builtin", "unknown", "mps-no-path", "mps-unwritable"],
+    ids=[
+        "trials-0", "trials-over-cap", "epsilon-0", "builtin", "unknown", "mps-no-path",
+        "mps-unwritable", "mps-directory",
+    ],
 )
 def test_bad_solve_flags_exit_2(tmp_path, capsys, flags, message):
     inst = tmp_path / "inst.json"
@@ -193,7 +223,10 @@ def test_bad_solve_flags_exit_2(tmp_path, capsys, flags, message):
     flags = [str(f).format(tmp=tmp_path) for f in flags]
     assert run(["solve", inst] + flags) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message.format(tmp=tmp_path) in err and "Traceback" not in err
+    # no file is left behind, also beside a directory given as the path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+    assert not list(tmp_path.parent.glob(".coflownet-*"))
 
 
 _SCHEDULE = ["validate", "inst.json", "--schedule", "in.json"]
@@ -253,6 +286,7 @@ def _instance_text(coflow=None, flow=None):
         (None, ["bench", "--seed", -5], "--seed must be non-negative, got -5"),
         (None, ["check", "--seed", -1], "--seed must be non-negative, got -1"),
         (None, ["gen", "--seed", -1], "--seed must be non-negative, got -1"),
+        (None, ["check", "--solver", "mps:missing-dir/x.mps"], "cannot write the LP to missing-dir/x.mps"),
     ],
     ids=[
         "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
@@ -264,6 +298,7 @@ def _instance_text(coflow=None, flow=None):
         "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-epsilon-abc",
         "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
         "solve-negative-seed", "bench-negative-seed", "check-negative-seed", "gen-negative-seed",
+        "check-mps-unwritable",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, command, message):

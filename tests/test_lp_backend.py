@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize._highspy._core import HighsModelStatus, MatrixFormat, ObjSense, _Highs
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    HighsStatus,
+    MatrixFormat,
+    ObjSense,
+    _Highs,
+)
 
 from conftest import fuzz_instance
 
@@ -27,8 +33,7 @@ from coflownet import (
 )
 import coflownet.solver
 from coflownet.generate import GenConfig, demo_instance, generate_instance
-from coflownet.mps import read_mps, write_mps
-from coflownet.solver import PREFIX_GROWTH, LPSolution, check_solution
+from coflownet.solver import PREFIX_GROWTH, LPSolution, check_solution, load_mps, save_mps
 
 
 def problem(objective, rows, lower=None, upper=None, names=None):
@@ -117,12 +122,17 @@ def test_numerical_failure_reported_as_status(monkeypatch):
 
 def test_scipy_ships_the_highs_binding_the_solver_uses():
     # private to scipy: the names the solver imports (above), and the members
-    # it uses; ``_direct`` below calls the row-form ``passModel``
+    # it uses; ``_direct`` below calls the row-form ``passModel``, and the
+    # ``mps:`` backend has HiGHS write, read and hand back the file's LP
     assert {"kOptimal", "kInfeasible", "kUnbounded", "kIterationLimit"} <= set(
         HighsModelStatus.__members__
     )
     assert "kRowwise" in MatrixFormat.__members__ and "kMinimize" in ObjSense.__members__
-    assert callable(_Highs.passModel)
+    assert "kError" in HighsStatus.__members__
+    for member in (
+        "passModel", "passColName", "passRowName", "writeModel", "readModel", "ensureRowwise", "getLp",
+    ):
+        assert callable(getattr(_Highs, member)), member
 
 
 def _direct(p, **options):
@@ -178,14 +188,24 @@ def test_check_solution_catches_corruption(solved_single):
     assert check_solution(p, LPSolution(sol.status, math.nan, sol.x))
 
 
-def test_from_rows_rejects_duplicate_names():
+def test_from_rows_rejects_duplicate_names(tmp_path):
     with pytest.raises(ValueError, match="column names are not unique"):
         problem([1.0, 1.0], [([0, 1], [1.0, 1.0], ">=", 1.0)], names=["v", "v"])
     with pytest.raises(ValueError, match="row names are not unique"):
         LPProblem.from_rows([1.0], [0.0], [1.0], ["v"], [("r", [0], [1.0], ">=", 0.5)] * 2)
-    text = write_mps(problem([1.0], [([0], [1.0], ">=", 0.5)]))
+    # an MPS file that names a row twice, and one that starts column v0 twice
+    path = tmp_path / "p.mps"
+    save_mps(problem([1.0, 2.0], [([0, 1], [1.0, 1.0], ">=", 0.5)]), path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = next(k for k, line in enumerate(lines) if line.split() == ["G", "r0"])
+    twice = tmp_path / "rows.mps"
+    twice.write_text("".join(lines[: row + 1] + lines[row:]))
     with pytest.raises(ValueError, match="row names are not unique"):
-        read_mps(text.replace(" G  r0\n", " G  r0\n G  r0\n"))
+        load_mps(twice)
+    v0 = next(line for line in lines if line.split()[:2] == ["v0", "r0"])
+    twice.write_text("".join(lines).replace("ENDATA", "").replace("RHS\n", v0 + "RHS\n") + "ENDATA\n")
+    with pytest.raises(ValueError, match="column names are not unique"):
+        load_mps(twice)
 
 
 def test_arrays_that_do_not_match_the_matrix_or_hold_nan_are_refused():
@@ -202,14 +222,15 @@ def test_arrays_that_do_not_match_the_matrix_or_hold_nan_are_refused():
         problem([-math.inf], [([0], [1.0], ">=", 0.5)])
 
 
-def test_row_cols_view_matches_matrix(solved_free):
+def test_row_cols_view_matches_matrix(solved_free, tmp_path):
     p, _, _ = solved_free
     assert len(p.row_cols) == p.num_rows
     assert sum(cols.size for cols in p.row_cols) == p.A.nnz
     first = p.A.getrow(0).indices
     np.testing.assert_array_equal(p.row_cols[0], first)
     assert not p.row_cols[0].flags.writeable
-    empty = read_mps(write_mps(problem([1.0, 2.0], [])))
+    save_mps(problem([1.0, 2.0], []), tmp_path / "empty.mps")
+    empty = load_mps(tmp_path / "empty.mps")
     assert empty.num_rows == 0 and empty.row_cols == ()
 
 
@@ -217,17 +238,35 @@ def test_row_cols_view_matches_matrix(solved_free):
 # MPS round trip and the independent-solver escape hatch
 
 
-def test_mps_round_trip_preserves_problem(solved_free):
-    p, _, _ = solved_free
-    back = read_mps(write_mps(p))
-    assert back.col_names == p.col_names
-    assert back.row_names == p.row_names
-    np.testing.assert_array_equal(back.row_lower, p.row_lower)
-    np.testing.assert_array_equal(back.row_upper, p.row_upper)
-    np.testing.assert_allclose(back.A.toarray(), p.A.toarray(), atol=1e-12)
-    np.testing.assert_allclose(back.objective, p.objective, atol=1e-12)
-    np.testing.assert_allclose(back.col_lower, p.col_lower, atol=1e-12)
-    np.testing.assert_allclose(back.col_upper, p.col_upper, atol=1e-12)
+def _assert_close(got, want, rtol=1e-13):
+    """``|got - want| / max(1, |want|) <= rtol`` on the finite entries of
+    ``want``; infinite entries must match exactly."""
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite], want[~finite])
+    error = np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
+    assert error.max(initial=0.0) <= rtol
+
+
+def test_mps_round_trip_preserves_problem(solved_free, tmp_path):
+    # the slot LP of the free-path demo, and a free-path interval LP: its
+    # geometric lengths are not short decimals, and its names are longer
+    # than fixed-layout MPS allows
+    interval_instance = generate_instance(GenConfig(
+        topology="gscale-like", model=RoutingModel.FREE_PATH, jobs=3, release_mean=1.0, seed=0
+    ))
+    interval = build_interval_lp(interval_instance, interval_grid_for(interval_instance, 0.2))
+    assert max(map(len, interval.col_names)) > 8
+    for p in (solved_free[0], interval):
+        save_mps(p, tmp_path / "p.mps")
+        back = load_mps(tmp_path / "p.mps")
+        assert back.col_names == p.col_names
+        assert back.row_names == p.row_names
+        got, want = back.A.sorted_indices(), p.A.sorted_indices()
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        _assert_close(got.data, want.data)
+        for name in ("objective", "col_lower", "col_upper", "row_lower", "row_upper"):
+            _assert_close(getattr(back, name), getattr(p, name))
 
 
 def test_mps_backend_matches_in_memory_highs(demo_free, tmp_path):
@@ -494,7 +533,7 @@ def test_binding_uncertified_prefix_grows_by_one_step(monkeypatch):
     assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
 
 
-def test_step_map_follows_row_permutations_and_is_checked(solved_free, rng):
+def test_step_map_follows_row_permutations_and_is_checked(solved_free, rng, tmp_path):
     p, _, _ = solved_free
     order = rng.permutation(p.num_rows)
     q = p.permuted_rows(order)
@@ -509,4 +548,5 @@ def test_step_map_follows_row_permutations_and_is_checked(solved_free, rng):
     stale = replace(p.step_map, row_step=p.step_map.row_step[1:])
     with pytest.raises(ValueError, match="step map"):
         replace(p, step_map=stale)
-    assert read_mps(write_mps(p)).step_map is None
+    save_mps(p, tmp_path / "p.mps")
+    assert load_mps(tmp_path / "p.mps").step_map is None
