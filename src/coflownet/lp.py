@@ -34,7 +34,9 @@ The two relaxations differ only in their step boundaries (slot t is
 (``_assemble``) derives all of their time structure from them. Release
 times are enforced by fixing variables to zero rather than by rows: a
 flow released at ``r`` gets ``x`` (and ``xe``) upper bounds of 0 for
-every step that starts before ``r``.
+every step that starts before ``r``. Every other ``xe`` column has the
+upper bound its ``cap`` row implies, ``len_t * cap_e / demand``, so every
+column is bounded, as the solver's weak-duality certificate needs.
 
 The assembly never touches a row in Python. Columns are index blocks
 laid out in the order ``C`` (J), ``X`` (J x T), ``x`` (F x T), ``S``
@@ -69,7 +71,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import max_flow_value, path_bottleneck, usable_edges
-from .model import Edge, FractionalSchedule, Instance, RoutingModel
+from .model import Edge, FractionalSchedule, Instance, RoutingModel, coflow_progress
 
 
 @dataclass(frozen=True)
@@ -600,7 +602,9 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
         for f, ((_, _, _, fl), usable, tag) in enumerate(zip(flows, edges, tags)):
             width = len(usable)
             col_naming.append(("xe_{}_{}_{}", ((tag,), t_range, [e.id for e in usable])))
-            upper.append(np.repeat(np.where(open_steps[f], math.inf, 0.0), width))
+            # the bound its cap row implies when the flow carries the edge alone
+            implied = lengths[:, None] * np.array([e.cap for e in usable]) / fl.demand
+            upper.append(np.where(open_steps[f][:, None], implied, 0.0).ravel())
             col_step.append(np.repeat(step, width))
             col_after.append(np.zeros(width * T))
             blocks.append(_flow_rows(tag, fl, usable, x[f], cols))
@@ -708,14 +712,10 @@ def extract_fractional(
 ) -> FractionalSchedule:
     """FractionalSchedule from a solved slot-indexed LP column vector."""
     fractions, edge_fractions, completion = _collect(problem, x, instance, horizon)
-    cumulative = tuple(
-        np.clip(np.minimum.reduce([np.cumsum(s) for s in rows]), 0.0, 1.0)
-        for rows in fractions
-    )
     return FractionalSchedule(
         slot_count=horizon,
         fractions=fractions,
-        cumulative=cumulative,
+        cumulative=coflow_progress(fractions),
         lp_completion=completion,
         edge_fractions=edge_fractions,
     )

@@ -307,20 +307,22 @@ def completion_times(schedule: RateSchedule, instance: Instance) -> CompletionRe
     return completion_report(amounts, flow_coflows(instance), [cf.weight for cf in instance.coflows])
 
 
-def as_fractional(schedule: RateSchedule, instance: Instance) -> FractionalSchedule:
-    """View a rate schedule as a fractional schedule (fractions = amounts).
+def coflow_progress(fractions) -> tuple[np.ndarray, ...]:
+    """Per coflow, the fraction completed by the end of each step: the
+    per-step minimum over member flows of their cumulative fractions,
+    clipped to [0, 1]. ``fractions[j][i]`` is flow (j, i)'s step series."""
+    return tuple(
+        np.clip(np.minimum.reduce([np.cumsum(s) for s in flows]), 0.0, 1.0) for flows in fractions
+    )
 
-    Coflow progress is recomputed as the per-slot minimum over member
-    flows of their cumulative fractions, clipped to [0, 1].
-    """
-    cumulative = []
-    for j, cf in enumerate(instance.coflows):
-        prefix = np.minimum.reduce([np.cumsum(a) for a in schedule.amounts[j]])
-        cumulative.append(np.clip(prefix, 0.0, 1.0))
+
+def as_fractional(schedule: RateSchedule, instance: Instance) -> FractionalSchedule:
+    """View a rate schedule of ``instance`` as a fractional schedule
+    (fractions = amounts, progress from :func:`coflow_progress`)."""
     return FractionalSchedule(
         slot_count=schedule.slot_count,
         fractions=schedule.amounts,
-        cumulative=tuple(cumulative),
+        cumulative=coflow_progress(schedule.amounts),
         lp_completion=None,
         edge_fractions=schedule.edge_amounts,
     )

@@ -152,7 +152,10 @@ def _dense(pairs, slots: int) -> np.ndarray:
         t = _integer(t, "slot")
         if not 1 <= t <= slots:
             raise FormatError(f"schedule: slot {t} outside 1..{slots}")
-        out[t - 1] = _number(v, "amount")
+        v = _number(v, "amount")
+        if not math.isfinite(v):
+            raise FormatError(f"schedule: amount must be finite, got {v!r}")
+        out[t - 1] = v
     return out
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
@@ -209,8 +210,12 @@ def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options):
 
 def save_mps(problem: LPProblem, path: str | Path) -> None:
     """Have HiGHS write ``problem`` and its names to ``path``, in the format
-    the extension picks (``.mps`` for MPS); OSError when it cannot."""
+    the extension picks (``.mps`` for MPS); OSError when it cannot, naming
+    the first name that holds whitespace (which HiGHS refuses to write)."""
     p = problem
+    spaced = next((n for n in (*p.col_names, *p.row_names) if re.search(r"\s", n)), None)
+    if spaced is not None:
+        raise OSError(f"an MPS name cannot hold whitespace: {spaced!r}")
     highs = _passed(p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper)
     for c, name in enumerate(p.col_names):
         highs.passColName(c, name)
@@ -329,8 +334,7 @@ def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
     ``y``, after clipping entries whose sign the row bounds do not allow.
 
     ``sum(y+ * row_lower - y- * row_upper) + sum(min(d * lb, d * ub))``
-    with ``d = c - A.T @ y``. A column with no upper bound takes the one
-    its packing rows imply (see :func:`_implied_upper`).
+    with ``d = c - A.T @ y``.
     """
     lower, upper = problem.row_lower, problem.row_upper
     y = np.where(np.isinf(lower), np.minimum(y, 0.0), y)
@@ -338,30 +342,8 @@ def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
     d = problem.objective - problem.A.T @ y
     pos, neg = y > 0, y < 0
     bound = float(y[pos] @ lower[pos] + y[neg] @ upper[neg])
-    up, down = d > 0, np.flatnonzero(d < 0)
-    ceiling = problem.col_upper[down]
-    if np.isinf(ceiling).any():
-        ceiling = np.minimum(ceiling, _implied_upper(problem, down))
-    return bound + float(d[up] @ problem.col_lower[up] + d[down] @ ceiling)
-
-
-def _implied_upper(problem: LPProblem, cols: np.ndarray) -> np.ndarray:
-    """Upper bounds of ``cols`` implied by packing rows: ``<=`` rows whose
-    coefficients are all positive on columns that are all nonnegative, so
-    each term is at most the row bound (a free-path ``cap`` row bounds
-    its ``xe`` columns). ``inf`` where no packing row holds a column."""
-    A = problem.A
-    row_of = np.repeat(np.arange(problem.num_rows), np.diff(A.indptr))
-    packing = np.isinf(problem.row_lower)
-    packing[row_of[(A.data <= 0) | (problem.col_lower[A.indices] < 0)]] = False
-    wanted = np.zeros(problem.num_cols, dtype=bool)
-    wanted[cols] = True
-    entries = packing[row_of] & wanted[A.indices]
-    best = np.full(problem.num_cols, math.inf)
-    np.minimum.at(
-        best, A.indices[entries], problem.row_upper[row_of[entries]] / A.data[entries]
-    )
-    return best[cols]
+    up, down = d > 0, d < 0
+    return bound + float(d[up] @ problem.col_lower[up] + d[down] @ problem.col_upper[down])
 
 
 def check_solution(problem: LPProblem, solution: LPSolution, tol: float = 1e-7) -> list[str]:

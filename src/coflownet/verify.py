@@ -1,9 +1,20 @@
 """Independent schedule verification and continuous-time analysis checks.
 
-``verify_schedule`` re-derives feasibility straight from the instance:
-per-slot edge loads against capacities, flow conservation (free path),
-release respect, and demand satisfaction. It shares no code with the LP
-builders or the rounding chain, so it can referee both.
+``verify_schedule`` re-derives feasibility straight from the instance.
+It first checks that the schedule fits the instance: one amount series
+per flow, one dict of edge series per flow when given (required for
+free path), every series ``slot_count`` long and every edge id known.
+It then walks each flow once: no negative amount, demand, release, and
+one ledger of edge series (the path's edges carrying the flow's amount
+for single path, the flow's edge series for free path) that adds up the
+edge loads, the net flow at each node and the gross flow out of the
+source and into the sink. Conservation follows per flow, and one
+capacity loop ends the check. Every comparison is written so that NaN
+fails it, and a malformed schedule gives a ``shape`` violation, not an
+exception.
+
+It imports nothing from the LP, solver, rounding or pipeline modules,
+so it can referee all of them.
 """
 
 from __future__ import annotations
@@ -33,130 +44,112 @@ class Violation:
         return f"{self.kind}: {self.subject}{where} (by {self.magnitude:.3e})"
 
 
+@np.errstate(invalid="ignore")  # inf - inf is reported as a NaN excess, not warned about
 def verify_schedule(
     schedule: RateSchedule, instance: Instance, tol: float = FEAS_TOL
 ) -> list[Violation]:
     """All feasibility violations of ``schedule`` on ``instance`` (empty = ok)."""
+    misfit = _misfit(schedule, instance)
+    if misfit is not None:
+        return [Violation("shape", misfit, None, 0.0)]
+    slots = schedule.slot_count
+    edges = instance.network.edge_by_id
+    loads = {e.id: np.zeros(slots) for e in instance.network.edges}
     out: list[Violation] = []
-    if len(schedule.amounts) != len(instance.coflows):
-        return [Violation("shape", "coflow count mismatch", None, 0.0)]
-    for j, cf in enumerate(instance.coflows):
-        if len(schedule.amounts[j]) != len(cf.flows):
-            return [Violation("shape", f"coflow {j + 1} flow count mismatch", None, 0.0)]
-        for i, series in enumerate(schedule.amounts[j]):
-            if len(series) != schedule.slot_count:
-                return [Violation("shape", f"coflow {j + 1} flow {i + 1} slot count", None, 0.0)]
-
-    for j, i, cf, fl in instance.iter_flows():
+    for j, i, _, fl in instance.iter_flows():
         tag = f"coflow {j + 1} flow {i + 1}"
         series = schedule.amounts[j][i]
+        declared = schedule.edge_amounts[j][i] if schedule.edge_amounts is not None else {}
+        signs = [("", series), *((f" edge {eid}", s) for eid, s in declared.items())]
+        negative = [(f"{tag}{where} amount negative or NaN", -s) for where, s in signs]
+        _per_slot(out, "amount", negative, tol)
         prefix = np.cumsum(series)
         over = prefix.max(initial=0.0) - (1.0 + tol)
-        if over > 0:
+        if not over <= 0:
             out.append(Violation("demand", f"{tag} cumulative exceeds demand", None, over))
-        short = abs(prefix[-1] - 1.0) if len(prefix) else 1.0
-        if short > tol:
+        short = abs(prefix[-1] - 1.0) if slots else 1.0
+        if not short <= tol:
             out.append(Violation("demand", f"{tag} final cumulative != 1", None, short))
-        early = np.nonzero(series[: min(fl.release, schedule.slot_count)] > tol)[0]
-        for t in early:
-            out.append(
-                Violation("release", f"{tag} transmits before release", int(t) + 1, float(series[t]))
-            )
+        _per_slot(out, "release", [(f"{tag} transmits before release", series[: fl.release])], tol)
 
-    if instance.model is RoutingModel.SINGLE_PATH:
-        out.extend(_check_single_path(schedule, instance, tol))
-    else:
-        out.extend(_check_free_path(schedule, instance, tol))
-    return out
-
-
-def _check_single_path(schedule, instance, tol) -> list[Violation]:
-    out = []
-    loads: dict[str, np.ndarray] = {e.id: np.zeros(schedule.slot_count) for e in instance.network.edges}
-    for j, i, cf, fl in instance.iter_flows():
-        series = schedule.amounts[j][i]
-        for eid in fl.path:
-            loads[eid] += series * fl.demand
-        if schedule.edge_amounts is not None:
-            # Optional per-edge data must sit exactly on the declared path.
-            on_path = set(fl.path)
-            for eid, edge_series in schedule.edge_amounts[j][i].items():
-                if eid not in on_path:
-                    worst = float(np.max(edge_series, initial=0.0))
-                    if worst > tol:
-                        out.append(
-                            Violation(
-                                "path",
-                                f"coflow {j + 1} flow {i + 1} uses off-path edge {eid}",
-                                int(np.argmax(edge_series)) + 1,
-                                worst,
-                            )
-                        )
-                else:
-                    gap = float(np.max(np.abs(edge_series - series), initial=0.0))
-                    if gap > tol:
-                        out.append(
-                            Violation(
-                                "path",
-                                f"coflow {j + 1} flow {i + 1} edge {eid} differs from flow amount",
-                                int(np.argmax(np.abs(edge_series - series))) + 1,
-                                gap,
-                            )
-                        )
-    for e in instance.network.edges:
-        excess = loads[e.id] - e.cap
-        for t in np.nonzero(excess > tol)[0]:
-            out.append(Violation("capacity", f"edge {e.id} overloaded", int(t) + 1, float(excess[t])))
-    return out
-
-
-def _check_free_path(schedule, instance, tol) -> list[Violation]:
-    out = []
-    if schedule.edge_amounts is None:
-        return [Violation("shape", "free-path schedule lacks per-edge amounts", None, 0.0)]
-    loads: dict[str, np.ndarray] = {e.id: np.zeros(schedule.slot_count) for e in instance.network.edges}
-    for j, i, cf, fl in instance.iter_flows():
-        tag = f"coflow {j + 1} flow {i + 1}"
-        series = schedule.amounts[j][i]
-        per_edge = schedule.edge_amounts[j][i]
-        for eid, edge_series in per_edge.items():
-            if eid not in loads:
-                return [Violation("shape", f"{tag} references unknown edge {eid}", None, 0.0)]
-            loads[eid] += edge_series * fl.demand
-        net_flow: dict[str, np.ndarray] = {}
-        for eid, edge_series in per_edge.items():
-            e = instance.network.edge_by_id[eid]
-            net_flow.setdefault(e.src, np.zeros(schedule.slot_count))
-            net_flow.setdefault(e.dst, np.zeros(schedule.slot_count))
-            net_flow[e.src] += edge_series
-            net_flow[e.dst] -= edge_series
-        src_out = np.zeros(schedule.slot_count)
-        snk_in = np.zeros(schedule.slot_count)
-        for eid, edge_series in per_edge.items():
-            e = instance.network.edge_by_id[eid]
+        if instance.model is RoutingModel.SINGLE_PATH:
+            out.extend(_path_mismatches(tag, fl.path, series, declared, tol))
+            ledger = {eid: series for eid in fl.path}
+        else:
+            ledger = declared
+        net: dict[str, np.ndarray] = {}
+        src_out, snk_in = np.zeros(slots), np.zeros(slots)
+        for eid, s in ledger.items():
+            e = edges[eid]
+            loads[eid] += s * fl.demand
+            net[e.src] = net.get(e.src, 0.0) + s
+            net[e.dst] = net.get(e.dst, 0.0) - s
             if e.src == fl.src:
-                src_out += edge_series
+                src_out += s
             if e.dst == fl.dst:
-                snk_in += edge_series
-        for name, total in (("source out-flow", src_out), ("sink in-flow", snk_in)):
-            gap = np.abs(total - series)
-            for t in np.nonzero(gap > tol)[0]:
-                out.append(
-                    Violation("conservation", f"{tag} {name} != slot amount", int(t) + 1, float(gap[t]))
-                )
-        for v, balance in net_flow.items():
-            if v in (fl.src, fl.dst):
-                continue
-            bad = np.abs(balance)
-            for t in np.nonzero(bad > tol)[0]:
-                out.append(
-                    Violation("conservation", f"{tag} imbalance at node {v}", int(t) + 1, float(bad[t]))
-                )
-    for e in instance.network.edges:
-        excess = loads[e.id] - e.cap
-        for t in np.nonzero(excess > tol)[0]:
-            out.append(Violation("capacity", f"edge {e.id} overloaded", int(t) + 1, float(excess[t])))
+                snk_in += s
+        # gross flow at the two ends; net flow there is net[fl.src] and -net[fl.dst]
+        gaps = [("source out-flow != slot amount", src_out - series)]
+        gaps += [("sink in-flow != slot amount", snk_in - series)]
+        gaps += [(f"imbalance at node {v}", b) for v, b in net.items() if v not in (fl.src, fl.dst)]
+        _per_slot(out, "conservation", [(f"{tag} {what}", np.abs(gap)) for what, gap in gaps], tol)
+
+    excess = [(f"edge {e.id} overloaded", loads[e.id] - e.cap) for e in instance.network.edges]
+    _per_slot(out, "capacity", excess, tol)
     return out
+
+
+def _misfit(schedule: RateSchedule, instance: Instance) -> str | None:
+    """Why ``schedule`` does not fit ``instance`` (series counts and
+    lengths, edge ids), or None when it does."""
+    coflows = instance.coflows
+    edge_amounts = schedule.edge_amounts
+    if len(schedule.amounts) != len(coflows):
+        return "coflow count mismatch"
+    if edge_amounts is None:
+        if instance.model is RoutingModel.FREE_PATH:
+            return "free-path schedule lacks per-edge amounts"
+    elif len(edge_amounts) != len(coflows):
+        return "per-edge coflow count mismatch"
+    shape = (schedule.slot_count,)
+    for j, cf in enumerate(coflows):
+        if len(schedule.amounts[j]) != len(cf.flows):
+            return f"coflow {j + 1} flow count mismatch"
+        if edge_amounts is not None and len(edge_amounts[j]) != len(cf.flows):
+            return f"coflow {j + 1} per-edge flow count mismatch"
+        for i, series in enumerate(schedule.amounts[j]):
+            tag = f"coflow {j + 1} flow {i + 1}"
+            if np.shape(series) != shape:
+                return f"{tag} slot count"
+            for eid, s in (edge_amounts[j][i] if edge_amounts is not None else {}).items():
+                if eid not in instance.network.edge_by_id:
+                    return f"{tag} references unknown edge {eid}"
+                if np.shape(s) != shape:
+                    return f"{tag} edge {eid} slot count"
+    return None
+
+
+def _path_mismatches(tag, path, series, declared, tol):
+    """``path`` violations of optional single-path edge series: each must
+    equal the flow's amount on a path edge and be 0 off it."""
+    on_path = set(path)
+    for eid, s in declared.items():
+        if eid in on_path:
+            gap, subject = np.abs(s - series), f"{tag} edge {eid} differs from flow amount"
+        else:
+            gap, subject = np.abs(s), f"{tag} uses off-path edge {eid}"
+        worst = float(np.max(gap, initial=0.0))
+        if not worst <= tol:
+            yield Violation("path", subject, int(np.argmax(gap)) + 1, worst)
+
+
+def _per_slot(out: list[Violation], kind: str, rows, tol: float) -> None:
+    """Append one ``kind`` violation per row and slot where the row's
+    excess is above ``tol`` or NaN; ``rows`` pairs a subject with an
+    excess series, all of one length."""
+    excess = np.array([series for _, series in rows])
+    for k, t in zip(*(~(excess <= tol)).nonzero()):
+        out.append(Violation(kind, rows[k][0], int(t) + 1, float(excess[k, t])))
 
 
 # ---------------------------------------------------------------------------

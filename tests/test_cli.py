@@ -229,6 +229,19 @@ def test_bad_solve_flags_exit_2(tmp_path, capsys, flags, message):
     assert not list(tmp_path.parent.glob(".coflownet-*"))
 
 
+def test_mps_solver_names_the_edge_id_that_holds_whitespace(tmp_path, capsys):
+    data = instance_to_dict(demo_instance(RoutingModel.FREE_PATH))
+    for edge in data["edges"]:
+        edge["id"] = "edge one" if edge["id"] == "s-v1" else edge["id"]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    assert run(["validate", inst]) == 0
+    assert run(["solve", inst, "--solver", f"mps:{tmp_path / 'out.mps'}"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write the LP to" in err and "edge one" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
 _SCHEDULE = ["validate", "inst.json", "--schedule", "in.json"]
 _OUT_OF_RANGE = {"format": 1, "slot_count": 2, "coflows": [{"flows": [{"amounts": [[5, 1.0]]}]}]}
 _ZERO_JOB_SHOP = {"format": 1, "machines": 2, "jobs": [{"weight": 1, "p": [0, 0]}, {"weight": 1, "p": [1, 2]}]}
@@ -287,6 +300,8 @@ def _instance_text(coflow=None, flow=None):
         (None, ["check", "--seed", -1], "--seed must be non-negative, got -1"),
         (None, ["gen", "--seed", -1], "--seed must be non-negative, got -1"),
         (None, ["check", "--solver", "mps:missing-dir/x.mps"], "cannot write the LP to missing-dir/x.mps"),
+        ('{"format": 1, "slot_count": 2, "coflows": [{"flows": [{"amounts": [[2, NaN]]}]}]}', _SCHEDULE,
+         "amount must be finite, got nan"),
     ],
     ids=[
         "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
@@ -298,7 +313,7 @@ def _instance_text(coflow=None, flow=None):
         "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-epsilon-abc",
         "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
         "solve-negative-seed", "bench-negative-seed", "check-negative-seed", "gen-negative-seed",
-        "check-mps-unwritable",
+        "check-mps-unwritable", "schedule-nan-amount",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, command, message):

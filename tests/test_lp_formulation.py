@@ -487,8 +487,13 @@ def reference_assembly(instance, lengths, allowed, completion_ub):
         xe = []
         for f, (_, _, _, fl) in enumerate(flows):
             edges = usable_edges(instance.network, fl.src, fl.dst)
-            ub = {t: math.inf if allowed(fl, t) else 0.0 for t in steps}
-            cols = {(t, e.id): col(f"xe_{tags[f]}_{t}_{e.id}", ub=ub[t]) for t in steps for e in edges}
+            cols = {
+                (t, e.id): col(
+                    f"xe_{tags[f]}_{t}_{e.id}",
+                    ub=lengths[t - 1] * e.cap / fl.demand if allowed(fl, t) else 0.0,
+                )
+                for t in steps for e in edges
+            }
             xe.append({e.id: np.array([cols[t, e.id] for t in steps]) for e in edges})
             for e in edges:
                 users.setdefault(e.id, []).append(([cols[t, e.id] for t in steps], fl.demand))

@@ -1,6 +1,12 @@
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import coflownet
 from coflownet import (
     Coflow,
     Edge,
@@ -11,10 +17,13 @@ from coflownet import (
     RateSchedule,
     RoutingModel,
     continuous_interpolation_checks,
+    run_pipeline,
     verify_schedule,
 )
-from coflownet.generate import demo_optimal_schedule
+from coflownet.generate import demo_instance, demo_optimal_schedule
 from coflownet.verify import check_identity_on_vectors
+
+from conftest import fuzz_instance
 
 
 def test_demo_schedules_verify(demo_single, demo_free):
@@ -55,6 +64,18 @@ def test_release_violation_flagged():
     assert any(v.kind == "release" and v.slot == 1 for v in violations)
 
 
+def test_negative_amount_flagged():
+    net = Network(("a", "b"), (Edge("e1", "a", "b", 2.0),))
+    inst = Instance(
+        network=net,
+        coflows=(Coflow((Flow("a", "b", 1.0, 0, ("e1",)),), 1.0),),
+        model=RoutingModel.SINGLE_PATH,
+    )
+    # sums to the demand and fits the capacity, but sends -0.5 in slot 1
+    violations = verify_schedule(RateSchedule(2, ((np.array([-0.5, 1.5]),),)), inst)
+    assert [(v.kind, v.slot) for v in violations] == [("amount", 1)]
+
+
 def test_free_path_conservation_violation(demo_free):
     sched = demo_optimal_schedule(RoutingModel.FREE_PATH)
     edges = [
@@ -92,6 +113,98 @@ def test_single_path_off_path_edge_flagged(demo_single):
     )
     violations = verify_schedule(bad, demo_single)
     assert any(v.kind == "path" for v in violations)
+
+
+def _edge_series(schedule, instance):
+    """The schedule's per-edge series; for single path without them, each
+    flow's amount on every edge of its path."""
+    if schedule.edge_amounts is not None:
+        return schedule.edge_amounts
+    return tuple(
+        tuple({eid: a for eid in fl.path} for a, fl in zip(flows, cf.flows))
+        for flows, cf in zip(schedule.amounts, instance.coflows)
+    )
+
+
+def _with(nested, j, i, value):
+    rows = [list(flows) for flows in nested]
+    rows[j][i] = value
+    return tuple(map(tuple, rows))
+
+
+def _malformed(schedule, instance, rng):
+    """``(expects_shape, schedule)`` for each malformation of one random
+    flow of ``schedule``."""
+    slots = schedule.slot_count
+    j = int(rng.integers(len(instance.coflows)))
+    i = int(rng.integers(len(instance.coflows[j].flows)))
+    t = int(rng.integers(slots))
+    series = schedule.amounts[j][i]
+    edges = _edge_series(schedule, instance)
+    eid, edge = next(iter(edges[j][i].items()))
+
+    def amounts(value):
+        return RateSchedule(slots, _with(schedule.amounts, j, i, value), schedule.edge_amounts)
+
+    def per_edge(value):
+        return RateSchedule(slots, schedule.amounts, value)
+
+    def flow_edges(value):
+        return per_edge(_with(edges, j, i, {**edges[j][i], **value}))
+
+    yield True, amounts(series[:-1])
+    yield True, amounts(np.append(series, 0.0))
+    yield True, flow_edges({eid: edge[:-1]})
+    yield True, flow_edges({eid: np.append(edge, 0.0)})
+    yield True, per_edge(edges[:-1])
+    yield True, per_edge(edges + edges[:1])
+    yield True, flow_edges({"no-such-edge": edge})
+    for bad in (math.nan, math.inf, -0.1):
+        yield False, amounts(np.where(np.arange(slots) == t, bad, series))
+        yield False, flow_edges({eid: np.where(np.arange(slots) == t, bad, edge)})
+
+
+def test_malformed_schedules_are_violations_not_exceptions():
+    rng = np.random.default_rng(1414)
+    cases = [(demo_instance(m), demo_optimal_schedule(m)) for m in RoutingModel]
+    for model in RoutingModel:
+        for _ in range(3):
+            instance = fuzz_instance(rng, model)
+            cases.append((instance, run_pipeline(instance, "stretch", trials=2, seed=0).schedule))
+    for instance, schedule in cases:
+        assert verify_schedule(schedule, instance) == []
+        assert verify_schedule(RateSchedule(schedule.slot_count, schedule.amounts,
+                                            _edge_series(schedule, instance)), instance) == []
+        for _ in range(2):
+            for expects_shape, bad in _malformed(schedule, instance, rng):
+                kinds = [v.kind for v in verify_schedule(bad, instance)]
+                if expects_shape:
+                    assert kinds == ["shape"]
+                else:
+                    assert kinds and "shape" not in kinds
+
+
+def test_verify_imports_nothing_of_the_solve_chain():
+    """``coflownet.verify`` loaded without the package ``__init__`` (which
+    imports everything) pulls in no LP, solver, rounding or pipeline module."""
+    package = Path(coflownet.__file__).parent
+    code = f"""
+import sys, types
+import numpy as np
+sys.modules["coflownet"] = types.ModuleType("coflownet")
+sys.modules["coflownet"].__path__ = [{str(package)!r}]
+from coflownet.model import Coflow, Edge, Flow, Instance, Network, RateSchedule, RoutingModel
+from coflownet.verify import verify_schedule
+net = Network(("a", "b"), (Edge("e", "a", "b", 1.0),))
+inst = Instance(net, (Coflow((Flow("a", "b", 1.0, 0, ("e",)),), 1.0),), RoutingModel.SINGLE_PATH)
+assert verify_schedule(RateSchedule(1, ((np.ones(1),),)), inst) == []
+print(" ".join(m for m in sys.modules if m.startswith("coflownet.")))
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "coflownet.verify" in loaded
+    assert not loaded & {f"coflownet.{m}" for m in ("lp", "solver", "rounding", "pipeline")}
 
 
 # ---------------------------------------------------------------------------
