@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .generate import GenConfig, TOPOLOGIES, demo_instance, generate_instance
-from .model import RoutingModel, completion_times, validate_instance
+from .model import RoutingModel, check_instance, completion_times, validate_instance
 from .openshop import reduce_open_shop
 from .rounding import MAX_TRIALS
 from .pipeline import (
@@ -62,10 +62,10 @@ def _load_instance(path: str):
 
 def _load_valid_instance(path: str):
     instance = _load_instance(path)
-    problems = validate_instance(instance)
-    if problems:
-        raise _Usage(f"invalid instance: {problems[0]} (+{len(problems) - 1} more)"
-                     if len(problems) > 1 else f"invalid instance: {problems[0]}")
+    try:
+        check_instance(instance)
+    except ValueError as exc:
+        raise _Usage(str(exc))
     return instance
 
 

@@ -233,6 +233,15 @@ def validate_instance(instance: Instance) -> list[str]:
     return problems
 
 
+def check_instance(instance: Instance) -> None:
+    """ValueError ``invalid instance: <first problem>``, with the count of
+    the others, when :func:`validate_instance` finds any."""
+    problems = validate_instance(instance)
+    if problems:
+        more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ValueError(f"invalid instance: {problems[0]}{more}")
+
+
 def _check_path(net: Network, fl: Flow, tag: str) -> list[str]:
     if fl.path is None:
         return [f"{tag}: single-path model requires a path"]

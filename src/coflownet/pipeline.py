@@ -19,7 +19,14 @@ from .lp import (
     flow_edges,
     horizon_upper_bound,
 )
-from .model import CompletionReport, FractionalSchedule, Instance, RateSchedule, as_fractional
+from .model import (
+    CompletionReport,
+    FractionalSchedule,
+    Instance,
+    RateSchedule,
+    as_fractional,
+    check_instance,
+)
 from .rounding import StretchTrial, check_trials, expand_interval_schedule, lp_heuristic, run_stretch
 from .solver import LPSolution, SolveOptions, SolveStatus, solve
 from .verify import verify_schedule
@@ -120,6 +127,7 @@ def run_pipeline(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_trials(trials)
+    check_instance(instance)
     # refuses the instance before anything that grows with the horizon exists;
     # the free-path usable edges serve the check and the LP build
     edges = flow_edges(instance)

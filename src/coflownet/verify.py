@@ -3,7 +3,8 @@
 ``verify_schedule`` re-derives feasibility straight from the instance.
 It first checks that the schedule fits the instance: one amount series
 per flow, one dict of edge series per flow when given (required for
-free path), every series ``slot_count`` long and every edge id known.
+free path), every series ``slot_count`` long, every single-path flow
+with a path, and every edge id, of a series or a path, known.
 It then walks each flow once: no negative amount, demand, release, and
 one ledger of edge series (the path's edges carrying the flow's amount
 for single path, the flow's edge series for free path) that adds up the
@@ -112,17 +113,25 @@ def _misfit(schedule: RateSchedule, instance: Instance) -> str | None:
     elif len(edge_amounts) != len(coflows):
         return "per-edge coflow count mismatch"
     shape = (schedule.slot_count,)
+    known = instance.network.edge_by_id
+    single = instance.model is RoutingModel.SINGLE_PATH
     for j, cf in enumerate(coflows):
         if len(schedule.amounts[j]) != len(cf.flows):
             return f"coflow {j + 1} flow count mismatch"
         if edge_amounts is not None and len(edge_amounts[j]) != len(cf.flows):
             return f"coflow {j + 1} per-edge flow count mismatch"
-        for i, series in enumerate(schedule.amounts[j]):
+        for i, (series, fl) in enumerate(zip(schedule.amounts[j], cf.flows)):
             tag = f"coflow {j + 1} flow {i + 1}"
             if np.shape(series) != shape:
                 return f"{tag} slot count"
+            if single:
+                if fl.path is None:
+                    return f"{tag} has no path"
+                unknown = [eid for eid in fl.path if eid not in known]
+                if unknown:
+                    return f"{tag} path references unknown edge {unknown[0]}"
             for eid, s in (edge_amounts[j][i] if edge_amounts is not None else {}).items():
-                if eid not in instance.network.edge_by_id:
+                if eid not in known:
                     return f"{tag} references unknown edge {eid}"
                 if np.shape(s) != shape:
                     return f"{tag} edge {eid} slot count"

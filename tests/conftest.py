@@ -3,8 +3,10 @@ import pytest
 
 from coflownet import (
     Coflow,
+    Edge,
     Flow,
     Instance,
+    Network,
     RoutingModel,
     build_time_indexed_lp,
     extract_fractional,
@@ -80,3 +82,12 @@ def solved_free(demo_free):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def unknown_path_edge():
+    """A one-edge single-path instance whose flow's path names an edge
+    that is not in the network."""
+    net = Network(("a", "b"), (Edge("ab", "a", "b", 1.0),))
+    flow = Flow("a", "b", 1.0, 0, ("zz",))
+    return Instance(net, (Coflow((flow,), 1.0),), RoutingModel.SINGLE_PATH)

@@ -144,6 +144,20 @@ def test_pipeline_refuses_a_negative_seed_before_any_lp(monkeypatch, demo_single
         pipe.run_pipeline(demo_single, strategy=strategy, seed=-1)
 
 
+@pytest.mark.parametrize("strategy", ["stretch", "heuristic", "interval-stretch"])
+def test_pipeline_refuses_an_invalid_instance_before_any_lp(monkeypatch, unknown_path_edge, strategy):
+    import coflownet.pipeline as pipe
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was built")
+
+    for name in ("flow_edges", "build_time_indexed_lp", "build_interval_lp"):
+        monkeypatch.setattr(pipe, name, no_lp)
+    message = "^invalid instance: coflow 1 flow 1: path edge 'zz' not in network$"
+    with pytest.raises(ValueError, match=message):
+        pipe.run_pipeline(unknown_path_edge, strategy=strategy)
+
+
 def _count_solves(monkeypatch):
     import coflownet.pipeline as pipe
 

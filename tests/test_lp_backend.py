@@ -29,7 +29,11 @@ from coflownet import (
     horizon_lower_bound,
     horizon_upper_bound,
     interval_grid_for,
+    random_shop,
+    reduce_open_shop,
+    run_pipeline,
     solve,
+    verify_schedule,
 )
 import coflownet.solver
 from coflownet.generate import GenConfig, demo_instance, generate_instance
@@ -118,6 +122,21 @@ def test_numerical_failure_reported_as_status(monkeypatch):
     sol = solve(p)
     assert sol.status is SolveStatus.NUMERICAL
     assert sol.x is None
+
+
+@pytest.mark.parametrize(
+    "option", ["output_flag", "simplex_iteration_limit", "ipm_iteration_limit", "presolve"]
+)
+def test_refused_highs_option_raises(monkeypatch, option):
+    # HiGHS keeps the old value of an option it refuses, so a renamed
+    # option would otherwise go unnoticed
+    class Refusing(_Highs):
+        def setOptionValue(self, name, value):
+            return super().setOptionValue(name, "no such value" if name == option else value)
+
+    monkeypatch.setattr(coflownet.solver, "_Highs", Refusing)
+    with pytest.raises(coflownet.solver.SolverError, match=f"HiGHS refused option {option}="):
+        solve(problem([1.0], [([0], [1.0], ">=", 3.0)]))
 
 
 def test_scipy_ships_the_highs_binding_the_solver_uses():
@@ -412,6 +431,70 @@ def test_uncertified_prefixes_fall_back_to_the_full_solve(monkeypatch, model):
     ]
     assert got.steps == p.step_map.step_count
     assert got.objective == want.objective
+
+
+def _presolve_settings(monkeypatch):
+    """Record the ``presolve`` option of every HiGHS run."""
+    settings = []
+
+    class Spy(_Highs):
+        def run(self):
+            settings.append(self.getOptionValue("presolve")[1])
+            return super().run()
+
+    monkeypatch.setattr(coflownet.solver, "_Highs", Spy)
+    return settings
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_only_free_path_lps_go_to_highs_with_presolve_off(monkeypatch, tmp_path, model):
+    # every prefix rung and the whole-problem fallback, of both relaxations,
+    # in memory and through an MPS file
+    monkeypatch.setattr(
+        coflownet.solver, "_extended_duals", lambda step_map, *_: np.zeros(len(step_map.row_step))
+    )
+    settings = _presolve_settings(monkeypatch)
+    inst = demo_instance(model)
+    expected = "off" if model is RoutingModel.FREE_PATH else "choose"
+    for p in (
+        build_time_indexed_lp(inst, horizon_upper_bound(inst)),
+        build_interval_lp(inst, interval_grid_for(inst, 0.5)),
+    ):
+        for backend in ("highs", f"mps:{tmp_path / 'p.mps'}"):
+            settings.clear()
+            assert solve(p, SolveOptions(backend=backend)).status is SolveStatus.OPTIMAL
+            rungs = len(_rungs(p.step_map)) if backend == "highs" else 0
+            assert settings == [expected] * (rungs + 1)
+    # open-shop reductions are single-path LPs
+    settings.clear()
+    shop = random_shop(np.random.default_rng(3), max_jobs=4, max_machines=3, max_time=5)
+    reduced = reduce_open_shop(shop)
+    solve(build_time_indexed_lp(reduced, horizon_upper_bound(reduced)))
+    assert settings and set(settings) == {"choose"}
+
+
+def test_free_path_lps_without_presolve_match_presolved_highs():
+    checked = 0
+    for seed in (606, 919):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            inst = fuzz_instance(rng, RoutingModel.FREE_PATH)
+            for p in (
+                build_time_indexed_lp(inst, horizon_upper_bound(inst)),
+                build_interval_lp(inst, interval_grid_for(inst, 0.5)),
+            ):
+                status, want, _, _ = coflownet.solver._highs(
+                    p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper,
+                    SolveOptions(), True,
+                )
+                got = solve(p)
+                assert status is got.status is SolveStatus.OPTIMAL
+                assert got.objective == pytest.approx(want, rel=1e-9)
+                checked += 1
+            for strategy in ("stretch", "interval-stretch"):
+                result = run_pipeline(inst, strategy, trials=3, seed=0)
+                assert verify_schedule(result.schedule, inst) == []
+    assert checked == 24
 
 
 def reference_prefix_arrays(p, prefix):

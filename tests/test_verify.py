@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from coflownet import (
     verify_schedule,
 )
 from coflownet.generate import demo_instance, demo_optimal_schedule
-from coflownet.verify import check_identity_on_vectors
+from coflownet.verify import Violation, check_identity_on_vectors
 
 from conftest import fuzz_instance
 
@@ -182,6 +183,16 @@ def test_malformed_schedules_are_violations_not_exceptions():
                     assert kinds == ["shape"]
                 else:
                     assert kinds and "shape" not in kinds
+
+
+def test_unknown_path_edge_is_a_shape_violation(unknown_path_edge):
+    schedule = RateSchedule(1, ((np.ones(1),),))
+    assert verify_schedule(schedule, unknown_path_edge) == [
+        Violation("shape", "coflow 1 flow 1 path references unknown edge zz", None, 0.0)
+    ]
+    pathless = replace(unknown_path_edge.coflows[0].flows[0], path=None)
+    instance = replace(unknown_path_edge, coflows=(Coflow((pathless,), 1.0),))
+    assert [v.subject for v in verify_schedule(schedule, instance)] == ["coflow 1 flow 1 has no path"]
 
 
 def test_verify_imports_nothing_of_the_solve_chain():
