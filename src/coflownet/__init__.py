@@ -61,7 +61,6 @@ from .openshop import (
     check_lp_lower_bound,
     open_shop_optimal,
     permutation_objective,
-    permutation_schedule,
     random_shop,
     reduce_open_shop,
 )

@@ -35,8 +35,13 @@ from .serialize import (
     load_shop,
     save_schedule,
 )
-from .solver import SolveOptions
-from .verify import check_identity_on_vectors, continuous_interpolation_checks, verify_schedule
+from .solver import SolveOptions, SolverError
+from .verify import (
+    IDENTITY_TRIALS,
+    check_identity_on_vectors,
+    continuous_interpolation_checks,
+    verify_schedule,
+)
 
 OK, VERIFY_FAIL, USAGE, SOLVER_FAIL = 0, 1, 2, 3
 
@@ -89,11 +94,6 @@ def _check_rounding_flags(trials: int, epsilons) -> None:
             raise _Usage(f"--epsilon must be positive and finite, got {eps}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="coflownet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,7 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--nodes", type=int, default=8)
     p.add_argument("--links", type=int, default=12)
     p.add_argument("--cap", type=float, default=1.0)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("solve", help="solve an instance end to end")
     p.add_argument("instance")
@@ -121,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--solver", type=str, default="highs")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("validate", help="validate an instance (and optionally a schedule)")
     p.add_argument("instance")
@@ -137,18 +139,19 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--release-mean", type=float, default=0.0)
     p.add_argument("--slot-length", type=float, default=1.0)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("reduce", help="reduce an open-shop file to a coflow instance")
     p.add_argument("shop")
     p.add_argument("--model", choices=[m.value for m in RoutingModel], default="single_path")
-    _add_common(p)
+    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("check", help="run the analysis identity checks")
     p.add_argument("--instance", type=str, default=None)
     p.add_argument("--model", choices=[m.value for m in RoutingModel], default="single_path")
     p.add_argument("--solver", type=str, default="highs")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
     try:
@@ -156,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_Usage, HorizonTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except SolveFailure as exc:
+    except (SolveFailure, SolverError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_FAIL
     except VerificationFailure as exc:
@@ -302,8 +305,8 @@ def _dispatch(args) -> int:
 
 def _run_checks(args) -> int:
     rng = np.random.default_rng(args.seed)
-    worst_identity = check_identity_on_vectors(rng, trials=100)
-    print(f"prefix-sum identity residual (100 random vectors): {worst_identity:.3e}")
+    worst_identity = check_identity_on_vectors(rng)
+    print(f"prefix-sum identity residual ({IDENTITY_TRIALS} random vectors): {worst_identity:.3e}")
     failed = worst_identity > 1e-12
 
     if args.instance:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import reachable_from, sample_shortest_path
-from .model import Coflow, Edge, Flow, Instance, Network, RateSchedule, RoutingModel
+from .model import Coflow, Edge, Flow, Instance, Network, RoutingModel
 
 #: Five sites, seven bidirectional inter-site links.
 _SWAN_LIKE_LINKS = (
@@ -207,40 +207,3 @@ def demo_instance(model: RoutingModel) -> Instance:
         Coflow((Flow("s", "t", 3.0, 0, paths["blue"] if single else None),), 1.0),
     )
     return Instance(network=demo_network(), coflows=coflows, model=model)
-
-
-def demo_optimal_schedule(model: RoutingModel) -> RateSchedule:
-    """A hand-checked optimal schedule for :func:`demo_instance`.
-
-    Single path: the three unit flows go in slot 1; the big flow needs
-    its shared edge alone, so it runs in slots 2-4 (objective 7). Free
-    path: unit flows in slot 1, the big flow splits over all three
-    relays in slot 2 (objective 5).
-    """
-    if model is RoutingModel.SINGLE_PATH:
-        third = np.array([0.0, 1 / 3, 1 / 3, 1 / 3])
-        one = np.array([1.0, 0.0, 0.0, 0.0])
-        return RateSchedule(
-            slot_count=4,
-            amounts=((one,), (one,), (one,), (third,)),
-            edge_amounts=None,
-        )
-    one = np.array([1.0, 0.0])
-    blue = np.array([0.0, 1.0])
-    split = np.array([0.0, 1 / 3])
-    return RateSchedule(
-        slot_count=2,
-        amounts=((one,), (one,), (one,), (blue,)),
-        edge_amounts=(
-            ({"v1-t": one},),
-            ({"v2-t": one},),
-            ({"v3-t": one},),
-            (
-                {
-                    "s-v1": split, "v1-t": split,
-                    "s-v2": split, "v2-t": split,
-                    "s-v3": split, "v3-t": split,
-                },
-            ),
-        ),
-    )

@@ -63,9 +63,9 @@ steps and certify that prefix optimal for the whole relaxation (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,18 +110,6 @@ class StepMap:
     step_count: int
     first_prefix: int
 
-    def permuted_rows(self, order: np.ndarray) -> "StepMap":
-        """The map of :meth:`LPProblem.permuted_rows`; ``dem`` rows follow
-        their rows."""
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        dem = self.row_dem[order]
-        return replace(
-            self,
-            row_step=self.row_step[order],
-            row_dem=np.where(dem >= 0, position[dem], -1),
-        )
-
 
 #: How to name a run of columns or rows: ``(fmt, axes)`` names them
 #: ``fmt.format(*combo)`` for each ``combo`` of ``itertools.product(*axes)``.
@@ -151,8 +139,8 @@ class LPProblem:
     unique, and built on first read of ``col_names``/``row_names`` from
     ``col_naming``/``row_naming`` (see :data:`NameBlock`): the relaxation
     builders record one block per variable or row family, unique by
-    construction; :meth:`from_rows` builds a problem from a row list and
-    checks the names it is given. ``layout`` and ``step_map`` are set by
+    construction; :func:`coflownet.solver.load_mps` checks the names a
+    file gives it. ``layout`` and ``step_map`` are set by
     the relaxation builders; solution extraction reads the first, the
     solver the second.
     """
@@ -192,39 +180,6 @@ class LPProblem:
         ):
             raise ValueError("step map does not match the problem's rows and columns")
 
-    @classmethod
-    def from_rows(cls, objective, col_lower, col_upper, col_names, rows, layout=None) -> "LPProblem":
-        """Assemble the CSR matrix from ``rows``, a sequence of
-        ``(name, cols, vals, relation, rhs)`` with relation one of
-        ``<=``, ``=``, ``>=``. Column and row names must be unique."""
-        names, cols, vals, relations, rhs = zip(*rows) if rows else ((),) * 5
-        if len(set(col_names)) != len(col_names):
-            raise ValueError("column names are not unique")
-        if len(set(names)) != len(names):
-            raise ValueError("row names are not unique")
-        if not set(relations) <= {"<=", "=", ">="}:
-            raise ValueError(f"bad relation in {sorted(set(relations))}")
-        indptr = np.zeros(len(names) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, cols), dtype=np.int64, count=len(names)), out=indptr[1:])
-        nnz = int(indptr[-1])
-        indices = np.fromiter(chain.from_iterable(cols), dtype=np.int64, count=nnz)
-        if nnz and (indices.min() < 0 or indices.max() >= len(col_names)):
-            raise ValueError("row references an unknown column")
-        data = np.fromiter(chain.from_iterable(vals), dtype=float, count=nnz)
-        relations = np.array(relations, dtype=object)
-        rhs = np.array(rhs, dtype=float)
-        return cls(
-            objective=np.array(objective, dtype=float),
-            col_lower=np.array(col_lower, dtype=float),
-            col_upper=np.array(col_upper, dtype=float),
-            A=sp.csr_matrix((data, indices, indptr), shape=(len(names), len(col_names))),
-            row_lower=np.where(relations == "<=", -math.inf, rhs),
-            row_upper=np.where(relations == ">=", math.inf, rhs),
-            col_naming=_named(col_names),
-            row_naming=_named(names),
-            layout=layout,
-        )
-
     @property
     def num_cols(self) -> int:
         return self.A.shape[1]
@@ -242,30 +197,12 @@ class LPProblem:
         return _names(self.row_naming)
 
     @cached_property
-    def name_map(self) -> dict[str, int]:
-        return {name: idx for idx, name in enumerate(self.col_names)}
-
-    @cached_property
     def row_cols(self) -> tuple[np.ndarray, ...]:
         """Column indices of each row, as read-only views into ``A``."""
         indices = self.A.indices.view()
         indices.flags.writeable = False
         bounds = self.A.indptr.tolist()
         return tuple(indices[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
-
-    def permuted_rows(self, order) -> "LPProblem":
-        """Same LP with rows reordered (for solver-invariance checks)."""
-        order = np.asarray(order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(self.num_rows)):
-            raise ValueError("order is not a permutation of the rows")
-        return replace(
-            self,
-            row_naming=_named(self.row_names[r] for r in order),
-            A=self.A[order],
-            row_lower=self.row_lower[order],
-            row_upper=self.row_upper[order],
-            step_map=self.step_map.permuted_rows(order) if self.step_map else None,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coflow, Edge, Flow, Instance, Network, RateSchedule, RoutingModel
+from .model import Coflow, Edge, Flow, Instance, Network, RoutingModel
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,18 @@ def permutation_objective(shop: OpenShopInstance, order) -> float:
     return math.fsum(w * c for w, c in zip(shop.weights, completion))
 
 
-def open_shop_optimal(shop: OpenShopInstance, limit: int = 8) -> tuple[float, tuple[int, ...]]:
+#: Most jobs :func:`open_shop_optimal` enumerates the permutations of.
+MAX_ORACLE_JOBS = 8
+
+#: How far a relaxation value may sit above the exact optimum before
+#: :func:`check_lp_lower_bound` reports it.
+LOWER_BOUND_TOL = 1e-6
+
+
+def open_shop_optimal(shop: OpenShopInstance) -> tuple[float, tuple[int, ...]]:
     """Exact minimum weighted completion time and a witnessing permutation."""
-    if shop.job_count > limit:
-        raise ValueError(f"{shop.job_count} jobs exceeds the enumeration limit {limit}")
+    if shop.job_count > MAX_ORACLE_JOBS:
+        raise ValueError(f"{shop.job_count} jobs exceeds the enumeration limit {MAX_ORACLE_JOBS}")
     best = math.inf
     best_order: tuple[int, ...] | None = None
     for order in itertools.permutations(range(shop.job_count)):
@@ -116,45 +124,13 @@ def open_shop_optimal(shop: OpenShopInstance, limit: int = 8) -> tuple[float, tu
     return best, best_order
 
 
-def permutation_schedule(shop: OpenShopInstance, order, instance: Instance) -> RateSchedule:
-    """Replay a permutation on the reduced instance as a rate schedule.
-
-    Machine work runs back to back at unit rate, so each slot moves a
-    ``1/demand`` fraction. Requires integer processing times.
-    """
-    horizon = max(1, int(math.ceil(max(math.fsum(row[i] for row in shop.processing) for i in range(shop.machines)))))
-    amounts: list[list[np.ndarray]] = []
-    for j, row in enumerate(shop.processing):
-        amounts.append([np.zeros(horizon) for p in row if p > 0])
-    starts = [0.0] * shop.machines
-    for j in order:
-        row = shop.processing[j]
-        flow_idx = 0
-        for i in range(shop.machines):
-            if row[i] <= 0:
-                continue
-            p = int(row[i])
-            if p != row[i]:
-                raise ValueError("permutation replay needs integer processing times")
-            begin = int(starts[i])
-            for t in range(begin, begin + p):
-                amounts[j][flow_idx][t] = 1.0 / p
-            starts[i] += p
-            flow_idx += 1
-    return RateSchedule(
-        slot_count=horizon,
-        amounts=tuple(tuple(flows) for flows in amounts),
-        edge_amounts=None,
-    )
-
-
 def check_lp_lower_bound(
-    instance: Instance, lp_objective: float, exact_objective: float, tol: float = 1e-6
+    instance: Instance, lp_objective: float, exact_objective: float
 ) -> str | None:
     """None if the relaxation value sits below the exact optimum, else a
     message describing the violation (which indicates an LP-builder bug).
     """
-    if lp_objective <= exact_objective + tol:
+    if lp_objective <= exact_objective + LOWER_BOUND_TOL:
         return None
     return (
         f"relaxation value {lp_objective} exceeds exact optimum "

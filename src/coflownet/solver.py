@@ -19,11 +19,12 @@ The prefix's row duals, extended to the later rows (each later
 weak-duality bound on the whole problem; the prefix point is returned
 only when that bound reaches its objective, which proves it optimal for
 every step. A prefix whose point is optimal but not certified and uses
-its last step is binding, so it grows by one step; any other prefix
-that fails grows by ``PREFIX_GROWTH``. Once a prefix would cover every
-step, the whole problem is solved as it is. This is the pricing step of
-time-indexed column generation (van den Akker, Hurkens & Savelsbergh,
-2000).
+its last step is binding, so it grows by one step; an infeasible prefix,
+or an uncertified optimum that ends earlier, grows by ``PREFIX_GROWTH``.
+After any other status (HiGHS failed: ``numerical``, ``iteration_limit``),
+and once a prefix would cover every step, the whole problem is solved
+as it is. This is the pricing step of time-indexed column generation
+(van den Akker, Hurkens & Savelsbergh, 2000).
 
 Every HiGHS call goes through :func:`_linprog`, the one place that
 removes fixed columns: HiGHS sees only the columns whose bounds leave
@@ -291,16 +292,18 @@ def _through_file(problem: LPProblem, path: Path) -> LPProblem:
 
 def _solve_prefixes(problem: LPProblem, options: SolveOptions, presolve: bool) -> LPSolution | None:
     """The first certified prefix solution, trying ever longer prefixes
-    shorter than the whole problem; None when none certifies or the
-    problem has no step map."""
+    shorter than the whole problem; None when none certifies, HiGHS fails
+    on one, or the problem has no step map."""
     step_map = problem.step_map
     if step_map is None:
         return None
     prefix = step_map.first_prefix
     while prefix < step_map.step_count:
-        solution, used = _solve_prefix(problem, prefix, options, presolve)
+        status, solution, used = _solve_prefix(problem, prefix, options, presolve)
         if solution is not None:
             return solution
+        if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+            return None  # a HiGHS failure, not a prefix too short
         if used == prefix:  # the optimal point runs to the prefix's end
             prefix += 1
         else:
@@ -310,13 +313,14 @@ def _solve_prefixes(problem: LPProblem, options: SolveOptions, presolve: bool) -
 
 def _solve_prefix(
     problem: LPProblem, prefix: int, options: SolveOptions, presolve: bool = True
-) -> tuple[LPSolution | None, int | None]:
+) -> tuple[SolveStatus, LPSolution | None, int | None]:
     """Solve the rows of steps ``1..prefix`` with every later column's
-    bounds pinned at its after-prefix value. The full-length point when a
-    weak-duality bound on the whole problem certifies it optimal and it
-    passes :func:`check_solution`, None otherwise; and the last step an
-    optimal point that is not returned uses (its last column away from
-    the column's after-value), None for every other outcome."""
+    bounds pinned at its after-prefix value. The prefix's status; the
+    full-length point when a weak-duality bound on the whole problem
+    certifies it optimal and it passes :func:`check_solution`, None
+    otherwise; and the last step an optimal point that is not returned
+    uses (its last column away from the column's after-value), None for
+    every other outcome."""
     step_map = problem.step_map
     rows = np.flatnonzero(step_map.row_step <= prefix)
     later = step_map.col_step > prefix
@@ -326,14 +330,14 @@ def _solve_prefix(
         np.where(later, step_map.col_after, problem.col_upper), options, presolve,
     )
     if status is not SolveStatus.OPTIMAL:
-        return None, None
+        return status, None, None
     y = _extended_duals(step_map, rows, duals, prefix)
     if _dual_bound(problem, y) >= objective - options.tolerance * max(1.0, abs(objective)):
         solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
         if not check_solution(problem, solution, tol=options.tolerance):
-            return solution, None
+            return status, solution, None
     used = step_map.col_step[np.abs(x - step_map.col_after) > options.tolerance]
-    return None, int(used.max(initial=0))
+    return status, None, int(used.max(initial=0))
 
 
 def _extended_duals(step_map, rows: np.ndarray, duals: np.ndarray, prefix: int) -> np.ndarray:

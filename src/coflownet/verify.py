@@ -46,10 +46,9 @@ class Violation:
 
 
 @np.errstate(invalid="ignore")  # inf - inf is reported as a NaN excess, not warned about
-def verify_schedule(
-    schedule: RateSchedule, instance: Instance, tol: float = FEAS_TOL
-) -> list[Violation]:
-    """All feasibility violations of ``schedule`` on ``instance`` (empty = ok)."""
+def verify_schedule(schedule: RateSchedule, instance: Instance) -> list[Violation]:
+    """All feasibility violations of ``schedule`` on ``instance`` (empty =
+    ok), each by more than ``FEAS_TOL``."""
     misfit = _misfit(schedule, instance)
     if misfit is not None:
         return [Violation("shape", misfit, None, 0.0)]
@@ -63,18 +62,18 @@ def verify_schedule(
         declared = schedule.edge_amounts[j][i] if schedule.edge_amounts is not None else {}
         signs = [("", series), *((f" edge {eid}", s) for eid, s in declared.items())]
         negative = [(f"{tag}{where} amount negative or NaN", -s) for where, s in signs]
-        _per_slot(out, "amount", negative, tol)
+        _per_slot(out, "amount", negative)
         prefix = np.cumsum(series)
-        over = prefix.max(initial=0.0) - (1.0 + tol)
+        over = prefix.max(initial=0.0) - (1.0 + FEAS_TOL)
         if not over <= 0:
             out.append(Violation("demand", f"{tag} cumulative exceeds demand", None, over))
         short = abs(prefix[-1] - 1.0) if slots else 1.0
-        if not short <= tol:
+        if not short <= FEAS_TOL:
             out.append(Violation("demand", f"{tag} final cumulative != 1", None, short))
-        _per_slot(out, "release", [(f"{tag} transmits before release", series[: fl.release])], tol)
+        _per_slot(out, "release", [(f"{tag} transmits before release", series[: fl.release])])
 
         if instance.model is RoutingModel.SINGLE_PATH:
-            out.extend(_path_mismatches(tag, fl.path, series, declared, tol))
+            out.extend(_path_mismatches(tag, fl.path, series, declared))
             ledger = {eid: series for eid in fl.path}
         else:
             ledger = declared
@@ -93,10 +92,10 @@ def verify_schedule(
         gaps = [("source out-flow != slot amount", src_out - series)]
         gaps += [("sink in-flow != slot amount", snk_in - series)]
         gaps += [(f"imbalance at node {v}", b) for v, b in net.items() if v not in (fl.src, fl.dst)]
-        _per_slot(out, "conservation", [(f"{tag} {what}", np.abs(gap)) for what, gap in gaps], tol)
+        _per_slot(out, "conservation", [(f"{tag} {what}", np.abs(gap)) for what, gap in gaps])
 
     excess = [(f"edge {e.id} overloaded", loads[e.id] - e.cap) for e in instance.network.edges]
-    _per_slot(out, "capacity", excess, tol)
+    _per_slot(out, "capacity", excess)
     return out
 
 
@@ -138,7 +137,7 @@ def _misfit(schedule: RateSchedule, instance: Instance) -> str | None:
     return None
 
 
-def _path_mismatches(tag, path, series, declared, tol):
+def _path_mismatches(tag, path, series, declared):
     """``path`` violations of optional single-path edge series: each must
     equal the flow's amount on a path edge and be 0 off it."""
     on_path = set(path)
@@ -148,16 +147,16 @@ def _path_mismatches(tag, path, series, declared, tol):
         else:
             gap, subject = np.abs(s), f"{tag} uses off-path edge {eid}"
         worst = float(np.max(gap, initial=0.0))
-        if not worst <= tol:
+        if not worst <= FEAS_TOL:
             yield Violation("path", subject, int(np.argmax(gap)) + 1, worst)
 
 
-def _per_slot(out: list[Violation], kind: str, rows, tol: float) -> None:
+def _per_slot(out: list[Violation], kind: str, rows) -> None:
     """Append one ``kind`` violation per row and slot where the row's
-    excess is above ``tol`` or NaN; ``rows`` pairs a subject with an
+    excess is above ``FEAS_TOL`` or NaN; ``rows`` pairs a subject with an
     excess series, all of one length."""
     excess = np.array([series for _, series in rows])
-    for k, t in zip(*(~(excess <= tol)).nonzero()):
+    for k, t in zip(*(~(excess <= FEAS_TOL)).nonzero()):
         out.append(Violation(kind, rows[k][0], int(t) + 1, float(excess[k, t])))
 
 
@@ -186,9 +185,11 @@ class InterpolationReport:
     quadrature_residual: float
 
 
-def continuous_interpolation_checks(
-    fractional: FractionalSchedule, quadrature_points: int = 400_001
-) -> list[InterpolationReport]:
+#: Midpoints of the unit interval the quadrature route averages over.
+QUADRATURE_POINTS = 400_001
+
+
+def continuous_interpolation_checks(fractional: FractionalSchedule) -> list[InterpolationReport]:
     reports = []
     horizon = fractional.slot_count
     for j, levels in enumerate(fractional.cumulative):
@@ -199,7 +200,7 @@ def continuous_interpolation_checks(
         slack = None
         if fractional.lp_completion is not None:
             slack = fractional.lp_completion[j] - 0.5 - trapezoid
-        lams = (np.arange(quadrature_points) + 0.5) / quadrature_points
+        lams = (np.arange(QUADRATURE_POINTS) + 0.5) / QUADRATURE_POINTS
         inverse = _lambda_points_vector(padded, lams)
         quadrature = float(inverse.mean())
         reports.append(
@@ -226,13 +227,18 @@ def _lambda_points_vector(levels: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return (ks - 1) + (lams - lo) / rise
 
 
-def check_identity_on_vectors(rng: np.random.Generator, trials: int = 100, max_len: int = 40) -> float:
+#: Random unit vectors :func:`check_identity_on_vectors` tries, and the
+#: longest of them.
+IDENTITY_TRIALS, IDENTITY_MAX_LEN = 100, 40
+
+
+def check_identity_on_vectors(rng: np.random.Generator) -> float:
     """Max residual of the prefix-sum identity
     ``sum_t t*x(t) == 1 + sum_{t<T} (1 - X(t))`` over random unit vectors.
     """
     worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, max_len + 1))
+    for _ in range(IDENTITY_TRIALS):
+        n = int(rng.integers(1, IDENTITY_MAX_LEN + 1))
         x = rng.random(n)
         x /= x.sum()
         prefix = np.cumsum(x)

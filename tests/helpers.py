@@ -1,0 +1,148 @@
+"""Test references and fixtures: an LP assembled from a row list, a
+row-permuted LP, a hand-checked optimal schedule of the demo instance,
+and the replay of an open-shop permutation. No production path calls
+them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+from itertools import chain
+
+import numpy as np
+import scipy.sparse as sp
+
+from coflownet import Instance, LPProblem, RateSchedule, RoutingModel
+from coflownet.lp import StepMap, _named
+from coflownet.openshop import OpenShopInstance
+
+
+def from_rows(objective, col_lower, col_upper, col_names, rows, layout=None) -> LPProblem:
+    """Assemble the CSR matrix from ``rows``, a sequence of
+    ``(name, cols, vals, relation, rhs)`` with relation one of
+    ``<=``, ``=``, ``>=``. Column and row names must be unique."""
+    names, cols, vals, relations, rhs = zip(*rows) if rows else ((),) * 5
+    if len(set(col_names)) != len(col_names):
+        raise ValueError("column names are not unique")
+    if len(set(names)) != len(names):
+        raise ValueError("row names are not unique")
+    if not set(relations) <= {"<=", "=", ">="}:
+        raise ValueError(f"bad relation in {sorted(set(relations))}")
+    indptr = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, cols), dtype=np.int64, count=len(names)), out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(cols), dtype=np.int64, count=nnz)
+    if nnz and (indices.min() < 0 or indices.max() >= len(col_names)):
+        raise ValueError("row references an unknown column")
+    data = np.fromiter(chain.from_iterable(vals), dtype=float, count=nnz)
+    relations = np.array(relations, dtype=object)
+    rhs = np.array(rhs, dtype=float)
+    return LPProblem(
+        objective=np.array(objective, dtype=float),
+        col_lower=np.array(col_lower, dtype=float),
+        col_upper=np.array(col_upper, dtype=float),
+        A=sp.csr_matrix((data, indices, indptr), shape=(len(names), len(col_names))),
+        row_lower=np.where(relations == "<=", -math.inf, rhs),
+        row_upper=np.where(relations == ">=", math.inf, rhs),
+        col_naming=_named(col_names),
+        row_naming=_named(names),
+        layout=layout,
+    )
+
+
+def permuted_rows(problem: LPProblem, order) -> LPProblem:
+    """Same LP with rows reordered (for solver-invariance checks)."""
+    order = np.asarray(order, dtype=np.int64)
+    if sorted(order.tolist()) != list(range(problem.num_rows)):
+        raise ValueError("order is not a permutation of the rows")
+    return replace(
+        problem,
+        row_naming=_named(problem.row_names[r] for r in order),
+        A=problem.A[order],
+        row_lower=problem.row_lower[order],
+        row_upper=problem.row_upper[order],
+        step_map=_permuted_step_map(problem.step_map, order) if problem.step_map else None,
+    )
+
+
+def _permuted_step_map(step_map: StepMap, order: np.ndarray) -> StepMap:
+    """The map of :func:`permuted_rows`; ``dem`` rows follow their rows."""
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    dem = step_map.row_dem[order]
+    return replace(
+        step_map,
+        row_step=step_map.row_step[order],
+        row_dem=np.where(dem >= 0, position[dem], -1),
+    )
+
+
+def demo_optimal_schedule(model: RoutingModel) -> RateSchedule:
+    """A hand-checked optimal schedule for
+    :func:`coflownet.generate.demo_instance`.
+
+    Single path: the three unit flows go in slot 1; the big flow needs
+    its shared edge alone, so it runs in slots 2-4 (objective 7). Free
+    path: unit flows in slot 1, the big flow splits over all three
+    relays in slot 2 (objective 5).
+    """
+    if model is RoutingModel.SINGLE_PATH:
+        third = np.array([0.0, 1 / 3, 1 / 3, 1 / 3])
+        one = np.array([1.0, 0.0, 0.0, 0.0])
+        return RateSchedule(
+            slot_count=4,
+            amounts=((one,), (one,), (one,), (third,)),
+            edge_amounts=None,
+        )
+    one = np.array([1.0, 0.0])
+    blue = np.array([0.0, 1.0])
+    split = np.array([0.0, 1 / 3])
+    return RateSchedule(
+        slot_count=2,
+        amounts=((one,), (one,), (one,), (blue,)),
+        edge_amounts=(
+            ({"v1-t": one},),
+            ({"v2-t": one},),
+            ({"v3-t": one},),
+            (
+                {
+                    "s-v1": split, "v1-t": split,
+                    "s-v2": split, "v2-t": split,
+                    "s-v3": split, "v3-t": split,
+                },
+            ),
+        ),
+    )
+
+
+def permutation_schedule(shop: OpenShopInstance, order, instance: Instance) -> RateSchedule:
+    """Replay a permutation on the reduced instance as a rate schedule.
+
+    Machine work runs back to back at unit rate, so each slot moves a
+    ``1/demand`` fraction. Requires integer processing times.
+    """
+    horizon = max(1, int(math.ceil(max(math.fsum(row[i] for row in shop.processing) for i in range(shop.machines)))))
+    amounts: list[list[np.ndarray]] = []
+    for j, row in enumerate(shop.processing):
+        amounts.append([np.zeros(horizon) for p in row if p > 0])
+    starts = [0.0] * shop.machines
+    for j in order:
+        row = shop.processing[j]
+        flow_idx = 0
+        for i in range(shop.machines):
+            if row[i] <= 0:
+                continue
+            p = int(row[i])
+            if p != row[i]:
+                raise ValueError("permutation replay needs integer processing times")
+            begin = int(starts[i])
+            for t in range(begin, begin + p):
+                amounts[j][flow_idx][t] = 1.0 / p
+            starts[i] += p
+            flow_idx += 1
+    return RateSchedule(
+        slot_count=horizon,
+        amounts=tuple(tuple(flows) for flows in amounts),
+        edge_amounts=None,
+    )

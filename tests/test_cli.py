@@ -384,6 +384,25 @@ def test_usage_error_on_unknown_strategy(tmp_path, capsys):
         run(["solve", inst, "--strategy", "zigzag"])
 
 
+def test_non_verifying_optimum_exits_3(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst.json"
+    save_instance(demo_instance(RoutingModel.SINGLE_PATH), inst)
+    monkeypatch.setattr(coflownet.solver, "check_solution", lambda *args, **kwargs: ["forced"])
+    for command in (["solve", inst], ["check", "--instance", inst]):
+        assert run(command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: backend 'highs' returned a non-verifying optimum")
+        assert "Traceback" not in err
+
+
+def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
+    for command in (["reduce", tmp_path / "shop.json", "--seed", 1], ["check", "--out", "x"]):
+        with pytest.raises(SystemExit) as exit_:
+            run(command)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 SRC = Path(coflownet.__file__).resolve().parent.parent
 
 

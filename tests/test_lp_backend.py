@@ -13,13 +13,13 @@ from scipy.optimize._highspy._core import (
 )
 
 from conftest import fuzz_instance
+from helpers import from_rows, permuted_rows
 
 from coflownet import (
     Coflow,
     Edge,
     Flow,
     Instance,
-    LPProblem,
     Network,
     RoutingModel,
     SolveOptions,
@@ -42,7 +42,7 @@ from coflownet.solver import PREFIX_GROWTH, LPSolution, check_solution, load_mps
 
 def problem(objective, rows, lower=None, upper=None, names=None):
     n = len(objective)
-    return LPProblem.from_rows(
+    return from_rows(
         objective,
         lower if lower is not None else [0.0] * n,
         upper if upper is not None else [math.inf] * n,
@@ -187,7 +187,7 @@ def test_row_permutation_invariance(backend, solved_free, rng):
     p, base, _ = solved_free
     for _ in range(3):
         perm = rng.permutation(p.num_rows)
-        sol = solve(p.permuted_rows(perm), SolveOptions(backend=backend))
+        sol = solve(permuted_rows(p, perm), SolveOptions(backend=backend))
         assert sol.objective == pytest.approx(base.objective, abs=1e-9)
 
 
@@ -201,7 +201,7 @@ def test_check_solution_catches_corruption(solved_single):
     p, sol, _ = solved_single
     assert check_solution(p, sol) == []
     bad = sol.x.copy()
-    bad[p.name_map["x_1_1_1"]] += 0.5
+    bad[p.col_names.index("x_1_1_1")] += 0.5
     failures = check_solution(p, LPSolution(sol.status, sol.objective, bad))
     assert failures
     assert check_solution(p, LPSolution(sol.status, math.nan, sol.x))
@@ -211,7 +211,7 @@ def test_from_rows_rejects_duplicate_names(tmp_path):
     with pytest.raises(ValueError, match="column names are not unique"):
         problem([1.0, 1.0], [([0, 1], [1.0, 1.0], ">=", 1.0)], names=["v", "v"])
     with pytest.raises(ValueError, match="row names are not unique"):
-        LPProblem.from_rows([1.0], [0.0], [1.0], ["v"], [("r", [0], [1.0], ">=", 0.5)] * 2)
+        from_rows([1.0], [0.0], [1.0], ["v"], [("r", [0], [1.0], ">=", 0.5)] * 2)
     # an MPS file that names a row twice, and one that starts column v0 twice
     path = tmp_path / "p.mps"
     save_mps(problem([1.0, 2.0], [([0, 1], [1.0, 1.0], ">=", 0.5)]), path)
@@ -229,7 +229,7 @@ def test_from_rows_rejects_duplicate_names(tmp_path):
 
 def test_arrays_that_do_not_match_the_matrix_or_hold_nan_are_refused():
     with pytest.raises(ValueError, match="objective and column bounds must have 1 entries"):
-        LPProblem.from_rows([1.0, 2.0], [0.0], [1.0], ["v"], [("r", [0], [1.0], ">=", 0.5)])
+        from_rows([1.0, 2.0], [0.0], [1.0], ["v"], [("r", [0], [1.0], ">=", 0.5)])
     p = problem([1.0], [([0], [1.0], ">=", 0.5)])
     with pytest.raises(ValueError, match="row bounds must have 1 entries"):
         replace(p, row_lower=np.zeros(2))
@@ -585,6 +585,37 @@ def _free_corpus(seed):
     ))
 
 
+@pytest.mark.parametrize(
+    "fail, options, status",
+    [
+        (True, SolveOptions(), SolveStatus.NUMERICAL),
+        (False, SolveOptions(iteration_limit=1), SolveStatus.ITERATION_LIMIT),
+    ],
+    ids=["numerical", "iteration-limit"],
+)
+def test_failed_prefix_goes_straight_to_the_whole_problem(monkeypatch, fail, options, status):
+    # instance 0 of the single-path benchmark corpus: a ladder of 11 rungs
+    inst = generate_instance(GenConfig(topology="gscale-like", jobs=40, seed=0))
+    p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
+    assert (p.step_map.first_prefix, p.step_map.step_count) == (15, 184)
+    assert len(_rungs(p.step_map)) == 11
+    runs = []
+
+    class Counted(_Highs):
+        # with ``fail``, every run reports kSolveError without solving
+        def run(self):
+            runs.append(1)
+            return HighsStatus.kError if fail else super().run()
+
+        def getModelStatus(self):
+            return HighsModelStatus.kSolveError if fail else super().getModelStatus()
+
+    monkeypatch.setattr(coflownet.solver, "_Highs", Counted)
+    got = solve(p, options)
+    assert len(runs) == 2  # the first rung, then the whole problem
+    assert got.status is status and got.steps == p.step_map.step_count
+
+
 def test_free_corpus_lps_certify_at_their_first_prefix(monkeypatch):
     # seeds 1, 5 and 9 need the cut term for a feasible first prefix; on 2,
     # 4 and 6 the reduced LP's duals certify under the per-flow dem extension
@@ -619,7 +650,7 @@ def test_binding_uncertified_prefix_grows_by_one_step(monkeypatch):
 def test_step_map_follows_row_permutations_and_is_checked(solved_free, rng, tmp_path):
     p, _, _ = solved_free
     order = rng.permutation(p.num_rows)
-    q = p.permuted_rows(order)
+    q = permuted_rows(p, order)
     np.testing.assert_array_equal(q.step_map.row_step, p.step_map.row_step[order])
     has = q.step_map.row_dem >= 0
     dems = p.step_map.row_dem[order][has]

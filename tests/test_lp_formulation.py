@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import fuzz_instance
+from helpers import from_rows
 
 from coflownet import (
     Coflow,
     Edge,
     Flow,
     Instance,
-    LPProblem,
     Network,
     RateSchedule,
     RoutingModel,
@@ -174,7 +174,7 @@ def test_trivial_lp_only_feasible_point():
     sol = solve(problem)
     assert sol.status.value == "optimal"
     assert sol.objective == pytest.approx(1.0)
-    assert sol.x[problem.name_map["x_1_1_1"]] == pytest.approx(1.0)
+    assert sol.x[problem.col_names.index("x_1_1_1")] == pytest.approx(1.0)
 
 
 def test_golden_lp_objectives(solved_single, solved_free):
@@ -202,7 +202,7 @@ def test_release_respected_in_solution():
     problem = build_time_indexed_lp(inst, horizon)
     sol = solve(problem)
     for t in (1, 2):
-        assert sol.x[problem.name_map[f"x_1_1_{t}"]] == pytest.approx(0.0, abs=1e-12)
+        assert sol.x[problem.col_names.index(f"x_1_1_{t}")] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fractional_release_rounds_up():
@@ -222,7 +222,7 @@ def test_fractional_release_rounds_up():
     problem = build_time_indexed_lp(inst, horizon)
     sol = solve(problem)
     for t in (1, 2):
-        assert sol.x[problem.name_map[f"x_1_1_{t}"]] == pytest.approx(0.0, abs=1e-12)
+        assert sol.x[problem.col_names.index(f"x_1_1_{t}")] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_infeasible_horizon_flagged_before_solve():
@@ -272,11 +272,11 @@ def test_prefix_sum_identity_on_random_vectors(rng):
 def test_variable_naming_convention(solved_single, solved_free):
     p_single, _, _ = solved_single
     p_free, _, _ = solved_free
-    assert "C_1" in p_single.name_map
-    assert "X_4_3" in p_single.name_map
-    assert "x_4_1_2" in p_single.name_map
-    assert "S_4_1_2" in p_single.name_map
-    assert "xe_4_1_2_s-v1" in p_free.name_map
+    assert "C_1" in p_single.col_names
+    assert "X_4_3" in p_single.col_names
+    assert "x_4_1_2" in p_single.col_names
+    assert "S_4_1_2" in p_single.col_names
+    assert "xe_4_1_2_s-v1" in p_free.col_names
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +397,10 @@ def quadratic_cum_reference(instance, problem):
     steps = problem.layout.x.shape[1]
     for f, (j, i, _, _) in enumerate(instance.iter_flows()):
         for t in range(1, steps + 1):
-            progress = new_index[problem.name_map[f"X_{j + 1}_{t}"]]
+            progress = new_index[problem.col_names.index(f"X_{j + 1}_{t}")]
             cols = [progress] + new_index[problem.layout.x[f, :t]].tolist()
             rows.append((f"cum_{j + 1}_{i + 1}_{t}", cols, [1.0] + [-1.0] * t, "<=", 0.0))
-    return LPProblem.from_rows(
+    return from_rows(
         problem.objective[keep],
         problem.col_lower[keep],
         problem.col_upper[keep],
@@ -444,7 +444,7 @@ def test_cum_nonzeros_grow_linearly_in_the_horizon(demo_single):
 
 def reference_assembly(instance, lengths, allowed, completion_ub):
     """The relaxation written one column and one row at a time, in the
-    documented order, and assembled by ``LPProblem.from_rows``."""
+    documented order, and assembled by ``helpers.from_rows``."""
     steps = range(1, len(lengths) + 1)
     flows = list(instance.iter_flows())
     obj, upper, names, rows = [], [], [], []
@@ -518,7 +518,7 @@ def reference_assembly(instance, lengths, allowed, completion_ub):
         x=np.array([[x[f, t] for t in steps] for f in range(len(flows))]),
         xe=xe,
     )
-    return LPProblem.from_rows(obj, [0.0] * len(names), upper, names, rows, layout=layout)
+    return from_rows(obj, [0.0] * len(names), upper, names, rows, layout=layout)
 
 
 def assert_same_problem(got, want):

@@ -13,13 +13,15 @@ from coflownet import (
     validate_instance,
     weighted_objective,
 )
-from coflownet.generate import demo_instance, demo_optimal_schedule
+from coflownet.generate import demo_instance
 from coflownet.serialize import (
     instance_from_dict,
     instance_to_dict,
     schedule_from_dict,
     schedule_to_dict,
 )
+
+from helpers import demo_optimal_schedule
 
 
 def _single_flow_instance(slots_amounts):

@@ -10,7 +10,6 @@ from coflownet import (
     completion_times,
     open_shop_optimal,
     permutation_objective,
-    permutation_schedule,
     random_shop,
     reduce_open_shop,
     validate_instance,
@@ -19,6 +18,7 @@ from coflownet import (
 from coflownet.pipeline import solve_lp
 from coflownet.serialize import shop_from_dict, shop_to_dict
 from coflownet.solver import SolveOptions
+from helpers import permutation_schedule
 
 
 def numpy_enumeration(shop):
@@ -100,7 +100,7 @@ def test_job_limit_enforced():
         machines=1, processing=tuple((1.0,) for _ in range(9)), weights=(1.0,) * 9
     )
     with pytest.raises(ValueError, match="exceeds"):
-        open_shop_optimal(shop, limit=8)
+        open_shop_optimal(shop)
 
 
 def test_permutation_replay_matches_shop_completions(rng):

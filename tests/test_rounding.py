@@ -32,6 +32,8 @@ import coflownet.rounding as rounding
 from coflownet.model import AMOUNT_EPS, CompletionReport, weighted_objective
 from coflownet.rounding import MAX_TRIALS, StretchBoundError, StretchResult, StretchTrial, _overlap, _taps
 
+from helpers import demo_optimal_schedule
+
 
 def single_flow_fractional(slot_values, release=0):
     horizon = len(slot_values)
@@ -190,8 +192,6 @@ def test_compact_release_tie_does_not_move():
 
 
 def test_compact_dense_schedule_is_fixpoint(demo_single):
-    from coflownet.generate import demo_optimal_schedule
-
     sched = demo_optimal_schedule(RoutingModel.SINGLE_PATH)
     out = compact_idle_slots(sched, demo_single)
     for j in range(4):

@@ -21,10 +21,11 @@ from coflownet import (
     run_pipeline,
     verify_schedule,
 )
-from coflownet.generate import demo_instance, demo_optimal_schedule
+from coflownet.generate import demo_instance
 from coflownet.verify import Violation, check_identity_on_vectors
 
 from conftest import fuzz_instance
+from helpers import demo_optimal_schedule
 
 
 def test_demo_schedules_verify(demo_single, demo_free):
@@ -249,7 +250,7 @@ def test_integral_of_pathological_tail():
 
 
 def test_identity_on_random_vectors(rng):
-    assert check_identity_on_vectors(rng, trials=100) <= 1e-12
+    assert check_identity_on_vectors(rng) <= 1e-12
 
 
 def test_random_fractionals_pass_all_residuals(rng):
@@ -257,7 +258,7 @@ def test_random_fractionals_pass_all_residuals(rng):
         n = int(rng.integers(1, 12))
         x = rng.random(n) + 1e-3
         x /= x.sum()
-        report = continuous_interpolation_checks(_fractional(x), quadrature_points=200_001)[0]
+        report = continuous_interpolation_checks(_fractional(x))[0]
         assert report.identity_residual <= 1e-9
         assert report.quadrature_residual <= 1e-4
 
