@@ -192,6 +192,7 @@ QUADRATURE_POINTS = 400_001
 def continuous_interpolation_checks(fractional: FractionalSchedule) -> list[InterpolationReport]:
     reports = []
     horizon = fractional.slot_count
+    lams = (np.arange(QUADRATURE_POINTS) + 0.5) / QUADRATURE_POINTS
     for j, levels in enumerate(fractional.cumulative):
         padded = np.concatenate([[0.0], np.maximum.accumulate(levels)])
         trapezoid = float(horizon - (0.5 * (padded[0] + padded[-1]) + padded[1:-1].sum()))
@@ -200,7 +201,6 @@ def continuous_interpolation_checks(fractional: FractionalSchedule) -> list[Inte
         slack = None
         if fractional.lp_completion is not None:
             slack = fractional.lp_completion[j] - 0.5 - trapezoid
-        lams = (np.arange(QUADRATURE_POINTS) + 0.5) / QUADRATURE_POINTS
         inverse = _lambda_points_vector(padded, lams)
         quadrature = float(inverse.mean())
         reports.append(

@@ -1,7 +1,7 @@
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,10 @@ from coflownet import (
     run_pipeline,
     verify_schedule,
 )
-from coflownet.generate import demo_instance
+from coflownet.generate import GenConfig, demo_instance, generate_instance
 from coflownet.verify import Violation, check_identity_on_vectors
 
-from conftest import fuzz_instance
+from conftest import _solved, fuzz_instance
 from helpers import demo_optimal_schedule
 
 
@@ -270,3 +270,25 @@ def test_solver_outputs_satisfy_completion_slack(solved_single, solved_free):
             assert report.completion_slack is not None
             assert report.completion_slack >= -1e-9
             assert report.quadrature_residual <= 1e-4
+
+
+def test_interpolation_reports_match_a_per_coflow_reference():
+    """The quadrature points are built once for all coflows; every report is
+    bitwise the one the function gives for that coflow alone."""
+    instance = generate_instance(GenConfig(topology="gscale-like", jobs=6, seed=9))
+    _, _, frac = _solved(instance)
+    assert len(frac.cumulative) == 6
+
+    def bits(report):
+        return tuple(None if v is None else float(v).hex() for v in astuple(report))
+
+    reference = [
+        continuous_interpolation_checks(FractionalSchedule(
+            slot_count=frac.slot_count,
+            fractions=(frac.fractions[j],),
+            cumulative=(frac.cumulative[j],),
+            lp_completion=(frac.lp_completion[j],),
+        ))[0]
+        for j in range(len(frac.cumulative))
+    ]
+    assert [bits(r) for r in continuous_interpolation_checks(frac)] == [bits(r) for r in reference]
