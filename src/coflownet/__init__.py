@@ -24,6 +24,8 @@ from .model import (
     weighted_objective,
 )
 from .lp import (
+    MAX_SLOT_COLUMNS,
+    HorizonTooLarge,
     IntervalGrid,
     IntervalSolution,
     LPProblem,
@@ -47,7 +49,6 @@ from .rounding import (
     lambda_point,
     lp_heuristic,
     run_stretch,
-    sample_lambda,
     stretch_schedule,
 )
 from .verify import (
@@ -65,8 +66,6 @@ from .openshop import (
     reduce_open_shop,
 )
 from .pipeline import (
-    MAX_SLOT_COLUMNS,
-    HorizonTooLarge,
     PipelineResult,
     SolveFailure,
     VerificationFailure,

@@ -5,6 +5,9 @@ Rows run one after another in a fixed order, so re-running with the same
 seed reproduces the CSV bit for bit (wall_ms excepted), and each row's
 wall_ms is that row's own time. A row that fails keeps its numeric fields
 empty and records why in its ``error`` column, and the sweep keeps going.
+A row whose model is too large to build (``HorizonTooLarge``, such as an
+interval grid at a tiny epsilon) is not a failure of the row but of the
+sweep's settings: it stops the sweep, as it stops ``solve``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .generate import GenConfig, generate_instance
+from .lp import HorizonTooLarge
 from .pipeline import run_pipeline
 from .solver import SolveOptions
 
@@ -65,6 +69,8 @@ def _run_row(instance, strategy: str, epsilon: float | None, config: BenchConfig
             options=SolveOptions(),
         )
         lp_objective, schedule_objective = result.lp_objective, result.report.objective
+    except HorizonTooLarge:
+        raise
     except Exception as exc:  # per-row failures must not kill the sweep
         error = f"{type(exc).__name__}: {exc}"
     return BenchRow(

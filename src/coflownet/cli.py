@@ -109,7 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--weight-min", type=float, default=1.0)
     p.add_argument("--weight-max", type=float, default=100.0)
     p.add_argument("--release-mean", type=float, default=0.0)
-    p.add_argument("--slot-length", type=float, default=1.0)
     p.add_argument("--nodes", type=int, default=8)
     p.add_argument("--links", type=int, default=12)
     p.add_argument("--cap", type=float, default=1.0)
@@ -138,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--epsilon", type=str, default="0.2")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--release-mean", type=float, default=0.0)
-    p.add_argument("--slot-length", type=float, default=1.0)
+    p.add_argument("--cap", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
 
@@ -191,7 +190,6 @@ def _dispatch(args) -> int:
                 demand_range=(args.demand_min, args.demand_max),
                 weight_range=(args.weight_min, args.weight_max),
                 release_mean=args.release_mean,
-                slot_length=args.slot_length,
                 nodes=args.nodes,
                 links=args.links,
                 cap=args.cap,
@@ -268,7 +266,7 @@ def _dispatch(args) -> int:
                 model=RoutingModel(args.model),
                 jobs=args.jobs,
                 release_mean=args.release_mean,
-                slot_length=args.slot_length,
+                cap=args.cap,
                 seed=args.seed,
             )
         except ValueError as exc:

@@ -34,11 +34,7 @@ TOPOLOGIES = ("swan-like", "gscale-like", "ring", "random")
 
 
 def _bidirected(links, cap: float) -> Network:
-    nodes: list[str] = []
-    for u, v in links:
-        for n in (u, v):
-            if n not in nodes:
-                nodes.append(n)
+    nodes = list(dict.fromkeys(n for link in links for n in link))  # in order of first use
     edges = []
     for u, v in links:
         edges.append(Edge(id=f"{u}-{v}", src=u, dst=v, cap=cap))
@@ -63,31 +59,39 @@ def ring(n_nodes: int, cap: float = 1.0) -> Network:
 
 def random_topology(rng: np.random.Generator, n_nodes: int, n_links: int, cap: float = 1.0) -> Network:
     """Connected random bidirected topology: a random spanning tree plus
-    uniformly sampled extra links."""
+    uniformly sampled extra links. A link joins nodes ``a < b`` (by index)
+    and is drawn as its position in the list of all such pairs in order,
+    which :func:`_pair` inverts without building the list."""
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     min_links = n_nodes - 1
     if n_links < min_links:
         raise ValueError(f"{n_links} links cannot connect {n_nodes} nodes")
-    names = [f"n{k + 1}" for k in range(n_nodes)]
-    links: set[tuple[str, str]] = set()
-    order = rng.permutation(n_nodes)
+    links: set[tuple[int, int]] = set()
+    order = rng.permutation(n_nodes).tolist()
     for a, b in zip(order, order[1:]):
-        u, v = sorted((names[a], names[b]))
-        links.add((u, v))
-    pairs = [(names[a], names[b]) for a in range(n_nodes) for b in range(a + 1, n_nodes)]
-    while len(links) < min(n_links, len(pairs)):
-        u, v = pairs[int(rng.integers(0, len(pairs)))]
-        links.add((u, v))
-    return _bidirected(sorted(links), cap)
+        links.add((min(a, b), max(a, b)))
+    pairs = n_nodes * (n_nodes - 1) // 2
+    while len(links) < min(n_links, pairs):
+        links.add(_pair(n_nodes, int(rng.integers(0, pairs))))
+    return _bidirected([(f"n{a + 1}", f"n{b + 1}") for a, b in sorted(links)], cap)
+
+
+def _pair(n_nodes: int, k: int) -> tuple[int, int]:
+    """The ``k``-th pair ``(a, b)``, ``a < b < n_nodes``, in lexicographic
+    order. Counted from the end, the pairs of row ``a`` are the ``m =
+    n_nodes - 1 - a`` positions from ``m (m - 1) / 2`` on."""
+    r = n_nodes * (n_nodes - 1) // 2 - 1 - k
+    m = (1 + math.isqrt(8 * r + 1)) // 2
+    a = n_nodes - 1 - m
+    return a, n_nodes - 1 - (r - m * (m - 1) // 2)
 
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Workload generator knobs. ``slot_length`` scales link capacities
-    (data per slot = rate * slot length); releases come from exponential
-    inter-arrivals with the given mean, 0 meaning everything is released
-    at the start."""
+    """Workload generator knobs. ``cap`` is every link's capacity (data per
+    slot); releases come from exponential inter-arrivals with the given
+    mean, 0 meaning everything is released at the start."""
 
     topology: str = "swan-like"
     model: RoutingModel = RoutingModel.SINGLE_PATH
@@ -96,7 +100,6 @@ class GenConfig:
     demand_range: tuple[float, float] = (0.5, 3.0)
     weight_range: tuple[float, float] = (1.0, 100.0)
     release_mean: float = 0.0
-    slot_length: float = 1.0
     nodes: int = 8
     links: int = 12
     cap: float = 1.0
@@ -111,9 +114,8 @@ class GenConfig:
         for name, (low, high) in (("demand", self.demand_range), ("weight", self.weight_range)):
             if not 0 < low <= high < math.inf:
                 raise ValueError(f"{name} range must be positive, finite and ordered, got ({low}, {high})")
-        for name, value in (("cap", self.cap), ("slot length", self.slot_length)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 < self.cap < math.inf:
+            raise ValueError(f"cap must be positive and finite, got {self.cap}")
         if not 0 <= self.release_mean < math.inf:
             raise ValueError(f"release mean must be non-negative and finite, got {self.release_mean}")
         if self.topology not in TOPOLOGIES:
@@ -121,14 +123,13 @@ class GenConfig:
 
 
 def build_topology(config: GenConfig, rng: np.random.Generator) -> Network:
-    cap = config.cap * config.slot_length
     if config.topology == "swan-like":
-        return swan_like(cap)
+        return swan_like(config.cap)
     if config.topology == "gscale-like":
-        return gscale_like(cap)
+        return gscale_like(config.cap)
     if config.topology == "ring":
-        return ring(config.nodes, cap)
-    return random_topology(rng, config.nodes, config.links, cap)
+        return ring(config.nodes, config.cap)
+    return random_topology(rng, config.nodes, config.links, config.cap)
 
 
 def generate_instance(config: GenConfig) -> Instance:
@@ -150,7 +151,7 @@ def generate_instance(config: GenConfig) -> Instance:
 
 def _draw_jobs(config: GenConfig, network: Network, rng: np.random.Generator) -> Instance | None:
     nodes = list(network.nodes)
-    reach = {v: reachable_from(network, v) for v in nodes}
+    reach: dict[str, set[str]] = {}  # from each source drawn so far
     coflows = []
     arrival = 0.0
     for _ in range(config.jobs):
@@ -161,6 +162,8 @@ def _draw_jobs(config: GenConfig, network: Network, rng: np.random.Generator) ->
         flows = []
         for _ in range(n_flows):
             src, dst = (nodes[k] for k in rng.choice(len(nodes), size=2, replace=False))
+            if src not in reach:
+                reach[src] = reachable_from(network, src)
             if dst not in reach[src]:
                 return None  # unroutable pair: caller regenerates the edge set
             demand = float(rng.uniform(*config.demand_range))

@@ -296,6 +296,19 @@ def columns_per_slot(instance: Instance, edges: FlowEdges) -> int:
     return per_slot
 
 
+#: Most LP columns the pipeline allocates anything for that grows with
+#: the horizon: slots (``horizon_upper_bound``) or intervals of the grid,
+#: times ``columns_per_slot``. That covers the slot LP, the interval LP and
+#: the interval schedule's expansion to slots. Building the slot LP takes
+#: about 320 bytes per column.
+MAX_SLOT_COLUMNS = 2_000_000
+
+
+class HorizonTooLarge(ValueError):
+    """The horizon bound, or the interval grid over it, makes the model too
+    large to build."""
+
+
 # ---------------------------------------------------------------------------
 # geometric interval grid
 
@@ -330,8 +343,14 @@ class IntervalGrid:
         return self.boundaries[-1]
 
 
-def geometric_intervals(horizon: int, epsilon: float) -> IntervalGrid:
-    """Grid whose k-th boundary is ``(1+eps)^(k-1)``, covering ``horizon``."""
+def geometric_intervals(horizon: int, epsilon: float, per_step: int = 1) -> IntervalGrid:
+    """Grid whose k-th boundary is ``(1+eps)^(k-1)``, covering ``horizon``.
+
+    :class:`HorizonTooLarge` when its interval count, taken in closed form
+    before anything is built, times ``per_step`` (the LP columns of one
+    interval) exceeds ``MAX_SLOT_COLUMNS``. That also bounds the loop
+    below: at a tiny ``eps``, ``1 + eps`` rounds to 1 and it never ends.
+    """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     if horizon < 1:
@@ -340,7 +359,13 @@ def geometric_intervals(horizon: int, epsilon: float) -> IntervalGrid:
         count = 1
     else:
         ratio = math.log(horizon) / math.log1p(epsilon)
-        count = 1 + math.ceil(ratio - 1e-9)
+        count = 1 + math.ceil(ratio - 1e-9) if ratio < math.inf else math.inf
+        if count * per_step > MAX_SLOT_COLUMNS:
+            raise HorizonTooLarge(
+                f"epsilon {epsilon:g} needs {float(count):.3g} intervals to cover {horizon:,} slots, "
+                f"about {float(count) * per_step:.3g} LP columns ({per_step:,} per interval), "
+                f"more than the limit of {MAX_SLOT_COLUMNS:,}"
+            )
         while (1.0 + epsilon) ** (count - 1) < horizon - 1e-9:
             count += 1
     boundaries = [0.0, 1.0]
@@ -355,19 +380,22 @@ def interval_grid_for(instance: Instance, epsilon: float) -> IntervalGrid:
     Flows may only use intervals wholly after their release, so a grid
     that merely reaches the horizon bound may leave too little room after
     the last release; pad until the demand horizon fits past the first
-    boundary at or beyond the max release.
+    boundary at or beyond the max release. :class:`HorizonTooLarge` when
+    the interval LP over the grid would have more than
+    ``MAX_SLOT_COLUMNS`` columns.
     """
-    return _padded_grid(instance, horizon_upper_bound(instance), epsilon)
+    per_step = columns_per_slot(instance, flow_edges(instance))
+    return _padded_grid(instance, horizon_upper_bound(instance), epsilon, per_step)
 
 
-def _padded_grid(instance: Instance, bound: int, epsilon: float) -> IntervalGrid:
+def _padded_grid(instance: Instance, bound: int, epsilon: float, per_step: int) -> IntervalGrid:
     """:func:`interval_grid_for` with the instance's ``horizon_upper_bound``
-    already computed as ``bound``."""
+    and ``columns_per_slot`` already computed as ``bound`` and ``per_step``."""
     release = instance.max_release
     demand_slots = bound - release
     target = bound
     while True:
-        grid = geometric_intervals(target, epsilon)
+        grid = geometric_intervals(target, epsilon, per_step)
         first_after = next(b for b in grid.boundaries if b >= release - 1e-9)
         if grid.horizon >= first_after + demand_slots - 1e-9:
             return grid

@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lp import (
+    MAX_SLOT_COLUMNS,
     FlowEdges,
+    HorizonTooLarge,
     _padded_grid,
     build_interval_lp,
     build_time_indexed_lp,
@@ -33,24 +35,12 @@ from .verify import verify_schedule
 
 STRATEGIES = ("stretch", "heuristic", "interval-stretch")
 
-#: Most slot-level columns, ``horizon_upper_bound`` times
-#: ``columns_per_slot``, for which the pipeline allocates anything that
-#: grows with the horizon (the slot LP, or the interval schedule's
-#: expansion to slots). Building the slot LP takes about 320 bytes per
-#: column.
-MAX_SLOT_COLUMNS = 2_000_000
-
-
 class SolveFailure(RuntimeError):
     """The LP backend did not return an optimal solution."""
 
     def __init__(self, status: SolveStatus):
         self.status = status
         super().__init__(f"solver finished with status {status.value}")
-
-
-class HorizonTooLarge(ValueError):
-    """The horizon bound makes the slot-level model too large to build."""
 
 
 class VerificationFailure(RuntimeError):
@@ -135,7 +125,7 @@ def run_pipeline(
 
     if strategy == "interval-stretch":
         eps = 0.2 if epsilon is None else epsilon
-        grid = _padded_grid(instance, horizon, eps)
+        grid = _padded_grid(instance, horizon, eps, columns_per_slot(instance, edges))
         problem = build_interval_lp(instance, grid, edges)
         solution = solve(problem, options)
         if solution.status is not SolveStatus.OPTIMAL:

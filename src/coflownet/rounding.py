@@ -134,14 +134,6 @@ class StretchBoundError(AssertionError):
     """A trial violated the per-coflow completion ceiling (a bug)."""
 
 
-def sample_lambda(u: float) -> Lambda:
-    """Map a uniform draw ``u`` in (0, 1] through the inverse CDF of the
-    density 2v, i.e. return sqrt(u). Deterministic in ``u``."""
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"uniform draw must lie in (0, 1], got {u}")
-    return Lambda(math.sqrt(u))
-
-
 def _overlap_entries(a: np.ndarray, b: np.ndarray, out_slots):
     """Nonzeros of the slot-overlap matrix of the intervals ``[a[t], b[t]]``
     in row order, as ``(indptr, rows, cols, data)``: entry (t, k) is the
@@ -391,10 +383,11 @@ class _Kernel:
             last[:, k] = np.where(moved, np.arange(1, moved.shape[1] + 1), 0).max(axis=1, initial=0)
         return pre, self._by_coflow(last)
 
-    def trials(self, lams: list[Lambda]) -> list[StretchTrial]:
-        """Round every factor in batches of at most ``_BATCH_CELLS`` cells,
-        check each trial against its ceiling in trial order, and report."""
-        values = np.array([lam.value for lam in lams])
+    def trials(self, factors) -> list[StretchTrial]:
+        """Round every stretch factor in ``factors`` in batches of at most
+        ``_BATCH_CELLS`` cells, check each trial against its ceiling in
+        trial order, and report."""
+        values = np.asarray(factors, dtype=float)
         ceilings = _ceilings(self.fractional, values)
         pre = np.empty((values.size, self.weights.size), dtype=np.int64)
         post = np.empty_like(pre)
@@ -410,8 +403,9 @@ class _Kernel:
             k, j = over[0].tolist()
             raise StretchBoundError(
                 f"coflow {j + 1} finished in slot {pre[k, j]} > ceiling {ceilings[k, j]} "
-                f"at lambda {lams[k].value}"
+                f"at lambda {values[k]}"
             )
+        lams = [Lambda(v) for v in values.tolist()]
         return [
             StretchTrial(lam=lam, report=after, pre_compaction=before, build=partial(self.schedule, lam))
             for lam, after, before in zip(lams, _reports(post, self.weights), _reports(pre, self.weights))
@@ -524,6 +518,15 @@ def completion_ceilings(fractional: FractionalSchedule, lam: Lambda) -> tuple[in
 # trial protocols
 
 
+def _draw_factors(trials: int, seed: int, slot_count: int) -> np.ndarray:
+    """``trials`` stretch factors of density 2v on (0, 1]: the inverse CDF
+    sqrt of uniforms drawn from one generator seeded with ``seed``, floored
+    at the stretch memory guard ``1/(10 * slot_count)`` (an event with
+    probability below 1e-4 at desk scale). More trials extend the stream."""
+    u = np.random.default_rng(seed).random(trials)
+    return np.maximum(np.sqrt(1.0 - u), 1.0 / (10.0 * slot_count))
+
+
 def run_stretch(
     instance: Instance,
     fractional: FractionalSchedule,
@@ -532,21 +535,11 @@ def run_stretch(
 ) -> StretchResult:
     """Run ``trials`` independent stretch roundings and fold the results.
 
-    One splittable seed drives everything: trial ``k`` draws from
-    substream ``k``, so best/average are reproducible and trials could be
-    evaluated in parallel without changing the outcome. Sampled factors
-    are floored at the stretch memory guard (an event with probability
-    below 1e-4 at desk scale). At most ``MAX_TRIALS`` trials. Only the
-    best trial's schedule is built here.
+    The seed fixes every factor, so best/average are reproducible. At most
+    ``MAX_TRIALS`` trials. Only the best trial's schedule is built here.
     """
     check_trials(trials)
-    floor = 1.0 / (10.0 * fractional.slot_count)
-    lams: list[Lambda] = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        lam = sample_lambda(1.0 - rng.random())
-        lams.append(lam if lam.value >= floor else Lambda(floor))
-    out = _Kernel(instance, fractional).trials(lams)
+    out = _Kernel(instance, fractional).trials(_draw_factors(trials, seed, fractional.slot_count))
     best = min(range(trials), key=lambda k: (out[k].report.objective, k))
     average = float(np.mean([t.report.objective for t in out]))
     out[best].schedule  # built now, as part of the rounding
@@ -559,6 +552,6 @@ def lp_heuristic(instance: Instance, fractional: FractionalSchedule) -> StretchT
     Its objective is not bounded by the relaxation value in the worst
     case, but it is a strong heuristic in practice.
     """
-    (trial,) = _Kernel(instance, fractional).trials([Lambda(1.0)])
+    (trial,) = _Kernel(instance, fractional).trials([1.0])
     trial.schedule  # built now, as part of the rounding
     return trial

@@ -134,6 +134,10 @@ _MODEL_STATUS = {
 #: Factor by which a prefix of time steps grows after a failed attempt.
 PREFIX_GROWTH = 1.25
 
+#: Most simplex or IPM iterations of one HiGHS call; a call cut short
+#: reports ``iteration_limit``.
+ITERATION_LIMIT = 100_000
+
 
 class SolverError(RuntimeError):
     """A backend reported optimal but the solution fails re-verification,
@@ -143,7 +147,6 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolveOptions:
     tolerance: float = 1e-7
-    iteration_limit: int = 100_000
     backend: str = "highs"
 
     def __post_init__(self):
@@ -218,7 +221,7 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options, 
     """
     fixed = (col_lower == col_upper) & np.isfinite(col_lower)
     if not fixed.any():
-        return _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options, presolve)
+        return _highs(objective, A, row_lower, row_upper, col_lower, col_upper, presolve)
     value = np.where(fixed, col_lower, 0.0)
     shift = A @ value
     lower, upper = row_lower - shift, row_upper - shift
@@ -233,7 +236,7 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options, 
         return SolveStatus.OPTIMAL, base, value, np.zeros(len(row_lower))
     status, obj, x, y = _highs(
         objective[cols], A[rows][:, cols], lower[rows], upper[rows],
-        col_lower[cols], col_upper[cols], options, presolve,
+        col_lower[cols], col_upper[cols], presolve,
     )
     if x is not None:
         value[cols] = x
@@ -265,11 +268,11 @@ def _set(highs: _Highs, option: str, value) -> None:
         raise SolverError(f"HiGHS refused option {option}={value!r}")
 
 
-def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, options, presolve=True):
+def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=True):
     """:func:`_linprog` with every column and row handed to HiGHS."""
     highs = _passed(objective, A, row_lower, row_upper, col_lower, col_upper)
-    _set(highs, "simplex_iteration_limit", options.iteration_limit)
-    _set(highs, "ipm_iteration_limit", options.iteration_limit)
+    _set(highs, "simplex_iteration_limit", ITERATION_LIMIT)
+    _set(highs, "ipm_iteration_limit", ITERATION_LIMIT)
     _set(highs, "presolve", "choose" if presolve else "off")
     highs.run()
     # a model HiGHS refused to take is empty, which maps to NUMERICAL

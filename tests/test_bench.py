@@ -185,6 +185,18 @@ def test_pipeline_refuses_a_trial_count_before_any_lp(monkeypatch, demo_single, 
     assert calls == []
 
 
+@pytest.mark.parametrize("epsilon", [1e-9, 1e-300])
+def test_tiny_epsilon_is_too_large_before_any_lp(monkeypatch, demo_free, epsilon):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(cn.HorizonTooLarge, match="per interval"):
+        run_pipeline(demo_free, strategy="interval-stretch", epsilon=epsilon)
+    assert calls == []
+    # a sweep that asks for it stops, as solve does, instead of recording a row
+    config = BenchConfig(strategies=("stretch", "interval-stretch"), epsilons=(epsilon,), trials=1)
+    with pytest.raises(cn.HorizonTooLarge):
+        run_bench(config)
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
 def test_non_finite_or_non_positive_epsilon_is_refused_before_any_lp(monkeypatch, demo_free, epsilon):
     calls = _count_solves(monkeypatch)

@@ -291,6 +291,7 @@ def _instance_text(coflow=None, flow=None):
         (None, ["gen", "--flows-min", 3, "--flows-max", 1], "flows per job must satisfy"),
         (None, ["gen", "--demand-min", -1], "demand range must be positive"),
         (None, ["gen", "--cap", 0], "cap must be positive and finite"),
+        (None, ["bench", "--cap", -1], "cap must be positive and finite"),
         (None, ["bench", "--epsilon", "abc"], "--epsilon must be a comma-separated list"),
         (None, ["bench", "--trials", 0], "--trials must be at least 1"),
         (None, ["bench", "--trials", MAX_TRIALS + 1], f"--trials must be at most {MAX_TRIALS:,}"),
@@ -310,7 +311,7 @@ def _instance_text(coflow=None, flow=None):
         "shop-negative-machines", "instance-string-weight", "instance-string-demand",
         "instance-bool-release", "schedule-fractional-slot", "schedule-fractional-slot-count",
         "gen-jobs-0",
-        "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-epsilon-abc",
+        "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-cap-negative", "bench-epsilon-abc",
         "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
         "solve-negative-seed", "bench-negative-seed", "check-negative-seed", "gen-negative-seed",
         "check-mps-unwritable", "schedule-nan-amount",
@@ -406,7 +407,7 @@ def test_flags_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
 SRC = Path(coflownet.__file__).resolve().parent.parent
 
 
-def run_module(args, address_space=None):
+def run_module(args, address_space=None, timeout=120):
     """``python -m coflownet ARGS`` in a fresh interpreter, optionally with
     its address space capped so that a runaway allocation fails fast."""
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
@@ -417,7 +418,7 @@ def run_module(args, address_space=None):
 
     return subprocess.run(
         [sys.executable, "-m", "coflownet", *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=timeout,
         preexec_fn=cap if address_space else None,
     )
 
@@ -448,6 +449,32 @@ def test_horizon_blow_up_is_refused_before_allocating(tmp_path, data, horizon):
         assert done.returncode == 2, done.stderr
         assert columns in done.stderr and f"{MAX_SLOT_COLUMNS:,}" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "inst.json", "--strategy", "interval-stretch", "--epsilon", "1e-300"],
+        ["solve", "inst.json", "--strategy", "interval-stretch", "--epsilon", "1e-9"],
+        ["bench", "--strategies", "interval-stretch", "--epsilon", "1e-9"],
+    ],
+    ids=["solve-1e-300", "solve-1e-9", "bench-1e-9"],
+)
+def test_tiny_epsilon_is_refused_before_building_the_grid(tmp_path, command):
+    # 1 + 1e-300 == 1.0, and 1e-9 would take billions of boundaries
+    save_instance(demo_instance(RoutingModel.FREE_PATH), tmp_path / "inst.json")
+    done = run_module([tmp_path / arg if arg == "inst.json" else arg for arg in command], timeout=20)
+    assert done.returncode == 2, done.stderr
+    assert f"more than the limit of {MAX_SLOT_COLUMNS:,}" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_random_topologies_past_nine_nodes_validate(tmp_path):
+    # past nine nodes name order ("n10" < "n2") is not index order: no link may come in both orientations
+    inst = tmp_path / "inst.json"
+    for seed in range(50):
+        assert run(["gen", "--topology", "random", "--nodes", 12, "--links", 30, "--seed", seed, "--out", inst]) == 0
+        assert run(["validate", inst]) == 0, seed
 
 
 def test_oversized_schedule_is_refused_before_allocating(tmp_path):

@@ -1,11 +1,16 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from coflownet import RoutingModel, validate_instance
 from coflownet.generate import (
     GenConfig,
+    _bidirected,
     demo_instance,
     generate_instance,
     gscale_like,
+    random_topology,
     ring,
     swan_like,
 )
@@ -75,8 +80,44 @@ def test_release_model_produces_sorted_integer_releases():
     assert releases[-1] > 0
 
 
-def test_slot_length_scales_capacity():
-    config = GenConfig(topology="ring", nodes=4, slot_length=50.0, seed=0, jobs=1)
+def _pair_list_topology(rng, n_nodes, n_links):
+    """Reference ``random_topology`` that draws extra links from a list of
+    every pair, in name order, which is index order below 10 nodes."""
+    names = [f"n{k + 1}" for k in range(n_nodes)]
+    links = set()
+    order = rng.permutation(n_nodes)
+    for a, b in zip(order, order[1:]):
+        links.add(tuple(sorted((names[a], names[b]))))
+    pairs = [(names[a], names[b]) for a in range(n_nodes) for b in range(a + 1, n_nodes)]
+    while len(links) < min(n_links, len(pairs)):
+        links.add(pairs[int(rng.integers(0, len(pairs)))])
+    return _bidirected(sorted(links), 1.0)
+
+
+@pytest.mark.parametrize("n_nodes", range(2, 10))
+def test_small_random_topologies_match_the_pair_list(n_nodes):
+    for seed in range(20):
+        for n_links in (n_nodes - 1, n_nodes + 3, n_nodes * n_nodes):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_topology(got_rng, n_nodes, n_links)
+            want = _pair_list_topology(want_rng, n_nodes, n_links)
+            assert (got.nodes, got.edges) == (want.nodes, want.edges)
+            assert got_rng.random() == want_rng.random()  # the same draws were taken
+
+
+def test_random_topology_memory_grows_with_links_not_pairs():
+    tracemalloc.start()
+    try:
+        net = random_topology(np.random.default_rng(0), 2000, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(net.nodes) == 2000 and len(net.edges) == 4000
+    assert peak < 8 * 2**20
+
+
+def test_cap_sets_every_link_capacity():
+    config = GenConfig(topology="ring", nodes=4, cap=50.0, seed=0, jobs=1)
     inst = generate_instance(config)
     assert all(e.cap == pytest.approx(50.0) for e in inst.network.edges)
 
@@ -93,7 +134,7 @@ def test_slot_length_scales_capacity():
         ("weight_range", (1.0, float("nan"))),
         ("cap", 0.0),
         ("cap", float("inf")),
-        ("slot_length", -1.0),
+        ("cap", -1.0),
         ("release_mean", -0.5),
         ("release_mean", float("nan")),
     ],

@@ -103,10 +103,11 @@ def test_equality_and_mixed_rows(backend):
     assert sol.x[0] == pytest.approx(0.2, abs=1e-9)
 
 
-def test_iteration_limit_reported_as_status(solved_free):
+def test_iteration_limit_reported_as_status(monkeypatch, solved_free):
     # HiGHS stops without a primal point when the limit cuts it short
     p, _, _ = solved_free
-    sol = solve(p, SolveOptions(iteration_limit=1))
+    monkeypatch.setattr(coflownet.solver, "ITERATION_LIMIT", 1)
+    sol = solve(p)
     assert sol.status is SolveStatus.ITERATION_LIMIT
     assert sol.x is None or sol.x.shape == (p.num_cols,)
 
@@ -154,25 +155,25 @@ def test_scipy_ships_the_highs_binding_the_solver_uses():
         assert callable(getattr(_Highs, member)), member
 
 
-def _direct(p, **options):
+def _direct(p):
     """The status of ``p`` handed to HiGHS as it is, with no prefix or pinning."""
     status, _, x, duals = coflownet.solver._highs(
         p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper,
-        SolveOptions(**options),
     )
     assert (x is None) == (duals is None) == (status is not SolveStatus.OPTIMAL)
     return status
 
 
-def test_highs_model_statuses_map_to_solve_statuses(solved_free):
+def test_highs_model_statuses_map_to_solve_statuses(monkeypatch, solved_free):
     infeasible = problem([1.0], [([0], [1.0], ">=", 2.0)], upper=[1.0])
     unbounded = problem([-1.0, 0.0], [([0, 1], [1.0, -1.0], "<=", 1.0)])
     assert _direct(infeasible) is SolveStatus.INFEASIBLE
     assert _direct(unbounded) is SolveStatus.UNBOUNDED
+    assert _direct(solved_free[0]) is SolveStatus.OPTIMAL
     inst = _free_corpus(0)
     corpus = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert _direct(corpus, iteration_limit=1) is SolveStatus.ITERATION_LIMIT
-    assert _direct(solved_free[0]) is SolveStatus.OPTIMAL
+    monkeypatch.setattr(coflownet.solver, "ITERATION_LIMIT", 1)
+    assert _direct(corpus) is SolveStatus.ITERATION_LIMIT
 
 
 def test_highs_deterministic(solved_free):
@@ -484,8 +485,7 @@ def test_free_path_lps_without_presolve_match_presolved_highs():
                 build_interval_lp(inst, interval_grid_for(inst, 0.5)),
             ):
                 status, want, _, _ = coflownet.solver._highs(
-                    p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper,
-                    SolveOptions(), True,
+                    p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper, True,
                 )
                 got = solve(p)
                 assert status is got.status is SolveStatus.OPTIMAL
@@ -586,14 +586,14 @@ def _free_corpus(seed):
 
 
 @pytest.mark.parametrize(
-    "fail, options, status",
+    "fail, limit, status",
     [
-        (True, SolveOptions(), SolveStatus.NUMERICAL),
-        (False, SolveOptions(iteration_limit=1), SolveStatus.ITERATION_LIMIT),
+        (True, None, SolveStatus.NUMERICAL),
+        (False, 1, SolveStatus.ITERATION_LIMIT),
     ],
     ids=["numerical", "iteration-limit"],
 )
-def test_failed_prefix_goes_straight_to_the_whole_problem(monkeypatch, fail, options, status):
+def test_failed_prefix_goes_straight_to_the_whole_problem(monkeypatch, fail, limit, status):
     # instance 0 of the single-path benchmark corpus: a ladder of 11 rungs
     inst = generate_instance(GenConfig(topology="gscale-like", jobs=40, seed=0))
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
@@ -611,7 +611,9 @@ def test_failed_prefix_goes_straight_to_the_whole_problem(monkeypatch, fail, opt
             return HighsModelStatus.kSolveError if fail else super().getModelStatus()
 
     monkeypatch.setattr(coflownet.solver, "_Highs", Counted)
-    got = solve(p, options)
+    if limit is not None:
+        monkeypatch.setattr(coflownet.solver, "ITERATION_LIMIT", limit)
+    got = solve(p)
     assert len(runs) == 2  # the first rung, then the whole problem
     assert got.status is status and got.steps == p.step_map.step_count
 

@@ -11,6 +11,7 @@ from coflownet import (
     Coflow,
     Edge,
     Flow,
+    HorizonTooLarge,
     Instance,
     Network,
     RateSchedule,
@@ -303,6 +304,19 @@ def test_geometric_interval_examples():
     assert geometric_intervals(100, 0.5436).interval_count == 12
     with pytest.raises(ValueError):
         geometric_intervals(10, 0.0)
+
+
+def test_geometric_interval_count_is_bounded_before_the_grid_is_built():
+    # 1 + ceil(log 2 / log1p 1e-5) = 69,317 intervals: 28 columns each fit the budget, 29 do not
+    assert geometric_intervals(2, 1e-5, per_step=28).interval_count == 69_317
+    with pytest.raises(HorizonTooLarge, match="29 per interval"):
+        geometric_intervals(2, 1e-5, per_step=29)
+    # 1 + 1e-300 rounds to 1, and log1p(5e-324) / log(2) overflows the count to infinity
+    for epsilon in (1e-9, 1e-300, 5e-324):
+        with pytest.raises(HorizonTooLarge):
+            geometric_intervals(10, epsilon)
+    with pytest.raises(HorizonTooLarge):
+        interval_grid_for(demo_instance(RoutingModel.FREE_PATH), 1e-9)
 
 
 def test_geometric_interval_counts_match_oracle():

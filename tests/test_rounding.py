@@ -1,5 +1,6 @@
 import bisect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from coflownet import (
     lambda_point,
     lp_heuristic,
     run_stretch,
-    sample_lambda,
     stretch_schedule,
     verify_schedule,
 )
@@ -56,18 +56,42 @@ def single_flow_fractional(slot_values, release=0):
 # lambda sampling
 
 
-def test_sample_lambda_endpoints():
-    assert sample_lambda(1.0).value == 1.0
-    assert sample_lambda(0.25).value == pytest.approx(0.5)
-    for bad in (0.0, -0.1, 1.0001):
-        with pytest.raises(ValueError):
-            sample_lambda(bad)
+def test_factor_draw_maps_uniforms_through_the_inverse_cdf(monkeypatch):
+    # u = 0 gives 1, u = 0.75 gives sqrt(0.25), and u next to 1 falls under the floor 1/(10 * 4)
+    uniforms = SimpleNamespace(random=lambda n: np.array([0.0, 0.75, 1.0 - 1e-9])[:n])
+    monkeypatch.setattr(rounding.np.random, "default_rng", lambda seed: uniforms)
+    np.testing.assert_array_equal(rounding._draw_factors(3, seed=0, slot_count=4), [1.0, 0.5, 1.0 / 40.0])
 
 
-def test_sample_lambda_mean_matches_density(rng):
+def test_factor_draws_are_one_stream_fixed_by_the_seed():
+    draw = rounding._draw_factors
+    np.testing.assert_array_equal(draw(200, 5, 10), draw(200, 5, 10))
+    # more trials extend the same stream
+    np.testing.assert_array_equal(draw(200, 5, 10)[:20], draw(20, 5, 10))
+    assert not np.array_equal(draw(20, 5, 10), draw(20, 6, 10))
+
+
+def test_drawn_factors_follow_the_density():
+    slot_count = 1000
+    factors = rounding._draw_factors(100_000, seed=3, slot_count=slot_count)
+    assert factors.min() >= 1.0 / (10.0 * slot_count) and factors.max() <= 1.0
     # the density 2v has mean 2/3
-    draws = np.sqrt(1.0 - rng.random(1_000_000))
-    assert abs(draws.mean() - 2.0 / 3.0) < 1e-3
+    assert abs(factors.mean() - 2.0 / 3.0) < 1e-3
+
+
+def test_run_stretch_builds_one_generator_per_call(monkeypatch, solved_free, demo_free):
+    _, _, frac = solved_free
+    real = np.random.default_rng
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rounding.np.random, "default_rng", counting)
+    result = run_stretch(demo_free, frac, trials=200, seed=4)
+    assert made == [(4,)]
+    assert len(result.trials) == 200
 
 
 def test_lambda_type_rejects_out_of_range():
@@ -608,11 +632,9 @@ def reference_completion_times(schedule, instance):
 def reference_run_stretch(instance, fractional, trials, seed):
     """``run_stretch`` one trial at a time: the same draws, then the
     per-slot references and a per-flow completion loop."""
-    floor = 1.0 / (10.0 * fractional.slot_count)
     out = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        lam = rounding.sample_lambda(1.0 - np.random.default_rng(child).random())
-        lam = lam if lam.value >= floor else Lambda(floor)
+    for value in rounding._draw_factors(trials, seed, fractional.slot_count).tolist():
+        lam = Lambda(value)
         stretched = reference_stretch(fractional, lam, instance)
         pre = reference_completion_times(stretched, instance)
         assert all(got <= bound for got, bound in zip(pre.completions, completion_ceilings(fractional, lam)))
@@ -630,9 +652,14 @@ def test_run_stretch_matches_trial_by_trial_reference(monkeypatch, model):
 
     from coflownet import build_time_indexed_lp, extract_fractional, horizon_upper_bound, solve
 
-    # every draw below 0.1 becomes a factor under the floor, so that some trials run at it
-    real = rounding.sample_lambda
-    monkeypatch.setattr(rounding, "sample_lambda", lambda u: Lambda(1e-9) if u < 0.1 else real(u))
+    # every factor below sqrt(0.1) is moved to the floor, so that some trials run at it
+    real = rounding._draw_factors
+
+    def forced(trials, seed, slot_count):
+        factors = real(trials, seed, slot_count)
+        return np.where(factors < math.sqrt(0.1), 1.0 / (10.0 * slot_count), factors)
+
+    monkeypatch.setattr(rounding, "_draw_factors", forced)
     rng = np.random.default_rng(77)
     at_floor = 0
     for k in range(5):
