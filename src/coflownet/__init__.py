@@ -31,6 +31,7 @@ from .lp import (
     LPProblem,
     build_interval_lp,
     build_time_indexed_lp,
+    checked_horizon,
     extract_fractional,
     extract_interval_solution,
     geometric_intervals,
@@ -69,9 +70,7 @@ from .pipeline import (
     PipelineResult,
     SolveFailure,
     VerificationFailure,
-    checked_horizon,
     run_pipeline,
-    solve_lp,
 )
 
 __version__ = "0.1.0"

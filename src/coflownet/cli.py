@@ -25,7 +25,6 @@ from .pipeline import (
     SolveFailure,
     VerificationFailure,
     run_pipeline,
-    solve_lp,
 )
 from .serialize import (
     dumps,
@@ -311,7 +310,7 @@ def _run_checks(args) -> int:
         instance = _load_valid_instance(args.instance)
     else:
         instance = demo_instance(RoutingModel(args.model))
-    fractional, _ = solve_lp(instance, _solve_options(args.solver))
+    fractional = run_pipeline(instance, options=_solve_options(args.solver)).fractional
     for j, report in enumerate(continuous_interpolation_checks(fractional)):
         print(
             f"coflow {j + 1}: integral {report.integral:.6f} "

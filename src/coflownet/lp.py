@@ -210,6 +210,10 @@ class LPProblem:
 
 
 def _ceil_slots(value: float) -> int:
+    """Slots for a demand/capacity ratio of ``value``;
+    :class:`HorizonTooLarge` when the ratio overflowed to infinity."""
+    if not math.isfinite(value):
+        raise HorizonTooLarge(f"a demand/capacity ratio of {value} slots is too large to build")
     # guard against 3.0000000001-style float noise before taking the ceiling
     return max(1, int(math.ceil(value - 1e-9)))
 
@@ -307,6 +311,20 @@ MAX_SLOT_COLUMNS = 2_000_000
 class HorizonTooLarge(ValueError):
     """The horizon bound, or the interval grid over it, makes the model too
     large to build."""
+
+
+def checked_horizon(instance: Instance, edges: FlowEdges) -> int:
+    """``horizon_upper_bound(instance)``, or :class:`HorizonTooLarge` when
+    that many slots times the columns per slot exceeds ``MAX_SLOT_COLUMNS``
+    (free-path flows on ``edges``, from ``flow_edges``)."""
+    horizon = horizon_upper_bound(instance)
+    per_slot = columns_per_slot(instance, edges)
+    if horizon * per_slot > MAX_SLOT_COLUMNS:
+        raise HorizonTooLarge(
+            f"horizon bound of {horizon:,} slots needs about {horizon * per_slot:,} LP columns "
+            f"({per_slot:,} per slot), more than the limit of {MAX_SLOT_COLUMNS:,}"
+        )
+    return horizon
 
 
 # ---------------------------------------------------------------------------

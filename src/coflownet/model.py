@@ -193,6 +193,8 @@ def validate_instance(instance: Instance) -> list[str]:
             problems.append(f"edge {e.id}: source node {e.src!r} not declared")
         if e.dst not in net.node_set:
             problems.append(f"edge {e.id}: target node {e.dst!r} not declared")
+        if e.src == e.dst:
+            problems.append(f"edge {e.id}: self-loop")
         if not e.cap > 0:
             problems.append(f"edge {e.id}: capacity not positive ({e.cap})")
         elif not math.isfinite(e.cap):

@@ -53,8 +53,11 @@ def reduce_open_shop(
     Machine i becomes edge ``m{i}`` from ``x{i}`` to ``y{i}``; job j
     becomes a coflow with one flow of demand ``p[j][i]`` per machine it
     actually uses. Each pair has exactly one route, so the same instance
-    is valid in either routing model. Releases are all zero.
+    is valid in either routing model. Releases are all zero. A shop with
+    no jobs is refused before anything is built.
     """
+    if not shop.processing:
+        raise ValueError("shop has no jobs")
     nodes = []
     edges = []
     for i in range(shop.machines):

@@ -9,17 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lp import (
-    MAX_SLOT_COLUMNS,
-    FlowEdges,
     HorizonTooLarge,
     _padded_grid,
     build_interval_lp,
     build_time_indexed_lp,
+    checked_horizon,
     columns_per_slot,
     extract_fractional,
     extract_interval_solution,
     flow_edges,
-    horizon_upper_bound,
 )
 from .model import (
     CompletionReport,
@@ -30,7 +28,7 @@ from .model import (
     check_instance,
 )
 from .rounding import StretchTrial, check_trials, expand_interval_schedule, lp_heuristic, run_stretch
-from .solver import LPSolution, SolveOptions, SolveStatus, solve
+from .solver import SolveOptions, SolveStatus, solve
 from .verify import verify_schedule
 
 STRATEGIES = ("stretch", "heuristic", "interval-stretch")
@@ -71,39 +69,6 @@ class PipelineResult:
     lp_steps: int
 
 
-def checked_horizon(instance: Instance, edges: FlowEdges) -> int:
-    """``horizon_upper_bound(instance)``, or :class:`HorizonTooLarge` when
-    that many slots times the columns per slot exceeds ``MAX_SLOT_COLUMNS``
-    (free-path flows on ``edges``, from ``flow_edges``)."""
-    horizon = horizon_upper_bound(instance)
-    per_slot = columns_per_slot(instance, edges)
-    if horizon * per_slot > MAX_SLOT_COLUMNS:
-        raise HorizonTooLarge(
-            f"horizon bound of {horizon:,} slots needs about {horizon * per_slot:,} LP columns "
-            f"({per_slot:,} per slot), more than the limit of {MAX_SLOT_COLUMNS:,}"
-        )
-    return horizon
-
-
-def solve_lp(
-    instance: Instance,
-    options: SolveOptions | None = None,
-    horizon: int | None = None,
-    edges: FlowEdges = None,
-) -> tuple[FractionalSchedule, LPSolution]:
-    """Build and solve the slot-indexed relaxation, returning the
-    extracted fractional schedule alongside the raw solution. Without a
-    ``horizon``, the checked horizon bound is used; without ``edges``,
-    ``flow_edges(instance)``."""
-    edges = edges if edges is not None else flow_edges(instance)
-    horizon = horizon if horizon is not None else checked_horizon(instance, edges)
-    problem = build_time_indexed_lp(instance, horizon, edges)
-    solution = solve(problem, options)
-    if solution.status is not SolveStatus.OPTIMAL:
-        raise SolveFailure(solution.status)
-    return extract_fractional(problem, solution.x, instance, horizon), solution
-
-
 def run_pipeline(
     instance: Instance,
     strategy: str = "stretch",
@@ -127,16 +92,17 @@ def run_pipeline(
         eps = 0.2 if epsilon is None else epsilon
         grid = _padded_grid(instance, horizon, eps, columns_per_slot(instance, edges))
         problem = build_interval_lp(instance, grid, edges)
-        solution = solve(problem, options)
-        if solution.status is not SolveStatus.OPTIMAL:
-            raise SolveFailure(solution.status)
-        interval = extract_interval_solution(problem, solution.x, instance, grid)
-        fractional = as_fractional(expand_interval_schedule(interval, instance), instance)
-        lp_objective = solution.objective
     else:
         eps = None
-        fractional, solution = solve_lp(instance, options, horizon, edges)
-        lp_objective = solution.objective
+        problem = build_time_indexed_lp(instance, horizon, edges)
+    solution = solve(problem, options)
+    if solution.status is not SolveStatus.OPTIMAL:
+        raise SolveFailure(solution.status)
+    if strategy == "interval-stretch":
+        interval = extract_interval_solution(problem, solution.x, instance, grid)
+        fractional = as_fractional(expand_interval_schedule(interval, instance), instance)
+    else:
+        fractional = extract_fractional(problem, solution.x, instance, horizon)
 
     if strategy == "heuristic":
         trial = lp_heuristic(instance, fractional)
@@ -156,7 +122,7 @@ def run_pipeline(
         instance=instance,
         strategy=strategy,
         epsilon=eps,
-        lp_objective=lp_objective,
+        lp_objective=solution.objective,
         fractional=fractional,
         schedule=chosen.schedule,
         report=chosen.report,

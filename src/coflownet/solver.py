@@ -69,6 +69,7 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import scipy
@@ -138,6 +139,11 @@ PREFIX_GROWTH = 1.25
 #: reports ``iteration_limit``.
 ITERATION_LIMIT = 100_000
 
+#: Absolute tolerance of the solution checks, of the prefix certificate
+#: (relative to ``max(1, |objective|)`` there) and of a column's distance
+#: from its after-prefix value.
+TOLERANCE = 1e-7
+
 
 class SolverError(RuntimeError):
     """A backend reported optimal but the solution fails re-verification,
@@ -146,7 +152,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    tolerance: float = 1e-7
+    #: Not a constructor field: the solver always uses ``TOLERANCE``.
+    tolerance: ClassVar[float] = TOLERANCE
     backend: str = "highs"
 
     def __post_init__(self):
@@ -184,7 +191,7 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
     # decided from the problem as built: the MPS read-back has no layout
     presolve = problem.layout is None or problem.layout.xe is None
     if options.backend == "highs":
-        solution = _solve_prefixes(problem, options, presolve)
+        solution = _solve_prefixes(problem, presolve)
         if solution is not None:
             return solution  # certified and checked against the whole problem
         solved = problem
@@ -193,12 +200,12 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
         solved = _through_file(problem, Path(options.backend[4:]))
     status, objective, x, _ = _linprog(
         solved.objective, solved.A, solved.row_lower, solved.row_upper,
-        solved.col_lower, solved.col_upper, options, presolve,
+        solved.col_lower, solved.col_upper, presolve,
     )
     steps = problem.step_map.step_count if problem.step_map is not None else None
     solution = LPSolution(status, objective, x, steps)
     if solution.status is SolveStatus.OPTIMAL:
-        failures = check_solution(problem, solution, tol=options.tolerance)
+        failures = check_solution(problem, solution)
         if failures:
             raise SolverError(
                 f"backend {options.backend!r} returned a non-verifying optimum: "
@@ -207,7 +214,7 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
     return solution
 
 
-def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options, presolve=True):
+def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=True):
     """HiGHS on ``row_lower <= A @ x <= row_upper``: status, objective,
     point and, when optimal, the row duals (the objective's sensitivity to
     each row's finite bound). ``presolve=False`` turns HiGHS's presolve
@@ -216,7 +223,7 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options, 
     HiGHS gets only the columns whose bounds leave them free and the rows
     that touch one of them. A fixed column's activity moves into the row
     bounds, and the column takes its bound in the point. A dropped row
-    has dual 0; one whose shifted bounds exclude 0 (beyond the tolerance)
+    has dual 0; one whose shifted bounds exclude 0 (beyond ``TOLERANCE``)
     makes the problem infeasible without a HiGHS call.
     """
     fixed = (col_lower == col_upper) & np.isfinite(col_lower)
@@ -228,7 +235,7 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, options, 
     # rows with a stored entry in a free column
     seen = np.concatenate([[0], np.cumsum(~fixed[A.indices])])
     live = seen[A.indptr[1:]] > seen[A.indptr[:-1]]
-    if np.any(lower[~live] > options.tolerance) or np.any(upper[~live] < -options.tolerance):
+    if np.any(lower[~live] > TOLERANCE) or np.any(upper[~live] < -TOLERANCE):
         return SolveStatus.INFEASIBLE, math.nan, None, None
     base = float(objective @ value)
     cols, rows = np.flatnonzero(~fixed), np.flatnonzero(live)
@@ -340,7 +347,7 @@ def _through_file(problem: LPProblem, path: Path) -> LPProblem:
     return read
 
 
-def _solve_prefixes(problem: LPProblem, options: SolveOptions, presolve: bool) -> LPSolution | None:
+def _solve_prefixes(problem: LPProblem, presolve: bool) -> LPSolution | None:
     """The first certified prefix solution, trying ever longer prefixes
     shorter than the whole problem; None when none certifies, HiGHS fails
     on one, or the problem has no step map."""
@@ -349,7 +356,7 @@ def _solve_prefixes(problem: LPProblem, options: SolveOptions, presolve: bool) -
         return None
     prefix = step_map.first_prefix
     while prefix < step_map.step_count:
-        status, solution, used = _solve_prefix(problem, prefix, options, presolve)
+        status, solution, used = _solve_prefix(problem, prefix, presolve)
         if solution is not None:
             return solution
         if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
@@ -362,7 +369,7 @@ def _solve_prefixes(problem: LPProblem, options: SolveOptions, presolve: bool) -
 
 
 def _solve_prefix(
-    problem: LPProblem, prefix: int, options: SolveOptions, presolve: bool = True
+    problem: LPProblem, prefix: int, presolve: bool = True
 ) -> tuple[SolveStatus, LPSolution | None, int | None]:
     """Solve the rows of steps ``1..prefix`` with every later column's
     bounds pinned at its after-prefix value. The prefix's status; the
@@ -377,16 +384,16 @@ def _solve_prefix(
     status, objective, x, duals = _linprog(
         problem.objective, problem.A[rows], problem.row_lower[rows], problem.row_upper[rows],
         np.where(later, step_map.col_after, problem.col_lower),
-        np.where(later, step_map.col_after, problem.col_upper), options, presolve,
+        np.where(later, step_map.col_after, problem.col_upper), presolve,
     )
     if status is not SolveStatus.OPTIMAL:
         return status, None, None
     y = _extended_duals(step_map, rows, duals, prefix)
-    if _dual_bound(problem, y) >= objective - options.tolerance * max(1.0, abs(objective)):
+    if _dual_bound(problem, y) >= objective - TOLERANCE * max(1.0, abs(objective)):
         solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
-        if not check_solution(problem, solution, tol=options.tolerance):
+        if not check_solution(problem, solution):
             return status, solution, None
-    used = step_map.col_step[np.abs(x - step_map.col_after) > options.tolerance]
+    used = step_map.col_step[np.abs(x - step_map.col_after) > TOLERANCE]
     return status, None, int(used.max(initial=0))
 
 
@@ -427,7 +434,7 @@ def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
     return bound + float(d[up] @ problem.col_lower[up] + d[down] @ problem.col_upper[down])
 
 
-def check_solution(problem: LPProblem, solution: LPSolution, tol: float = 1e-7) -> list[str]:
+def check_solution(problem: LPProblem, solution: LPSolution, tol: float = TOLERANCE) -> list[str]:
     """Residual report for a claimed-optimal solution (empty = clean)."""
     if solution.x is None:
         return ["no point to check"]

@@ -80,14 +80,28 @@ def test_validate_flags_bad_instance(tmp_path, capsys):
     assert "capacity not positive" in capsys.readouterr().out
 
 
-def _one_edge_instance(cap=1.0, demand=1.0, weight=1.0):
+def _one_edge_instance(cap=1.0, demand=1.0, weight=1.0, model="single_path"):
+    flow = {"src": "a", "dst": "b", "demand": demand, "release": 0}
+    if model == "single_path":
+        flow["path"] = ["e"]
     return {
         "format": 1,
-        "model": "single_path",
+        "model": model,
         "nodes": ["a", "b"],
         "edges": [{"id": "e", "src": "a", "dst": "b", "cap": cap}],
-        "coflows": [{"weight": weight, "flows": [{"src": "a", "dst": "b", "demand": demand, "release": 0, "path": ["e"]}]}],
+        "coflows": [{"weight": weight, "flows": [flow]}],
     }
+
+
+def _self_loop_instance():
+    # loops at the source and the sink would count in the free-path src/snk rows
+    data = _one_edge_instance(model="free_path")
+    data["edges"] += [
+        {"id": "a-a", "src": "a", "dst": "a", "cap": 100.0},
+        {"id": "b-b", "src": "b", "dst": "b", "cap": 100.0},
+    ]
+    data["coflows"][0]["flows"][0]["demand"] = 10.0
+    return data
 
 
 def _looping_path_instance():
@@ -109,6 +123,9 @@ def _looping_path_instance():
     }
 
 
+_OVERFLOW = "a demand/capacity ratio of inf slots is too large to build"
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -118,8 +135,14 @@ def _looping_path_instance():
         (_one_edge_instance(demand=math.inf), "demand not finite"),
         (_one_edge_instance(weight=math.inf), "weight not finite"),
         (_looping_path_instance(), "path visits node 'a' twice"),
+        (_one_edge_instance(cap=1e-10, demand=1e300), _OVERFLOW),
+        (_one_edge_instance(cap=1e-10, demand=1e300, model="free_path"), _OVERFLOW),
+        (_self_loop_instance(), "edge a-a: self-loop"),
     ],
-    ids=["no-coflows", "cap-inf", "cap-nan", "demand-inf", "weight-inf", "path-loop"],
+    ids=[
+        "no-coflows", "cap-inf", "cap-nan", "demand-inf", "weight-inf", "path-loop",
+        "ratio-overflow-single", "ratio-overflow-free", "self-loop",
+    ],
 )
 def test_degenerate_instance_is_reported_not_raised(tmp_path, capsys, data, message):
     inst = tmp_path / "inst.json"
@@ -128,9 +151,11 @@ def test_degenerate_instance_is_reported_not_raised(tmp_path, capsys, data, mess
         assert run(command) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
-    assert run(["validate", inst]) == 1
+    # an overflowing ratio is a valid instance, only too large to build
+    valid = message == _OVERFLOW
+    assert run(["validate", inst]) == (0 if valid else 1)
     captured = capsys.readouterr()
-    assert message in captured.out and "Traceback" not in captured.err
+    assert ("instance ok" if valid else message) in captured.out and "Traceback" not in captured.err
 
 
 def test_validate_rejects_unknown_format(tmp_path):
@@ -282,6 +307,7 @@ def _instance_text(coflow=None, flow=None):
          "weights must be positive and finite"),
         ('{"format": 1, "machines": -1, "jobs": []}', ["reduce", "in.json"],
          "machines must be at least 1, got -1"),
+        ('{"format": 1, "machines": 3, "jobs": []}', ["reduce", "in.json"], "shop has no jobs"),
         (_instance_text(coflow={"weight": "3"}), ["validate", "in.json"], "weight must be a number, got '3'"),
         (_instance_text(flow={"demand": "1"}), ["validate", "in.json"], "demand must be a number, got '1'"),
         (_instance_text(flow={"release": True}), ["validate", "in.json"], "release must be a number, got True"),
@@ -292,6 +318,7 @@ def _instance_text(coflow=None, flow=None):
         (None, ["gen", "--demand-min", -1], "demand range must be positive"),
         (None, ["gen", "--cap", 0], "cap must be positive and finite"),
         (None, ["bench", "--cap", -1], "cap must be positive and finite"),
+        (None, ["bench", "--cap", 1e-320], "a demand/capacity ratio of inf slots is too large to build"),
         (None, ["bench", "--epsilon", "abc"], "--epsilon must be a comma-separated list"),
         (None, ["bench", "--trials", 0], "--trials must be at least 1"),
         (None, ["bench", "--trials", MAX_TRIALS + 1], f"--trials must be at most {MAX_TRIALS:,}"),
@@ -308,10 +335,11 @@ def _instance_text(coflow=None, flow=None):
         "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
         "schedule-not-object", "shop-all-zero-job", "shop-no-machines", "shop-fractional-machines",
         "shop-string-machines", "shop-nan-processing-time", "shop-nan-weight",
-        "shop-negative-machines", "instance-string-weight", "instance-string-demand",
+        "shop-negative-machines", "shop-no-jobs", "instance-string-weight", "instance-string-demand",
         "instance-bool-release", "schedule-fractional-slot", "schedule-fractional-slot-count",
         "gen-jobs-0",
-        "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-cap-negative", "bench-epsilon-abc",
+        "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-cap-negative", "bench-cap-overflow",
+        "bench-epsilon-abc",
         "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
         "solve-negative-seed", "bench-negative-seed", "check-negative-seed", "gen-negative-seed",
         "check-mps-unwritable", "schedule-nan-amount",

@@ -317,7 +317,7 @@ def test_fixed_column_is_substituted_into_the_rows():
 
 def _raw_linprog(p):
     return coflownet.solver._linprog(
-        p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper, SolveOptions()
+        p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper
     )
 
 
@@ -534,10 +534,10 @@ def test_prefix_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, model)
         ):
             for prefix in _rungs(p.step_map):
                 handed.clear()
-                coflownet.solver._solve_prefix(p, prefix, SolveOptions())
+                coflownet.solver._solve_prefix(p, prefix)
                 got = list(handed)
                 handed.clear()
-                coflownet.solver._linprog(*reference_prefix_arrays(p, prefix), SolveOptions())
+                coflownet.solver._linprog(*reference_prefix_arrays(p, prefix))
                 assert len(got) == len(handed) == 1
                 assert list(map(_bits, got[0])) == list(map(_bits, handed[0]))
                 rungs += 1

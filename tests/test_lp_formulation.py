@@ -383,7 +383,6 @@ def test_interval_pipeline_bounds_the_horizon_once(demo_free, monkeypatch):
         return horizon_upper_bound(instance)
 
     monkeypatch.setattr(coflownet.lp, "horizon_upper_bound", counted)
-    monkeypatch.setattr(coflownet.pipeline, "horizon_upper_bound", counted)
     result = coflownet.pipeline.run_pipeline(demo_free, "interval-stretch", trials=2, epsilon=0.2)
     assert len(calls) == 1
     assert result.fractional.slot_count == math.ceil(interval_grid_for(demo_free, 0.2).horizon - 1e-9)

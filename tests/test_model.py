@@ -70,7 +70,9 @@ def test_validate_flags_path_not_reaching_sink(demo_single):
 
 
 def test_validate_flags_missing_path_and_duplicate_edges():
-    net = Network(("a", "b"), (Edge("e", "a", "b", 1.0), Edge("e", "a", "b", 2.0)))
+    net = Network(
+        ("a", "b"), (Edge("e", "a", "b", 1.0), Edge("e", "a", "b", 2.0), Edge("loop", "b", "b", 1.0))
+    )
     inst = Instance(
         network=net,
         coflows=(Coflow((Flow("a", "b", 1.0),), 1.0),),
@@ -79,6 +81,7 @@ def test_validate_flags_missing_path_and_duplicate_edges():
     problems = validate_instance(inst)
     assert any("duplicate edge id" in p for p in problems)
     assert any("requires a path" in p for p in problems)
+    assert "edge loop: self-loop" in problems
 
 
 def test_validate_flags_unreachable_sink_free_path():

@@ -12,10 +12,10 @@ from coflownet import (
     permutation_objective,
     random_shop,
     reduce_open_shop,
+    run_pipeline,
     validate_instance,
     verify_schedule,
 )
-from coflownet.pipeline import solve_lp
 from coflownet.serialize import shop_from_dict, shop_to_dict
 from coflownet.solver import SolveOptions
 from helpers import permutation_schedule
@@ -119,9 +119,9 @@ def test_lp_lower_bound_on_reduced_instances(rng):
     for _ in range(5):
         shop = random_shop(rng, max_jobs=4, max_machines=3)
         inst = reduce_open_shop(shop)
-        _, solution = solve_lp(inst, SolveOptions(backend="highs"))
+        lp_objective = run_pipeline(inst, options=SolveOptions(backend="highs")).lp_objective
         exact, _ = open_shop_optimal(shop)
-        assert check_lp_lower_bound(inst, solution.objective, exact) is None
+        assert check_lp_lower_bound(inst, lp_objective, exact) is None
 
 
 def test_lp_lower_bound_violation_message():
