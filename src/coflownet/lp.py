@@ -48,7 +48,10 @@ free-path flow rows, ``cap``.
 The ``src``/``snk``/``bal`` rows of a flow are a one-step incidence
 template over its usable edges plus its ``x`` column, tiled across steps
 by column offset; ``cap`` rows gather each edge's users per step. The
-counts give the CSR ``indptr`` directly. Names are not built: each
+counts give the CSR ``indptr`` directly, and the matrix is a
+:class:`~coflownet.csr.CSR`: four arrays whose products and selections
+run scipy's own sparse kernels without importing ``scipy.sparse`` (see
+:mod:`coflownet.csr`). Names are not built: each
 column block and row family records a :data:`NameBlock` pattern, and
 :class:`LPProblem` builds the strings when they are first read.
 
@@ -68,8 +71,8 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR
 from .graphs import max_flow_value, path_bottleneck, usable_edges
 from .model import Edge, FractionalSchedule, Instance, RoutingModel, coflow_progress
 
@@ -134,7 +137,8 @@ class LPProblem:
     """``min objective @ x`` subject to ``row_lower <= A @ x <= row_upper``
     and ``col_lower <= x <= col_upper``; immutable after construction.
 
-    ``A`` is a CSR matrix. Every row is an equality (equal bounds) or
+    ``A`` is a :class:`~coflownet.csr.CSR` matrix, checked when it was
+    made. Every row is an equality (equal bounds) or
     one-sided (the other bound infinite). Column and row names are
     unique, and built on first read of ``col_names``/``row_names`` from
     ``col_naming``/``row_naming`` (see :data:`NameBlock`): the relaxation
@@ -148,7 +152,7 @@ class LPProblem:
     objective: np.ndarray
     col_lower: np.ndarray
     col_upper: np.ndarray
-    A: sp.csr_matrix
+    A: CSR
     row_lower: np.ndarray
     row_upper: np.ndarray
     col_naming: tuple[NameBlock, ...]
@@ -606,8 +610,7 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
     row_dem[F + 2 * np.arange(F * T)] = np.repeat(np.arange(F), T)
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    data, indices = np.concatenate(data), np.concatenate(indices)
-    A = sp.csr_matrix((data, indices, indptr), shape=(len(counts), cols))
+    A = CSR(indptr, np.concatenate(indices), np.concatenate(data), (len(counts), cols))
     return LPProblem(
         objective=np.concatenate([[c.weight for c in instance.coflows], np.zeros(cols - J)]),
         col_lower=np.zeros(cols),

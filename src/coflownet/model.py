@@ -184,6 +184,11 @@ def validate_instance(instance: Instance) -> list[str]:
     problems: list[str] = []
     net = instance.network
 
+    seen_nodes: set[str] = set()
+    for v in net.nodes:
+        if v in seen_nodes:
+            problems.append(f"node {v}: duplicate node name")
+        seen_nodes.add(v)
     seen_ids: set[str] = set()
     for e in net.edges:
         if e.id in seen_ids:

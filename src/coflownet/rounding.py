@@ -41,7 +41,9 @@ per-slot rates (uniform speed within each interval) so the same rounding
 applies to interval relaxations. Geometric intervals can be shorter than
 a slot and share it, so there the replay is a product with the sparse
 slot-overlap matrix of :func:`_overlap`, whose entries come from the same
-arithmetic as the taps.
+arithmetic as the taps. The matrix is a :class:`~coflownet.csr.CSR`, and
+``rates @ spread`` runs scipy's ``csc_matvecs`` kernel on it, as
+``scipy.sparse`` would, without importing that package.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR
 from .lp import IntervalSolution
 from .model import (
     AMOUNT_EPS,
@@ -150,7 +152,7 @@ def _overlap_entries(a: np.ndarray, b: np.ndarray, out_slots):
     return indptr, rows, cols, data
 
 
-def _overlap(bounds: np.ndarray, out_slots: int) -> sp.csr_matrix:
+def _overlap(bounds: np.ndarray, out_slots: int) -> CSR:
     """Slot-overlap matrix: entry (t, k) is the length of
     ``[bounds[t], bounds[t + 1]]`` inside unit slot ``k + 1`` (the real
     interval [k, k + 1]), over the first ``out_slots`` slots.
@@ -161,11 +163,7 @@ def _overlap(bounds: np.ndarray, out_slots: int) -> sp.csr_matrix:
     ``len(bounds) - 1 + out_slots`` nonzeros.
     """
     indptr, _, cols, data = _overlap_entries(bounds[:-1], bounds[1:], out_slots)
-    # the index dtype scipy would choose, passed in so that it does not rescan
-    index = np.int32 if bounds.size - 1 + out_slots < 2**31 else np.int64
-    return sp.csr_matrix(
-        (data, cols.astype(index), indptr.astype(index)), shape=(bounds.size - 1, out_slots)
-    )
+    return CSR(indptr, cols, data, (bounds.size - 1, out_slots))
 
 
 def _out_slots(horizon: int, values: np.ndarray) -> np.ndarray:

@@ -53,6 +53,21 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _array(value, name: str) -> list:
+    """A JSON array as a list. A string or an object is refused, not
+    iterated."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be an array, got {value!r}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    """A JSON string. A number or null is refused, not converted."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _check_version(data: dict, what: str) -> None:
     if not isinstance(data, dict):
         raise FormatError(f"{what}: expected a JSON object, got {type(data).__name__}")
@@ -103,27 +118,36 @@ def instance_from_dict(data: dict) -> Instance:
     try:
         model = RoutingModel(data["model"])
         network = Network(
-            nodes=tuple(data["nodes"]),
+            nodes=tuple(_string(v, "node name") for v in _array(data["nodes"], "nodes")),
             edges=tuple(
-                Edge(id=e["id"], src=e["src"], dst=e["dst"], cap=_number(e["cap"], "cap"))
-                for e in data["edges"]
+                Edge(
+                    id=_string(e["id"], "edge id"),
+                    src=_string(e["src"], "src"),
+                    dst=_string(e["dst"], "dst"),
+                    cap=_number(e["cap"], "cap"),
+                )
+                for e in _array(data["edges"], "edges")
             ),
         )
         coflows = tuple(
             Coflow(
                 flows=tuple(
                     Flow(
-                        src=f["src"],
-                        dst=f["dst"],
+                        src=_string(f["src"], "src"),
+                        dst=_string(f["dst"], "dst"),
                         demand=_number(f["demand"], "demand"),
                         release=_release_slot(f.get("release", 0)),
-                        path=tuple(f["path"]) if "path" in f else None,
+                        path=(
+                            tuple(_string(e, "path edge id") for e in _array(f["path"], "path"))
+                            if "path" in f
+                            else None
+                        ),
                     )
-                    for f in cf["flows"]
+                    for f in _array(cf["flows"], "flows")
                 ),
                 weight=_number(cf["weight"], "weight"),
             )
-            for cf in data["coflows"]
+            for cf in _array(data["coflows"], "coflows")
         )
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise FormatError(f"instance: malformed record ({exc})") from exc

@@ -1,7 +1,8 @@
 """LP solving front end: HiGHS through scipy's binding, re-verified.
 
 The binding is the extension module ``scipy.optimize._highspy._core``,
-loaded from its file (:func:`_load_core`) rather than through the
+loaded from its file (:func:`coflownet.csr._load_extension`, which
+loads scipy's sparse kernels too) rather than through the
 ``scipy.optimize`` package, whose ``__init__`` imports all of
 ``linprog``, ``interpolative`` and fft and parses hundreds of
 docstrings. Skipping it took a cold ``import coflownet`` from 0.99 s and
@@ -9,10 +10,11 @@ docstrings. Skipping it took a cold ``import coflownet`` from 0.99 s and
 module is registered under its own name, so ``scipy.optimize`` imported
 later in the same process shares it.
 
-HiGHS gets the problem's row-form CSR arrays as they are (``indptr``,
-``indices``, ``data``, the row and column bounds, infinities included)
-in one ``passModel`` call; its model status, point, row duals and
-objective come back unchanged.
+HiGHS gets the problem's row-form :class:`~coflownet.csr.CSR` arrays
+as they are (``indptr``, ``indices``, ``data``, int32 indices when they
+fit, so that the binding copies nothing; the row and column bounds,
+infinities included) in one ``passModel`` call; its model status,
+point, row duals and objective come back unchanged.
 
 An ``optimal`` result is re-checked against the original problem (row
 residuals, bounds, objective recomputation), so a solve through an MPS
@@ -59,12 +61,9 @@ it. The rule is fixed, not an option: it follows from the LP's shape.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import os
 import re
-import sys
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
@@ -72,45 +71,13 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-import scipy
-import scipy.sparse as sp
 
+from .csr import CSR, _load_extension
 from .lp import LPProblem, _named
 
 #: scipy's HiGHS binding, private to scipy: pyproject.toml asks for the
 #: release this module was written against.
-_CORE = "scipy.optimize._highspy._core"
-
-
-def _load_core():
-    """The extension module ``_CORE``, loaded from its file so that the
-    ``scipy.optimize`` package around it is never imported.
-
-    A module already in ``sys.modules`` is reused. Otherwise the file is
-    found beside scipy and registered under its own name before it runs,
-    so a later ``import scipy.optimize`` finds this module object rather
-    than loading the extension again. Only when no such file exists does
-    the plain import run.
-    """
-    if _CORE in sys.modules:
-        return sys.modules[_CORE]
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = folder / f"_core{suffix}"
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location(_CORE, path)
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[_CORE] = module
-            try:
-                spec.loader.exec_module(module)
-            except BaseException:
-                del sys.modules[_CORE]
-                raise
-            return module
-    return importlib.import_module(_CORE)
-
-
-_core = _load_core()
+_core = _load_extension("scipy.optimize._highspy._core")
 HighsModelStatus, HighsStatus, _Highs = _core.HighsModelStatus, _core.HighsStatus, _core._Highs
 MatrixFormat, ObjSense = _core.MatrixFormat, _core.ObjSense
 
@@ -242,7 +209,7 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=
     if not cols.size:
         return SolveStatus.OPTIMAL, base, value, np.zeros(len(row_lower))
     status, obj, x, y = _highs(
-        objective[cols], A[rows][:, cols], lower[rows], upper[rows],
+        objective[cols], A.select_rows(rows).select_columns(cols), lower[rows], upper[rows],
         col_lower[cols], col_upper[cols], presolve,
     )
     if x is not None:
@@ -325,7 +292,7 @@ def load_mps(path: str | Path) -> LPProblem:
     if len(set(lp.row_names_)) != lp.num_row_:
         raise ValueError("row names are not unique")
     m = lp.a_matrix_
-    A = sp.csr_matrix((m.value_, m.index_, m.start_), shape=(lp.num_row_, lp.num_col_))
+    A = CSR(m.start_, m.index_, m.value_, (lp.num_row_, lp.num_col_))
     columns = [np.array(v, dtype=float) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_)]
     rows = [np.array(v, dtype=float) for v in (lp.row_lower_, lp.row_upper_)]
     return LPProblem(*columns, A, *rows, _named(lp.col_names_), _named(lp.row_names_))
@@ -382,7 +349,8 @@ def _solve_prefix(
     rows = np.flatnonzero(step_map.row_step <= prefix)
     later = step_map.col_step > prefix
     status, objective, x, duals = _linprog(
-        problem.objective, problem.A[rows], problem.row_lower[rows], problem.row_upper[rows],
+        problem.objective, problem.A.select_rows(rows),
+        problem.row_lower[rows], problem.row_upper[rows],
         np.where(later, step_map.col_after, problem.col_lower),
         np.where(later, step_map.col_after, problem.col_upper), presolve,
     )
@@ -427,7 +395,7 @@ def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
     lower, upper = problem.row_lower, problem.row_upper
     y = np.where(np.isinf(lower), np.minimum(y, 0.0), y)
     y = np.where(np.isinf(upper), np.maximum(y, 0.0), y)
-    d = problem.objective - problem.A.T @ y
+    d = problem.objective - y @ problem.A
     pos, neg = y > 0, y < 0
     bound = float(y[pos] @ lower[pos] + y[neg] @ upper[neg])
     up, down = d > 0, d < 0

@@ -1,7 +1,7 @@
-"""Test references and fixtures: an LP assembled from a row list, a
-row-permuted LP, a hand-checked optimal schedule of the demo instance,
-and the replay of an open-shop permutation. No production path calls
-them.
+"""Test references and fixtures: a ``CSR`` matrix as ``scipy.sparse``
+sees it, an LP assembled from a row list, a row-permuted LP, a
+hand-checked optimal schedule of the demo instance, and the replay of an
+open-shop permutation. No production path calls them.
 """
 
 from __future__ import annotations
@@ -14,8 +14,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from coflownet import Instance, LPProblem, RateSchedule, RoutingModel
+from coflownet.csr import CSR
 from coflownet.lp import StepMap, _named
 from coflownet.openshop import OpenShopInstance
+
+
+def as_scipy(matrix: CSR) -> sp.csr_matrix:
+    """``matrix`` as a ``scipy.sparse`` matrix over the same arrays, the
+    independent reference of the tests."""
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 def from_rows(objective, col_lower, col_upper, col_names, rows, layout=None) -> LPProblem:
@@ -33,8 +40,6 @@ def from_rows(objective, col_lower, col_upper, col_names, rows, layout=None) -> 
     np.cumsum(np.fromiter(map(len, cols), dtype=np.int64, count=len(names)), out=indptr[1:])
     nnz = int(indptr[-1])
     indices = np.fromiter(chain.from_iterable(cols), dtype=np.int64, count=nnz)
-    if nnz and (indices.min() < 0 or indices.max() >= len(col_names)):
-        raise ValueError("row references an unknown column")
     data = np.fromiter(chain.from_iterable(vals), dtype=float, count=nnz)
     relations = np.array(relations, dtype=object)
     rhs = np.array(rhs, dtype=float)
@@ -42,7 +47,7 @@ def from_rows(objective, col_lower, col_upper, col_names, rows, layout=None) -> 
         objective=np.array(objective, dtype=float),
         col_lower=np.array(col_lower, dtype=float),
         col_upper=np.array(col_upper, dtype=float),
-        A=sp.csr_matrix((data, indices, indptr), shape=(len(names), len(col_names))),
+        A=CSR(indptr, indices, data, (len(names), len(col_names))),
         row_lower=np.where(relations == "<=", -math.inf, rhs),
         row_upper=np.where(relations == ">=", math.inf, rhs),
         col_naming=_named(col_names),
@@ -59,7 +64,7 @@ def permuted_rows(problem: LPProblem, order) -> LPProblem:
     return replace(
         problem,
         row_naming=_named(problem.row_names[r] for r in order),
-        A=problem.A[order],
+        A=problem.A.select_rows(order),
         row_lower=problem.row_lower[order],
         row_upper=problem.row_upper[order],
         step_map=_permuted_step_map(problem.step_map, order) if problem.step_map else None,

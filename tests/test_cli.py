@@ -19,6 +19,8 @@ from coflownet.bench import CSV_HEADER
 from coflownet.generate import demo_instance
 from coflownet.serialize import instance_to_dict, save_instance
 
+from helpers import as_scipy
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -138,10 +140,11 @@ _OVERFLOW = "a demand/capacity ratio of inf slots is too large to build"
         (_one_edge_instance(cap=1e-10, demand=1e300), _OVERFLOW),
         (_one_edge_instance(cap=1e-10, demand=1e300, model="free_path"), _OVERFLOW),
         (_self_loop_instance(), "edge a-a: self-loop"),
+        ({**_one_edge_instance(), "nodes": ["a", "b", "a"]}, "node a: duplicate node name"),
     ],
     ids=[
         "no-coflows", "cap-inf", "cap-nan", "demand-inf", "weight-inf", "path-loop",
-        "ratio-overflow-single", "ratio-overflow-free", "self-loop",
+        "ratio-overflow-single", "ratio-overflow-free", "self-loop", "duplicate-node",
     ],
 )
 def test_degenerate_instance_is_reported_not_raised(tmp_path, capsys, data, message):
@@ -156,6 +159,50 @@ def test_degenerate_instance_is_reported_not_raised(tmp_path, capsys, data, mess
     assert run(["validate", inst]) == (0 if valid else 1)
     captured = capsys.readouterr()
     assert ("instance ok" if valid else message) in captured.out and "Traceback" not in captured.err
+
+
+def _retyped(*keys, value):
+    """The one-edge instance with the field at ``keys`` set to ``value``."""
+    data = _one_edge_instance()
+    record = data
+    for key in keys[:-1]:
+        record = record[key]
+    record[keys[-1]] = value
+    return data
+
+
+_FLOW = ("coflows", 0, "flows", 0)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_retyped("nodes", value="ab"), "nodes must be an array, got 'ab'"),
+        (_retyped("edges", value={}), "edges must be an array, got {}"),
+        (_retyped("coflows", value={}), "coflows must be an array, got {}"),
+        (_retyped("coflows", 0, "flows", value="ab"), "flows must be an array, got 'ab'"),
+        (_retyped(*_FLOW, "path", value="e-f"), "path must be an array, got 'e-f'"),
+        (_retyped(*_FLOW, "path", 0, value=0), "path edge id must be a string, got 0"),
+        (_retyped("nodes", 0, value=1), "node name must be a string, got 1"),
+        (_retyped("edges", 0, "id", value=7), "edge id must be a string, got 7"),
+        (_retyped("edges", 0, "src", value=None), "src must be a string, got None"),
+        (_retyped("edges", 0, "dst", value=["b"]), "dst must be a string, got ['b']"),
+        (_retyped(*_FLOW, "src", value=1.0), "src must be a string, got 1.0"),
+        (_retyped(*_FLOW, "dst", value=True), "dst must be a string, got True"),
+    ],
+    ids=[
+        "nodes-string", "edges-object", "coflows-object", "flows-string", "path-string",
+        "path-edge-number", "node-number", "edge-id-number", "edge-src-null", "edge-dst-array",
+        "flow-src-number", "flow-dst-bool",
+    ],
+)
+def test_instance_field_of_the_wrong_json_type_exits_2(tmp_path, capsys, data, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    for command in (["validate", inst], ["solve", inst]):
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert "instance: malformed record" in err and message in err and "Traceback" not in err
 
 
 def test_validate_rejects_unknown_format(tmp_path):
@@ -199,7 +246,7 @@ def test_mps_solver_solves_the_file_it_wrote(tmp_path, monkeypatch):
     # the file read is the file left on disk, and nothing else is
     on_disk = real_load(exported)
     assert on_disk.col_names == read_back[0].col_names
-    assert (on_disk.A != read_back[0].A).nnz == 0
+    assert (as_scipy(on_disk.A) != as_scipy(read_back[0].A)).nnz == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exported.mps", "inst.json"]
 
 

@@ -1,5 +1,7 @@
-"""The solver loads scipy's HiGHS extension from its file, so a process that
-imports coflownet never imports the ``scipy.optimize`` package."""
+"""coflownet loads scipy's HiGHS binding and sparse kernels from their
+files, so a process that imports it never imports the ``scipy.optimize``
+or ``scipy.sparse`` packages, and one that imports them too shares each
+extension module."""
 
 import os
 import re
@@ -40,6 +42,42 @@ def test_import_leaves_scipy_optimize_out():
     _fresh("-c", "import coflownet, sys; assert 'scipy.optimize' not in sys.modules")
 
 
+def test_import_leaves_scipy_sparse_out():
+    _fresh("-c", """
+import coflownet, sys
+assert {m for m in sys.modules if m.startswith("scipy.sparse")} == {"scipy.sparse._sparsetools"}
+""")
+
+
+def test_a_later_scipy_sparse_shares_the_kernels():
+    _fresh("-c", SOLVE_DEMO + """
+import sys
+import coflownet.csr
+assert "scipy.sparse" not in sys.modules
+import numpy as np
+import scipy.sparse
+from scipy.sparse import _sparsetools
+assert _sparsetools is coflownet.csr._sparsetools
+m = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [2.0, 3.0]]))
+assert (m @ np.array([1.0, 1.0])).tolist() == [1.0, 5.0]
+""")
+
+
+def test_an_earlier_scipy_sparse_is_reused():
+    _fresh("-c", """
+import importlib.util, sys
+import scipy.sparse
+kernels = sys.modules["scipy.sparse._sparsetools"]
+load = importlib.util.spec_from_file_location
+def load_again(name, *args, **kwargs):
+    assert name != "scipy.sparse._sparsetools", "the kernels were loaded a second time"
+    return load(name, *args, **kwargs)
+importlib.util.spec_from_file_location = load_again
+import coflownet.csr
+assert coflownet.csr._sparsetools is kernels
+""" + SOLVE_DEMO)
+
+
 def test_a_later_scipy_optimize_shares_the_binding():
     _fresh("-c", SOLVE_DEMO + """
 import sys
@@ -73,6 +111,8 @@ importlib.machinery.EXTENSION_SUFFIXES = []
 import coflownet.solver
 assert "scipy.optimize" in sys.modules
 assert coflownet.solver._core is sys.modules["scipy.optimize._highspy._core"]
+assert "scipy.sparse" in sys.modules
+assert coflownet.csr._sparsetools is sys.modules["scipy.sparse._sparsetools"]
 """ + SOLVE_DEMO)
 
 
@@ -84,3 +124,13 @@ def test_cli_never_imports_scipy_optimize(tmp_path, command):
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert "numpy" in imported
     assert not {m for m in imported if re.fullmatch(r"scipy\.optimize(\..*)?", m)}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_cli_never_imports_scipy_sparse(tmp_path, command):
+    inst = tmp_path / "demo.json"
+    save_instance(demo_instance(RoutingModel.SINGLE_PATH), inst)
+    done = _fresh("-X", "importtime", "-m", "coflownet", command, inst)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert "numpy" in imported
+    assert not {m for m in imported if re.fullmatch(r"scipy\.sparse(\..*)?", m)}

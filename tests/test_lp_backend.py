@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize._highspy._core import (
     HighsModelStatus,
     HighsStatus,
@@ -13,7 +12,7 @@ from scipy.optimize._highspy._core import (
 )
 
 from conftest import fuzz_instance
-from helpers import from_rows, permuted_rows
+from helpers import as_scipy, from_rows, permuted_rows
 
 from coflownet import (
     Coflow,
@@ -36,6 +35,7 @@ from coflownet import (
     verify_schedule,
 )
 import coflownet.solver
+from coflownet.csr import CSR
 from coflownet.generate import GenConfig, demo_instance, generate_instance
 from coflownet.solver import PREFIX_GROWTH, LPSolution, check_solution, load_mps, save_mps
 
@@ -246,7 +246,7 @@ def test_row_cols_view_matches_matrix(solved_free, tmp_path):
     p, _, _ = solved_free
     assert len(p.row_cols) == p.num_rows
     assert sum(cols.size for cols in p.row_cols) == p.A.nnz
-    first = p.A.getrow(0).indices
+    first = as_scipy(p.A).getrow(0).indices
     np.testing.assert_array_equal(p.row_cols[0], first)
     assert not p.row_cols[0].flags.writeable
     save_mps(problem([1.0, 2.0], []), tmp_path / "empty.mps")
@@ -281,7 +281,7 @@ def test_mps_round_trip_preserves_problem(solved_free, tmp_path):
         back = load_mps(tmp_path / "p.mps")
         assert back.col_names == p.col_names
         assert back.row_names == p.row_names
-        got, want = back.A.sorted_indices(), p.A.sorted_indices()
+        got, want = as_scipy(back.A).sorted_indices(), as_scipy(p.A).sorted_indices()
         np.testing.assert_array_equal(got.indptr, want.indptr)
         np.testing.assert_array_equal(got.indices, want.indices)
         _assert_close(got.data, want.data)
@@ -500,23 +500,25 @@ def test_free_path_lps_without_presolve_match_presolved_highs():
 def reference_prefix_arrays(p, prefix):
     """The arrays a prefix solve handed to ``_linprog`` before pinned
     columns went through its substitution: the prefix's rows and columns
-    sliced out, and the row bounds shifted by the later columns' values."""
+    sliced out, and the row bounds shifted by the later columns' values.
+    ``scipy.sparse`` slices and multiplies the matrix."""
     step_map = p.step_map
     kept = step_map.col_step <= prefix
     cols = np.flatnonzero(kept)
     rows = np.flatnonzero(step_map.row_step <= prefix)
     tail = np.where(kept, 0.0, step_map.col_after)
-    head = p.A[rows]
+    head = as_scipy(p.A)[rows]
     shift = head @ tail
+    sliced = head[:, cols]
     return (
-        p.objective[cols], head[:, cols], p.row_lower[rows] - shift, p.row_upper[rows] - shift,
-        p.col_lower[cols], p.col_upper[cols],
+        p.objective[cols], CSR(sliced.indptr, sliced.indices, sliced.data, sliced.shape),
+        p.row_lower[rows] - shift, p.row_upper[rows] - shift, p.col_lower[cols], p.col_upper[cols],
     )
 
 
 def _bits(array):
     """dtype, shape and bytes of a dense array, or of a CSR matrix's parts."""
-    if sp.issparse(array):
+    if isinstance(array, CSR):
         return [array.shape, *map(_bits, (array.indptr, array.indices, array.data))]
     return [array.dtype, array.shape, array.tobytes()]
 

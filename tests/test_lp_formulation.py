@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fuzz_instance
-from helpers import from_rows
+from helpers import as_scipy, from_rows
 
 from coflownet import (
     Coflow,
@@ -399,13 +399,14 @@ def quadratic_cum_reference(instance, problem):
     keep = [k for k, name in enumerate(problem.col_names) if not name.startswith("S_")]
     new_index = np.full(problem.num_cols, -1)
     new_index[keep] = np.arange(len(keep))
+    matrix = as_scipy(problem.A)
     rows = []
     for r, name in enumerate(problem.row_names):
         if name.startswith("cum_"):
             continue
         lo, hi = problem.row_lower[r], problem.row_upper[r]
         rel, rhs = ("=", lo) if lo == hi else ("<=", hi) if math.isinf(lo) else (">=", lo)
-        row = problem.A.getrow(r)
+        row = matrix.getrow(r)
         rows.append((name, new_index[row.indices].tolist(), row.data.tolist(), rel, rhs))
     steps = problem.layout.x.shape[1]
     for f, (j, i, _, _) in enumerate(instance.iter_flows()):
