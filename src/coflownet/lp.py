@@ -58,9 +58,13 @@ column block and row family records a :data:`NameBlock` pattern, and
 The assembly also records a :class:`StepMap`: the step of every column
 and row, the value each column takes once its coflow or flow is done
 (``X``/``S`` at 1, ``x``/``xe`` at 0), and the ``dem`` row of each
-``cum_j_i_t_s`` row's flow. With it the solver can solve a prefix of the
-steps and certify that prefix optimal for the whole relaxation (see
-:func:`coflownet.solver.solve`).
+``cum_j_i_t_s`` row's and ``S_j_i_t`` column's flow. With it the solver
+can solve a prefix of the steps and certify that prefix optimal for the
+whole relaxation. It slices the prefix from a relaxation built whole
+(:func:`coflownet.solver.solve`), or has the assembly build only the
+prefix's steps, a rung, from the instance
+(:func:`coflownet.solver.solve_relaxation`, which the pipeline calls):
+a rung's arrays are bitwise the sliced ones.
 """
 
 from __future__ import annotations
@@ -102,14 +106,18 @@ class StepMap:
     ended before its step: 1 for ``X``/``S``, 0 for ``x``/``xe``.
     ``row_dem`` is, for each ``cum_j_i_t_s`` row, the index of its flow's
     ``dem`` row, -1 for every other row; the solver prices a later
-    ``cum_j_i_t_s`` row from that ``dem`` row's dual. ``first_prefix`` is
-    the step count worth trying first, from :func:`horizon_lower_bound`.
+    ``cum_j_i_t_s`` row from that ``dem`` row's dual. ``col_dem`` is the
+    same for each ``S_j_i_t`` column, -1 for every other column; the
+    solver prices the steps after a rung's last ``S`` from it.
+    ``first_prefix`` is the step count worth trying first, from
+    :func:`horizon_lower_bound`.
     """
 
     col_step: np.ndarray
     col_after: np.ndarray
     row_step: np.ndarray
     row_dem: np.ndarray
+    col_dem: np.ndarray
     step_count: int
     first_prefix: int
 
@@ -179,7 +187,7 @@ class LPProblem:
             raise ValueError("every row must be an equality or one-sided")
         m = self.step_map
         if m is not None and not (
-            len(m.col_step) == len(m.col_after) == self.num_cols
+            len(m.col_step) == len(m.col_after) == len(m.col_dem) == self.num_cols
             and len(m.row_step) == len(m.row_dem) == self.num_rows
         ):
             raise ValueError("step map does not match the problem's rows and columns")
@@ -502,7 +510,17 @@ def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
             )
 
 
-def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
+def _first_prefix(instance: Instance, boundaries: np.ndarray) -> int:
+    """The step holding the latest end of a :func:`_lower_bound_terms`
+    term, each counted from the first of ``boundaries`` at or after its
+    release (on slot boundaries, :func:`horizon_lower_bound`), or one more
+    than the step count when that end lies past the last boundary."""
+    term_release, term_slots = np.array(_lower_bound_terms(instance)).T
+    ends = boundaries[np.searchsorted(boundaries, term_release - 1e-9)] + term_slots
+    return int(np.searchsorted(boundaries, ends.max() - 1e-9))
+
+
+def _assemble(instance: Instance, boundaries, edges: FlowEdges, steps: int | None = None) -> LPProblem:
     """Either relaxation over the steps between consecutive ``boundaries``:
     step t is ``(boundaries[t-1], boundaries[t]]``, with the free-path
     flows on ``edges`` (from :func:`flow_edges` when None).
@@ -510,11 +528,16 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
     A flow may transmit only in steps that start at or after its release
     (on slot boundaries, slots ``t > release``), the completion columns
     are bounded by the last boundary plus one, and the step map's first
-    prefix is the step holding the latest end of a
-    :func:`_lower_bound_terms` term, each counted from the first boundary
-    at or after its release (on slot boundaries,
-    :func:`horizon_lower_bound`, or ``T + 1`` when that exceeds the ``T``
-    slots).
+    prefix is :func:`_first_prefix`.
+
+    With ``steps``, only the columns and rows of steps ``1..steps`` are
+    built: the prefix rung the solver hands HiGHS (see
+    :func:`coflownet.solver.solve_relaxation`). A rung keeps the whole
+    relaxation's completion bound and ``fin`` right-hand side less the
+    later steps' lengths, summed in step order as ``A @ x`` sums the later
+    ``X`` pinned at 1. So its arrays are bitwise those the solver slices
+    from the whole relaxation, with the later columns pinned, for the same
+    prefix.
     """
     boundaries = np.asarray(boundaries, dtype=float)
     lengths = np.diff(boundaries)
@@ -528,9 +551,11 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
             f"horizon {boundaries[-1]} leaves no interval after release "
             f"of coflow {j + 1} flow {i + 1}"
         )
-    term_release, term_slots = np.array(_lower_bound_terms(instance)).T
-    ends = boundaries[np.searchsorted(boundaries, term_release - 1e-9)] + term_slots
-    first_prefix = int(np.searchsorted(boundaries, ends.max() - 1e-9))
+    first_prefix = _first_prefix(instance, boundaries)
+    fin_lower = 1.0 + math.fsum(lengths)
+    if steps is not None and steps < len(lengths):
+        fin_lower -= np.cumsum(lengths[steps:])[-1]
+        lengths, open_steps = lengths[:steps], open_steps[:, :steps]
     J, F, T = len(instance.coflows), len(flows), len(lengths)
     tags = [f"{j + 1}_{i + 1}" for j, i, _, _ in flows]
     owner = np.array([j for j, _, _, _ in flows], dtype=np.int64)
@@ -549,6 +574,8 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
     step = np.arange(1, T + 1)
     col_step = [np.zeros(J, dtype=np.int64), np.tile(step, J), np.tile(step, F), np.tile(step, F)]
     col_after = [np.zeros(J), np.ones(J * T), np.zeros(F * T), np.ones(F * T)]
+    # the dem rows are the first F rows
+    col_dem = [np.full(J * (T + 1) + F * T, -1), np.repeat(np.arange(F), T)]
 
     # cum: per (flow, step) the rows S - x - S_prev = 0 (no S_prev at step 1), X - S <= 0
     cum_cols = np.stack([S, x, S - 1, X[owner], S], axis=-1)
@@ -571,7 +598,7 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
             T + 1,
             np.hstack([np.arange(J, dtype=np.int64)[:, None], X]).ravel(),
             np.tile(np.concatenate([[1.0], lengths]), J),
-            1.0 + math.fsum(lengths),
+            fin_lower,
             math.inf,
             0,
         ),
@@ -594,6 +621,7 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
             upper.append(np.where(open_steps[f][:, None], implied, 0.0).ravel())
             col_step.append(np.repeat(step, width))
             col_after.append(np.zeros(width * T))
+            col_dem.append(np.full(width * T, -1))
             blocks.append(_flow_rows(tag, fl, usable, x[f], cols))
             series = cols + np.arange(width)[:, None] + width * np.arange(T)
             xe.append({e.id: series[k] for k, e in enumerate(usable)})
@@ -626,6 +654,7 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges) -> LPProblem:
             col_after=np.concatenate(col_after),
             row_step=np.concatenate(row_step),
             row_dem=row_dem,
+            col_dem=np.concatenate(col_dem),
             step_count=T,
             first_prefix=first_prefix,
         ),
@@ -668,14 +697,22 @@ def build_interval_lp(instance: Instance, grid: IntervalGrid, edges: FlowEdges =
 def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, steps: int):
     """Pull per-flow step fractions (and free-path edge splits) out of a
     solved column vector, clipping solver dust and renormalizing each flow
-    to sum exactly to one."""
+    to sum exactly to one.
+
+    ``problem`` may be a prefix rung of the ``steps``-step relaxation: each
+    series is padded with zeros to ``steps`` first, the values the later
+    columns take, so the sums, and so every fraction, are bitwise those of
+    the whole relaxation's point.
+    """
     layout = problem.layout
-    if layout is None or layout.x.shape != (instance.flow_count, steps):
+    if layout is None or layout.x.shape[0] != instance.flow_count or layout.x.shape[1] > steps:
         raise ValueError("problem has no column layout for this instance and step count")
+    built = layout.x.shape[1]
     fractions = [[] for _ in instance.coflows]
     edge_fractions = [[] for _ in instance.coflows]
     for f, (j, i, _, _) in enumerate(instance.iter_flows()):
-        series = np.clip(x[layout.x[f]], 0.0, None)
+        series = np.zeros(steps)
+        series[:built] = np.clip(x[layout.x[f]], 0.0, None)
         total = series.sum()
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-5):
             raise ValueError(
@@ -685,7 +722,9 @@ def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, steps: int):
         fractions[j].append(series)
         if layout.xe is not None:
             eids = list(layout.xe[f])
-            splits = np.clip(x[np.stack(list(layout.xe[f].values()))], 0.0, None) / total
+            splits = np.zeros((len(eids), steps))
+            splits[:, :built] = np.clip(x[np.stack(list(layout.xe[f].values()))], 0.0, None)
+            splits /= total
             used = np.flatnonzero((splits > 0).any(axis=1))
             edge_fractions[j].append({eids[k]: splits[k] for k in used})
     completion = tuple(float(v) for v in x[layout.completion])
@@ -696,7 +735,9 @@ def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, steps: int):
 def extract_fractional(
     problem: LPProblem, x: np.ndarray, instance: Instance, horizon: int
 ) -> FractionalSchedule:
-    """FractionalSchedule from a solved slot-indexed LP column vector."""
+    """FractionalSchedule over ``horizon`` slots from a solved
+    slot-indexed LP column vector; ``problem`` may be a rung of fewer
+    slots, whose later slots carry nothing."""
     fractions, edge_fractions, completion = _collect(problem, x, instance, horizon)
     return FractionalSchedule(
         slot_count=horizon,

@@ -1,5 +1,10 @@
 """End-to-end solve pipeline: build, solve, round, compact, verify.
 
+The relaxation is built and solved one prefix rung at a time
+(:func:`coflownet.solver.solve_relaxation`): the LP over the whole
+horizon bound is built only when no shorter prefix is certified optimal.
+The fractional schedule still spans the whole horizon bound.
+
 The pipeline refuses to hand back a schedule that fails verification;
 callers (CLI, bench) map the dedicated exceptions to exit codes.
 """
@@ -8,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lp import (
     HorizonTooLarge,
     _padded_grid,
-    build_interval_lp,
-    build_time_indexed_lp,
     checked_horizon,
     columns_per_slot,
     extract_fractional,
@@ -28,7 +33,7 @@ from .model import (
     check_instance,
 )
 from .rounding import StretchTrial, check_trials, expand_interval_schedule, lp_heuristic, run_stretch
-from .solver import SolveOptions, SolveStatus, solve
+from .solver import SolveOptions, SolveStatus, solve_relaxation
 from .verify import verify_schedule
 
 STRATEGIES = ("stretch", "heuristic", "interval-stretch")
@@ -91,11 +96,11 @@ def run_pipeline(
     if strategy == "interval-stretch":
         eps = 0.2 if epsilon is None else epsilon
         grid = _padded_grid(instance, horizon, eps, columns_per_slot(instance, edges))
-        problem = build_interval_lp(instance, grid, edges)
+        boundaries = grid.boundaries
     else:
         eps = None
-        problem = build_time_indexed_lp(instance, horizon, edges)
-    solution = solve(problem, options)
+        boundaries = np.arange(horizon + 1.0)
+    problem, solution = solve_relaxation(instance, boundaries, edges, options)
     if solution.status is not SolveStatus.OPTIMAL:
         raise SolveFailure(solution.status)
     if strategy == "interval-stretch":

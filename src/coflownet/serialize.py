@@ -61,6 +61,14 @@ def _array(value, name: str) -> list:
     return value
 
 
+def _object(value, name: str) -> dict:
+    """A JSON object as a dict. An array or a string is refused, not
+    iterated."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def _string(value, name: str) -> str:
     """A JSON string. A number or null is refused, not converted."""
     if not isinstance(value, str):
@@ -170,9 +178,9 @@ def _sparse(series: np.ndarray) -> list[list[float]]:
     return [[int(t) + 1, float(v)] for t, v in enumerate(series) if v > AMOUNT_EPS]
 
 
-def _dense(pairs, slots: int) -> np.ndarray:
+def _dense(pairs, slots: int, name: str) -> np.ndarray:
     out = np.zeros(slots)
-    for t, v in pairs:
+    for t, v in _array(pairs, name):
         t = _integer(t, "slot")
         if not 1 <= t <= slots:
             raise FormatError(f"schedule: slot {t} outside 1..{slots}")
@@ -211,20 +219,22 @@ def schedule_from_dict(data: dict) -> RateSchedule:
     has_edges = False
     try:
         slots = _integer(data["slot_count"], "slot_count")
-        series = sum(1 + len(fl.get("edge_amounts", {})) for cf in data["coflows"] for fl in cf["flows"])
+        coflows = [_array(cf["flows"], "flows") for cf in _array(data["coflows"], "coflows")]
+        edge_series = [
+            [_object(fl.get("edge_amounts", {}), "edge_amounts") for fl in flows] for flows in coflows
+        ]
+        series = sum(1 + len(edges) for flows in edge_series for edges in flows)
         if slots * series > MAX_SCHEDULE_VALUES:
             raise FormatError(
                 f"schedule: {slots:,} slots x {series:,} series is more than "
                 f"{MAX_SCHEDULE_VALUES:,} values"
             )
-        for cf in data["coflows"]:
+        for flows, flow_series in zip(coflows, edge_series):
             flow_amounts = []
             flow_edges = []
-            for fl in cf["flows"]:
-                flow_amounts.append(_dense(fl["amounts"], slots))
-                edges = {
-                    eid: _dense(pairs, slots) for eid, pairs in fl.get("edge_amounts", {}).items()
-                }
+            for fl, series_of in zip(flows, flow_series):
+                flow_amounts.append(_dense(fl["amounts"], slots, "amounts"))
+                edges = {eid: _dense(pairs, slots, "edge amounts") for eid, pairs in series_of.items()}
                 has_edges = has_edges or bool(edges)
                 flow_edges.append(edges)
             amounts.append(tuple(flow_amounts))

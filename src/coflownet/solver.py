@@ -37,6 +37,15 @@ and once a prefix would cover every step, the whole problem is solved
 as it is. This is the pricing step of time-indexed column generation
 (van den Akker, Hurkens & Savelsbergh, 2000).
 
+One ladder (:func:`_solve_prefixes`) walks the prefixes for two
+sources of rungs. :func:`solve` slices each prefix from a relaxation
+built whole and prices the later steps on its matrix.
+:func:`solve_relaxation`, which the pipeline calls, builds each prefix
+as a rung of its own from the instance and prices the later steps in
+closed form, in O(flows) (:func:`_priced_bound`); it builds the whole
+relaxation only when the ladder reaches its end. Both hand HiGHS
+bitwise the same arrays, so they return the same point.
+
 Every HiGHS call goes through :func:`_linprog`, the one place that
 removes fixed columns: HiGHS sees only the columns whose bounds leave
 them free and the rows that touch one of them, and the fixed columns (a
@@ -73,7 +82,8 @@ from typing import ClassVar
 import numpy as np
 
 from .csr import CSR, _load_extension
-from .lp import LPProblem, _named
+from .lp import FlowEdges, LPProblem, _assemble, _first_prefix, _named
+from .model import Instance
 
 #: scipy's HiGHS binding, private to scipy: pyproject.toml asks for the
 #: release this module was written against.
@@ -145,22 +155,72 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
     inputs/options.
 
     ``backend="highs"`` solves the problem in memory, a certified prefix
-    of its steps first when it has a step map. ``backend="mps:<path>"``
-    has HiGHS write the whole problem to ``<path>`` as MPS, whatever the
-    extension, read the file back and solve what was read, so the file on
-    disk is exactly what gets solved.
+    of its steps first when it has a step map, each prefix sliced from
+    ``problem``. ``backend="mps:<path>"`` has HiGHS write the whole
+    problem to ``<path>`` as MPS, whatever the extension, read the file
+    back and solve what was read, so the file on disk is exactly what gets
+    solved.
 
     Infeasible, unbounded and numerically failed solves come back as
     statuses, not exceptions. An iteration-limited solve may carry no
     point (``x is None``).
     """
     options = options or SolveOptions()
-    # decided from the problem as built: the MPS read-back has no layout
-    presolve = problem.layout is None or problem.layout.xe is None
-    if options.backend == "highs":
-        solution = _solve_prefixes(problem, presolve)
+    step_map = problem.step_map
+    if options.backend == "highs" and step_map is not None:
+        presolve = _presolve(problem)
+        solution = _solve_prefixes(
+            step_map.first_prefix, step_map.step_count,
+            lambda prefix: _solve_prefix(problem, prefix, presolve),
+        )
         if solution is not None:
             return solution  # certified and checked against the whole problem
+    return _solve_whole(problem, options)
+
+
+def solve_relaxation(
+    instance: Instance, boundaries, edges: FlowEdges = None, options: SolveOptions | None = None
+) -> tuple[LPProblem, LPSolution]:
+    """Minimize the relaxation over the steps between consecutive
+    ``boundaries`` (see :func:`coflownet.lp._assemble`) with HiGHS: the LP
+    that was solved, and its solution.
+
+    The prefixes are tried as :func:`solve` tries them, but each rung is
+    built on its own from the instance, and the steps after it are priced
+    in closed form (:func:`_priced_bound`) instead of on the whole
+    relaxation's matrix. The LP returned is then that rung, and its point
+    has the rung's columns; extraction pads it to every step. The whole
+    relaxation is built only when no rung certifies, or for an
+    ``mps:<path>`` backend, whose file holds it.
+    """
+    options = options or SolveOptions()
+    boundaries = np.asarray(boundaries, dtype=float)
+    step_count = len(boundaries) - 1
+    if options.backend == "highs":
+
+        def attempt(prefix):
+            rung = _assemble(instance, boundaries, edges, prefix)
+            status, solution, used = _solve_rung(rung)
+            return status, None if solution is None else (rung, solution), used
+
+        solved = _solve_prefixes(_first_prefix(instance, boundaries), step_count, attempt)
+        if solved is not None:
+            return solved
+    problem = _assemble(instance, boundaries, edges)
+    return problem, _solve_whole(problem, options)
+
+
+def _presolve(problem: LPProblem) -> bool:
+    """Whether HiGHS presolves ``problem``: not for a free-path LP (one
+    whose layout has ``xe`` columns). Decided from the problem as built:
+    the MPS read-back has no layout."""
+    return problem.layout is None or problem.layout.xe is None
+
+
+def _solve_whole(problem: LPProblem, options: SolveOptions) -> LPSolution:
+    """:func:`solve` on every step of ``problem`` at once."""
+    presolve = _presolve(problem)
+    if options.backend == "highs":
         solved = problem
     else:
         # HiGHS keeps every column in order, so the point read back fits problem
@@ -314,16 +374,17 @@ def _through_file(problem: LPProblem, path: Path) -> LPProblem:
     return read
 
 
-def _solve_prefixes(problem: LPProblem, presolve: bool) -> LPSolution | None:
+def _solve_prefixes(first_prefix: int, step_count: int, attempt):
     """The first certified prefix solution, trying ever longer prefixes
-    shorter than the whole problem; None when none certifies, HiGHS fails
-    on one, or the problem has no step map."""
-    step_map = problem.step_map
-    if step_map is None:
-        return None
-    prefix = step_map.first_prefix
-    while prefix < step_map.step_count:
-        status, solution, used = _solve_prefix(problem, prefix, presolve)
+    shorter than the whole problem of ``step_count`` steps, from
+    ``first_prefix`` on; None when none certifies or HiGHS fails on one.
+
+    ``attempt(prefix)`` solves one rung, as :func:`_solve_prefix` does:
+    its status, what it certified (None when nothing) and the last step
+    an uncertified optimal point uses."""
+    prefix = first_prefix
+    while prefix < step_count:
+        status, solution, used = attempt(prefix)
         if solution is not None:
             return solution
         if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
@@ -356,13 +417,37 @@ def _solve_prefix(
     )
     if status is not SolveStatus.OPTIMAL:
         return status, None, None
-    y = _extended_duals(step_map, rows, duals, prefix)
-    if _dual_bound(problem, y) >= objective - TOLERANCE * max(1.0, abs(objective)):
-        solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
-        if not check_solution(problem, solution):
-            return status, solution, None
+    bound = _dual_bound(problem, _extended_duals(step_map, rows, duals, prefix))
+    solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
+    return status, *_certified(problem, solution, bound, check_solution)
+
+
+def _solve_rung(rung: LPProblem) -> tuple[SolveStatus, LPSolution | None, int | None]:
+    """:func:`_solve_prefix` for a rung built on its own (its step map's
+    ``step_count`` steps of a longer relaxation): the point it certifies
+    is the rung's, checked by :func:`check_solution` on the rung and by
+    :func:`_later_row_failures` on the later rows."""
+    status, objective, x, duals = _linprog(
+        rung.objective, rung.A, rung.row_lower, rung.row_upper,
+        rung.col_lower, rung.col_upper, _presolve(rung),
+    )
+    if status is not SolveStatus.OPTIMAL:
+        return status, None, None
+    solution = LPSolution(SolveStatus.OPTIMAL, objective, x, rung.step_map.step_count)
+    return status, *_certified(rung, solution, _priced_bound(rung, duals), _rung_failures)
+
+
+def _certified(problem: LPProblem, solution: LPSolution, bound: float, failures):
+    """``(solution, None)`` when ``bound`` reaches the optimal
+    ``solution``'s objective and ``failures(problem, solution)`` finds
+    nothing; otherwise ``(None, the last step its point uses)``."""
+    objective, x = solution.objective, solution.x
+    if bound >= objective - TOLERANCE * max(1.0, abs(objective)):
+        if not failures(problem, solution):
+            return solution, None
+    step_map = problem.step_map
     used = step_map.col_step[np.abs(x - step_map.col_after) > TOLERANCE]
-    return status, None, int(used.max(initial=0))
+    return None, int(used.max(initial=0))
 
 
 def _extended_duals(step_map, rows: np.ndarray, duals: np.ndarray, prefix: int) -> np.ndarray:
@@ -392,6 +477,11 @@ def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
     ``sum(y+ * row_lower - y- * row_upper) + sum(min(d * lb, d * ub))``
     with ``d = c - A.T @ y``.
     """
+    return _bound_and_reduced_costs(problem, y)[0]
+
+
+def _bound_and_reduced_costs(problem: LPProblem, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`_dual_bound` and the reduced costs ``d`` it was taken with."""
     lower, upper = problem.row_lower, problem.row_upper
     y = np.where(np.isinf(lower), np.minimum(y, 0.0), y)
     y = np.where(np.isinf(upper), np.maximum(y, 0.0), y)
@@ -399,7 +489,65 @@ def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
     pos, neg = y > 0, y < 0
     bound = float(y[pos] @ lower[pos] + y[neg] @ upper[neg])
     up, down = d > 0, d < 0
-    return bound + float(d[up] @ problem.col_lower[up] + d[down] @ problem.col_upper[down])
+    return bound + float(d[up] @ problem.col_lower[up] + d[down] @ problem.col_upper[down]), d
+
+
+def _last_prefix_sums(rung: LPProblem) -> np.ndarray:
+    """The columns of each flow's last ``S`` in ``rung``, ``S_j_i_L``."""
+    step_map = rung.step_map
+    return np.flatnonzero((step_map.col_dem >= 0) & (step_map.col_step == step_map.step_count))
+
+
+def _priced_bound(rung: LPProblem, y: np.ndarray) -> float:
+    """Weak-duality lower bound on the whole relaxation ``rung`` is the
+    first ``L`` steps of, from the rung's row duals ``y``: the whole
+    relaxation's :func:`_dual_bound` under :func:`_extended_duals`, priced
+    in closed form in O(flows) instead of on its matrix.
+
+    With each flow's later ``cum_j_i_t_s`` rows at ``m = max(y_dem, 0)``
+    and every other later row at 0:
+
+    - each later ``X`` has reduced cost ``-y_fin * len_t`` at its upper
+      bound 1, which cancels the rung's shorter ``fin`` right-hand side;
+    - each later ``x`` has reduced cost ``m - y_dem >= 0``, each later
+      ``xe`` 0, both at their lower bound 0;
+    - the last ``S`` of the rung gains ``m`` in reduced cost, the later
+      ``S`` cancel ``m`` between consecutive rows, and the last ``S`` of
+      the whole relaxation has reduced cost ``-m`` at its upper bound 1.
+
+    So each flow adds ``min(0, d + m) - min(0, d) - m`` to the rung's own
+    bound, with ``d`` the rung's reduced cost of its last ``S``.
+    """
+    bound, d = _bound_and_reduced_costs(rung, y)
+    last = _last_prefix_sums(rung)
+    m = np.maximum(y[rung.step_map.col_dem[last]], 0.0)
+    d = d[last]
+    return bound + float(np.sum(np.minimum(0.0, d + m) - np.minimum(0.0, d) - m))
+
+
+def _later_row_failures(rung: LPProblem, x: np.ndarray) -> list[str]:
+    """:func:`check_solution`'s report on the whole relaxation's rows past
+    ``rung`` for the rung's point ``x`` with every later column at its
+    after-value (``X``, ``S`` at 1; ``x``, ``xe`` at 0).
+
+    Only each flow's first later row, ``cum_j_i_{L+1}_s``, can fail: it
+    reads ``S_{L+1} - x_{L+1} - S_L = 1 - S_L``. Every later ``cum``,
+    ``cap`` and flow row is 0 at the after-values, and the whole ``fin``
+    row differs from the rung's by the same later lengths on both sides.
+    """
+    last = _last_prefix_sums(rung)
+    resid = np.abs(1.0 - x[last])
+    failures = []
+    for k in np.flatnonzero(~(resid <= TOLERANCE)):
+        tag = rung.col_names[last[k]][2:].rsplit("_", 1)[0]
+        step = rung.step_map.step_count + 1
+        failures.append(f"row cum_{tag}_{step}_s violated by {resid[k]:.3e}")
+    return failures
+
+
+def _rung_failures(rung: LPProblem, solution: LPSolution) -> list[str]:
+    """:func:`check_solution` on ``rung`` and :func:`_later_row_failures`."""
+    return check_solution(rung, solution) + _later_row_failures(rung, solution.x)
 
 
 def check_solution(problem: LPProblem, solution: LPSolution, tol: float = TOLERANCE) -> list[str]:

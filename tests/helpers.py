@@ -80,6 +80,7 @@ def _permuted_step_map(step_map: StepMap, order: np.ndarray) -> StepMap:
         step_map,
         row_step=step_map.row_step[order],
         row_dem=np.where(dem >= 0, position[dem], -1),
+        col_dem=np.where(step_map.col_dem >= 0, position[step_map.col_dem], -1),
     )
 
 

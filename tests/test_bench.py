@@ -108,10 +108,10 @@ def test_bench_records_row_failures_and_continues(monkeypatch):
 def test_pipeline_surfaces_solver_failure(monkeypatch, demo_single):
     import coflownet.pipeline as pipe
 
-    def fake_solve(problem, options=None):
-        return LPSolution(status=SolveStatus.ITERATION_LIMIT, objective=float("nan"), x=None)
+    def fake_solve(instance, boundaries, edges=None, options=None):
+        return None, LPSolution(status=SolveStatus.ITERATION_LIMIT, objective=float("nan"), x=None)
 
-    monkeypatch.setattr(pipe, "solve", fake_solve)
+    monkeypatch.setattr(pipe, "solve_relaxation", fake_solve)
     with pytest.raises(SolveFailure):
         pipe.run_pipeline(demo_single, strategy="heuristic")
 
@@ -122,10 +122,10 @@ def test_cli_exit_3_on_solver_failure(monkeypatch, tmp_path):
     from coflownet.serialize import save_instance
     from coflownet.generate import demo_instance
 
-    def fake_solve(problem, options=None):
-        return LPSolution(status=SolveStatus.ITERATION_LIMIT, objective=float("nan"), x=None)
+    def fake_solve(instance, boundaries, edges=None, options=None):
+        return None, LPSolution(status=SolveStatus.ITERATION_LIMIT, objective=float("nan"), x=None)
 
-    monkeypatch.setattr(pipe, "solve", fake_solve)
+    monkeypatch.setattr(pipe, "solve_relaxation", fake_solve)
     path = tmp_path / "inst.json"
     save_instance(demo_instance(cn.RoutingModel.SINGLE_PATH), path)
     assert main(["solve", str(path), "--strategy", "heuristic"]) == 3
@@ -138,8 +138,7 @@ def test_pipeline_refuses_a_negative_seed_before_any_lp(monkeypatch, demo_single
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was built")
 
-    monkeypatch.setattr(pipe, "build_time_indexed_lp", no_lp)
-    monkeypatch.setattr(pipe, "build_interval_lp", no_lp)
+    monkeypatch.setattr(pipe, "solve_relaxation", no_lp)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         pipe.run_pipeline(demo_single, strategy=strategy, seed=-1)
 
@@ -151,7 +150,7 @@ def test_pipeline_refuses_an_invalid_instance_before_any_lp(monkeypatch, unknown
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was built")
 
-    for name in ("flow_edges", "build_time_indexed_lp", "build_interval_lp"):
+    for name in ("flow_edges", "solve_relaxation"):
         monkeypatch.setattr(pipe, name, no_lp)
     message = "^invalid instance: coflow 1 flow 1: path edge 'zz' not in network$"
     with pytest.raises(ValueError, match=message):
@@ -162,13 +161,13 @@ def _count_solves(monkeypatch):
     import coflownet.pipeline as pipe
 
     calls = []
-    real = pipe.solve
+    real = pipe.solve_relaxation
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipe, "solve", counted)
+    monkeypatch.setattr(pipe, "solve_relaxation", counted)
     return calls
 
 

@@ -377,6 +377,14 @@ def _instance_text(coflow=None, flow=None):
         (None, ["check", "--solver", "mps:missing-dir/x.mps"], "cannot write the LP to missing-dir/x.mps"),
         ('{"format": 1, "slot_count": 2, "coflows": [{"flows": [{"amounts": [[2, NaN]]}]}]}', _SCHEDULE,
          "amount must be finite, got nan"),
+        (json.dumps({**_OUT_OF_RANGE, "coflows": {}}), _SCHEDULE,
+         "schedule: malformed record (coflows must be an array, got {})"),
+        (json.dumps({**_OUT_OF_RANGE, "coflows": [{"flows": {}}]}), _SCHEDULE,
+         "schedule: malformed record (flows must be an array, got {})"),
+        (json.dumps({**_OUT_OF_RANGE, "coflows": [{"flows": [{"amounts": {}}]}]}), _SCHEDULE,
+         "schedule: malformed record (amounts must be an array, got {})"),
+        (json.dumps({**_OUT_OF_RANGE, "coflows": [{"flows": [{"amounts": [], "edge_amounts": []}]}]}),
+         _SCHEDULE, "schedule: malformed record (edge_amounts must be an object, got [])"),
     ],
     ids=[
         "schedule-no-slot-count", "schedule-not-json", "schedule-slot-out-of-range",
@@ -389,7 +397,8 @@ def _instance_text(coflow=None, flow=None):
         "bench-epsilon-abc",
         "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
         "solve-negative-seed", "bench-negative-seed", "check-negative-seed", "gen-negative-seed",
-        "check-mps-unwritable", "schedule-nan-amount",
+        "check-mps-unwritable", "schedule-nan-amount", "schedule-coflows-object",
+        "schedule-flows-object", "schedule-amounts-object", "schedule-edge-amounts-array",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, command, message):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +38,20 @@ from coflownet import (
 )
 import coflownet.solver
 from coflownet.csr import CSR
+from coflownet.lp import _assemble
 from coflownet.generate import GenConfig, demo_instance, generate_instance
-from coflownet.solver import PREFIX_GROWTH, LPSolution, check_solution, load_mps, save_mps
+from coflownet.solver import (
+    PREFIX_GROWTH,
+    LPSolution,
+    _dual_bound,
+    _extended_duals,
+    _later_row_failures,
+    _presolve,
+    _priced_bound,
+    check_solution,
+    load_mps,
+    save_mps,
+)
 
 
 def problem(objective, rows, lower=None, upper=None, names=None):
@@ -544,6 +558,182 @@ def test_prefix_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, model)
                 assert list(map(_bits, got[0])) == list(map(_bits, handed[0]))
                 rungs += 1
     assert rungs >= 10
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workload definitions, so its corpora are generated
+    the one way the benchmark generates them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def _rung_instances(workloads, model=None):
+    """Fuzz instances with releases on both routing models (or on
+    ``model``), then instance 0 of each of the benchmark's seed-1 corpora."""
+    out = []
+    for m in [model] if model else list(RoutingModel):
+        rng = np.random.default_rng(606)
+        out += [fuzz_instance(rng, m) for _ in range(6)]
+    assert any(fl.release for inst in out for _, _, _, fl in inst.iter_flows())
+    out += [w.make(0).instance for w in workloads.WORKLOADS.values()]
+    return out
+
+
+def _both_relaxations(inst):
+    """The slot LP over the horizon bound and the interval LP at eps 0.2,
+    built whole, with their step boundaries."""
+    horizon = horizon_upper_bound(inst)
+    grid = interval_grid_for(inst, 0.2)
+    return [
+        (build_time_indexed_lp(inst, horizon), np.arange(horizon + 1.0)),
+        (build_interval_lp(inst, grid), np.asarray(grid.boundaries)),
+    ]
+
+
+def test_built_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, workloads):
+    handed = []
+
+    def spy(*args):
+        handed.append(args)  # what HiGHS would get, without solving it
+        return SolveStatus.NUMERICAL, math.nan, None, None
+
+    monkeypatch.setattr(coflownet.solver, "_highs", spy)
+    rungs = 0
+    for inst in _rung_instances(workloads):
+        for p, boundaries in _both_relaxations(inst):
+            for prefix in _rungs(p.step_map):
+                handed.clear()
+                coflownet.solver._solve_rung(_assemble(inst, boundaries, None, prefix))
+                got = list(handed)
+                handed.clear()
+                coflownet.solver._linprog(*reference_prefix_arrays(p, prefix), _presolve(p))
+                assert len(got) == len(handed) == 1
+                (*arrays, presolve), (*want, want_presolve) = got[0], handed[0]
+                assert list(map(_bits, arrays)) == list(map(_bits, want))
+                assert presolve == want_presolve
+                rungs += 1
+    assert rungs >= 40
+
+
+def _same_fractional(got, want):
+    assert got.slot_count == want.slot_count
+    assert got.lp_completion == want.lp_completion
+    assert list(map(_bits, got.cumulative)) == list(map(_bits, want.cumulative))
+    for a, b in zip(got.fractions, want.fractions):
+        assert list(map(_bits, a)) == list(map(_bits, b))
+    if want.edge_fractions is None:
+        assert got.edge_fractions is None
+        return
+    for a, b in zip(
+        (d for flows in got.edge_fractions for d in flows),
+        (d for flows in want.edge_fractions for d in flows),
+    ):
+        assert list(a) == list(b)
+        assert all(_bits(a[e]) == _bits(b[e]) for e in a)
+
+
+def test_run_pipeline_is_bitwise_the_whole_relaxation_solved_and_rounded(workloads):
+    from coflownet import as_fractional, extract_fractional, extract_interval_solution, run_stretch
+    from coflownet.rounding import expand_interval_schedule
+
+    for inst in _rung_instances(workloads):
+        (slot, _), (interval, _) = _both_relaxations(inst)
+        for strategy, p in [("stretch", slot), ("interval-stretch", interval)]:
+            got = run_pipeline(inst, strategy, trials=5, seed=3, epsilon=0.2)
+            solution = solve(p)
+            if strategy == "stretch":
+                want = extract_fractional(p, solution.x, inst, got.horizon_bound)
+            else:
+                grid = interval_grid_for(inst, 0.2)
+                expanded = expand_interval_schedule(
+                    extract_interval_solution(p, solution.x, inst, grid), inst
+                )
+                want = as_fractional(expanded, inst)
+            best = run_stretch(inst, want, trials=5, seed=3).best
+            assert (got.lp_objective, got.lp_steps) == (solution.objective, solution.steps)
+            _same_fractional(got.fractional, want)
+            assert got.report == best.report and got.best_lambda == best.lam.value
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_closed_form_pricing_is_the_whole_relaxations_dual_bound(workloads, model):
+    rng = np.random.default_rng(5)
+    rungs = priced = 0
+    for inst in _rung_instances(workloads, model)[:6]:
+        for p, boundaries in _both_relaxations(inst):
+            for prefix in _rungs(p.step_map):
+                rung = _assemble(inst, boundaries, None, prefix)
+                status, _, _, y = coflownet.solver._linprog(
+                    rung.objective, rung.A, rung.row_lower, rung.row_upper,
+                    rung.col_lower, rung.col_upper,
+                )
+                if status is not SolveStatus.OPTIMAL:
+                    continue
+                rows = np.flatnonzero(p.step_map.row_step <= prefix)
+                # an identity for any duals: HiGHS's, and HiGHS's scattered, so
+                # that each last S of the rung also prices above -max(y_dem, 0)
+                for duals in (y, y * rng.uniform(-1.0, 3.0, len(y))):
+                    want = _dual_bound(p, _extended_duals(p.step_map, rows, duals, prefix))
+                    got = _priced_bound(rung, duals)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    priced += not math.isclose(got, _dual_bound(rung, duals), rel_tol=1e-9)
+                rungs += 1
+    assert rungs >= 10 and priced >= 5
+
+
+def test_a_rung_point_short_of_a_whole_flow_fails_the_later_row_check():
+    inst = generate_instance(GenConfig(topology="gscale-like", jobs=40, seed=0))
+    boundaries = np.arange(horizon_upper_bound(inst) + 1.0)
+    rung = _assemble(inst, boundaries, None, 15)
+    status, solution, _ = coflownet.solver._solve_rung(rung)
+    assert status is SolveStatus.OPTIMAL and solution is not None
+    assert _later_row_failures(rung, solution.x) == []
+    last = np.flatnonzero((rung.step_map.col_dem >= 0) & (rung.step_map.col_step == 15))
+    assert len(last) == inst.flow_count
+    x = solution.x.copy()
+    x[last[3]] = 1.0 - 1e-6
+    tag = rung.col_names[last[3]][2:].rsplit("_", 1)[0]
+    assert _later_row_failures(rung, x) == [f"row cum_{tag}_16_s violated by 1.000e-06"]
+    assert _later_row_failures(rung, x)[0] in coflownet.solver._rung_failures(
+        rung, replace(solution, x=x)
+    )
+
+
+def test_run_pipeline_builds_no_step_it_does_not_solve(monkeypatch, workloads):
+    built = []
+    inner = coflownet.solver._assemble
+
+    def counted(instance, boundaries, edges, steps=None):
+        built.append(len(boundaries) - 1 if steps is None else steps)
+        return inner(instance, boundaries, edges, steps)
+
+    monkeypatch.setattr(coflownet.solver, "_assemble", counted)
+    calls = 0
+    for workload in workloads.WORKLOADS.values():
+        for item in workloads.requests(workload, 1):
+            for call in workload.calls:
+                built.clear()
+                result = run_pipeline(item.instance, call.strategy, trials=1, epsilon=call.epsilon)
+                assert built and max(built) <= result.lp_steps
+                calls += 1
+    assert calls == 12 + 24 + 50
+
+
+def test_run_pipeline_never_holds_the_whole_slot_lp_at_once():
+    # instance 0 of the single-path benchmark corpus: 15 of 184 slots solved;
+    # building the slot LP over all 184 slots took the peak to 9.8 MB
+    inst = generate_instance(GenConfig(topology="gscale-like", jobs=40, seed=0))
+    tracemalloc.start()
+    try:
+        result = run_pipeline(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.lp_steps, result.horizon_bound) == (15, 184)
+    assert peak < 5_000_000
 
 
 def test_infeasible_prefix_moves_on_to_the_next_rung(monkeypatch):
