@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from .generate import GenConfig, generate_instance
 from .lp import HorizonTooLarge
 from .pipeline import run_pipeline
-from .solver import SolveOptions
 
 CSV_HEADER = (
     "seed", "model", "strategy", "epsilon", "lp_objective", "schedule_objective", "ratio", "wall_ms",
@@ -66,7 +65,6 @@ def _run_row(instance, strategy: str, epsilon: float | None, config: BenchConfig
             trials=config.trials,
             seed=config.seed,
             epsilon=epsilon,
-            options=SolveOptions(),
         )
         lp_objective, schedule_objective = result.lp_objective, result.report.objective
     except HorizonTooLarge:

@@ -25,6 +25,7 @@ from .pipeline import (
     SolveFailure,
     VerificationFailure,
     run_pipeline,
+    write_relaxation,
 )
 from .serialize import (
     dumps,
@@ -34,7 +35,7 @@ from .serialize import (
     load_shop,
     save_schedule,
 )
-from .solver import SolveOptions, SolverError
+from .solver import SolverError
 from .verify import (
     IDENTITY_TRIALS,
     check_identity_on_vectors,
@@ -71,15 +72,6 @@ def _load_valid_instance(path: str):
     except ValueError as exc:
         raise _Usage(str(exc))
     return instance
-
-
-def _solve_options(spec: str) -> SolveOptions:
-    """Parse --solver: highs | mps:<path> (write the LP to <path>, then
-    solve the file read back from it with HiGHS)."""
-    try:
-        return SolveOptions(backend=spec)
-    except ValueError as exc:
-        raise _Usage(f"--solver: {exc}")
 
 
 def _check_rounding_flags(trials: int, epsilons) -> None:
@@ -119,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--strategy", choices=STRATEGIES, default="stretch")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--solver", type=str, default="highs")
+    p.add_argument("--write-mps", type=str, default=None, metavar="PATH")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
 
@@ -148,7 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("check", help="run the analysis identity checks")
     p.add_argument("--instance", type=str, default=None)
     p.add_argument("--model", choices=[m.value for m in RoutingModel], default="single_path")
-    p.add_argument("--solver", type=str, default="highs")
     p.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
@@ -202,15 +193,18 @@ def _dispatch(args) -> int:
 
     if args.command == "solve":
         instance = _load_valid_instance(args.instance)
-        options = _solve_options(args.solver)
         _check_rounding_flags(args.trials, [args.epsilon] if args.strategy == "interval-stretch" else ())
+        if args.write_mps is not None:
+            try:
+                write_relaxation(instance, args.strategy, args.epsilon, args.write_mps)
+            except ValueError as exc:  # not an .mps path, or HorizonTooLarge
+                raise _Usage(str(exc))
         result = run_pipeline(
             instance,
             strategy=args.strategy,
             trials=args.trials,
             seed=args.seed,
             epsilon=args.epsilon,
-            options=options,
         )
         print(f"lp_objective      {result.lp_objective:.6f}")
         unit = "intervals" if args.strategy == "interval-stretch" else "slots"
@@ -259,6 +253,8 @@ def _dispatch(args) -> int:
         if interval and not epsilons:
             raise _Usage("--epsilon lists no value for interval-stretch")
         _check_rounding_flags(args.trials, epsilons if interval else ())
+        if args.instances < 0:
+            raise _Usage(f"--instances must be non-negative, got {args.instances}")
         try:
             gen = GenConfig(
                 topology=args.topology,
@@ -310,7 +306,7 @@ def _run_checks(args) -> int:
         instance = _load_valid_instance(args.instance)
     else:
         instance = demo_instance(RoutingModel(args.model))
-    fractional = run_pipeline(instance, options=_solve_options(args.solver)).fractional
+    fractional = run_pipeline(instance).fractional
     for j, report in enumerate(continuous_interpolation_checks(fractional)):
         print(
             f"coflow {j + 1}: integral {report.integral:.6f} "

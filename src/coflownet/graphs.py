@@ -121,33 +121,30 @@ def sample_shortest_path(
     distinct paths).
     """
     dist = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        v = queue.popleft()
+    order = [dst]
+    for v in order:  # breadth-first: the list grows as it is walked
         for e in network.in_edges.get(v, ()):
             if e.src not in dist:
                 dist[e.src] = dist[v] + 1
-                queue.append(e.src)
+                order.append(e.src)
     if src not in dist:
         raise ValueError(f"no path from {src!r} to {dst!r}")
 
-    counts: dict[str, int] = {dst: 1}
+    def tight(v: str) -> list:
+        return [e for e in network.out_edges.get(v, ()) if dist.get(e.dst, -1) == dist[v] - 1]
 
-    def completions(v: str) -> int:
-        if v not in counts:
-            counts[v] = sum(
-                completions(e.dst)
-                for e in network.out_edges.get(v, ())
-                if dist.get(e.dst, -1) == dist[v] - 1
-            )
-        return counts[v]
+    # shortest completions from each node, nearest to dst first, so that a
+    # long path needs no recursion as deep as itself
+    counts: dict[str, int] = {dst: 1}
+    for v in order[1:]:
+        counts[v] = sum(counts[e.dst] for e in tight(v))
 
     path: list[str] = []
     v = src
     while v != dst:
-        tight = [e for e in network.out_edges.get(v, ()) if dist.get(e.dst, -1) == dist[v] - 1]
-        weights = np.array([completions(e.dst) for e in tight], dtype=float)
-        choice = tight[int(rng.choice(len(tight), p=weights / weights.sum()))]
+        edges = tight(v)
+        weights = np.array([counts[e.dst] for e in edges], dtype=float)
+        choice = edges[int(rng.choice(len(edges), p=weights / weights.sum()))]
         path.append(choice.id)
         v = choice.dst
     return tuple(path)

@@ -151,10 +151,9 @@ class LPProblem:
     unique, and built on first read of ``col_names``/``row_names`` from
     ``col_naming``/``row_naming`` (see :data:`NameBlock`): the relaxation
     builders record one block per variable or row family, unique by
-    construction; :func:`coflownet.solver.load_mps` checks the names a
-    file gives it. ``layout`` and ``step_map`` are set by
-    the relaxation builders; solution extraction reads the first, the
-    solver the second.
+    construction. ``layout`` and ``step_map`` are set by the relaxation
+    builders; solution extraction reads the first, the solver the
+    second.
     """
 
     objective: np.ndarray

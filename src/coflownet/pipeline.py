@@ -4,6 +4,8 @@ The relaxation is built and solved one prefix rung at a time
 (:func:`coflownet.solver.solve_relaxation`): the LP over the whole
 horizon bound is built only when no shorter prefix is certified optimal.
 The fractional schedule still spans the whole horizon bound.
+:func:`write_relaxation` writes the whole relaxation, over the same step
+boundaries, to an MPS file.
 
 The pipeline refuses to hand back a schedule that fails verification;
 callers (CLI, bench) map the dedicated exceptions to exit codes.
@@ -12,11 +14,13 @@ callers (CLI, bench) map the dedicated exceptions to exit codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .lp import (
     HorizonTooLarge,
+    _assemble,
     _padded_grid,
     checked_horizon,
     columns_per_slot,
@@ -33,7 +37,7 @@ from .model import (
     check_instance,
 )
 from .rounding import StretchTrial, check_trials, expand_interval_schedule, lp_heuristic, run_stretch
-from .solver import SolveOptions, SolveStatus, solve_relaxation
+from .solver import SolveOptions, SolveStatus, save_mps, solve_relaxation
 from .verify import verify_schedule
 
 STRATEGIES = ("stretch", "heuristic", "interval-stretch")
@@ -74,6 +78,34 @@ class PipelineResult:
     lp_steps: int
 
 
+def _relaxation(instance: Instance, strategy: str, epsilon: float | None):
+    """The free-path usable edges, the checked horizon bound, the interval
+    grid (None for the slot LP) and the step boundaries of ``strategy``'s
+    relaxation of the valid ``instance``; :class:`HorizonTooLarge` before
+    anything that grows with the horizon exists."""
+    edges = flow_edges(instance)
+    horizon = checked_horizon(instance, edges)
+    if strategy != "interval-stretch":
+        return edges, horizon, None, np.arange(horizon + 1.0)
+    eps = 0.2 if epsilon is None else epsilon
+    grid = _padded_grid(instance, horizon, eps, columns_per_slot(instance, edges))
+    return edges, horizon, grid, grid.boundaries
+
+
+def write_relaxation(instance: Instance, strategy: str, epsilon: float | None, path: str | Path) -> None:
+    """Write the whole relaxation :func:`run_pipeline` solves for
+    ``strategy`` (at ``epsilon``) on the valid ``instance`` to ``path`` as
+    MPS: every step, of which the pipeline's prefix rungs are the first.
+
+    ValueError, before anything is built, unless ``path`` ends in
+    ``.mps``: HiGHS picks the format from the suffix. OSError when the
+    file cannot be written."""
+    if Path(path).suffix != ".mps":
+        raise ValueError(f"an LP file must end in .mps, got {str(path)!r}")
+    edges, _, _, boundaries = _relaxation(instance, strategy, epsilon)
+    save_mps(_assemble(instance, boundaries, edges), path)
+
+
 def run_pipeline(
     instance: Instance,
     strategy: str = "stretch",
@@ -82,28 +114,20 @@ def run_pipeline(
     epsilon: float | None = None,
     options: SolveOptions | None = None,
 ) -> PipelineResult:
+    """Solve ``strategy``'s relaxation of ``instance``, round it and verify
+    the schedule. ``options`` is not read (see
+    :class:`~coflownet.solver.SolveOptions`)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} (one of {STRATEGIES})")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_trials(trials)
     check_instance(instance)
-    # refuses the instance before anything that grows with the horizon exists;
-    # the free-path usable edges serve the check and the LP build
-    edges = flow_edges(instance)
-    horizon = checked_horizon(instance, edges)
-
-    if strategy == "interval-stretch":
-        eps = 0.2 if epsilon is None else epsilon
-        grid = _padded_grid(instance, horizon, eps, columns_per_slot(instance, edges))
-        boundaries = grid.boundaries
-    else:
-        eps = None
-        boundaries = np.arange(horizon + 1.0)
-    problem, solution = solve_relaxation(instance, boundaries, edges, options)
+    edges, horizon, grid, boundaries = _relaxation(instance, strategy, epsilon)
+    problem, solution = solve_relaxation(instance, boundaries, edges)
     if solution.status is not SolveStatus.OPTIMAL:
         raise SolveFailure(solution.status)
-    if strategy == "interval-stretch":
+    if grid is not None:
         interval = extract_interval_solution(problem, solution.x, instance, grid)
         fractional = as_fractional(expand_interval_schedule(interval, instance), instance)
     else:
@@ -126,7 +150,7 @@ def run_pipeline(
     return PipelineResult(
         instance=instance,
         strategy=strategy,
-        epsilon=eps,
+        epsilon=None if grid is None else grid.epsilon,
         lp_objective=solution.objective,
         fractional=fractional,
         schedule=chosen.schedule,

@@ -17,10 +17,10 @@ infinities included) in one ``passModel`` call; its model status,
 point, row duals and objective come back unchanged.
 
 An ``optimal`` result is re-checked against the original problem (row
-residuals, bounds, objective recomputation), so a solve through an MPS
-file (``backend="mps:<path>"``: HiGHS gets the same arrays plus the
-names, writes the file, reads it back and solves what it read) can
-never hand back a point that the in-memory problem rejects.
+residuals, bounds, objective recomputation), so no point that the
+problem rejects is handed back. :func:`save_mps` has HiGHS write a
+problem to an MPS file for other solvers; nothing in the package reads
+one back.
 
 A relaxation built with a step map is first solved on a prefix of its
 time steps: the rows of steps ``1..L``, with every later column's bounds
@@ -53,8 +53,8 @@ prefix's later steps, a flow's steps before its release) are
 substituted into the row bounds.
 
 A free-path LP (one whose layout has ``xe`` columns) goes to HiGHS with
-``presolve`` off, on every prefix rung, the whole-problem solve and the
-``mps:`` read-back alike; every other LP keeps HiGHS's default presolve.
+``presolve`` off, on every prefix rung and the whole-problem solve
+alike; every other LP keeps HiGHS's default presolve.
 Presolve pays only when its reductions make up for its own cost
 (Andersen & Andersen, 1995). On the 25 HiGHS calls of the seed-1
 ``free-release-gscale20`` benchmark corpus (2-vCPU VM), presolve alone
@@ -71,9 +71,7 @@ it. The rule is fixed, not an option: it follows from the LP's shape.
 from __future__ import annotations
 
 import math
-import os
 import re
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -81,8 +79,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .csr import CSR, _load_extension
-from .lp import FlowEdges, LPProblem, _assemble, _first_prefix, _named
+from .csr import _load_extension
+from .lp import FlowEdges, LPProblem, _assemble, _first_prefix
 from .model import Instance
 
 #: scipy's HiGHS binding, private to scipy: pyproject.toml asks for the
@@ -123,21 +121,24 @@ TOLERANCE = 1e-7
 
 
 class SolverError(RuntimeError):
-    """A backend reported optimal but the solution fails re-verification,
-    or HiGHS refused an option the solver sets."""
+    """HiGHS reported optimal but the solution fails re-verification, or
+    HiGHS refused an option the solver sets."""
 
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """The one backend, HiGHS in memory. Nothing in the package reads it:
+    it is kept, with ``solve``'s and ``run_pipeline``'s ``options``
+    parameter, only for the benchmark harness, which builds and reports
+    it."""
+
     #: Not a constructor field: the solver always uses ``TOLERANCE``.
     tolerance: ClassVar[float] = TOLERANCE
     backend: str = "highs"
 
     def __post_init__(self):
-        if self.backend != "highs" and not (
-            self.backend.startswith("mps:") and len(self.backend) > 4
-        ):
-            raise ValueError(f"unknown backend {self.backend!r} (expected highs or mps:<path>)")
+        if self.backend != "highs":
+            raise ValueError(f"unknown backend {self.backend!r} (expected highs)")
 
 
 @dataclass(frozen=True)
@@ -151,23 +152,17 @@ class LPSolution:
 
 
 def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution:
-    """Minimize ``problem`` with HiGHS. Deterministic given identical
-    inputs/options.
-
-    ``backend="highs"`` solves the problem in memory, a certified prefix
-    of its steps first when it has a step map, each prefix sliced from
-    ``problem``. ``backend="mps:<path>"`` has HiGHS write the whole
-    problem to ``<path>`` as MPS, whatever the extension, read the file
-    back and solve what was read, so the file on disk is exactly what gets
-    solved.
+    """Minimize ``problem`` with HiGHS in memory, a certified prefix of its
+    steps first when it has a step map, each prefix sliced from
+    ``problem``. Deterministic given identical inputs. ``options`` is not
+    read (see :class:`SolveOptions`).
 
     Infeasible, unbounded and numerically failed solves come back as
     statuses, not exceptions. An iteration-limited solve may carry no
     point (``x is None``).
     """
-    options = options or SolveOptions()
     step_map = problem.step_map
-    if options.backend == "highs" and step_map is not None:
+    if step_map is not None:
         presolve = _presolve(problem)
         solution = _solve_prefixes(
             step_map.first_prefix, step_map.step_count,
@@ -175,11 +170,11 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
         )
         if solution is not None:
             return solution  # certified and checked against the whole problem
-    return _solve_whole(problem, options)
+    return _solve_whole(problem)
 
 
 def solve_relaxation(
-    instance: Instance, boundaries, edges: FlowEdges = None, options: SolveOptions | None = None
+    instance: Instance, boundaries, edges: FlowEdges = None
 ) -> tuple[LPProblem, LPSolution]:
     """Minimize the relaxation over the steps between consecutive
     ``boundaries`` (see :func:`coflownet.lp._assemble`) with HiGHS: the LP
@@ -190,44 +185,34 @@ def solve_relaxation(
     in closed form (:func:`_priced_bound`) instead of on the whole
     relaxation's matrix. The LP returned is then that rung, and its point
     has the rung's columns; extraction pads it to every step. The whole
-    relaxation is built only when no rung certifies, or for an
-    ``mps:<path>`` backend, whose file holds it.
+    relaxation is built only when no rung certifies.
     """
-    options = options or SolveOptions()
     boundaries = np.asarray(boundaries, dtype=float)
-    step_count = len(boundaries) - 1
-    if options.backend == "highs":
 
-        def attempt(prefix):
-            rung = _assemble(instance, boundaries, edges, prefix)
-            status, solution, used = _solve_rung(rung)
-            return status, None if solution is None else (rung, solution), used
+    def attempt(prefix):
+        rung = _assemble(instance, boundaries, edges, prefix)
+        status, solution, used = _solve_rung(rung)
+        return status, None if solution is None else (rung, solution), used
 
-        solved = _solve_prefixes(_first_prefix(instance, boundaries), step_count, attempt)
-        if solved is not None:
-            return solved
+    solved = _solve_prefixes(_first_prefix(instance, boundaries), len(boundaries) - 1, attempt)
+    if solved is not None:
+        return solved
     problem = _assemble(instance, boundaries, edges)
-    return problem, _solve_whole(problem, options)
+    return problem, _solve_whole(problem)
 
 
 def _presolve(problem: LPProblem) -> bool:
     """Whether HiGHS presolves ``problem``: not for a free-path LP (one
-    whose layout has ``xe`` columns). Decided from the problem as built:
-    the MPS read-back has no layout."""
+    whose layout has ``xe`` columns)."""
     return problem.layout is None or problem.layout.xe is None
 
 
-def _solve_whole(problem: LPProblem, options: SolveOptions) -> LPSolution:
-    """:func:`solve` on every step of ``problem`` at once."""
-    presolve = _presolve(problem)
-    if options.backend == "highs":
-        solved = problem
-    else:
-        # HiGHS keeps every column in order, so the point read back fits problem
-        solved = _through_file(problem, Path(options.backend[4:]))
+def _solve_whole(problem: LPProblem) -> LPSolution:
+    """:func:`solve` on every step of ``problem`` at once: the one place
+    that hands HiGHS a whole problem."""
     status, objective, x, _ = _linprog(
-        solved.objective, solved.A, solved.row_lower, solved.row_upper,
-        solved.col_lower, solved.col_upper, presolve,
+        problem.objective, problem.A, problem.row_lower, problem.row_upper,
+        problem.col_lower, problem.col_upper, _presolve(problem),
     )
     steps = problem.step_map.step_count if problem.step_map is not None else None
     solution = LPSolution(status, objective, x, steps)
@@ -235,8 +220,7 @@ def _solve_whole(problem: LPProblem, options: SolveOptions) -> LPSolution:
         failures = check_solution(problem, solution)
         if failures:
             raise SolverError(
-                f"backend {options.backend!r} returned a non-verifying optimum: "
-                + "; ".join(failures[:5])
+                "HiGHS returned a non-verifying optimum: " + "; ".join(failures[:5])
             )
     return solution
 
@@ -322,56 +306,19 @@ def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=Tr
 
 def save_mps(problem: LPProblem, path: str | Path) -> None:
     """Have HiGHS write ``problem`` and its names to ``path``, in the format
-    the extension picks (``.mps`` for MPS); OSError when it cannot, naming
+    its suffix picks (``.mps`` for MPS); OSError when it cannot, naming
     the first name that holds whitespace (which HiGHS refuses to write)."""
     p = problem
     spaced = next((n for n in (*p.col_names, *p.row_names) if re.search(r"\s", n)), None)
     if spaced is not None:
-        raise OSError(f"an MPS name cannot hold whitespace: {spaced!r}")
+        raise OSError(f"cannot write the LP to {path}: an MPS name cannot hold whitespace: {spaced!r}")
     highs = _passed(p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper)
     for c, name in enumerate(p.col_names):
         highs.passColName(c, name)
     for r, name in enumerate(p.row_names):
         highs.passRowName(r, name)
     if highs.writeModel(str(path)) == HighsStatus.kError:
-        raise OSError(f"HiGHS could not write {path}")
-
-
-def load_mps(path: str | Path) -> LPProblem:
-    """The problem HiGHS reads from the MPS file ``path``, names included;
-    OSError when it cannot, ValueError when two columns or rows share a name."""
-    highs = _Highs()
-    _set(highs, "output_flag", False)
-    if highs.readModel(str(path)) == HighsStatus.kError:
-        raise OSError(f"HiGHS could not read {path}")
-    highs.ensureRowwise()
-    lp = highs.getLp()
-    # HiGHS drops a file's names when two of them are the same
-    if len(set(lp.col_names_)) != lp.num_col_:
-        raise ValueError("column names are not unique")
-    if len(set(lp.row_names_)) != lp.num_row_:
-        raise ValueError("row names are not unique")
-    m = lp.a_matrix_
-    A = CSR(m.start_, m.index_, m.value_, (lp.num_row_, lp.num_col_))
-    columns = [np.array(v, dtype=float) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_)]
-    rows = [np.array(v, dtype=float) for v in (lp.row_lower_, lp.row_upper_)]
-    return LPProblem(*columns, A, *rows, _named(lp.col_names_), _named(lp.row_names_))
-
-
-def _through_file(problem: LPProblem, path: Path) -> LPProblem:
-    """``problem`` written to ``path`` as MPS and read back. HiGHS picks the
-    format from the extension, so it writes and reads an ``.mps`` file in a
-    temporary directory beside ``path``, then renamed onto ``path``: that
-    file is the one read."""
-    try:
-        with tempfile.TemporaryDirectory(prefix=".coflownet-", dir=path.parent) as temp:
-            written = Path(temp) / "lp.mps"
-            save_mps(problem, written)
-            read = load_mps(written)
-            os.replace(written, path)
-    except OSError as exc:
-        raise OSError(f"cannot write the LP to {path}: {exc.strerror or exc}") from exc
-    return read
+        raise OSError(f"cannot write the LP to {path}: HiGHS could not write it")
 
 
 def _solve_prefixes(first_prefix: int, step_count: int, attempt):

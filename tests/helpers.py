@@ -1,7 +1,8 @@
 """Test references and fixtures: a ``CSR`` matrix as ``scipy.sparse``
-sees it, an LP assembled from a row list, a row-permuted LP, a
-hand-checked optimal schedule of the demo instance, and the replay of an
-open-shop permutation. No production path calls them.
+sees it, an LP assembled from a row list, an LP read back from an MPS
+file, a row-permuted LP, a hand-checked optimal schedule of the demo
+instance, and the replay of an open-shop permutation. No production path
+calls them.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,6 +19,7 @@ from coflownet import Instance, LPProblem, RateSchedule, RoutingModel
 from coflownet.csr import CSR
 from coflownet.lp import StepMap, _named
 from coflownet.openshop import OpenShopInstance
+from coflownet.solver import HighsStatus, _Highs, _set
 
 
 def as_scipy(matrix: CSR) -> sp.csr_matrix:
@@ -54,6 +57,28 @@ def from_rows(objective, col_lower, col_upper, col_names, rows, layout=None) -> 
         row_naming=_named(names),
         layout=layout,
     )
+
+
+def load_mps(path: str | Path) -> LPProblem:
+    """The problem HiGHS reads from the MPS file ``path``, names included,
+    and without a layout or step map; OSError when it cannot, ValueError
+    when two columns or rows share a name."""
+    highs = _Highs()
+    _set(highs, "output_flag", False)
+    if highs.readModel(str(path)) == HighsStatus.kError:
+        raise OSError(f"HiGHS could not read {path}")
+    highs.ensureRowwise()
+    lp = highs.getLp()
+    # HiGHS drops a file's names when two of them are the same
+    if len(set(lp.col_names_)) != lp.num_col_:
+        raise ValueError("column names are not unique")
+    if len(set(lp.row_names_)) != lp.num_row_:
+        raise ValueError("row names are not unique")
+    m = lp.a_matrix_
+    A = CSR(m.start_, m.index_, m.value_, (lp.num_row_, lp.num_col_))
+    columns = [np.array(v, dtype=float) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_)]
+    rows = [np.array(v, dtype=float) for v in (lp.row_lower_, lp.row_upper_)]
+    return LPProblem(*columns, A, *rows, _named(lp.col_names_), _named(lp.row_names_))
 
 
 def permuted_rows(problem: LPProblem, order) -> LPProblem:

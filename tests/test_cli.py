@@ -11,19 +11,36 @@ import pytest
 
 import coflownet
 import coflownet.solver
-from coflownet import MAX_SLOT_COLUMNS, RoutingModel
+from coflownet import (
+    MAX_SLOT_COLUMNS,
+    RoutingModel,
+    SolveStatus,
+    build_interval_lp,
+    build_time_indexed_lp,
+    horizon_upper_bound,
+    interval_grid_for,
+)
 from coflownet.rounding import MAX_TRIALS
 from coflownet.serialize import MAX_SCHEDULE_VALUES
 from coflownet.cli import main
 from coflownet.bench import CSV_HEADER
-from coflownet.generate import demo_instance
+from coflownet.generate import MAX_GENERATED, GenConfig, demo_instance, generate_instance
+from coflownet.pipeline import STRATEGIES
 from coflownet.serialize import instance_to_dict, save_instance
 
-from helpers import as_scipy
+from helpers import load_mps
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """``run(args)``, or the code argparse exits with when it refuses a flag."""
+    try:
+        return run(args)
+    except SystemExit as exit_:
+        return exit_.code
 
 
 def test_gen_deterministic_bytes(tmp_path):
@@ -42,8 +59,7 @@ def test_solve_writes_verified_schedule(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     assert run(["gen", "--jobs", 3, "--seed", 2, "--out", inst]) == 0
     assert run([
-        "solve", inst, "--strategy", "stretch", "--trials", 5, "--seed", 0,
-        "--solver", "highs", "--out", sched,
+        "solve", inst, "--strategy", "stretch", "--trials", 5, "--seed", 0, "--out", sched,
     ]) == 0
     out = capsys.readouterr().out
     assert "lp_objective" in out and "schedule_objective" in out
@@ -215,61 +231,87 @@ def test_mps_solver_escape_hatch(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     exported = tmp_path / "exported.mps"
     assert run(["gen", "--jobs", 2, "--seed", 5, "--out", inst]) == 0
-    assert run(["solve", inst, "--strategy", "heuristic", "--solver", f"mps:{exported}"]) == 0
+    assert run(["solve", inst, "--strategy", "heuristic", "--write-mps", exported]) == 0
     text = exported.read_text()
     assert text.startswith("NAME")
     assert "ENDATA" in text
 
 
-def test_mps_solver_solves_the_file_it_wrote(tmp_path, monkeypatch):
-    inst = tmp_path / "inst.json"
-    exported = tmp_path / "exported.mps"
-    assert run(["gen", "--jobs", 2, "--seed", 5, "--out", inst]) == 0
-    read_back, handed = [], []
-    real_load, real_highs = coflownet.solver.load_mps, coflownet.solver._highs
+def _whole_relaxation(instance, strategy):
+    """The relaxation of ``strategy`` over every step, built whole."""
+    if strategy == "interval-stretch":
+        return build_interval_lp(instance, interval_grid_for(instance, 0.2))
+    return build_time_indexed_lp(instance, horizon_upper_bound(instance))
 
-    def spy_load(path):
-        read_back.append(real_load(path))
-        return read_back[-1]
 
-    def spy_highs(objective, A, *rest):
-        handed.append((objective, A))
-        return real_highs(objective, A, *rest)
+def test_mps_solver_solves_the_file_it_wrote(tmp_path, capsys):
+    # the file --write-mps leaves is the whole LP whose certified prefix the
+    # pipeline solved: read back and solved whole, it has the same optimum
+    cases = prefixes = 0
+    for model in RoutingModel:
+        for seed in (1, 2):
+            instance = generate_instance(GenConfig(
+                topology="gscale-like", model=model, jobs=5, release_mean=1.0, seed=seed
+            ))
+            assert instance.max_release > 0
+            inst = tmp_path / "inst.json"
+            save_instance(instance, inst)
+            for strategy in STRATEGIES:
+                exported = tmp_path / "lp.mps"
+                command = ["solve", inst, "--strategy", strategy, "--trials", 2, "--write-mps", exported]
+                assert run(command) == 0
+                result = coflownet.run_pipeline(instance, strategy, trials=2, epsilon=0.2)
+                assert capsys.readouterr().out.startswith(f"lp_objective      {result.lp_objective:.6f}\n")
+                whole, back = _whole_relaxation(instance, strategy), load_mps(exported)
+                assert (back.col_names, back.row_names) == (whole.col_names, whole.row_names)
+                solution = coflownet.solve(back)
+                assert solution.status is SolveStatus.OPTIMAL
+                assert solution.objective == pytest.approx(result.lp_objective, rel=1e-9, abs=0)
+                prefixes += result.lp_steps < whole.step_map.step_count
+                cases += 1
+    assert cases == 12 and prefixes > 0
 
-    monkeypatch.setattr(coflownet.solver, "load_mps", spy_load)
-    monkeypatch.setattr(coflownet.solver, "_highs", spy_highs)
-    assert run(["solve", inst, "--strategy", "heuristic", "--solver", f"mps:{exported}"]) == 0
-    # HiGHS saw exactly one problem: the one read from the file (it has
-    # no fixed column, so its arrays reach HiGHS as they are)
-    assert len(read_back) == 1 and len(handed) == 1
-    assert handed[0][0] is read_back[0].objective and handed[0][1] is read_back[0].A
-    # the file read is the file left on disk, and nothing else is
-    on_disk = real_load(exported)
-    assert on_disk.col_names == read_back[0].col_names
-    assert (as_scipy(on_disk.A) != as_scipy(read_back[0].A)).nnz == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["exported.mps", "inst.json"]
+
+def test_write_mps_leaves_the_file_when_the_solve_fails(tmp_path, monkeypatch, capsys):
+    instance = demo_instance(RoutingModel.FREE_PATH)
+    inst, exported = tmp_path / "inst.json", tmp_path / "lp.mps"
+    save_instance(instance, inst)
+
+    class Failing(coflownet.solver._Highs):
+        def getModelStatus(self):
+            return coflownet.solver.HighsModelStatus.kSolveError
+
+    monkeypatch.setattr(coflownet.solver, "_Highs", Failing)
+    assert run(["solve", inst, "--write-mps", exported]) == 3
+    assert capsys.readouterr().err == "solver failure: solver finished with status numerical\n"
+    monkeypatch.undo()
+    whole, back = _whole_relaxation(instance, "stretch"), load_mps(exported)
+    assert (back.col_names, back.row_names) == (whole.col_names, whole.row_names)
+    assert coflownet.solve(back).objective == pytest.approx(coflownet.solve(whole).objective, rel=1e-9)
 
 
 _REPORT = ("lp_objective ", "horizon ", "schedule_objective ", "ratio ", "best_lambda ", "completions ")
 
 
 @pytest.mark.parametrize("name", ["model.txt", "model.lp"])
-def test_mps_solver_writes_mps_text_whatever_the_extension(tmp_path, capfd, name):
+def test_write_mps_accepts_only_the_mps_suffix(tmp_path, capfd, name):
+    # HiGHS picks the format from the suffix, and writes CPLEX LP text for
+    # .lp, which it cannot read back as MPS: other suffixes are refused
     inst = tmp_path / "inst.json"
     assert run(["gen", "--jobs", 2, "--seed", 5, "--out", inst]) == 0
+    assert run(["solve", inst, "--strategy", "heuristic", "--write-mps", tmp_path / name]) == 2
+    assert capfd.readouterr().err == f"error: an LP file must end in .mps, got '{tmp_path / name}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
     assert run(["solve", inst, "--strategy", "heuristic"]) == 0
-    in_memory = capfd.readouterr().out.splitlines()
-    assert run(["solve", inst, "--strategy", "heuristic", "--solver", f"mps:{tmp_path / name}"]) == 0
+    in_memory = capfd.readouterr().out
+    assert run(["solve", inst, "--strategy", "heuristic", "--write-mps", tmp_path / "model.mps"]) == 0
     captured = capfd.readouterr()
-    text = (tmp_path / name).read_text()
+    text = (tmp_path / "model.mps").read_text()
     assert text.startswith("NAME") and "ENDATA" in text
-    # HiGHS prints nothing: stdout holds the report lines and no others
+    # HiGHS prints nothing: stdout holds the report lines, the same as without the file
     lines = captured.out.splitlines()
     assert lines and all(line.startswith(_REPORT) for line in lines) and not captured.err
-    assert lines[0] == in_memory[0] and lines[0].startswith("lp_objective ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["inst.json", name])
-    # permissions as for any new file, not those of a private temporary one
-    assert (tmp_path / name).stat().st_mode == inst.stat().st_mode
+    assert captured.out == in_memory
 
 
 @pytest.mark.parametrize(
@@ -278,27 +320,35 @@ def test_mps_solver_writes_mps_text_whatever_the_extension(tmp_path, capfd, name
         (["--trials", 0], "--trials"),
         (["--trials", MAX_TRIALS + 1], f"--trials must be at most {MAX_TRIALS:,}"),
         (["--strategy", "interval-stretch", "--epsilon", 0], "--epsilon"),
-        (["--solver", "builtin"], "unknown backend"),
-        (["--solver", "glpk"], "unknown backend"),
-        (["--solver", "mps:"], "unknown backend"),
-        (["--solver", "mps:{tmp}/missing-dir/out.mps"], "missing-dir"),
-        (["--solver", "mps:{tmp}"], "cannot write the LP to {tmp}:"),
+        (["--solver", "builtin"], "unrecognized arguments: --solver builtin"),
+        (["--solver", "glpk"], "unrecognized arguments: --solver glpk"),
+        (["--solver", "mps:"], "unrecognized arguments: --solver mps:"),
+        (["--solver", "highs"], "unrecognized arguments: --solver highs"),
+        (["--write-mps", "{tmp}/missing-dir/out.mps"], "cannot write the LP to {tmp}/missing-dir/out.mps"),
+        (["--write-mps", "{tmp}"], "an LP file must end in .mps, got '{tmp}'"),
+        (["--write-mps", "{tmp}/dir.mps"], "cannot write the LP to {tmp}/dir.mps"),
+        (["--write-mps", "{tmp}/out.lp"], "an LP file must end in .mps, got '{tmp}/out.lp'"),
+        (["--write-mps", "{tmp}/out.txt"], "an LP file must end in .mps"),
+        (["--write-mps", "{tmp}/out.mps", "--trials", 0], "--trials"),
     ],
     ids=[
-        "trials-0", "trials-over-cap", "epsilon-0", "builtin", "unknown", "mps-no-path",
-        "mps-unwritable", "mps-directory",
+        "trials-0", "trials-over-cap", "epsilon-0", "builtin", "unknown", "mps-no-path", "highs",
+        "mps-unwritable", "mps-directory", "mps-directory-named-mps", "mps-lp-suffix",
+        "mps-txt-suffix", "mps-with-trials-0",
     ],
 )
 def test_bad_solve_flags_exit_2(tmp_path, capsys, flags, message):
+    # --solver, with it the MPS read-back backend, is gone: an unknown flag
     inst = tmp_path / "inst.json"
     assert run(["gen", "--jobs", 2, "--seed", 1, "--out", inst]) == 0
+    (tmp_path / "dir.mps").mkdir()
     flags = [str(f).format(tmp=tmp_path) for f in flags]
-    assert run(["solve", inst] + flags) == 2
+    assert exit_code(["solve", inst] + flags) == 2
     err = capsys.readouterr().err
     assert message.format(tmp=tmp_path) in err and "Traceback" not in err
-    # no file is left behind, also beside a directory given as the path
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
-    assert not list(tmp_path.parent.glob(".coflownet-*"))
+    # no file is left behind, also in a directory given as the path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.mps", "inst.json"]
+    assert not list((tmp_path / "dir.mps").iterdir())
 
 
 def test_mps_solver_names_the_edge_id_that_holds_whitespace(tmp_path, capsys):
@@ -308,7 +358,7 @@ def test_mps_solver_names_the_edge_id_that_holds_whitespace(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(data))
     assert run(["validate", inst]) == 0
-    assert run(["solve", inst, "--solver", f"mps:{tmp_path / 'out.mps'}"]) == 2
+    assert run(["solve", inst, "--write-mps", tmp_path / "out.mps"]) == 2
     err = capsys.readouterr().err
     assert "cannot write the LP to" in err and "edge one" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
@@ -374,7 +424,8 @@ def _instance_text(coflow=None, flow=None):
         (None, ["bench", "--seed", -5], "--seed must be non-negative, got -5"),
         (None, ["check", "--seed", -1], "--seed must be non-negative, got -1"),
         (None, ["gen", "--seed", -1], "--seed must be non-negative, got -1"),
-        (None, ["check", "--solver", "mps:missing-dir/x.mps"], "cannot write the LP to missing-dir/x.mps"),
+        (None, ["check", "--solver", "mps:missing-dir/x.mps"], "unrecognized arguments: --solver"),
+        (None, ["bench", "--instances", -1], "--instances must be non-negative, got -1"),
         ('{"format": 1, "slot_count": 2, "coflows": [{"flows": [{"amounts": [[2, NaN]]}]}]}', _SCHEDULE,
          "amount must be finite, got nan"),
         (json.dumps({**_OUT_OF_RANGE, "coflows": {}}), _SCHEDULE,
@@ -397,7 +448,7 @@ def _instance_text(coflow=None, flow=None):
         "bench-epsilon-abc",
         "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
         "solve-negative-seed", "bench-negative-seed", "check-negative-seed", "gen-negative-seed",
-        "check-mps-unwritable", "schedule-nan-amount", "schedule-coflows-object",
+        "check-mps-unwritable", "bench-negative-instances", "schedule-nan-amount", "schedule-coflows-object",
         "schedule-flows-object", "schedule-amounts-object", "schedule-edge-amounts-array",
     ],
 )
@@ -406,7 +457,7 @@ def test_malformed_input_exits_2(tmp_path, monkeypatch, capsys, text, command, m
     save_instance(demo_instance(RoutingModel.SINGLE_PATH), "inst.json")
     if text is not None:
         Path("in.json").write_text(text)
-    assert run(command) == 2
+    assert exit_code(command) == 2
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert "coflows" not in captured.out  # no instance was written
@@ -476,7 +527,7 @@ def test_non_verifying_optimum_exits_3(tmp_path, monkeypatch, capsys):
     for command in (["solve", inst], ["check", "--instance", inst]):
         assert run(command) == 3
         err = capsys.readouterr().err
-        assert err.startswith("solver failure: backend 'highs' returned a non-verifying optimum")
+        assert err.startswith("solver failure: HiGHS returned a non-verifying optimum")
         assert "Traceback" not in err
 
 
@@ -524,15 +575,19 @@ def test_horizon_blow_up_is_refused_before_allocating(tmp_path, data, horizon):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(data))
     columns = f"{3 * horizon:,} LP columns"  # X, x and S per slot
+    exported = tmp_path / "lp.mps"
     for command in (
         ["solve", inst],
         ["solve", inst, "--strategy", "interval-stretch"],
+        ["solve", inst, "--write-mps", exported],
+        ["solve", inst, "--strategy", "interval-stretch", "--write-mps", exported],
         ["check", "--instance", inst],
     ):
         done = run_module(command, address_space=1 << 30)
         assert done.returncode == 2, done.stderr
         assert columns in done.stderr and f"{MAX_SLOT_COLUMNS:,}" in done.stderr
         assert "Traceback" not in done.stderr
+        assert not exported.exists()
 
 
 @pytest.mark.parametrize(
@@ -551,6 +606,23 @@ def test_tiny_epsilon_is_refused_before_building_the_grid(tmp_path, command):
     assert done.returncode == 2, done.stderr
     assert f"more than the limit of {MAX_SLOT_COLUMNS:,}" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--jobs", 10**8], f"jobs x max flows per job must be at most {MAX_GENERATED:,}, got 300,000,000"),
+        (["--topology", "random", "--nodes", 10**8, "--links", 10**8],
+         f"nodes must be at most {MAX_GENERATED:,}, got 100,000,000"),
+    ],
+    ids=["jobs", "random-nodes-links"],
+)
+def test_gen_past_its_bound_is_refused_before_allocating(tmp_path, flags, message):
+    # each ran on without bound, or died with a MemoryError traceback
+    done = run_module(["gen", *flags, "--out", tmp_path / "inst.json"], address_space=1 << 30, timeout=20)
+    assert done.returncode == 2, done.stderr
+    assert message in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "inst.json").exists()
 
 
 def test_random_topologies_past_nine_nodes_validate(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from coflownet import RoutingModel, validate_instance
 from coflownet.generate import (
+    MAX_GENERATED,
     GenConfig,
     _bidirected,
     demo_instance,
@@ -142,6 +143,21 @@ def test_cap_sets_every_link_capacity():
 def test_config_rejects_knobs_that_make_invalid_instances(field, value):
     with pytest.raises(ValueError):
         GenConfig(**{field: value})
+
+
+def test_config_bounds_flows_nodes_and_links():
+    # at the bound the config is accepted; past it, refused before any draw
+    GenConfig(jobs=MAX_GENERATED, flows_per_job=(1, 1))
+    GenConfig(topology="random", nodes=MAX_GENERATED, links=MAX_GENERATED)
+    for knobs, message in [
+        ({"jobs": MAX_GENERATED // 3 + 1}, "jobs x max flows per job must be at most"),
+        ({"jobs": 10**8, "flows_per_job": (1, 1)}, "jobs x max flows per job must be at most"),
+        ({"nodes": MAX_GENERATED + 1}, "nodes must be at most"),
+        ({"topology": "random", "nodes": 10**8, "links": 10**8}, "nodes must be at most"),
+        ({"links": MAX_GENERATED + 1}, "links must be at most"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GenConfig(**knobs)
 
 
 def test_demo_instance_weights_and_demands():

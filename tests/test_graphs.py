@@ -111,6 +111,14 @@ def test_shortest_path_sampling_uniform(rng):
     assert abs(counts["b"] - 1000) < 120
 
 
+def test_shortest_path_longer_than_the_recursion_limit_is_sampled(rng):
+    # a 3,000-hop chain: counting completions by recursion overflowed the stack
+    n = 3000
+    nodes = tuple(f"n{k}" for k in range(n))
+    net = Network(nodes, tuple(Edge(f"e{k}", nodes[k], nodes[k + 1], 1.0) for k in range(n - 1)))
+    assert sample_shortest_path(net, "n0", nodes[-1], rng) == tuple(f"e{k}" for k in range(n - 1))
+
+
 def test_demo_single_paths_are_shortest(demo_single):
     # every declared demo path has minimal hop count
     net = demo_single.network

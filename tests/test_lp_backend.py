@@ -14,7 +14,7 @@ from scipy.optimize._highspy._core import (
 )
 
 from conftest import fuzz_instance
-from helpers import as_scipy, from_rows, permuted_rows
+from helpers import as_scipy, from_rows, load_mps, permuted_rows
 
 from coflownet import (
     Coflow,
@@ -49,7 +49,6 @@ from coflownet.solver import (
     _presolve,
     _priced_bound,
     check_solution,
-    load_mps,
     save_mps,
 )
 
@@ -66,42 +65,50 @@ def problem(objective, rows, lower=None, upper=None, names=None):
 
 
 @pytest.fixture(params=["highs", "mps"])
-def backend(request, tmp_path):
-    """In-memory HiGHS, and HiGHS on the problem read back from an MPS file."""
-    return "highs" if request.param == "highs" else f"mps:{tmp_path / 'p.mps'}"
+def solve_as(request, tmp_path):
+    """HiGHS on a problem in memory, and on the problem ``save_mps`` writes,
+    read back: the exported file holds the same LP."""
+    if request.param == "highs":
+        return solve
+
+    def through_file(p):
+        save_mps(p, tmp_path / "p.mps")
+        return solve(load_mps(tmp_path / "p.mps"))
+
+    return through_file
 
 
-def test_minimize_with_lower_bound_row(backend):
+def test_minimize_with_lower_bound_row(solve_as):
     p = problem([1.0], [([0], [1.0], ">=", 3.0)])
-    sol = solve(p, SolveOptions(backend=backend))
+    sol = solve_as(p)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
 
-def test_objective_is_the_contract_not_the_vertex(backend):
+def test_objective_is_the_contract_not_the_vertex(solve_as):
     p = problem(
         [1.0, 1.0],
         [([0, 1], [1.0, 1.0], ">=", 2.0)],
         upper=[0.5, math.inf],
     )
-    sol = solve(p, SolveOptions(backend=backend))
+    sol = solve_as(p)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
 
 
-def test_infeasible_reported_as_status(backend):
+def test_infeasible_reported_as_status(solve_as):
     p = problem([1.0], [([0], [1.0], ">=", 2.0)], upper=[1.0])
-    sol = solve(p, SolveOptions(backend=backend))
+    sol = solve_as(p)
     assert sol.status is SolveStatus.INFEASIBLE
 
 
-def test_unbounded_reported_as_status(backend):
+def test_unbounded_reported_as_status(solve_as):
     p = problem([-1.0], [([0], [1.0], ">=", 0.0)])
-    sol = solve(p, SolveOptions(backend=backend))
+    sol = solve_as(p)
     assert sol.status is SolveStatus.UNBOUNDED
 
 
-def test_equality_and_mixed_rows(backend):
+def test_equality_and_mixed_rows(solve_as):
     # min 2x + y  s.t.  x + y = 1, x - y <= 0.2, y <= 0.8
     p = problem(
         [2.0, 1.0],
@@ -111,7 +118,7 @@ def test_equality_and_mixed_rows(backend):
         ],
         upper=[math.inf, 0.8],
     )
-    sol = solve(p, SolveOptions(backend=backend))
+    sol = solve_as(p)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.2, abs=1e-9)
     assert sol.x[0] == pytest.approx(0.2, abs=1e-9)
@@ -156,8 +163,8 @@ def test_refused_highs_option_raises(monkeypatch, option):
 
 def test_scipy_ships_the_highs_binding_the_solver_uses():
     # private to scipy: the names the solver imports (above), and the members
-    # it uses; ``_direct`` below calls the row-form ``passModel``, and the
-    # ``mps:`` backend has HiGHS write, read and hand back the file's LP
+    # it uses; ``_direct`` below calls the row-form ``passModel``, ``save_mps``
+    # has HiGHS write the LP, and the tests' ``load_mps`` reads it back
     assert {"kOptimal", "kInfeasible", "kUnbounded", "kIterationLimit"} <= set(
         HighsModelStatus.__members__
     )
@@ -198,18 +205,22 @@ def test_highs_deterministic(solved_free):
     assert a.objective == b.objective
 
 
-def test_row_permutation_invariance(backend, solved_free, rng):
+def test_row_permutation_invariance(solve_as, solved_free, rng):
     p, base, _ = solved_free
     for _ in range(3):
         perm = rng.permutation(p.num_rows)
-        sol = solve(permuted_rows(p, perm), SolveOptions(backend=backend))
+        sol = solve_as(permuted_rows(p, perm))
         assert sol.objective == pytest.approx(base.objective, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["builtin", "glpk", "mps:"])
 def test_unknown_backend_lists_accepted_values(name):
-    with pytest.raises(ValueError, match=r"highs.*mps:<path>"):
+    # HiGHS in memory is the one backend: the former MPS read-back
+    # (``mps:<path>``) is refused too, rather than solved in memory
+    with pytest.raises(ValueError, match=r"expected highs\)$"):
         SolveOptions(backend=name)
+    with pytest.raises(ValueError, match="expected highs"):
+        SolveOptions(backend="mps:x.mps")
 
 
 def test_check_solution_catches_corruption(solved_single):
@@ -269,7 +280,7 @@ def test_row_cols_view_matches_matrix(solved_free, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# MPS round trip and the independent-solver escape hatch
+# MPS export round trip
 
 
 def _assert_close(got, want, rtol=1e-13):
@@ -307,7 +318,8 @@ def test_mps_backend_matches_in_memory_highs(demo_free, tmp_path):
     # dual route: builder + in-memory HiGHS vs exported MPS + HiGHS
     p = build_time_indexed_lp(demo_free, horizon_upper_bound(demo_free))
     in_memory = solve(p)
-    external = solve(p, SolveOptions(backend=f"mps:{tmp_path / 'golden.mps'}"))
+    save_mps(p, tmp_path / "golden.mps")
+    external = solve(load_mps(tmp_path / "golden.mps"))
     assert external.status is SolveStatus.OPTIMAL
     assert external.objective <= 5.0 + 1e-6
     assert in_memory.objective == pytest.approx(external.objective, abs=1e-6)
@@ -462,9 +474,8 @@ def _presolve_settings(monkeypatch):
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
-def test_only_free_path_lps_go_to_highs_with_presolve_off(monkeypatch, tmp_path, model):
-    # every prefix rung and the whole-problem fallback, of both relaxations,
-    # in memory and through an MPS file
+def test_only_free_path_lps_go_to_highs_with_presolve_off(monkeypatch, model):
+    # every prefix rung and the whole-problem fallback, of both relaxations
     monkeypatch.setattr(
         coflownet.solver, "_extended_duals", lambda step_map, *_: np.zeros(len(step_map.row_step))
     )
@@ -475,11 +486,9 @@ def test_only_free_path_lps_go_to_highs_with_presolve_off(monkeypatch, tmp_path,
         build_time_indexed_lp(inst, horizon_upper_bound(inst)),
         build_interval_lp(inst, interval_grid_for(inst, 0.5)),
     ):
-        for backend in ("highs", f"mps:{tmp_path / 'p.mps'}"):
-            settings.clear()
-            assert solve(p, SolveOptions(backend=backend)).status is SolveStatus.OPTIMAL
-            rungs = len(_rungs(p.step_map)) if backend == "highs" else 0
-            assert settings == [expected] * (rungs + 1)
+        settings.clear()
+        assert solve(p).status is SolveStatus.OPTIMAL
+        assert settings == [expected] * (len(_rungs(p.step_map)) + 1)
     # open-shop reductions are single-path LPs
     settings.clear()
     shop = random_shop(np.random.default_rng(3), max_jobs=4, max_machines=3, max_time=5)
