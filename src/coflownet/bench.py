@@ -8,6 +8,13 @@ empty and records why in its ``error`` column, and the sweep keeps going.
 A row whose model is too large to build (``HorizonTooLarge``, such as an
 interval grid at a tiny epsilon) is not a failure of the row but of the
 sweep's settings: it stops the sweep, as it stops ``solve``.
+
+When the sweep lists both ``stretch`` and ``heuristic``, an instance's
+slot LP is solved once: the ``heuristic`` row reads the factor-1 trial
+that the ``stretch`` call rounded anyway (``as_heuristic``). Both rows
+are then worked out before the instance's other rows, the ``heuristic``
+row's wall_ms is its own extra work (building and verifying that
+schedule), and when the shared call fails both rows carry its error.
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .generate import GenConfig, generate_instance
 from .lp import HorizonTooLarge
-from .pipeline import run_pipeline
+from .pipeline import PipelineResult, as_heuristic, run_pipeline
 
 CSV_HEADER = (
     "seed", "model", "strategy", "epsilon", "lp_objective", "schedule_objective", "ratio", "wall_ms",
@@ -55,32 +63,45 @@ class BenchRow:
         return None
 
 
-def _run_row(instance, strategy: str, epsilon: float | None, config: BenchConfig, seed: int) -> BenchRow:
+def _attempt(run: Callable[[], PipelineResult]) -> tuple[PipelineResult | None, str | None, float]:
+    """``run()``'s result or why it failed, and its wall time in ms."""
     start = time.perf_counter()
-    lp_objective = schedule_objective = error = None
+    result = error = None
     try:
-        result = run_pipeline(
-            instance,
-            strategy=strategy,
-            trials=config.trials,
-            seed=config.seed,
-            epsilon=epsilon,
-        )
-        lp_objective, schedule_objective = result.lp_objective, result.report.objective
+        result = run()
     except HorizonTooLarge:
         raise
     except Exception as exc:  # per-row failures must not kill the sweep
         error = f"{type(exc).__name__}: {exc}"
-    return BenchRow(
-        seed=seed,
-        model=instance.model.value,
-        strategy=strategy,
-        epsilon=epsilon,
-        lp_objective=lp_objective,
-        schedule_objective=schedule_objective,
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-        error=error,
-    )
+    return result, error, (time.perf_counter() - start) * 1000.0
+
+
+def _instance_rows(instance, config: BenchConfig, seed: int) -> list[BenchRow]:
+    def pipeline(strategy: str, epsilon: float | None = None) -> PipelineResult:
+        return run_pipeline(instance, strategy=strategy, trials=config.trials, seed=config.seed, epsilon=epsilon)
+
+    shared = {}
+    if {"stretch", "heuristic"} <= set(config.strategies):
+        shared["stretch"] = stretch = _attempt(lambda: pipeline("stretch"))
+        result, error, _ = stretch
+        shared["heuristic"] = (None, error, 0.0) if error else _attempt(lambda: as_heuristic(result))
+    rows = []
+    for strategy in config.strategies:
+        for eps in config.epsilons if strategy == "interval-stretch" else (None,):
+            result, error, wall_ms = shared.pop(strategy, None) or _attempt(lambda: pipeline(strategy, eps))
+            rows.append(
+                BenchRow(
+                    seed=seed,
+                    model=instance.model.value,
+                    strategy=strategy,
+                    epsilon=eps,
+                    lp_objective=None if result is None else result.lp_objective,
+                    schedule_objective=None if result is None else result.report.objective,
+                    wall_ms=wall_ms,
+                    error=error,
+                )
+            )
+    return rows
 
 
 def run_bench(config: BenchConfig) -> list[BenchRow]:
@@ -88,9 +109,7 @@ def run_bench(config: BenchConfig) -> list[BenchRow]:
     for k in range(config.instances):
         seed = config.seed + k
         instance = generate_instance(replace(config.gen, seed=seed))
-        for strategy in config.strategies:
-            epsilons = config.epsilons if strategy == "interval-stretch" else (None,)
-            rows.extend(_run_row(instance, strategy, eps, config, seed) for eps in epsilons)
+        rows.extend(_instance_rows(instance, config, seed))
     return rows
 
 

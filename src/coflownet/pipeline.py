@@ -7,13 +7,20 @@ The fractional schedule still spans the whole horizon bound.
 :func:`write_relaxation` writes the whole relaxation, over the same step
 boundaries, to an MPS file.
 
+Every stretch call also rounds the LP's own schedule (factor 1, as
+:func:`~coflownet.rounding.lp_heuristic` does) in the same batch, keeps
+it as ``PipelineResult.unstretched``, and returns it when it strictly
+beats every drawn factor. :func:`as_heuristic` turns a slot-LP
+``stretch`` result into the ``heuristic`` result of the same instance
+without solving the LP again.
+
 The pipeline refuses to hand back a schedule that fails verification;
 callers (CLI, bench) map the dedicated exceptions to exit codes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +83,8 @@ class PipelineResult:
     #: LP steps (slots, or intervals for ``interval-stretch``) the solver
     #: solved: a certified prefix, or all of them (``LPSolution.steps``).
     lp_steps: int
+    #: The factor-1 trial of the call; with ``heuristic``, the chosen one.
+    unstretched: StretchTrial
 
 
 def _relaxation(instance: Instance, strategy: str, epsilon: float | None):
@@ -134,19 +143,14 @@ def run_pipeline(
         fractional = extract_fractional(problem, solution.x, instance, horizon)
 
     if strategy == "heuristic":
-        trial = lp_heuristic(instance, fractional)
-        best_lambda = trial.lam.value
+        chosen = unstretched = lp_heuristic(instance, fractional)
         average = None
-        chosen: StretchTrial = trial
     else:
         result = run_stretch(instance, fractional, trials=trials, seed=seed)
-        chosen = result.best
-        best_lambda = chosen.lam.value
+        chosen, unstretched = result.best, result.unstretched
         average = result.average_objective
 
-    violations = verify_schedule(chosen.schedule, instance)
-    if violations:
-        raise VerificationFailure(violations)
+    _verify(chosen.schedule, instance)
     return PipelineResult(
         instance=instance,
         strategy=strategy,
@@ -155,9 +159,39 @@ def run_pipeline(
         fractional=fractional,
         schedule=chosen.schedule,
         report=chosen.report,
-        best_lambda=best_lambda,
+        best_lambda=chosen.lam.value,
         average_objective=average,
         trial_count=1 if strategy == "heuristic" else trials,
         horizon_bound=horizon,
         lp_steps=solution.steps,
+        unstretched=unstretched,
     )
+
+
+def as_heuristic(result: PipelineResult) -> PipelineResult:
+    """The ``heuristic`` result of ``result``'s instance, read off the
+    ``unstretched`` trial of the slot-LP ``stretch`` ``result``: equal in
+    every field to ``run_pipeline(instance, "heuristic")``, without solving
+    the LP again. Its schedule is verified first, as ``run_pipeline``
+    verifies one."""
+    if result.strategy != "stretch":
+        raise ValueError(f"need a stretch result, got {result.strategy!r}")
+    trial = result.unstretched
+    _verify(trial.schedule, result.instance)
+    return replace(
+        result,
+        strategy="heuristic",
+        schedule=trial.schedule,
+        report=trial.report,
+        best_lambda=trial.lam.value,
+        average_objective=None,
+        trial_count=1,
+    )
+
+
+def _verify(schedule: RateSchedule, instance: Instance) -> None:
+    """:class:`VerificationFailure` unless ``schedule`` passes
+    :func:`~coflownet.verify.verify_schedule`."""
+    violations = verify_schedule(schedule, instance)
+    if violations:
+        raise VerificationFailure(violations)

@@ -31,8 +31,11 @@ over the flow rows, never touching the edge series. Without releases,
 compaction packs the busy slots to the front in order, so a coflow's
 compacted completion is the number of busy slots up to its completion
 before compaction; with releases, the greedy compaction plan runs per
-trial on the amounts only. Only the chosen trial's schedule is built;
-any other trial builds its own when its ``schedule`` is read.
+trial on the amounts only. Every call also rounds the factor 1 (the
+LP's own schedule, truncated and compacted) after the drawn factors, in
+the same batches, and returns it as the chosen trial only when it is
+strictly better than every drawn one. Only the chosen trial's schedule
+is built; any other trial builds its own when its ``schedule`` is read.
 ``stretch_schedule``, ``compact_idle_slots`` and ``lp_heuristic`` run the
 same kernel on a single factor.
 
@@ -127,9 +130,19 @@ class StretchTrial:
 
 @dataclass(frozen=True)
 class StretchResult:
+    """One :func:`run_stretch` call: the chosen trial, the sampled trials
+    and their mean objective, and the trial at factor 1.
+
+    ``best`` is ``unstretched`` only when its objective is strictly lower
+    than every sampled trial's; otherwise it is the first sampled trial of
+    least objective. ``trials`` and ``average_objective`` hold the sampled
+    trials only.
+    """
+
     best: StretchTrial
     average_objective: float
     trials: tuple[StretchTrial, ...]
+    unstretched: StretchTrial
 
 
 class StretchBoundError(AssertionError):
@@ -531,24 +544,34 @@ def run_stretch(
     trials: int,
     seed: int,
 ) -> StretchResult:
-    """Run ``trials`` independent stretch roundings and fold the results.
+    """Run ``trials`` independent stretch roundings, plus one at factor 1,
+    and fold the results.
 
-    The seed fixes every factor, so best/average are reproducible. At most
-    ``MAX_TRIALS`` trials. Only the best trial's schedule is built here.
+    The factor-1 trial is rounded after the drawn ones, in the same
+    batches and under the same ceiling check, and is chosen only when it
+    strictly beats every drawn one. Since min(factor 1, best drawn) is at
+    most the best drawn, the bound on the expected drawn objective still
+    holds for the chosen one. The seed fixes every factor, so the result
+    is reproducible. At most ``MAX_TRIALS`` drawn trials. Only the chosen
+    trial's schedule is built here.
     """
     check_trials(trials)
-    out = _Kernel(instance, fractional).trials(_draw_factors(trials, seed, fractional.slot_count))
-    best = min(range(trials), key=lambda k: (out[k].report.objective, k))
+    factors = np.append(_draw_factors(trials, seed, fractional.slot_count), 1.0)
+    every = _Kernel(instance, fractional).trials(factors)
+    out, unstretched = every[:-1], every[-1]
+    # min keeps the first of equal objectives, so the factor-1 trial (last) wins only strictly
+    best = min(every, key=lambda t: t.report.objective)
     average = float(np.mean([t.report.objective for t in out]))
-    out[best].schedule  # built now, as part of the rounding
-    return StretchResult(best=out[best], average_objective=average, trials=tuple(out))
+    best.schedule  # built now, as part of the rounding
+    return StretchResult(best=best, average_objective=average, trials=tuple(out), unstretched=unstretched)
 
 
 def lp_heuristic(instance: Instance, fractional: FractionalSchedule) -> StretchTrial:
     """Take the fractional schedule as-is (stretch factor 1) and compact.
 
     Its objective is not bounded by the relaxation value in the worst
-    case, but it is a strong heuristic in practice.
+    case, but it is a strong heuristic in practice. It is bitwise the
+    ``unstretched`` trial of :func:`run_stretch` on the same input.
     """
     (trial,) = _Kernel(instance, fractional).trials([1.0])
     trial.schedule  # built now, as part of the rounding

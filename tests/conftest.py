@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,13 @@ def unknown_path_edge():
     net = Network(("a", "b"), (Edge("ab", "a", "b", 1.0),))
     flow = Flow("a", "b", 1.0, 0, ("zz",))
     return Instance(net, (Coflow((flow,), 1.0),), RoutingModel.SINGLE_PATH)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workload definitions, so its corpora are generated
+    the one way the benchmark generates them."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return workloads

@@ -177,3 +177,18 @@ def permutation_schedule(shop: OpenShopInstance, order, instance: Instance) -> R
         amounts=tuple(tuple(flows) for flows in amounts),
         edge_amounts=None,
     )
+
+
+def assert_bitwise_schedule(got, want):
+    """Two schedules agree bit for bit, edge series in the same order."""
+    assert got.slot_count == want.slot_count
+    for flows_got, flows_want in zip(got.amounts, want.amounts, strict=True):
+        for a, b in zip(flows_got, flows_want, strict=True):
+            np.testing.assert_array_equal(a, b)
+    assert (got.edge_amounts is None) == (want.edge_amounts is None)
+    if got.edge_amounts is not None:
+        for flows_got, flows_want in zip(got.edge_amounts, want.edge_amounts, strict=True):
+            for a, b in zip(flows_got, flows_want, strict=True):
+                assert list(a) == list(b)
+                for eid in a:
+                    np.testing.assert_array_equal(a[eid], b[eid])

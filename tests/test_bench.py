@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 import coflownet as cn
 from coflownet.bench import BenchConfig, CSV_HEADER, rows_to_csv, run_bench
 from coflownet.generate import GenConfig, generate_instance
-from coflownet.pipeline import SolveFailure, run_pipeline
+from coflownet.pipeline import SolveFailure, as_heuristic, run_pipeline
 from coflownet.rounding import MAX_TRIALS
 from coflownet.solver import LPSolution, SolveOptions, SolveStatus
+
+from helpers import assert_bitwise_schedule
 
 
 def test_reduced_instances_best_lambda_within_factor_two(rng):
@@ -207,3 +210,83 @@ def test_non_finite_or_non_positive_epsilon_is_refused_before_any_lp(monkeypatch
         cn.geometric_intervals(10, epsilon)
     with pytest.raises(ValueError, match=message):
         cn.IntervalGrid(epsilon=epsilon, boundaries=(0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# stretch and heuristic rows from one slot-LP solve
+
+_SHARED = BenchConfig(
+    gen=GenConfig(topology="gscale-like", model=cn.RoutingModel.FREE_PATH, jobs=6, release_mean=1.0),
+    instances=3,
+    trials=5,
+    seed=2,
+)
+
+
+def _without_wall_ms(rows):
+    return [replace(row, wall_ms=0.0) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "strategies", [("stretch", "heuristic"), ("heuristic", "stretch")], ids=["stretch-heuristic", "heuristic-stretch"]
+)
+def test_stretch_and_heuristic_rows_share_one_solve_per_instance(monkeypatch, strategies):
+    config = replace(_SHARED, strategies=strategies)
+    calls = _count_solves(monkeypatch)
+    rows = run_bench(config)
+    assert len(calls) == config.instances
+    assert [row.strategy for row in rows] == list(strategies) * config.instances
+    assert all(row.error is None for row in rows)
+    monkeypatch.undo()
+    for strategy in strategies:
+        alone = run_bench(replace(config, strategies=(strategy,)))
+        assert _without_wall_ms(r for r in rows if r.strategy == strategy) == _without_wall_ms(alone)
+
+
+def test_as_heuristic_is_the_heuristic_pipeline(demo_free):
+    for inst in (demo_free, generate_instance(replace(_SHARED.gen, seed=4))):
+        got = as_heuristic(run_pipeline(inst, "stretch", trials=7, seed=1))
+        want = run_pipeline(inst, "heuristic")
+        for name in ("strategy", "epsilon", "lp_objective", "report", "best_lambda", "average_objective",
+                     "trial_count", "horizon_bound", "lp_steps"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert_bitwise_schedule(got.schedule, want.schedule)
+        assert got.unstretched.report == want.unstretched.report
+    with pytest.raises(ValueError, match="need a stretch result"):
+        as_heuristic(want)
+
+
+def test_a_rejected_unstretched_schedule_makes_the_heuristic_row_an_error_row(monkeypatch):
+    import coflownet.pipeline as pipe
+
+    real = pipe.verify_schedule
+    checks = []
+
+    def rejects_the_second_check(schedule, instance):
+        # per instance, the stretch row's schedule is checked first, then the factor-1 one
+        checks.append(schedule)
+        return ["synthetic violation"] if len(checks) % 2 == 0 else real(schedule, instance)
+
+    monkeypatch.setattr(pipe, "verify_schedule", rejects_the_second_check)
+    rows = run_bench(replace(_SHARED, strategies=("heuristic", "stretch")))
+    assert len(checks) == 2 * _SHARED.instances
+    for heuristic, stretch in zip(rows[::2], rows[1::2]):
+        assert (heuristic.strategy, stretch.strategy) == ("heuristic", "stretch")
+        assert heuristic.error == "VerificationFailure: 1 violation(s): synthetic violation"
+        assert heuristic.lp_objective is heuristic.schedule_objective is None
+        assert stretch.error is None and stretch.schedule_objective is not None
+
+
+def test_a_failed_shared_solve_fails_both_rows_alike(monkeypatch):
+    import coflownet.pipeline as pipe
+
+    calls = []
+
+    def fake_solve(instance, boundaries, edges=None, options=None):
+        calls.append(instance)
+        return None, LPSolution(status=SolveStatus.ITERATION_LIMIT, objective=float("nan"), x=None)
+
+    monkeypatch.setattr(pipe, "solve_relaxation", fake_solve)
+    rows = run_bench(replace(_SHARED, strategies=("stretch", "heuristic")))
+    assert len(calls) == _SHARED.instances
+    assert {row.error for row in rows} == {"SolveFailure: solver finished with status iteration_limit"}

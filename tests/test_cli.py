@@ -80,6 +80,28 @@ def test_solve_prints_the_lp_steps_beside_the_horizon_bound(tmp_path, capsys, st
     ]
 
 
+@pytest.mark.parametrize("strategy", ["stretch", "interval-stretch", "heuristic"])
+def test_solve_prints_the_unstretched_and_sampled_mean_objectives(tmp_path, capsys, strategy):
+    instance = generate_instance(GenConfig(topology="gscale-like", jobs=10, seed=1))
+    path = tmp_path / "inst.json"
+    save_instance(instance, path)
+    assert run(["solve", path, "--strategy", strategy, "--trials", 5, "--seed", 3]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = [line.split()[0] for line in lines]
+    values = {line.split()[0]: line.split(None, 1)[1] for line in lines}
+    if strategy == "heuristic":
+        assert "unstretched_objective" not in labels and "sampled_mean_objective" not in labels
+        return
+    at = labels.index("best_lambda")
+    assert labels[at + 1 : at + 3] == ["unstretched_objective", "sampled_mean_objective"]
+    result = coflownet.run_pipeline(instance, strategy=strategy, trials=5, seed=3)
+    assert values["unstretched_objective"] == f"{result.unstretched.report.objective:.6f}"
+    assert values["sampled_mean_objective"] == f"{result.average_objective:.6f}"
+    schedule = float(values["schedule_objective"])
+    assert schedule <= float(values["unstretched_objective"])
+    assert schedule <= float(values["sampled_mean_objective"])
+
+
 def test_solve_missing_instance_exit_2(capsys):
     assert run(["solve", "definitely-missing.json"]) == 2
     assert "instance not found" in capsys.readouterr().err

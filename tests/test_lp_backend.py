@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,16 +566,6 @@ def test_prefix_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, model)
                 assert list(map(_bits, got[0])) == list(map(_bits, handed[0]))
                 rungs += 1
     assert rungs >= 10
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    """The benchmark's workload definitions, so its corpora are generated
-    the one way the benchmark generates them."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import workloads
-
-    return workloads
 
 
 def _rung_instances(workloads, model=None):

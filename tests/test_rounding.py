@@ -33,7 +33,7 @@ from coflownet.csr import CSR
 from coflownet.model import AMOUNT_EPS, CompletionReport, weighted_objective
 from coflownet.rounding import MAX_TRIALS, StretchBoundError, StretchResult, StretchTrial, _overlap, _taps
 
-from helpers import as_scipy, demo_optimal_schedule
+from helpers import as_scipy, assert_bitwise_schedule, demo_optimal_schedule
 
 
 def single_flow_fractional(slot_values, release=0):
@@ -298,7 +298,8 @@ def test_run_stretch_deterministic(demo_single, solved_single):
     b = run_stretch(demo_single, frac, trials=8, seed=11)
     assert [t.lam.value for t in a.trials] == [t.lam.value for t in b.trials]
     assert [t.report.objective for t in a.trials] == [t.report.objective for t in b.trials]
-    assert a.best.report.objective == min(t.report.objective for t in a.trials)
+    assert a.unstretched.report == b.unstretched.report and a.unstretched.lam.value == 1.0
+    assert a.best.report.objective == min(t.report.objective for t in (*a.trials, a.unstretched))
     assert a.average_objective == pytest.approx(
         np.mean([t.report.objective for t in a.trials])
     )
@@ -629,10 +630,11 @@ def reference_completion_times(schedule, instance):
 
 
 def reference_run_stretch(instance, fractional, trials, seed):
-    """``run_stretch`` one trial at a time: the same draws, then the
-    per-slot references and a per-flow completion loop."""
+    """``run_stretch`` one trial at a time: the same draws followed by the
+    factor 1, the per-slot references and a per-flow completion loop; the
+    factor-1 trial is chosen only when it strictly beats the best draw."""
     out = []
-    for value in rounding._draw_factors(trials, seed, fractional.slot_count).tolist():
+    for value in rounding._draw_factors(trials, seed, fractional.slot_count).tolist() + [1.0]:
         lam = Lambda(value)
         stretched = reference_stretch(fractional, lam, instance)
         pre = reference_completion_times(stretched, instance)
@@ -640,9 +642,12 @@ def reference_run_stretch(instance, fractional, trials, seed):
         compacted = reference_compact(stretched, instance)
         report = reference_completion_times(compacted, instance)
         out.append(StretchTrial(lam, report, pre, build=lambda schedule=compacted: schedule))
-    best = min(range(trials), key=lambda k: (out[k].report.objective, k))
+    *out, unstretched = out
+    best = out[min(range(trials), key=lambda k: (out[k].report.objective, k))]
+    if unstretched.report.objective < best.report.objective:
+        best = unstretched
     average = float(np.mean([t.report.objective for t in out]))
-    return StretchResult(best=out[best], average_objective=average, trials=tuple(out))
+    return StretchResult(best=best, average_objective=average, trials=tuple(out), unstretched=unstretched)
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
@@ -660,7 +665,7 @@ def test_run_stretch_matches_trial_by_trial_reference(monkeypatch, model):
 
     monkeypatch.setattr(rounding, "_draw_factors", forced)
     rng = np.random.default_rng(77)
-    at_floor = 0
+    at_floor = unstretched_won = 0
     for k in range(5):
         inst = fuzz_instance(rng, model)
         horizon = horizon_upper_bound(inst)
@@ -669,8 +674,9 @@ def test_run_stretch_matches_trial_by_trial_reference(monkeypatch, model):
         got = run_stretch(inst, frac, trials=10, seed=k)
         want = reference_run_stretch(inst, frac, trials=10, seed=k)
         # run_stretch built the best trial's schedule and no other
-        assert ["schedule" in vars(t) for t in got.trials] == [t is got.best for t in got.trials]
-        for a, b in zip(got.trials, want.trials, strict=True):
+        every = (*got.trials, got.unstretched)
+        assert ["schedule" in vars(t) for t in every] == [t is got.best for t in every]
+        for a, b in zip(every, (*want.trials, want.unstretched), strict=True):
             assert a.lam == b.lam
             assert a.pre_compaction == b.pre_compaction and a.report == b.report
             if a is not got.best:
@@ -679,9 +685,10 @@ def test_run_stretch_matches_trial_by_trial_reference(monkeypatch, model):
             # the best trial's schedule as run_stretch built it, any other built on this read
             assert_same_schedule(a.schedule, b.schedule, inst)
         at_floor += sum(t.lam.value == 1.0 / (10.0 * horizon) for t in got.trials)
-        assert [t is got.best for t in got.trials] == [t is want.best for t in want.trials]
+        assert [t is got.best for t in every] == [t is want.best for t in (*want.trials, want.unstretched)]
         assert got.average_objective == want.average_objective
-    assert at_floor > 0
+        unstretched_won += got.best is got.unstretched
+    assert at_floor > 0 and unstretched_won > 0
 
 
 # ---------------------------------------------------------------------------
@@ -718,20 +725,6 @@ def _fuzz_solved(model, releases, count, seed):
     return out
 
 
-def assert_bitwise_schedule(got, want):
-    assert got.slot_count == want.slot_count
-    for flows_got, flows_want in zip(got.amounts, want.amounts, strict=True):
-        for a, b in zip(flows_got, flows_want, strict=True):
-            np.testing.assert_array_equal(a, b)
-    assert (got.edge_amounts is None) == (want.edge_amounts is None)
-    if got.edge_amounts is not None:
-        for flows_got, flows_want in zip(got.edge_amounts, want.edge_amounts, strict=True):
-            for a, b in zip(flows_got, flows_want, strict=True):
-                assert list(a) == list(b)
-                for eid in a:
-                    np.testing.assert_array_equal(a[eid], b[eid])
-
-
 def assert_same_result(got, want):
     """Two ``StretchResult``s agree bit for bit: every factor and report,
     the best trial, the average and the best schedule."""
@@ -740,6 +733,10 @@ def assert_same_result(got, want):
         (t.report, t.pre_compaction) for t in want.trials
     ]
     assert [t is got.best for t in got.trials] == [t is want.best for t in want.trials]
+    assert (got.unstretched.report, got.unstretched.pre_compaction) == (
+        want.unstretched.report, want.unstretched.pre_compaction
+    )
+    assert (got.best is got.unstretched) == (want.best is want.unstretched)
     assert got.average_objective == want.average_objective
     assert_bitwise_schedule(got.best.schedule, want.best.schedule)
 
@@ -817,9 +814,87 @@ def test_max_trials_run_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert len(result.trials) == MAX_TRIALS
-    assert ["schedule" in vars(t) for t in result.trials].count(True) == 1
+    assert ["schedule" in vars(t) for t in (*result.trials, result.unstretched)].count(True) == 1
     # the result keeps about 0.9 kB per trial (9 MB), the trial seeds are
     # spawned up front (4.5 MB), and a batch of at most _BATCH_CELLS cells
     # needs a few arrays of 2 MB each; keeping every trial's schedule took
     # 113 MB here
     assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# the factor-1 candidate
+
+
+def assert_unstretched_candidate(instance, fractional, trials, seed):
+    """Check the factor-1 trial of one ``run_stretch`` call against
+    ``lp_heuristic`` and the strict-win rule; whether it tied the best
+    sampled trial, and whether it beat it."""
+    result = run_stretch(instance, fractional, trials=trials, seed=seed)
+    sampled = [t.report.objective for t in result.trials]
+    first_best = result.trials[int(np.argmin(sampled))]
+    heuristic = lp_heuristic(instance, fractional)
+    unstretched = result.unstretched
+    assert unstretched.lam.value == 1.0
+    assert (unstretched.report, unstretched.pre_compaction) == (heuristic.report, heuristic.pre_compaction)
+    assert_bitwise_schedule(unstretched.schedule, heuristic.schedule)
+    assert result.best.report.objective <= min(unstretched.report.objective, min(sampled))
+    # a tie keeps the first sampled trial of least objective
+    wins = unstretched.report.objective < first_best.report.objective
+    assert result.best is (unstretched if wins else first_best)
+    assert len(result.trials) == trials
+    assert result.average_objective == float(np.mean(sampled))
+    return unstretched.report.objective == first_best.report.objective, wins
+
+
+def test_unstretched_candidate_on_the_feasibility_fuzz():
+    from conftest import fuzz_instance
+
+    from coflownet import run_pipeline
+
+    # the 200 instances of acceptance criterion 7
+    rng = np.random.default_rng(7)
+    ties = wins = 0
+    for model in RoutingModel:
+        for k in range(100):
+            inst = fuzz_instance(rng, model)
+            result = run_pipeline(inst, "stretch", trials=20, seed=k)
+            tie, win = assert_unstretched_candidate(inst, result.fractional, 20, k)
+            ties, wins = ties + tie, wins + win
+            assert result.report.objective <= result.unstretched.report.objective
+    assert ties > 0 and wins > 0
+
+
+def test_unstretched_candidate_on_the_benchmark_corpora(workloads):
+    from coflownet import run_pipeline
+
+    for workload in workloads.WORKLOADS.values():
+        item = workloads.requests(workload, 1)[0]
+        for call in workload.calls:
+            result = run_pipeline(
+                item.instance, call.strategy, trials=call.trials, seed=item.trial_seed, epsilon=call.epsilon
+            )
+            assert_unstretched_candidate(item.instance, result.fractional, call.trials, item.trial_seed)
+
+
+def test_a_tie_keeps_the_sampled_trial():
+    # the whole demand in one slot: every factor finishes in slot 1
+    inst, frac = single_flow_fractional([1.0])
+    result = run_stretch(inst, frac, trials=5, seed=3)
+    assert {t.report.objective for t in (*result.trials, result.unstretched)} == {1.0}
+    assert result.best is result.trials[0]
+    assert "schedule" not in vars(result.unstretched)
+
+
+def test_the_ceiling_covers_the_unstretched_trial(monkeypatch, demo_free, solved_free):
+    _, _, frac = solved_free
+    real = rounding._ceilings
+
+    def tight_at_one(fractional, values):
+        ceilings = real(fractional, values)
+        ceilings[values == 1.0] = 0
+        return ceilings
+
+    monkeypatch.setattr(rounding, "_ceilings", tight_at_one)
+    with pytest.raises(StretchBoundError, match=r"^coflow 1 finished .* at lambda 1\.0$"):
+        run_stretch(demo_free, frac, trials=4, seed=1)
