@@ -214,10 +214,13 @@ def _dispatch(args) -> int:
         )
         print(f"schedule_objective {result.report.objective:.6f}")
         print(f"ratio             {result.report.objective / result.lp_objective:.4f}")
-        print(f"best_lambda       {result.best_lambda:.6f}")
+        # no factor makes the list schedule
+        lam = "none" if result.best_lambda is None else f"{result.best_lambda:.6f}"
+        print(f"best_lambda       {lam}")
         if args.strategy != "heuristic":
             print(f"unstretched_objective {result.unstretched.report.objective:.6f}")
             print(f"sampled_mean_objective {result.average_objective:.6f}")
+            print(f"list_objective    {result.listed.report.objective:.6f}")
         print(f"completions       {list(result.report.completions)}")
         if args.out:
             save_schedule(result.schedule, args.out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import reachable_from, sample_shortest_path
+from .graphs import sample_shortest_path, shortest_path_counts
 from .model import Coflow, Edge, Flow, Instance, Network, RoutingModel
 
 #: Five sites, seven bidirectional inter-site links.
@@ -34,12 +34,13 @@ TOPOLOGIES = ("swan-like", "gscale-like", "ring", "random")
 
 #: Most flows (``jobs`` times the largest flow count per job), nodes or
 #: links a :class:`GenConfig` may ask for, so that generation allocates a
-#: bounded amount: memory grows with flows times nodes (each flow's path
-#: and its source's reachable set). At the bound, 2,000 single-path flows
-#: on a random topology of 2,000 nodes and links peaked at 310 MB in 16 s
-#: (2-vCPU VM). The pipeline refuses any instance of 1,000 or more flows
-#: anyway: its horizon bound is at least the flow count, and each slot has
-#: at least ``2 * flows + 1`` LP columns, over ``MAX_SLOT_COLUMNS``.
+#: bounded amount: memory grows with flows times path length, plus the
+#: shortest-path counts kept per destination (two entries per node). At
+#: the bound, 2,000 single-path flows on a random topology of 2,000 nodes
+#: and links peaked at 190 MB in 13 s (2-vCPU VM). The pipeline refuses
+#: any instance of 1,000 or more flows anyway: its horizon bound is at
+#: least the flow count, and each slot has at least ``2 * flows + 1`` LP
+#: columns, over ``MAX_SLOT_COLUMNS``.
 MAX_GENERATED = 2_000
 
 
@@ -147,25 +148,15 @@ def build_topology(config: GenConfig, rng: np.random.Generator) -> Network:
 
 
 def generate_instance(config: GenConfig) -> Instance:
-    """Deterministic random instance for ``config``.
-
-    Random topologies are resampled (bounded attempts) until every drawn
-    endpoint pair is routable.
-    """
+    """Deterministic random instance for ``config``. Every topology is
+    connected and bidirected, so every drawn endpoint pair is routable."""
     rng = np.random.default_rng(config.seed)
-    for _ in range(100):
-        network = build_topology(config, rng)
-        instance = _draw_jobs(config, network, rng)
-        if instance is not None:
-            return instance
-        if config.topology != "random":
-            raise ValueError(f"{config.topology} topology left endpoints unroutable")
-    raise ValueError("failed to draw a routable topology in 100 attempts")
+    return _draw_jobs(config, build_topology(config, rng), rng)
 
 
-def _draw_jobs(config: GenConfig, network: Network, rng: np.random.Generator) -> Instance | None:
+def _draw_jobs(config: GenConfig, network: Network, rng: np.random.Generator) -> Instance:
     nodes = list(network.nodes)
-    reach: dict[str, set[str]] = {}  # from each source drawn so far
+    counts = {}  # shortest_path_counts to each destination drawn so far
     coflows = []
     arrival = 0.0
     for _ in range(config.jobs):
@@ -176,14 +167,12 @@ def _draw_jobs(config: GenConfig, network: Network, rng: np.random.Generator) ->
         flows = []
         for _ in range(n_flows):
             src, dst = (nodes[k] for k in rng.choice(len(nodes), size=2, replace=False))
-            if src not in reach:
-                reach[src] = reachable_from(network, src)
-            if dst not in reach[src]:
-                return None  # unroutable pair: caller regenerates the edge set
             demand = float(rng.uniform(*config.demand_range))
             path = None
             if config.model is RoutingModel.SINGLE_PATH:
-                path = sample_shortest_path(network, src, dst, rng)
+                if dst not in counts:
+                    counts[dst] = shortest_path_counts(network, dst)
+                path = sample_shortest_path(network, src, dst, rng, counts[dst])
             flows.append(Flow(src=src, dst=dst, demand=demand, release=release, path=path))
         weight = float(rng.uniform(*config.weight_range))
         coflows.append(Coflow(flows=tuple(flows), weight=weight))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 import numpy as np
@@ -110,40 +111,56 @@ def max_flow_value(network: Network, src: str, dst: str) -> float:
             total += sent
 
 
+def shortest_path_counts(network: Network, dst: str) -> tuple[array, list[int]]:
+    """Per node, by its index in ``network.nodes``: the hop count of its
+    shortest paths to ``dst`` (-1 when it has none) and the number of
+    them (parallel edges count as distinct paths). One breadth-first
+    search over in-edges: a node's count is final once every node one hop
+    nearer to ``dst`` has passed it its own."""
+    index = network.node_index
+    dist = array("l", [-1]) * len(network.nodes)
+    counts = [0] * len(network.nodes)
+    dist[index[dst]], counts[index[dst]] = 0, 1
+    order = [dst]
+    for v in order:  # breadth-first: the list grows as it is walked
+        k = index[v]
+        hops, paths = dist[k] + 1, counts[k]
+        for e in network.in_edges.get(v, ()):
+            u = index[e.src]
+            if dist[u] < 0:
+                dist[u] = hops
+                order.append(e.src)
+            if dist[u] == hops:
+                counts[u] += paths
+    return dist, counts
+
+
 def sample_shortest_path(
-    network: Network, src: str, dst: str, rng: np.random.Generator
+    network: Network,
+    src: str,
+    dst: str,
+    rng: np.random.Generator,
+    counts: tuple[array, list[int]] | None = None,
 ) -> tuple[str, ...]:
     """One uniformly random shortest path (hop count) as edge ids.
 
     Sampling walks the tight-edge DAG forward, picking each next edge with
     probability proportional to the number of shortest completions through
     it, so every shortest path is equally likely (parallel edges count as
-    distinct paths).
+    distinct paths). ``counts`` is :func:`shortest_path_counts` of ``dst``,
+    found here when not given: a caller drawing many paths to one
+    destination finds it once.
     """
-    dist = {dst: 0}
-    order = [dst]
-    for v in order:  # breadth-first: the list grows as it is walked
-        for e in network.in_edges.get(v, ()):
-            if e.src not in dist:
-                dist[e.src] = dist[v] + 1
-                order.append(e.src)
-    if src not in dist:
+    index = network.node_index
+    dist, completions = counts or shortest_path_counts(network, dst)
+    if dist[index[src]] < 0:
         raise ValueError(f"no path from {src!r} to {dst!r}")
-
-    def tight(v: str) -> list:
-        return [e for e in network.out_edges.get(v, ()) if dist.get(e.dst, -1) == dist[v] - 1]
-
-    # shortest completions from each node, nearest to dst first, so that a
-    # long path needs no recursion as deep as itself
-    counts: dict[str, int] = {dst: 1}
-    for v in order[1:]:
-        counts[v] = sum(counts[e.dst] for e in tight(v))
-
     path: list[str] = []
     v = src
     while v != dst:
-        edges = tight(v)
-        weights = np.array([counts[e.dst] for e in edges], dtype=float)
+        near = dist[index[v]] - 1
+        edges = [e for e in network.out_edges.get(v, ()) if dist[index[e.dst]] == near]
+        weights = np.array([completions[index[e.dst]] for e in edges], dtype=float)
         choice = edges[int(rng.choice(len(edges), p=weights / weights.sum()))]
         path.append(choice.id)
         v = choice.dst

@@ -66,6 +66,11 @@ class Network:
         return frozenset(self.nodes)
 
     @cached_property
+    def node_index(self) -> dict[str, int]:
+        """Each node's position in ``nodes``."""
+        return {v: k for k, v in enumerate(self.nodes)}
+
+    @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
 

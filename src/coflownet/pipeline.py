@@ -10,9 +10,11 @@ boundaries, to an MPS file.
 Every stretch call also rounds the LP's own schedule (factor 1, as
 :func:`~coflownet.rounding.lp_heuristic` does) in the same batch, keeps
 it as ``PipelineResult.unstretched``, and returns it when it strictly
-beats every drawn factor. :func:`as_heuristic` turns a slot-LP
-``stretch`` result into the ``heuristic`` result of the same instance
-without solving the LP again.
+beats every drawn factor. It also builds the alpha-point list schedule
+of the same fractional schedule, keeps it as ``PipelineResult.listed``,
+and returns it when it strictly beats both; ``best_lambda`` is then
+None. :func:`as_heuristic` turns a slot-LP ``stretch`` result into the
+``heuristic`` result of the same instance without solving the LP again.
 
 The pipeline refuses to hand back a schedule that fails verification;
 callers (CLI, bench) map the dedicated exceptions to exit codes.
@@ -85,6 +87,8 @@ class PipelineResult:
     lp_steps: int
     #: The factor-1 trial of the call; with ``heuristic``, the chosen one.
     unstretched: StretchTrial
+    #: The alpha-point list schedule of the call; None with ``heuristic``.
+    listed: StretchTrial | None
 
 
 def _relaxation(instance: Instance, strategy: str, epsilon: float | None):
@@ -144,10 +148,10 @@ def run_pipeline(
 
     if strategy == "heuristic":
         chosen = unstretched = lp_heuristic(instance, fractional)
-        average = None
+        listed = average = None
     else:
         result = run_stretch(instance, fractional, trials=trials, seed=seed)
-        chosen, unstretched = result.best, result.unstretched
+        chosen, unstretched, listed = result.best, result.unstretched, result.listed
         average = result.average_objective
 
     _verify(chosen.schedule, instance)
@@ -159,12 +163,13 @@ def run_pipeline(
         fractional=fractional,
         schedule=chosen.schedule,
         report=chosen.report,
-        best_lambda=chosen.lam.value,
+        best_lambda=None if chosen.lam is None else chosen.lam.value,
         average_objective=average,
         trial_count=1 if strategy == "heuristic" else trials,
         horizon_bound=horizon,
         lp_steps=solution.steps,
         unstretched=unstretched,
+        listed=listed,
     )
 
 
@@ -186,6 +191,7 @@ def as_heuristic(result: PipelineResult) -> PipelineResult:
         best_lambda=trial.lam.value,
         average_objective=None,
         trial_count=1,
+        listed=None,
     )
 
 

@@ -33,9 +33,21 @@ compacted completion is the number of busy slots up to its completion
 before compaction; with releases, the greedy compaction plan runs per
 trial on the amounts only. Every call also rounds the factor 1 (the
 LP's own schedule, truncated and compacted) after the drawn factors, in
-the same batches, and returns it as the chosen trial only when it is
-strictly better than every drawn one. Only the chosen trial's schedule
-is built; any other trial builds its own when its ``schedule`` is read.
+the same batches.
+
+Every call also builds one alpha-point list schedule from the same
+fractional schedule (Hall, Schulz, Shmoys & Wein 1997): the coflows in
+order of their lambda points at 1/2, each flow routed by a fixed mix (its
+path, or its LP edge split summed over slots), and each slot filled
+greedily in that order (:func:`_list_fill`). The chosen trial is the
+first of least objective among the drawn factors and factor 1, and the
+list schedule replaces it only when strictly better.
+
+``run_stretch`` keeps every trial's completions and objective as arrays
+and makes trial objects for the chosen trial, the factor-1 trial and the
+list schedule only; the sampled trials are made when
+``StretchResult.trials`` is first read. Only the chosen schedule is
+built; any other trial builds its own when its ``schedule`` is read.
 ``stretch_schedule``, ``compact_idle_slots`` and ``lp_heuristic`` run the
 same kernel on a single factor.
 
@@ -68,6 +80,7 @@ from .model import (
     FractionalSchedule,
     Instance,
     RateSchedule,
+    completion_report,
     flow_coflows,
 )
 
@@ -110,14 +123,16 @@ class Lambda:
 class StretchTrial:
     """One rounded schedule: the draw, both reports, and the schedule.
 
+    ``lam`` is None for the list schedule, which no factor makes.
     ``pre_compaction`` is the completion report of the truncated stretch
     before idle slots were compacted; the per-coflow ceiling guarantee is
-    stated against it. ``schedule`` is made by ``build`` when first read:
-    ``run_stretch`` and ``lp_heuristic`` build it for the trial they
-    choose, and no other.
+    stated against it. The list schedule leaves no slot idle that a later
+    slot's flows could move to, so its two reports are one. ``schedule``
+    is made by ``build`` when first read: ``run_stretch`` and
+    ``lp_heuristic`` build it for the trial they choose, and no other.
     """
 
-    lam: Lambda
+    lam: Lambda | None
     report: CompletionReport
     pre_compaction: CompletionReport
     build: Callable[[], RateSchedule] = field(repr=False, compare=False)
@@ -131,18 +146,26 @@ class StretchTrial:
 @dataclass(frozen=True)
 class StretchResult:
     """One :func:`run_stretch` call: the chosen trial, the sampled trials
-    and their mean objective, and the trial at factor 1.
+    and their mean objective, the trial at factor 1 and the list schedule.
 
-    ``best`` is ``unstretched`` only when its objective is strictly lower
-    than every sampled trial's; otherwise it is the first sampled trial of
-    least objective. ``trials`` and ``average_objective`` hold the sampled
-    trials only.
+    ``best`` is the first trial of least objective among the sampled
+    trials and then ``unstretched`` (so that one wins only strictly),
+    unless ``listed`` is strictly better still. ``trials`` and
+    ``average_objective`` hold the sampled trials only; ``trials`` is
+    made by ``build_trials`` when first read, and holds ``best`` itself
+    when a sampled trial is chosen.
     """
 
     best: StretchTrial
     average_objective: float
-    trials: tuple[StretchTrial, ...]
     unstretched: StretchTrial
+    listed: StretchTrial
+    build_trials: Callable[[], tuple[StretchTrial, ...]] = field(repr=False, compare=False)
+
+    @cached_property
+    def trials(self) -> tuple[StretchTrial, ...]:
+        """The sampled trials, in draw order."""
+        return self.build_trials()
 
 
 class StretchBoundError(AssertionError):
@@ -302,11 +325,71 @@ def _compact(amounts: np.ndarray, edges, release: np.ndarray):
     return _moved(amounts, source), edges
 
 
-def _reports(completions: np.ndarray, weights: np.ndarray) -> list[CompletionReport]:
-    """One report per row of ``completions`` (one column per coflow), its
-    objective summed exactly as ``weighted_objective`` sums it."""
-    terms = (weights * completions).tolist()
-    return [CompletionReport(tuple(row), math.fsum(t)) for row, t in zip(completions.tolist(), terms)]
+def _objectives(completions: np.ndarray, weights: np.ndarray) -> list[float]:
+    """The objective of every row of ``completions`` (one column per
+    coflow), summed exactly as ``weighted_objective`` sums it."""
+    return [math.fsum(terms) for terms in (weights * completions).tolist()]
+
+
+def _report(completions: np.ndarray, weights: np.ndarray) -> CompletionReport:
+    """The report of one row of per-coflow completion slots."""
+    (objective,) = _objectives(completions[None], weights)
+    return CompletionReport(tuple(completions.tolist()), objective)
+
+
+def _alpha_order(fractional: FractionalSchedule) -> list[int]:
+    """The coflows in order of their lambda points at 1/2, ties by index."""
+    half = np.array([0.5])
+    points = [float(_lambda_points(fractional, j, half)[0]) for j in range(len(fractional.cumulative))]
+    return sorted(range(len(points)), key=points.__getitem__)
+
+
+def _list_fill(order: list[int], loads: list, release: list[int], caps: list[float]) -> np.ndarray:
+    """Amounts, one row per flow, of the list schedule of the flows in
+    ``order``: in each slot t, with every edge's residual capacity at
+    ``caps`` to start, each flow released before t sends the least of what
+    it has left and ``residual / w`` over its ``loads`` pairs ``(edge, w)``
+    (``w`` the edge's load per unit fraction), and the residuals fall by
+    its amount times ``w``. A flow within ``_DONE_EPS`` of its demand is
+    done.
+
+    After the last release the first flow not done sends its solo rate
+    ``min(cap / w)`` or finishes, so the schedule ends within the max
+    release plus, per flow, ``ceil(1 / solo rate)`` slots; the loop stops
+    there at the latest.
+    """
+    solo = (min(caps[e] / w for e, w in load) for load in loads)
+    bound = max(release, default=0) + sum(math.ceil(1.0 / rate) for rate in solo)
+    remaining = [1.0] * len(loads)
+    sent: list[tuple[int, int, float]] = []
+    pending = list(order)
+    t = 0
+    while pending:
+        # slots in which no pending flow is released yet stay idle
+        t = max(t + 1, min(release[f] for f in pending) + 1)
+        if t > bound:
+            raise AssertionError(f"list schedule ran past its bound of {bound} slots")
+        residual = list(caps)
+        for f in pending:
+            if release[f] >= t:
+                continue
+            load = loads[f]
+            amount = remaining[f]
+            for e, w in load:
+                room = residual[e] / w
+                if room < amount:
+                    amount = room
+            if amount > 0.0:
+                for e, w in load:
+                    residual[e] -= amount * w
+                remaining[f] -= amount
+                sent.append((f, t - 1, amount))
+        pending = [f for f in pending if remaining[f] > _DONE_EPS]
+    amounts = np.zeros((len(loads), max(t, 1)))
+    if sent:
+        rows, cols, values = zip(*sent)
+        amounts[rows, cols] = values
+    return amounts
 
 
 class _Kernel:
@@ -394,11 +477,11 @@ class _Kernel:
             last[:, k] = np.where(moved, np.arange(1, moved.shape[1] + 1), 0).max(axis=1, initial=0)
         return pre, self._by_coflow(last)
 
-    def trials(self, factors) -> list[StretchTrial]:
-        """Round every stretch factor in ``factors`` in batches of at most
-        ``_BATCH_CELLS`` cells, check each trial against its ceiling in
-        trial order, and report."""
-        values = np.asarray(factors, dtype=float)
+    def rounds(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Completion slots before and after compaction of the trial at
+        every factor in ``values``, one row per trial, rounded in batches
+        of at most ``_BATCH_CELLS`` cells; every trial is checked against
+        its ceiling, in trial order."""
         ceilings = _ceilings(self.fractional, values)
         pre = np.empty((values.size, self.weights.size), dtype=np.int64)
         post = np.empty_like(pre)
@@ -416,11 +499,51 @@ class _Kernel:
                 f"coflow {j + 1} finished in slot {pre[k, j]} > ceiling {ceilings[k, j]} "
                 f"at lambda {values[k]}"
             )
-        lams = [Lambda(v) for v in values.tolist()]
-        return [
-            StretchTrial(lam=lam, report=after, pre_compaction=before, build=partial(self.schedule, lam))
-            for lam, after, before in zip(lams, _reports(post, self.weights), _reports(pre, self.weights))
-        ]
+        return pre, post
+
+    def trial(self, value: float, pre: np.ndarray, post: np.ndarray) -> StretchTrial:
+        """The trial at factor ``value`` from its rows of :meth:`rounds`."""
+        lam = Lambda(value)
+        report, pre_compaction = _report(post, self.weights), _report(pre, self.weights)
+        return StretchTrial(lam, report, pre_compaction, build=partial(self.schedule, lam))
+
+    def listed(self, instance: Instance) -> StretchTrial:
+        """The alpha-point list schedule (:func:`_list_fill`) as a trial
+        without a factor. A single-path flow puts its demand on every
+        path edge; a free-path flow puts its demand times ``sigma`` on each
+        edge, its dust-filtered LP edge split summed over slots. A flow's
+        edge series are its amounts times ``sigma``, so they conserve
+        flow as the LP's do."""
+        network = instance.network
+        index = {e.id: k for k, e in enumerate(network.edges)}
+        flows = [fl for _, _, _, fl in instance.iter_flows()]
+        sigma = None
+        if self.edges is None:
+            loads = [[(index[eid], fl.demand) for eid in fl.path] for fl in flows]
+        else:
+            rows, owner, eids = self.edges
+            sigma = rows.sum(axis=1)
+            loads = [[] for _ in flows]
+            for f, eid, share in zip(owner.tolist(), eids, sigma.tolist()):
+                if share > 0.0:
+                    loads[f].append((index[eid], flows[f].demand * share))
+        # each coflow's flows are consecutive in iter_flows order
+        first = np.searchsorted(self.coflow, np.arange(len(self.weights) + 1)).tolist()
+        order = [f for j in _alpha_order(self.fractional) for f in range(first[j], first[j + 1])]
+        amounts = _list_fill(order, loads, self.release.tolist(), [e.cap for e in network.edges])
+        report = completion_report(amounts, self.coflow, self.weights)
+        return StretchTrial(None, report, report, build=partial(self._listed_schedule, amounts, sigma))
+
+    def _listed_schedule(self, amounts: np.ndarray, sigma: np.ndarray | None) -> RateSchedule:
+        """The list schedule of ``amounts``, with free-path edge rows
+        ``amounts * sigma`` for every edge row of positive ``sigma``."""
+        edges = None
+        if sigma is not None:
+            _, owner, eids = self.edges
+            keep = sigma > 0.0
+            rows = amounts[owner[keep]] * sigma[keep, None]
+            edges = (rows, owner[keep], [e for e, k in zip(eids, keep) if k])
+        return _unstack(amounts.shape[1], self.fractional.fractions, amounts, edges)
 
 
 def stretch_schedule(fractional: FractionalSchedule, lam: Lambda, instance: Instance) -> RateSchedule:
@@ -544,26 +667,47 @@ def run_stretch(
     trials: int,
     seed: int,
 ) -> StretchResult:
-    """Run ``trials`` independent stretch roundings, plus one at factor 1,
-    and fold the results.
+    """Run ``trials`` independent stretch roundings, plus one at factor 1
+    and the alpha-point list schedule, and fold the results.
 
     The factor-1 trial is rounded after the drawn ones, in the same
     batches and under the same ceiling check, and is chosen only when it
-    strictly beats every drawn one. Since min(factor 1, best drawn) is at
-    most the best drawn, the bound on the expected drawn objective still
+    strictly beats every drawn one; the list schedule is chosen only when
+    it strictly beats both. Since the minimum of the candidates is at most
+    the best drawn one, the bound on the expected drawn objective still
     holds for the chosen one. The seed fixes every factor, so the result
     is reproducible. At most ``MAX_TRIALS`` drawn trials. Only the chosen
-    trial's schedule is built here.
+    schedule is built here, and only the chosen, factor-1 and list trial
+    objects are made; the sampled ones are made when first read.
     """
     check_trials(trials)
-    factors = np.append(_draw_factors(trials, seed, fractional.slot_count), 1.0)
-    every = _Kernel(instance, fractional).trials(factors)
-    out, unstretched = every[:-1], every[-1]
+    kernel = _Kernel(instance, fractional)
+    values = np.append(_draw_factors(trials, seed, fractional.slot_count), 1.0)
+    pre, post = kernel.rounds(values)
+    objectives = _objectives(post, kernel.weights)
+    factors = values.tolist()
+
+    def trial(k: int) -> StretchTrial:
+        return kernel.trial(factors[k], pre[k], post[k])
+
     # min keeps the first of equal objectives, so the factor-1 trial (last) wins only strictly
-    best = min(every, key=lambda t: t.report.objective)
-    average = float(np.mean([t.report.objective for t in out]))
+    first = min(range(trials + 1), key=objectives.__getitem__)
+    unstretched = trial(trials)
+    chosen = unstretched if first == trials else trial(first)
+    listed = kernel.listed(instance)
+    best = listed if listed.report.objective < chosen.report.objective else chosen
     best.schedule  # built now, as part of the rounding
-    return StretchResult(best=best, average_objective=average, trials=tuple(out), unstretched=unstretched)
+
+    def sampled() -> tuple[StretchTrial, ...]:
+        return tuple(chosen if k == first else trial(k) for k in range(trials))
+
+    return StretchResult(
+        best=best,
+        average_objective=float(np.mean(objectives[:-1])),
+        unstretched=unstretched,
+        listed=listed,
+        build_trials=sampled,
+    )
 
 
 def lp_heuristic(instance: Instance, fractional: FractionalSchedule) -> StretchTrial:
@@ -573,6 +717,8 @@ def lp_heuristic(instance: Instance, fractional: FractionalSchedule) -> StretchT
     case, but it is a strong heuristic in practice. It is bitwise the
     ``unstretched`` trial of :func:`run_stretch` on the same input.
     """
-    (trial,) = _Kernel(instance, fractional).trials([1.0])
+    kernel = _Kernel(instance, fractional)
+    pre, post = kernel.rounds(np.array([1.0]))
+    trial = kernel.trial(1.0, pre[0], post[0])
     trial.schedule  # built now, as part of the rounding
     return trial

@@ -93,13 +93,35 @@ def test_solve_prints_the_unstretched_and_sampled_mean_objectives(tmp_path, caps
         assert "unstretched_objective" not in labels and "sampled_mean_objective" not in labels
         return
     at = labels.index("best_lambda")
-    assert labels[at + 1 : at + 3] == ["unstretched_objective", "sampled_mean_objective"]
+    assert labels[at + 1 : at + 4] == ["unstretched_objective", "sampled_mean_objective", "list_objective"]
     result = coflownet.run_pipeline(instance, strategy=strategy, trials=5, seed=3)
     assert values["unstretched_objective"] == f"{result.unstretched.report.objective:.6f}"
     assert values["sampled_mean_objective"] == f"{result.average_objective:.6f}"
+    assert values["list_objective"] == f"{result.listed.report.objective:.6f}"
     schedule = float(values["schedule_objective"])
     assert schedule <= float(values["unstretched_objective"])
     assert schedule <= float(values["sampled_mean_objective"])
+    assert schedule <= float(values["list_objective"])
+
+
+@pytest.mark.parametrize("jobs, list_wins", [(10, True), (2, False)], ids=["list-wins", "list-ties"])
+def test_solve_prints_best_lambda_none_when_the_list_schedule_wins(tmp_path, capsys, jobs, list_wins):
+    instance = generate_instance(GenConfig(topology="gscale-like", jobs=jobs, seed=1))
+    path = tmp_path / "inst.json"
+    save_instance(instance, path)
+    assert run(["solve", path, "--trials", 5, "--seed", 3]) == 0
+    values = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    result = coflownet.run_pipeline(instance, trials=5, seed=3)
+    assert values["list_objective"] == f"{result.listed.report.objective:.6f}"
+    assert (result.best_lambda is None) == list_wins
+    if list_wins:
+        # no factor makes the list schedule
+        assert values["best_lambda"] == "none"
+        assert result.listed.report.objective < result.unstretched.report.objective
+    else:
+        # a tie keeps the stretch trial
+        assert values["best_lambda"] == f"{result.best_lambda:.6f}"
+        assert result.listed.report.objective == result.report.objective
 
 
 def test_solve_missing_instance_exit_2(capsys):

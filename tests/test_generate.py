@@ -49,6 +49,24 @@ def test_generation_deterministic():
     assert a != c
 
 
+def test_generated_corpus_is_pinned():
+    # 120 instances over every topology and model, with releases: a change
+    # to any draw, or to the order of draws, changes this hash
+    import hashlib
+    import itertools
+
+    from coflownet.generate import TOPOLOGIES
+
+    digest = hashlib.sha256()
+    for topology, model, seed in itertools.product(TOPOLOGIES, RoutingModel, range(15)):
+        config = GenConfig(
+            topology=topology, model=model, jobs=3 + seed % 9, flows_per_job=(1, 1 + seed % 4),
+            release_mean=0.5 * (seed % 3), nodes=4 + seed, links=6 + 2 * seed, seed=seed,
+        )
+        digest.update(dumps(instance_to_dict(generate_instance(config))).encode())
+    assert digest.hexdigest() == "2b683fd5db4899be4a6169e3070e3b58cb56ff20434e1b8b72d90aadbfe1be93"
+
+
 def test_weight_draws_match_uniform_1_100():
     total, count = 0.0, 0
     for seed in range(100):

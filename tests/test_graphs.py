@@ -10,6 +10,7 @@ from coflownet.graphs import (
     reachable_from,
     reaches,
     sample_shortest_path,
+    shortest_path_counts,
     usable_edges,
 )
 
@@ -117,6 +118,53 @@ def test_shortest_path_longer_than_the_recursion_limit_is_sampled(rng):
     nodes = tuple(f"n{k}" for k in range(n))
     net = Network(nodes, tuple(Edge(f"e{k}", nodes[k], nodes[k + 1], 1.0) for k in range(n - 1)))
     assert sample_shortest_path(net, "n0", nodes[-1], rng) == tuple(f"e{k}" for k in range(n - 1))
+
+
+def _all_shortest_paths(network, src, dst):
+    """Every shortest src -> dst path as edge ids, by extending every walk
+    one hop at a time until one reaches dst."""
+    walks = [((), src)]
+    while walks:
+        done = [path for path, v in walks if v == dst]
+        if done:
+            return done
+        walks = [
+            ((*path, e.id), e.dst)
+            for path, v in walks
+            for e in network.out_edges[v]
+            if e.dst not in {network.edge_by_id[x].src for x in path} | {src}
+        ]
+    return []
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shortest_path_counts_match_enumeration(seed):
+    from coflownet.generate import random_topology
+
+    rng = np.random.default_rng(seed)
+    net = random_topology(rng, 7, 10)
+    # a parallel edge counts as a path of its own
+    net = Network(net.nodes, net.edges + (Edge("dup", net.edges[0].src, net.edges[0].dst, 1.0),))
+    for dst in net.nodes:
+        dist, counts = shortest_path_counts(net, dst)
+        for v in net.nodes:
+            k = net.node_index[v]
+            paths = _all_shortest_paths(net, v, dst) if v != dst else [()]
+            assert (dist[k], counts[k]) == (len(paths[0]), len(paths))
+
+
+def test_given_counts_draw_the_same_paths():
+    from coflownet.generate import random_topology
+
+    net = random_topology(np.random.default_rng(3), 40, 60)
+    got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for dst in net.nodes[:10]:
+        counts = shortest_path_counts(net, dst)
+        for src in net.nodes:
+            if src != dst:
+                got = sample_shortest_path(net, src, dst, got_rng, counts)
+                assert got == sample_shortest_path(net, src, dst, want_rng)
+    assert got_rng.random() == want_rng.random()  # the same draws were taken
 
 
 def test_demo_single_paths_are_shortest(demo_single):

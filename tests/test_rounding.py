@@ -299,7 +299,10 @@ def test_run_stretch_deterministic(demo_single, solved_single):
     assert [t.lam.value for t in a.trials] == [t.lam.value for t in b.trials]
     assert [t.report.objective for t in a.trials] == [t.report.objective for t in b.trials]
     assert a.unstretched.report == b.unstretched.report and a.unstretched.lam.value == 1.0
-    assert a.best.report.objective == min(t.report.objective for t in (*a.trials, a.unstretched))
+    assert a.listed.report == b.listed.report and a.listed.lam is None
+    assert_bitwise_schedule(a.listed.schedule, b.listed.schedule)
+    candidates = (*a.trials, a.unstretched, a.listed)
+    assert a.best.report.objective == min(t.report.objective for t in candidates)
     assert a.average_objective == pytest.approx(
         np.mean([t.report.objective for t in a.trials])
     )
@@ -629,10 +632,62 @@ def reference_completion_times(schedule, instance):
     return CompletionReport(tuple(completions), weighted_objective(completions, weights))
 
 
+def reference_list_schedule(fractional, instance):
+    """The alpha-point list schedule one flow and one slot at a time, and
+    its slot bound: coflows by their lambda point at 1/2 (ties by index),
+    each flow's edge shares its path or its summed, dust-filtered LP edge
+    split, and each slot filled in that order from a dict of residual
+    capacities."""
+    caps = {e.id: e.cap for e in instance.network.edges}
+    order = sorted(range(len(instance.coflows)), key=lambda j: (lambda_point(fractional, j, 0.5), j))
+    shares, flows = {}, []
+    for j in order:
+        for i, fl in enumerate(instance.coflows[j].flows):
+            if fractional.edge_fractions is None:
+                share = {eid: 1.0 for eid in fl.path}
+            else:
+                split = fractional.edge_fractions[j][i].items()
+                share = {eid: float(np.where(s > AMOUNT_EPS, s, 0.0).sum()) for eid, s in split}
+            shares[j, i] = {eid: v for eid, v in share.items() if v > 0.0}
+            flows.append((j, i, fl))
+    bound = instance.max_release + sum(
+        math.ceil(1.0 / min(caps[e] / (fl.demand * v) for e, v in shares[j, i].items())) for j, i, fl in flows
+    )
+    remaining = {(j, i): 1.0 for j, i, _ in flows}
+    sent = {(j, i): [] for j, i, _ in flows}
+    slot = 0
+    while any(left > rounding._DONE_EPS for left in remaining.values()):
+        slot += 1
+        assert slot <= bound
+        residual = dict(caps)
+        for j, i, fl in flows:
+            amount = 0.0
+            if fl.release < slot and remaining[j, i] > rounding._DONE_EPS:
+                rooms = [residual[e] / (fl.demand * v) for e, v in shares[j, i].items()]
+                amount = max(min([remaining[j, i], *rooms]), 0.0)
+                for e, v in shares[j, i].items():
+                    residual[e] -= amount * (fl.demand * v)
+                remaining[j, i] -= amount
+            sent[j, i].append(amount)
+    slots = max(slot, 1)
+    amounts = tuple(
+        tuple(np.array(sent[j, i] + [0.0] * (slots - slot)) for i in range(len(cf.flows)))
+        for j, cf in enumerate(instance.coflows)
+    )
+    edges = None
+    if fractional.edge_fractions is not None:
+        edges = tuple(
+            tuple({e: amounts[j][i] * v for e, v in shares[j, i].items()} for i in range(len(cf.flows)))
+            for j, cf in enumerate(instance.coflows)
+        )
+    return RateSchedule(slots, amounts, edges), bound
+
+
 def reference_run_stretch(instance, fractional, trials, seed):
     """``run_stretch`` one trial at a time: the same draws followed by the
     factor 1, the per-slot references and a per-flow completion loop; the
-    factor-1 trial is chosen only when it strictly beats the best draw."""
+    factor-1 trial is chosen only when it strictly beats the best draw,
+    and the list schedule only when it strictly beats both."""
     out = []
     for value in rounding._draw_factors(trials, seed, fractional.slot_count).tolist() + [1.0]:
         lam = Lambda(value)
@@ -646,8 +701,16 @@ def reference_run_stretch(instance, fractional, trials, seed):
     best = out[min(range(trials), key=lambda k: (out[k].report.objective, k))]
     if unstretched.report.objective < best.report.objective:
         best = unstretched
+    schedule, _ = reference_list_schedule(fractional, instance)
+    report = reference_completion_times(schedule, instance)
+    listed = StretchTrial(None, report, report, build=lambda: schedule)
+    if listed.report.objective < best.report.objective:
+        best = listed
     average = float(np.mean([t.report.objective for t in out]))
-    return StretchResult(best=best, average_objective=average, trials=tuple(out), unstretched=unstretched)
+    return StretchResult(
+        best=best, average_objective=average, unstretched=unstretched, listed=listed,
+        build_trials=lambda: tuple(out),
+    )
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
@@ -665,8 +728,8 @@ def test_run_stretch_matches_trial_by_trial_reference(monkeypatch, model):
 
     monkeypatch.setattr(rounding, "_draw_factors", forced)
     rng = np.random.default_rng(77)
-    at_floor = unstretched_won = 0
-    for k in range(5):
+    at_floor = unstretched_won = listed_won = 0
+    for k in range(8):
         inst = fuzz_instance(rng, model)
         horizon = horizon_upper_bound(inst)
         problem = build_time_indexed_lp(inst, horizon)
@@ -674,21 +737,25 @@ def test_run_stretch_matches_trial_by_trial_reference(monkeypatch, model):
         got = run_stretch(inst, frac, trials=10, seed=k)
         want = reference_run_stretch(inst, frac, trials=10, seed=k)
         # run_stretch built the best trial's schedule and no other
-        every = (*got.trials, got.unstretched)
+        every = (*got.trials, got.unstretched, got.listed)
         assert ["schedule" in vars(t) for t in every] == [t is got.best for t in every]
-        for a, b in zip(every, (*want.trials, want.unstretched), strict=True):
+        for a, b in zip(every, (*want.trials, want.unstretched, want.listed), strict=True):
             assert a.lam == b.lam
             assert a.pre_compaction == b.pre_compaction and a.report == b.report
-            if a is not got.best:
+            if a is not got.best and a.lam is not None:
                 rebuilt = compact_idle_slots(stretch_schedule(frac, a.lam, inst), inst)
                 assert_same_schedule(rebuilt, b.schedule, inst)
             # the best trial's schedule as run_stretch built it, any other built on this read
             assert_same_schedule(a.schedule, b.schedule, inst)
+        assert_bitwise_schedule(got.listed.schedule, want.listed.schedule)
         at_floor += sum(t.lam.value == 1.0 / (10.0 * horizon) for t in got.trials)
-        assert [t is got.best for t in every] == [t is want.best for t in (*want.trials, want.unstretched)]
+        assert [t is got.best for t in every] == [
+            t is want.best for t in (*want.trials, want.unstretched, want.listed)
+        ]
         assert got.average_objective == want.average_objective
         unstretched_won += got.best is got.unstretched
-    assert at_floor > 0 and unstretched_won > 0
+        listed_won += got.best is got.listed
+    assert at_floor > 0 and unstretched_won > 0 and listed_won > 0
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +794,8 @@ def _fuzz_solved(model, releases, count, seed):
 
 def assert_same_result(got, want):
     """Two ``StretchResult``s agree bit for bit: every factor and report,
-    the best trial, the average and the best schedule."""
+    the factor-1 and list candidates, the best trial, the average and the
+    best schedule."""
     assert [t.lam for t in got.trials] == [t.lam for t in want.trials]
     assert [(t.report, t.pre_compaction) for t in got.trials] == [
         (t.report, t.pre_compaction) for t in want.trials
@@ -737,6 +805,8 @@ def assert_same_result(got, want):
         want.unstretched.report, want.unstretched.pre_compaction
     )
     assert (got.best is got.unstretched) == (want.best is want.unstretched)
+    assert (got.listed.report, got.listed.pre_compaction) == (want.listed.report, want.listed.pre_compaction)
+    assert (got.best is got.listed) == (want.best is want.listed)
     assert got.average_objective == want.average_objective
     assert_bitwise_schedule(got.best.schedule, want.best.schedule)
 
@@ -788,7 +858,9 @@ def test_trailing_zero_slots_change_no_trial(model, releases):
             if b.lam.value > floor:
                 assert a.lam == b.lam
                 assert a.report == b.report and a.pre_compaction == b.pre_compaction
-        assert want.best.lam.value > floor
+        # the list schedule reads only the lambda points and the summed edge splits
+        assert got.listed.report == want.listed.report
+        assert want.best.lam is None or want.best.lam.value > floor
         assert got.best.lam == want.best.lam
         assert_bitwise_schedule(got.best.schedule, want.best.schedule)
 
@@ -814,22 +886,26 @@ def test_max_trials_run_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert len(result.trials) == MAX_TRIALS
-    assert ["schedule" in vars(t) for t in (*result.trials, result.unstretched)].count(True) == 1
-    # the result keeps about 0.9 kB per trial (9 MB), the trial seeds are
-    # spawned up front (4.5 MB), and a batch of at most _BATCH_CELLS cells
-    # needs a few arrays of 2 MB each; keeping every trial's schedule took
-    # 113 MB here
+    built = (*result.trials, result.unstretched, result.listed)
+    assert ["schedule" in vars(t) for t in built].count(True) == 1
+    # a batch of at most _BATCH_CELLS cells needs a few arrays of 2 MB each
+    # and sets the peak (13 MB); the result holds every trial's completion
+    # rows (1.1 MB), and the trial objects made when ``trials`` is first
+    # read add 0.9 kB a trial; keeping every trial's schedule took 113 MB
     assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
-# the factor-1 candidate
+# the factor-1 and list candidates
 
 
-def assert_unstretched_candidate(instance, fractional, trials, seed):
+def assert_candidates(instance, fractional, trials, seed):
     """Check the factor-1 trial of one ``run_stretch`` call against
-    ``lp_heuristic`` and the strict-win rule; whether it tied the best
-    sampled trial, and whether it beat it."""
+    ``lp_heuristic``, its list schedule against the reference (it
+    verifies, fits its slot bound, needs no compaction and comes out the
+    same on a second call), and the strict-win rules. Returns whether the
+    factor-1 trial tied and beat the best sampled trial, and whether the
+    list schedule tied and beat the trial chosen among those."""
     result = run_stretch(instance, fractional, trials=trials, seed=seed)
     sampled = [t.report.objective for t in result.trials]
     first_best = result.trials[int(np.argmin(sampled))]
@@ -838,13 +914,33 @@ def assert_unstretched_candidate(instance, fractional, trials, seed):
     assert unstretched.lam.value == 1.0
     assert (unstretched.report, unstretched.pre_compaction) == (heuristic.report, heuristic.pre_compaction)
     assert_bitwise_schedule(unstretched.schedule, heuristic.schedule)
-    assert result.best.report.objective <= min(unstretched.report.objective, min(sampled))
-    # a tie keeps the first sampled trial of least objective
+
+    listed = result.listed
+    want, bound = reference_list_schedule(fractional, instance)
+    assert listed.lam is None and listed.pre_compaction == listed.report
+    assert_bitwise_schedule(listed.schedule, want)
+    assert verify_schedule(listed.schedule, instance) == []
+    assert listed.schedule.slot_count <= bound
+    assert listed.report == completion_times(listed.schedule, instance)
+    assert_bitwise_schedule(compact_idle_slots(listed.schedule, instance), listed.schedule)
+    again = run_stretch(instance, fractional, trials=trials, seed=seed).listed
+    assert again.report == listed.report
+    assert_bitwise_schedule(again.schedule, listed.schedule)
+
+    assert result.best.report.objective <= min(unstretched.report.objective, listed.report.objective, *sampled)
+    # a tie keeps the first sampled trial of least objective, and the list schedule only strictly wins
     wins = unstretched.report.objective < first_best.report.objective
-    assert result.best is (unstretched if wins else first_best)
+    chosen = unstretched if wins else first_best
+    list_wins = listed.report.objective < chosen.report.objective
+    assert result.best is (listed if list_wins else chosen)
     assert len(result.trials) == trials
     assert result.average_objective == float(np.mean(sampled))
-    return unstretched.report.objective == first_best.report.objective, wins
+    return (
+        unstretched.report.objective == first_best.report.objective,
+        wins,
+        listed.report.objective == chosen.report.objective,
+        list_wins,
+    )
 
 
 def test_unstretched_candidate_on_the_feasibility_fuzz():
@@ -854,15 +950,18 @@ def test_unstretched_candidate_on_the_feasibility_fuzz():
 
     # the 200 instances of acceptance criterion 7
     rng = np.random.default_rng(7)
-    ties = wins = 0
+    counts = np.zeros(4, dtype=int)
     for model in RoutingModel:
         for k in range(100):
             inst = fuzz_instance(rng, model)
             result = run_pipeline(inst, "stretch", trials=20, seed=k)
-            tie, win = assert_unstretched_candidate(inst, result.fractional, 20, k)
-            ties, wins = ties + tie, wins + win
+            outcome = assert_candidates(inst, result.fractional, 20, k)
+            counts += outcome
             assert result.report.objective <= result.unstretched.report.objective
-    assert ties > 0 and wins > 0
+            assert result.report.objective <= result.listed.report.objective
+            # no factor makes the list schedule
+            assert (result.best_lambda is None) == outcome[3]
+    assert counts.all(), counts
 
 
 def test_unstretched_candidate_on_the_benchmark_corpora(workloads):
@@ -874,7 +973,39 @@ def test_unstretched_candidate_on_the_benchmark_corpora(workloads):
             result = run_pipeline(
                 item.instance, call.strategy, trials=call.trials, seed=item.trial_seed, epsilon=call.epsilon
             )
-            assert_unstretched_candidate(item.instance, result.fractional, call.trials, item.trial_seed)
+            assert_candidates(item.instance, result.fractional, call.trials, item.trial_seed)
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_list_candidate_on_interval_relaxations(model):
+    from conftest import fuzz_instance
+
+    from coflownet import run_pipeline
+
+    rng = np.random.default_rng(8)
+    counts = np.zeros(4, dtype=int)
+    for k in range(25):
+        inst = fuzz_instance(rng, model)
+        result = run_pipeline(inst, "interval-stretch", trials=10, seed=k, epsilon=0.2)
+        counts += assert_candidates(inst, result.fractional, 10, k)
+    assert counts[3] > 0, counts
+
+
+def test_list_candidate_never_beats_the_open_shop_optimum():
+    from coflownet import open_shop_optimal, random_shop, reduce_open_shop, run_pipeline
+
+    # the shop distribution of acceptance criterion 3
+    rng = np.random.default_rng(42)
+    list_wins = 0
+    for k in range(30):
+        shop = random_shop(rng, max_jobs=6, max_machines=4, max_time=5, max_weight=10)
+        inst = reduce_open_shop(shop)
+        exact, _ = open_shop_optimal(shop)
+        result = run_pipeline(inst, "stretch", trials=20, seed=k)
+        assert result.listed.report.objective >= exact - 1e-9
+        assert result.report.objective >= exact - 1e-9
+        list_wins += assert_candidates(inst, result.fractional, 20, k)[3]
+    assert list_wins > 0
 
 
 def test_a_tie_keeps_the_sampled_trial():
