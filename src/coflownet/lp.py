@@ -4,51 +4,53 @@ Both relaxations share one variable vocabulary, indexed per coflow ``j``
 (1-based), flow ``i`` within the coflow, time step ``t`` (slot or
 interval), and edge id ``e``:
 
-- ``C_j``      completion-time variable of coflow j
 - ``X_j_t``    fraction of coflow j completed by the end of step t
-- ``x_j_i_t``  fraction of flow (j, i) scheduled during step t
-- ``S_j_i_t``  fraction of flow (j, i) scheduled by the end of step t
+- ``S_j_i_t``  fraction of flow (j, i) scheduled by the end of step t;
+  the flow sends ``S_j_i_t - S_j_i_{t-1}`` in step t
 - ``xe_j_i_t_e``  free-path only: fraction of flow (j, i) routed over
   edge e during step t
 
+Every flow is done by the last step: ``S_j_i_T`` has bounds [1, 1].
+
 Constraint families (row-name prefixes):
 
-- ``dem``  every flow is fully scheduled (sum of fractions = 1)
 - ``cum``  coflow progress is capped by each member flow's prefix sum,
-  as a pair of rows per (coflow, flow, step): ``cum_j_i_t_s`` defines
-  the prefix ``S_j_i_t - S_j_i_{t-1} - x_j_i_t = 0`` and ``cum_j_i_t``
-  caps progress by it, ``X_j_t - S_j_i_t <= 0``. Projected onto the
-  other columns this is the one-row form ``X_j_t <= sum_{l<=t} x_j_i_l``,
-  but with at most five nonzeros per (flow, step) instead of ``t + 1``,
-  so the family grows linearly in the step count, not quadratically
-- ``fin``  the completion bound, rearranged into a single row per coflow:
-  ``C_j + sum_t len_t * X_j_t >= 1 + sum_t len_t`` (slot steps have
-  ``len_t = 1``), which is algebraically the mean-progress lower bound
+  ``cum_j_i_t``: ``X_j_t - S_j_i_t <= 0``, and a flow never sends a
+  negative amount, ``cum_j_i_t_s``: ``S_j_i_t - S_j_i_{t-1} >= 0`` for
+  ``t >= 2`` (``S_j_i_1 >= 0`` is its column bound)
 - ``cap``  per (edge, step) capacity; demand-scaled loads fit the
-  per-step capacity (interval steps scale capacity by interval length)
+  per-step capacity (interval steps scale capacity by interval length).
+  A single-path flow loads each edge of its path with
+  ``demand * (S_t - S_{t-1})``, a free-path flow with ``demand * xe``
 - ``src``/``snk``/``bal``  free-path flow conservation: source out-flow
-  and sink in-flow match the step total, interior nodes balance
+  and sink in-flow match the step's amount ``S_t - S_{t-1}``, interior
+  nodes balance
+
+The objective is the weighted completion bound
+``C_j = 1 + sum_t len_t * (1 - X_j_t)`` (slot steps have ``len_t = 1``),
+the mean-progress lower bound, with ``C_j`` substituted out: each
+``X_j_t`` costs ``-w_j * len_t``, and the constant
+``sum_j w_j * (1 + sum_t len_t)`` is :attr:`LPProblem.offset`.
 
 The two relaxations differ only in their step boundaries (slot t is
 ``(t - 1, t]``, interval t is ``(tau_{t-1}, tau_t]``), and one assembly
 (``_assemble``) derives all of their time structure from them. Release
 times are enforced by fixing variables to zero rather than by rows: a
-flow released at ``r`` gets ``x`` (and ``xe``) upper bounds of 0 for
+flow released at ``r`` gets ``S`` (and ``xe``) upper bounds of 0 for
 every step that starts before ``r``. Every other ``xe`` column has the
 upper bound its ``cap`` row implies, ``len_t * cap_e / demand``, so every
 column is bounded, as the solver's weak-duality certificate needs.
 
 The assembly never touches a row in Python. Columns are index blocks
-laid out in the order ``C`` (J), ``X`` (J x T), ``x`` (F x T), ``S``
-(F x T), then one T x E_f block of ``xe`` per free-path flow f over its
-E_f usable edges. Each row family is emitted as numpy arrays of per-row
-nonzero counts, column indices, values and row bounds: ``dem``, ``cum``
-(definition and cap row interleaved per flow and step), ``fin``,
-free-path flow rows, ``cap``.
+laid out in the order ``X`` (J x T), ``S`` (F x T), then one T x E_f
+block of ``xe`` per free-path flow f over its E_f usable edges. Each row
+family is emitted as numpy arrays of per-row nonzero counts, column
+indices, values and row bounds: ``cum_j_i_t``, free-path flow rows,
+``cap``, then ``cum_j_i_t_s``.
 The ``src``/``snk``/``bal`` rows of a flow are a one-step incidence
-template over its usable edges plus its ``x`` column, tiled across steps
-by column offset; ``cap`` rows gather each edge's users per step. The
-counts give the CSR ``indptr`` directly, and the matrix is a
+template over its usable edges plus its ``S`` columns, tiled across
+steps by column offset; ``cap`` rows gather each edge's users per step.
+The counts give the CSR ``indptr`` directly, and the matrix is a
 :class:`~coflownet.csr.CSR`: four arrays whose products and selections
 run scipy's own sparse kernels without importing ``scipy.sparse`` (see
 :mod:`coflownet.csr`). Names are not built: each
@@ -56,13 +58,13 @@ column block and row family records a :data:`NameBlock` pattern, and
 :class:`LPProblem` builds the strings when they are first read.
 
 The assembly also records a :class:`StepMap`: the step of every column
-and row, the value each column takes once its coflow or flow is done
-(``X``/``S`` at 1, ``x``/``xe`` at 0), and the ``dem`` row of each
-``cum_j_i_t_s`` row's and ``S_j_i_t`` column's flow. With it the solver
-can solve a prefix of the steps and certify that prefix optimal for the
-whole relaxation. It slices the prefix from a relaxation built whole
-(:func:`coflownet.solver.solve`), or has the assembly build only the
-prefix's steps, a rung, from the instance
+and row, and the value each column takes once its coflow or flow is
+done (``X``/``S`` at 1, ``xe`` at 0). With it and the layout's ``S``
+columns the solver can solve a prefix of the steps, with each flow's
+``S`` pinned at 1 at the prefix's end, and certify that prefix optimal
+for the whole relaxation. It slices the prefix from a relaxation built
+whole (:func:`coflownet.solver.solve`), or has the assembly build only
+the prefix's steps, a rung, from the instance
 (:func:`coflownet.solver.solve_relaxation`, which the pipeline calls):
 a rung's arrays are bitwise the sliced ones.
 """
@@ -85,14 +87,15 @@ from .model import Edge, FractionalSchedule, Instance, RoutingModel, coflow_prog
 class ColumnLayout:
     """Column indices of the variable blocks a builder created.
 
-    ``completion[j]`` is ``C_{j+1}``. Row ``f`` of ``x`` holds the step
-    columns ``x_j_i_1 .. x_j_i_T`` of the f-th flow in
-    ``Instance.iter_flows`` order. For free path, ``xe[f]`` maps each
-    usable edge id of that flow to its step columns ``xe_j_i_t_e``.
+    Row ``j`` of ``X`` holds the step columns ``X_{j+1}_1 .. X_{j+1}_T``.
+    Row ``f`` of ``S`` holds the step columns ``S_j_i_1 .. S_j_i_T`` of
+    the f-th flow in ``Instance.iter_flows`` order; ``S[:, -1]`` is each
+    flow's last ``S``, at 1. For free path, ``xe[f]`` maps each usable
+    edge id of that flow to its step columns ``xe_j_i_t_e``.
     """
 
-    completion: np.ndarray
-    x: np.ndarray
+    X: np.ndarray
+    S: np.ndarray
     xe: tuple[dict[str, np.ndarray], ...] | None = None
 
 
@@ -101,14 +104,8 @@ class StepMap:
     """Where each column and row of a relaxation sits in time.
 
     ``col_step``/``row_step`` hold the 1-based step of each column and
-    row, 0 for ``C`` and for the ``dem``/``fin`` rows that span every
-    step. ``col_after`` is the value a column takes when the schedule
-    ended before its step: 1 for ``X``/``S``, 0 for ``x``/``xe``.
-    ``row_dem`` is, for each ``cum_j_i_t_s`` row, the index of its flow's
-    ``dem`` row, -1 for every other row; the solver prices a later
-    ``cum_j_i_t_s`` row from that ``dem`` row's dual. ``col_dem`` is the
-    same for each ``S_j_i_t`` column, -1 for every other column; the
-    solver prices the steps after a rung's last ``S`` from it.
+    row. ``col_after`` is the value a column takes when the schedule
+    ended before its step: 1 for ``X``/``S``, 0 for ``xe``.
     ``first_prefix`` is the step count worth trying first, from
     :func:`horizon_lower_bound`.
     """
@@ -116,8 +113,6 @@ class StepMap:
     col_step: np.ndarray
     col_after: np.ndarray
     row_step: np.ndarray
-    row_dem: np.ndarray
-    col_dem: np.ndarray
     step_count: int
     first_prefix: int
 
@@ -142,8 +137,9 @@ def _names(naming: tuple[NameBlock, ...]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class LPProblem:
-    """``min objective @ x`` subject to ``row_lower <= A @ x <= row_upper``
-    and ``col_lower <= x <= col_upper``; immutable after construction.
+    """``min offset + objective @ x`` subject to
+    ``row_lower <= A @ x <= row_upper`` and ``col_lower <= x <= col_upper``;
+    immutable after construction.
 
     ``A`` is a :class:`~coflownet.csr.CSR` matrix, checked when it was
     made. Every row is an equality (equal bounds) or
@@ -152,8 +148,7 @@ class LPProblem:
     ``col_naming``/``row_naming`` (see :data:`NameBlock`): the relaxation
     builders record one block per variable or row family, unique by
     construction. ``layout`` and ``step_map`` are set by the relaxation
-    builders; solution extraction reads the first, the solver the
-    second.
+    builders; solution extraction reads the first, the solver both.
     """
 
     objective: np.ndarray
@@ -164,6 +159,7 @@ class LPProblem:
     row_upper: np.ndarray
     col_naming: tuple[NameBlock, ...]
     row_naming: tuple[NameBlock, ...]
+    offset: float = 0.0
     layout: ColumnLayout | None = None
     step_map: StepMap | None = None
 
@@ -181,13 +177,16 @@ class LPProblem:
             raise ValueError("objective, bounds and matrix values must not be NaN")
         if np.isinf(self.objective).any():
             raise ValueError("objective coefficients must be finite")
+        if not math.isfinite(self.offset):
+            raise ValueError("objective offset must be finite")
         one_sided = np.isinf(self.row_lower) != np.isinf(self.row_upper)
         if not np.all(one_sided | (self.row_lower == self.row_upper)):
             raise ValueError("every row must be an equality or one-sided")
         m = self.step_map
         if m is not None and not (
-            len(m.col_step) == len(m.col_after) == len(m.col_dem) == self.num_cols
-            and len(m.row_step) == len(m.row_dem) == self.num_rows
+            self.layout is not None
+            and len(m.col_step) == len(m.col_after) == self.num_cols
+            and len(m.row_step) == self.num_rows
         ):
             raise ValueError("step map does not match the problem's rows and columns")
 
@@ -302,10 +301,10 @@ def _lower_bound_terms(instance: Instance) -> list[tuple[int, int]]:
 
 
 def columns_per_slot(instance: Instance, edges: FlowEdges) -> int:
-    """Columns the slot LP has per slot: ``X``, ``x`` and ``S`` per coflow
-    or flow, plus one ``xe`` per usable edge of each free-path flow
+    """Columns the slot LP has per slot: ``X`` per coflow and ``S`` per
+    flow, plus one ``xe`` per usable edge of each free-path flow
     (``edges``, from :func:`flow_edges`)."""
-    per_slot = len(instance.coflows) + 2 * instance.flow_count
+    per_slot = len(instance.coflows) + instance.flow_count
     if instance.model is RoutingModel.FREE_PATH:
         per_slot += sum(map(len, edges))
     return per_slot
@@ -315,7 +314,7 @@ def columns_per_slot(instance: Instance, edges: FlowEdges) -> int:
 #: the horizon: slots (``horizon_upper_bound``) or intervals of the grid,
 #: times ``columns_per_slot``. That covers the slot LP, the interval LP and
 #: the interval schedule's expansion to slots. Building the slot LP takes
-#: about 320 bytes per column.
+#: about 330 bytes per column.
 MAX_SLOT_COLUMNS = 2_000_000
 
 
@@ -466,9 +465,10 @@ def _block(naming: NameBlock, counts, indices, data, lower, upper, step):
     )
 
 
-def _flow_rows(tag: str, fl, edges, x_cols: np.ndarray, first: int):
+def _flow_rows(tag: str, fl, edges, sums: np.ndarray, first: int):
     """``src``/``snk``/``bal`` rows of one free-path flow whose ``xe``
-    columns start at ``first``, one block of ``len(edges)`` per step."""
+    columns start at ``first`` and whose ``S`` columns are ``sums``, one
+    block of ``len(edges)`` per step."""
     ins: dict[str, list[int]] = {}  # node -> positions of its in-edges in ``edges``
     outs: dict[str, list[int]] = {}
     for k, e in enumerate(edges):
@@ -477,32 +477,42 @@ def _flow_rows(tag: str, fl, edges, x_cols: np.ndarray, first: int):
     interior = sorted((ins.keys() | outs.keys()) - {fl.src, fl.dst})
     # per step: src_<tag>_<t>, snk_<tag>_<t>, then bal_<tag>_<t>_<v> per interior v
     kinds = (("src", ""), ("snk", ""), *(("bal", f"_{v}") for v in interior))
-    # one step's rows as (+1 columns, -1 columns); -1 stands for the step's x
-    template = [(outs.get(fl.src, []), [-1]), (ins.get(fl.dst, []), [-1])]
+    # one step's rows as (+1 columns, -1 columns): the step's amount leaves
+    # the source and enters the sink; -1 stands for the step's S, -2 for
+    # the previous step's, which step 1 does not have
+    template = [(outs.get(fl.src, []) + [-2], [-1]), (ins.get(fl.dst, []) + [-2], [-1])]
     template += [(ins.get(v, []), outs.get(v, [])) for v in interior]
     local = np.array([k for plus, minus in template for k in plus + minus], dtype=np.int64)
     vals = [v for plus, minus in template for v in [1.0] * len(plus) + [-1.0] * len(minus)]
-    steps = len(x_cols)
+    row = np.repeat(np.arange(len(template)), [len(plus) + len(minus) for plus, minus in template])
+    steps = len(sums)
     cols = first + len(edges) * np.arange(steps)[:, None] + local
-    cols[:, local < 0] = x_cols[:, None]
+    cols[:, local == -1] = sums[:, None]
+    cols[1:, local == -2] = sums[:-1, None]
+    keep = np.ones(cols.shape, dtype=bool)
+    keep[0, local == -2] = False
     naming = ("{2[0]}_{0}_{1}{2[1]}", ((tag,), range(1, steps + 1), kinds))
-    counts = np.tile([len(plus) + len(minus) for plus, minus in template], steps)
+    rows = len(template) * np.arange(steps)[:, None] + row
+    counts = np.bincount(rows[keep], minlength=steps * len(template))
     row_steps = np.repeat(np.arange(1, steps + 1), len(template))
-    return _block(naming, counts, cols.ravel(), np.tile(vals, steps), 0.0, 0.0, row_steps)
+    data = np.broadcast_to(vals, cols.shape)[keep]
+    return _block(naming, counts, cols[keep], data, 0.0, 0.0, row_steps)
 
 
 def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
-    """``cap`` rows per used edge and step; ``users[e]`` lists, per flow on
-    edge e, its column at step 1, its column stride per step, its demand."""
+    """``cap`` rows per used edge and step; ``users[e]`` lists the entries
+    of edge e's rows: per entry its column at step 1, its column stride per
+    step, its coefficient and the first step (0-based) it appears in."""
     steps = np.arange(len(lengths))[:, None]
     for e in network.edges:
         if e.id in users:
-            first, stride, demand = map(np.array, zip(*users[e.id]))
+            first, stride, value, start = map(np.array, zip(*users[e.id]))
+            keep = steps >= start
             yield _block(
                 ("cap_{}_{}", ((e.id,), range(1, len(lengths) + 1))),
-                len(first),
-                (first + steps * stride).ravel(),
-                np.tile(demand, len(lengths)),
+                keep.sum(axis=1),
+                (first + steps * stride)[keep],
+                np.broadcast_to(value, keep.shape)[keep],
                 -math.inf,
                 lengths * e.cap,
                 steps.ravel() + 1,
@@ -525,18 +535,17 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges, steps: int | Non
     flows on ``edges`` (from :func:`flow_edges` when None).
 
     A flow may transmit only in steps that start at or after its release
-    (on slot boundaries, slots ``t > release``), the completion columns
-    are bounded by the last boundary plus one, and the step map's first
+    (on slot boundaries, slots ``t > release``), and the step map's first
     prefix is :func:`_first_prefix`.
 
     With ``steps``, only the columns and rows of steps ``1..steps`` are
     built: the prefix rung the solver hands HiGHS (see
-    :func:`coflownet.solver.solve_relaxation`). A rung keeps the whole
-    relaxation's completion bound and ``fin`` right-hand side less the
-    later steps' lengths, summed in step order as ``A @ x`` sums the later
-    ``X`` pinned at 1. So its arrays are bitwise those the solver slices
-    from the whole relaxation, with the later columns pinned, for the same
-    prefix.
+    :func:`coflownet.solver.solve_relaxation`). Its last ``S`` columns
+    are at 1, and its offset is the whole relaxation's with the later
+    ``X`` at 1, the terms ``-w_j * len_t``, added in by ``math.fsum``, as
+    the solver's substitution adds them. So its arrays and offset are
+    bitwise those the solver slices from the whole relaxation, with the
+    later columns pinned, for the same prefix.
     """
     boundaries = np.asarray(boundaries, dtype=float)
     lengths = np.diff(boundaries)
@@ -551,64 +560,46 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges, steps: int | Non
             f"of coflow {j + 1} flow {i + 1}"
         )
     first_prefix = _first_prefix(instance, boundaries)
-    fin_lower = 1.0 + math.fsum(lengths)
+    weight = np.array([c.weight for c in instance.coflows], dtype=float)
+    offset = math.fsum(weight * (1.0 + math.fsum(lengths)))
     if steps is not None and steps < len(lengths):
-        fin_lower -= np.cumsum(lengths[steps:])[-1]
+        offset = math.fsum([offset, *(-weight[:, None] * lengths[steps:]).ravel().tolist()])
         lengths, open_steps = lengths[:steps], open_steps[:, :steps]
     J, F, T = len(instance.coflows), len(flows), len(lengths)
     tags = [f"{j + 1}_{i + 1}" for j, i, _, _ in flows]
     owner = np.array([j for j, _, _, _ in flows], dtype=np.int64)
     j_range, t_range = range(1, J + 1), range(1, T + 1)
-    # column blocks: C (J), X (J x T), x (F x T), S (F x T), then xe per flow
-    X = J + np.arange(J * T, dtype=np.int64).reshape(J, T)
-    x = J * (T + 1) + np.arange(F * T, dtype=np.int64).reshape(F, T)
-    S = x + F * T
-    cols = J * (T + 1) + 2 * F * T
-    col_naming = [
-        ("C_{}", (j_range,)), ("X_{}_{}", (j_range, t_range)),
-        ("x_{}_{}", (tags, t_range)), ("S_{}_{}", (tags, t_range)),
-    ]
-    upper = [np.full(J, boundaries[-1] + 1.0), np.ones(J * T), open_steps.ravel().astype(float)]
-    upper.append(np.ones(F * T))
+    # column blocks: X (J x T), S (F x T), then xe per flow
+    X = np.arange(J * T, dtype=np.int64).reshape(J, T)
+    S = J * T + np.arange(F * T, dtype=np.int64).reshape(F, T)
+    cols = (J + F) * T
+    col_naming = [("X_{}_{}", (j_range, t_range)), ("S_{}_{}", (tags, t_range))]
+    # a flow sends nothing before its release
+    upper = [np.ones(J * T), open_steps.ravel().astype(float)]
     step = np.arange(1, T + 1)
-    col_step = [np.zeros(J, dtype=np.int64), np.tile(step, J), np.tile(step, F), np.tile(step, F)]
-    col_after = [np.zeros(J), np.ones(J * T), np.zeros(F * T), np.ones(F * T)]
-    # the dem rows are the first F rows
-    col_dem = [np.full(J * (T + 1) + F * T, -1), np.repeat(np.arange(F), T)]
+    col_step = [np.tile(step, J), np.tile(step, F)]
+    col_after = [np.ones(cols)]
 
-    # cum: per (flow, step) the rows S - x - S_prev = 0 (no S_prev at step 1), X - S <= 0
-    cum_cols = np.stack([S, x, S - 1, X[owner], S], axis=-1)
-    later = np.arange(T) > 0
-    keep = np.broadcast_to(later[:, None] | (np.arange(5) != 2), cum_cols.shape)
-    cum_counts = np.broadcast_to(np.stack([2 + later, np.full(T, 2)], axis=-1), (F, T, 2))
+    # cum: per (flow, step) X - S <= 0; the S_t - S_{t-1} >= 0 rows go last
     blocks = [
-        _block(("dem_{}", (tags,)), T, x.ravel(), 1.0, 1.0, 1.0, 0),
         _block(
-            ("cum_{}_{}{}", (tags, t_range, ("_s", ""))),
-            cum_counts.ravel(),
-            cum_cols[keep],
-            np.broadcast_to([1.0, -1.0, -1.0, 1.0, -1.0], keep.shape)[keep],
-            np.tile([0.0, -math.inf], F * T),
+            ("cum_{}_{}", (tags, t_range)),
+            2,
+            np.stack([X[owner], S], axis=-1).ravel(),
+            np.tile([1.0, -1.0], F * T),
+            -math.inf,
             0.0,
-            np.repeat(np.tile(step, F), 2),
-        ),
-        _block(
-            ("fin_{}", (j_range,)),
-            T + 1,
-            np.hstack([np.arange(J, dtype=np.int64)[:, None], X]).ravel(),
-            np.tile(np.concatenate([[1.0], lengths]), J),
-            fin_lower,
-            math.inf,
-            0,
+            np.tile(step, F),
         ),
     ]
-
     users: dict[str, list] = {}
     xe = None
     if instance.model is RoutingModel.SINGLE_PATH:
         for f, (_, _, _, fl) in enumerate(flows):
             for eid in fl.path:
-                users.setdefault(eid, []).append((x[f, 0], 1, fl.demand))
+                users.setdefault(eid, []).extend(
+                    [(S[f, 0], 1, fl.demand, 0), (S[f, 0] - 1, 1, -fl.demand, 1)]
+                )
     else:
         xe = []
         edges = edges if edges is not None else flow_edges(instance)
@@ -620,40 +611,49 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges, steps: int | Non
             upper.append(np.where(open_steps[f][:, None], implied, 0.0).ravel())
             col_step.append(np.repeat(step, width))
             col_after.append(np.zeros(width * T))
-            col_dem.append(np.full(width * T, -1))
-            blocks.append(_flow_rows(tag, fl, usable, x[f], cols))
+            blocks.append(_flow_rows(tag, fl, usable, S[f], cols))
             series = cols + np.arange(width)[:, None] + width * np.arange(T)
             xe.append({e.id: series[k] for k, e in enumerate(usable)})
             for k, e in enumerate(usable):
-                users.setdefault(e.id, []).append((cols + k, width, fl.demand))
+                users.setdefault(e.id, []).append((cols + k, width, fl.demand, 0))
             cols += width * T
         xe = tuple(xe)
     blocks.extend(_cap_rows(instance.network, users, lengths))
+    blocks.append(
+        _block(
+            ("cum_{}_{}_s", (tags, range(2, T + 1))),
+            2,
+            np.stack([S[:, 1:], S[:, :-1]], axis=-1).ravel(),
+            np.tile([1.0, -1.0], F * (T - 1)),
+            0.0,
+            math.inf,
+            np.tile(step[1:], F),
+        )
+    )
 
     row_naming, counts, indices, data, row_lower, row_upper, row_step = zip(*blocks)
     counts = np.concatenate(counts)
-    # the cum_j_i_t_s rows follow the F dem rows, every second row per (flow, step)
-    row_dem = np.full(len(counts), -1, dtype=np.int64)
-    row_dem[F + 2 * np.arange(F * T)] = np.repeat(np.arange(F), T)
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     A = CSR(indptr, np.concatenate(indices), np.concatenate(data), (len(counts), cols))
+    # every flow is done by the last step
+    col_lower = np.zeros(cols)
+    col_lower[S[:, -1]] = 1.0
     return LPProblem(
-        objective=np.concatenate([[c.weight for c in instance.coflows], np.zeros(cols - J)]),
-        col_lower=np.zeros(cols),
+        objective=np.concatenate([(-weight[:, None] * lengths).ravel(), np.zeros(cols - J * T)]),
+        col_lower=col_lower,
         col_upper=np.concatenate(upper),
         A=A,
         row_lower=np.concatenate(row_lower),
         row_upper=np.concatenate(row_upper),
         col_naming=tuple(col_naming),
         row_naming=row_naming,
-        layout=ColumnLayout(completion=np.arange(J, dtype=np.int64), x=x, xe=xe),
+        offset=offset,
+        layout=ColumnLayout(X=X, S=S, xe=xe),
         step_map=StepMap(
             col_step=np.concatenate(col_step),
             col_after=np.concatenate(col_after),
             row_step=np.concatenate(row_step),
-            row_dem=row_dem,
-            col_dem=np.concatenate(col_dem),
             step_count=T,
             first_prefix=first_prefix,
         ),
@@ -693,25 +693,29 @@ def build_interval_lp(instance: Instance, grid: IntervalGrid, edges: FlowEdges =
 # solution extraction
 
 
-def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, steps: int):
+def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, lengths: np.ndarray):
     """Pull per-flow step fractions (and free-path edge splits) out of a
-    solved column vector, clipping solver dust and renormalizing each flow
-    to sum exactly to one.
+    solved column vector of the relaxation with step ``lengths``, clipping
+    solver dust and renormalizing each flow to sum exactly to one; and each
+    coflow's completion bound ``1 + sum_t len_t * (1 - X_j_t)``.
 
-    ``problem`` may be a prefix rung of the ``steps``-step relaxation: each
-    series is padded with zeros to ``steps`` first, the values the later
-    columns take, so the sums, and so every fraction, are bitwise those of
-    the whole relaxation's point.
+    A flow's fraction in step t is ``S_t - S_{t-1}``. ``problem`` may be a
+    prefix rung of the relaxation: each series is padded with zeros to
+    every step first, and each completion bound gains 0 from the later
+    ``X`` at 1, so the sums, and so every fraction and bound, are bitwise
+    those of the whole relaxation's point.
     """
     layout = problem.layout
-    if layout is None or layout.x.shape[0] != instance.flow_count or layout.x.shape[1] > steps:
+    steps = len(lengths)
+    if layout is None or layout.S.shape[0] != instance.flow_count or layout.S.shape[1] > steps:
         raise ValueError("problem has no column layout for this instance and step count")
-    built = layout.x.shape[1]
+    built = layout.S.shape[1]
+    sent = np.clip(np.diff(x[layout.S], axis=1, prepend=0.0), 0.0, None)
     fractions = [[] for _ in instance.coflows]
     edge_fractions = [[] for _ in instance.coflows]
     for f, (j, i, _, _) in enumerate(instance.iter_flows()):
         series = np.zeros(steps)
-        series[:built] = np.clip(x[layout.x[f]], 0.0, None)
+        series[:built] = sent[f]
         total = series.sum()
         if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-5):
             raise ValueError(
@@ -726,7 +730,8 @@ def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, steps: int):
             splits /= total
             used = np.flatnonzero((splits > 0).any(axis=1))
             edge_fractions[j].append({eids[k]: splits[k] for k in used})
-    completion = tuple(float(v) for v in x[layout.completion])
+    short = lengths[:built] * (1.0 - x[layout.X])
+    completion = tuple(math.fsum([1.0, *row]) for row in short.tolist())
     edges = tuple(map(tuple, edge_fractions)) if layout.xe is not None else None
     return tuple(map(tuple, fractions)), edges, completion
 
@@ -737,7 +742,7 @@ def extract_fractional(
     """FractionalSchedule over ``horizon`` slots from a solved
     slot-indexed LP column vector; ``problem`` may be a rung of fewer
     slots, whose later slots carry nothing."""
-    fractions, edge_fractions, completion = _collect(problem, x, instance, horizon)
+    fractions, edge_fractions, completion = _collect(problem, x, instance, np.ones(horizon))
     return FractionalSchedule(
         slot_count=horizon,
         fractions=fractions,
@@ -761,7 +766,7 @@ def extract_interval_solution(
     problem: LPProblem, x: np.ndarray, instance: Instance, grid: IntervalGrid
 ) -> IntervalSolution:
     fractions, edge_fractions, completion = _collect(
-        problem, x, instance, grid.interval_count
+        problem, x, instance, np.diff(grid.boundaries)
     )
     return IntervalSolution(
         grid=grid,

@@ -339,8 +339,7 @@ def _report(completions: np.ndarray, weights: np.ndarray) -> CompletionReport:
 
 def _alpha_order(fractional: FractionalSchedule) -> list[int]:
     """The coflows in order of their lambda points at 1/2, ties by index."""
-    half = np.array([0.5])
-    points = [float(_lambda_points(fractional, j, half)[0]) for j in range(len(fractional.cumulative))]
+    points = _lambda_table(fractional, np.array([0.5]))[:, 0].tolist()
     return sorted(range(len(points)), key=points.__getitem__)
 
 
@@ -626,12 +625,45 @@ def _lambda_points(fractional: FractionalSchedule, coflow: int, values: np.ndarr
     return points
 
 
+def _lambda_table(fractional: FractionalSchedule, values: np.ndarray) -> np.ndarray:
+    """:func:`lambda_point` of every coflow (rows) for every fraction in
+    ``values`` (columns), bitwise :func:`_lambda_points` row by row, in one
+    pass over the stacked progress rows.
+
+    Where :func:`_lambda_points` finds each fraction's first level at or
+    above it by a search per coflow, this counts each coflow's levels
+    below each fraction at once: every level falls into the sorted
+    fractions at some rank, and a coflow's levels below the fraction of
+    rank m are those with rank at most m.
+    """
+    coflows = len(fractional.cumulative)
+    levels = np.zeros((coflows, fractional.slot_count + 1))
+    levels[:, 1:] = fractional.cumulative
+    levels = np.maximum.accumulate(levels, axis=1)  # guard solver dust
+    order = np.argsort(values, kind="stable")
+    rank = np.searchsorted(values[order], levels, side="right")
+    cells = (values.size + 1) * np.arange(coflows)[:, None] + rank
+    below = np.bincount(cells.ravel(), minlength=coflows * (values.size + 1))
+    k = np.empty((coflows, values.size), dtype=np.int64)
+    k[:, order] = np.cumsum(below.reshape(coflows, values.size + 1), axis=1)[:, :-1]
+    beyond = k >= levels.shape[1]
+    never = beyond & ~(levels[:, -1:] >= values - 1e-9)
+    if never.any():
+        j, m = np.argwhere(never)[0].tolist()
+        raise ValueError(f"coflow {j + 1} never reaches fraction {float(values[m])}")
+    points = np.full(k.shape, levels.shape[1] - 1.0)
+    rows, cols = np.nonzero(~beyond)
+    k, lam = k[rows, cols], values[cols]
+    low, high = levels[rows, k - 1], levels[rows, k]
+    points[rows, cols] = k - 1 + (lam - low) / (high - low)
+    return points
+
+
 def _ceilings(fractional: FractionalSchedule, values: np.ndarray) -> np.ndarray:
     """:func:`completion_ceilings` for every factor in ``values``: one row
     per factor, one column per coflow."""
-    coflows = len(fractional.cumulative)
-    points = np.array([_lambda_points(fractional, j, values) for j in range(coflows)])
-    return np.ceil(points.reshape(coflows, values.size) / values - 1e-9).astype(np.int64).T
+    points = _lambda_table(fractional, values)
+    return np.ceil(points / values - 1e-9).astype(np.int64).T
 
 
 def lambda_point(fractional: FractionalSchedule, coflow: int, lam: float) -> float:

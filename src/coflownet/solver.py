@@ -24,14 +24,16 @@ one back.
 
 A relaxation built with a step map is first solved on a prefix of its
 time steps: the rows of steps ``1..L``, with every later column's bounds
-pinned at its after-prefix value.
-The prefix's row duals, extended to the later rows (each later
-``cum_j_i_t_s`` row takes its flow's ``dem`` dual clipped at 0), give a
-weak-duality bound on the whole problem; the prefix point is returned
-only when that bound reaches its objective, which proves it optimal for
-every step. A prefix whose point is optimal but not certified and uses
-its last step is binding, so it grows by one step; an infeasible prefix,
-or an uncertified optimum that ends earlier, grows by ``PREFIX_GROWTH``.
+pinned at its after-prefix value and each flow's ``S`` at step ``L``
+pinned at 1, so that every flow is done within the prefix. Every later
+row then holds at the after-values. The prefix's row duals, padded with
+zeros for the later rows, give a weak-duality bound on the whole
+problem; the prefix point is returned only when that bound reaches its
+objective, which proves it optimal for every step. A prefix whose point
+is optimal but not certified and uses its last step (a flow sends in
+step ``L``, so its ``S`` at ``L - 1`` is short of 1) is binding, so it
+grows by one step; an infeasible prefix, or an uncertified optimum that
+ends earlier, grows by ``PREFIX_GROWTH``.
 After any other status (HiGHS failed: ``numerical``, ``iteration_limit``),
 and once a prefix would cover every step, the whole problem is solved
 as it is. This is the pricing step of time-indexed column generation
@@ -44,28 +46,27 @@ built whole and prices the later steps on its matrix.
 as a rung of its own from the instance and prices the later steps in
 closed form, in O(flows) (:func:`_priced_bound`); it builds the whole
 relaxation only when the ladder reaches its end. Both hand HiGHS
-bitwise the same arrays, so they return the same point.
+bitwise the same arrays and add the same objective constant, so they
+return the same point and objective.
 
 Every HiGHS call goes through :func:`_linprog`, the one place that
 removes fixed columns: HiGHS sees only the columns whose bounds leave
-them free and the rows that touch one of them, and the fixed columns (a
-prefix's later steps, a flow's steps before its release) are
-substituted into the row bounds.
+them free and the rows that touch one of them. The fixed columns (a
+prefix's later steps, each flow's last ``S``, a flow's steps before its
+release) are substituted into the row bounds, and their objective terms,
+with the problem's offset, into the objective constant (``math.fsum``,
+so that a sliced prefix and a built rung get the same constant bit for
+bit).
 
-A free-path LP (one whose layout has ``xe`` columns) goes to HiGHS with
-``presolve`` off, on every prefix rung and the whole-problem solve
-alike; every other LP keeps HiGHS's default presolve.
-Presolve pays only when its reductions make up for its own cost
-(Andersen & Andersen, 1995). On the 25 HiGHS calls of the seed-1
-``free-release-gscale20`` benchmark corpus (2-vCPU VM), presolve alone
-takes 1.8 s of HiGHS's 2.2 s and removes 26% of rows and 10% of
-columns: the ``xe`` block, over 90% of the columns, gives it little to
-reduce. Without it HiGHS takes 1.0 s, is faster on all 25 calls and
-reaches the same objectives to 2e-16 relative, in at most 3,225
-simplex iterations on one call. On single-path LPs presolve removes 43%
-of rows (mostly the ``S``/``cum_s`` and ``C``/``fin`` rows), and the 12
-``slot-single-gscale40`` LPs take 1.9 s without it against 1.25 s with
-it. The rule is fixed, not an option: it follows from the LP's shape.
+HiGHS's presolve is off for every LP. Presolve pays only when its
+reductions make up for its own cost (Andersen & Andersen, 1995), and on
+these LPs they do not. Summed over every LP the pipeline solves on one
+pass of each seed-1 benchmark corpus (two runs each, 2-vCPU VM), HiGHS took
+1.58-1.98 s with presolve and 0.65-0.70 s without on
+``free-release-gscale20``, 0.13-0.15 s and 0.09-0.11 s on
+``shop-oracle``, and 0.71-0.73 s and 0.65-0.78 s on
+``slot-single-gscale40``, where the schedules were the same. The rule is
+fixed, not an option.
 """
 
 from __future__ import annotations
@@ -163,10 +164,9 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
     """
     step_map = problem.step_map
     if step_map is not None:
-        presolve = _presolve(problem)
         solution = _solve_prefixes(
             step_map.first_prefix, step_map.step_count,
-            lambda prefix: _solve_prefix(problem, prefix, presolve),
+            lambda prefix: _solve_prefix(problem, prefix),
         )
         if solution is not None:
             return solution  # certified and checked against the whole problem
@@ -201,18 +201,12 @@ def solve_relaxation(
     return problem, _solve_whole(problem)
 
 
-def _presolve(problem: LPProblem) -> bool:
-    """Whether HiGHS presolves ``problem``: not for a free-path LP (one
-    whose layout has ``xe`` columns)."""
-    return problem.layout is None or problem.layout.xe is None
-
-
 def _solve_whole(problem: LPProblem) -> LPSolution:
     """:func:`solve` on every step of ``problem`` at once: the one place
     that hands HiGHS a whole problem."""
     status, objective, x, _ = _linprog(
         problem.objective, problem.A, problem.row_lower, problem.row_upper,
-        problem.col_lower, problem.col_upper, _presolve(problem),
+        problem.col_lower, problem.col_upper, problem.offset,
     )
     steps = problem.step_map.step_count if problem.step_map is not None else None
     solution = LPSolution(status, objective, x, steps)
@@ -225,21 +219,23 @@ def _solve_whole(problem: LPProblem) -> LPSolution:
     return solution
 
 
-def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=True):
-    """HiGHS on ``row_lower <= A @ x <= row_upper``: status, objective,
-    point and, when optimal, the row duals (the objective's sensitivity to
-    each row's finite bound). ``presolve=False`` turns HiGHS's presolve
-    off.
+def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, offset=0.0):
+    """HiGHS on ``min offset + objective @ x`` subject to
+    ``row_lower <= A @ x <= row_upper``: status, objective, point and,
+    when optimal, the row duals (the objective's sensitivity to each
+    row's finite bound).
 
     HiGHS gets only the columns whose bounds leave them free and the rows
     that touch one of them. A fixed column's activity moves into the row
-    bounds, and the column takes its bound in the point. A dropped row
-    has dual 0; one whose shifted bounds exclude 0 (beyond ``TOLERANCE``)
-    makes the problem infeasible without a HiGHS call.
+    bounds, its objective term into the constant (with ``offset``, summed
+    by ``math.fsum``), and the column takes its bound in the point. A
+    dropped row has dual 0; one whose shifted bounds exclude 0 (beyond
+    ``TOLERANCE``) makes the problem infeasible without a HiGHS call.
     """
     fixed = (col_lower == col_upper) & np.isfinite(col_lower)
     if not fixed.any():
-        return _highs(objective, A, row_lower, row_upper, col_lower, col_upper, presolve)
+        status, obj, x, y = _highs(objective, A, row_lower, row_upper, col_lower, col_upper)
+        return status, obj + offset, x, y
     value = np.where(fixed, col_lower, 0.0)
     shift = A @ value
     lower, upper = row_lower - shift, row_upper - shift
@@ -248,13 +244,14 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=
     live = seen[A.indptr[1:]] > seen[A.indptr[:-1]]
     if np.any(lower[~live] > TOLERANCE) or np.any(upper[~live] < -TOLERANCE):
         return SolveStatus.INFEASIBLE, math.nan, None, None
-    base = float(objective @ value)
+    terms = objective * value
+    base = math.fsum([offset, *terms[terms != 0.0].tolist()])
     cols, rows = np.flatnonzero(~fixed), np.flatnonzero(live)
     if not cols.size:
         return SolveStatus.OPTIMAL, base, value, np.zeros(len(row_lower))
     status, obj, x, y = _highs(
         objective[cols], A.select_rows(rows).select_columns(cols), lower[rows], upper[rows],
-        col_lower[cols], col_upper[cols], presolve,
+        col_lower[cols], col_upper[cols],
     )
     if x is not None:
         value[cols] = x
@@ -266,13 +263,14 @@ def _linprog(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=
     return status, obj + base, x, y
 
 
-def _passed(objective, A, row_lower, row_upper, col_lower, col_upper) -> _Highs:
-    """A silent HiGHS holding the arrays as they are, from one ``passModel`` call."""
+def _passed(objective, A, row_lower, row_upper, col_lower, col_upper, offset=0.0) -> _Highs:
+    """A silent HiGHS holding the arrays and the objective constant
+    ``offset`` as they are, from one ``passModel`` call."""
     highs = _Highs()
     _set(highs, "output_flag", False)
     rows, cols = A.shape
     highs.passModel(
-        cols, rows, A.nnz, int(MatrixFormat.kRowwise), int(ObjSense.kMinimize), 0.0,
+        cols, rows, A.nnz, int(MatrixFormat.kRowwise), int(ObjSense.kMinimize), offset,
         objective, col_lower, col_upper, row_lower, row_upper,
         A.indptr, A.indices, A.data, np.zeros(cols, dtype=np.int32),
     )
@@ -286,12 +284,13 @@ def _set(highs: _Highs, option: str, value) -> None:
         raise SolverError(f"HiGHS refused option {option}={value!r}")
 
 
-def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=True):
-    """:func:`_linprog` with every column and row handed to HiGHS."""
+def _highs(objective, A, row_lower, row_upper, col_lower, col_upper):
+    """:func:`_linprog` with every column and row handed to HiGHS, and no
+    objective constant."""
     highs = _passed(objective, A, row_lower, row_upper, col_lower, col_upper)
     _set(highs, "simplex_iteration_limit", ITERATION_LIMIT)
     _set(highs, "ipm_iteration_limit", ITERATION_LIMIT)
-    _set(highs, "presolve", "choose" if presolve else "off")
+    _set(highs, "presolve", "off")
     highs.run()
     # a model HiGHS refused to take is empty, which maps to NUMERICAL
     status = _MODEL_STATUS.get(highs.getModelStatus(), SolveStatus.NUMERICAL)
@@ -305,14 +304,16 @@ def _highs(objective, A, row_lower, row_upper, col_lower, col_upper, presolve=Tr
 
 
 def save_mps(problem: LPProblem, path: str | Path) -> None:
-    """Have HiGHS write ``problem`` and its names to ``path``, in the format
-    its suffix picks (``.mps`` for MPS); OSError when it cannot, naming
-    the first name that holds whitespace (which HiGHS refuses to write)."""
+    """Have HiGHS write ``problem``, its objective constant (MPS keeps it
+    as the objective row's right-hand side) and its names to ``path``, in
+    the format its suffix picks (``.mps`` for MPS); OSError when it
+    cannot, naming the first name that holds whitespace (which HiGHS
+    refuses to write)."""
     p = problem
     spaced = next((n for n in (*p.col_names, *p.row_names) if re.search(r"\s", n)), None)
     if spaced is not None:
         raise OSError(f"cannot write the LP to {path}: an MPS name cannot hold whitespace: {spaced!r}")
-    highs = _passed(p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper)
+    highs = _passed(p.objective, p.A, p.row_lower, p.row_upper, p.col_lower, p.col_upper, p.offset)
     for c, name in enumerate(p.col_names):
         highs.passColName(c, name)
     for r, name in enumerate(p.row_names):
@@ -344,84 +345,72 @@ def _solve_prefixes(first_prefix: int, step_count: int, attempt):
 
 
 def _solve_prefix(
-    problem: LPProblem, prefix: int, presolve: bool = True
+    problem: LPProblem, prefix: int
 ) -> tuple[SolveStatus, LPSolution | None, int | None]:
     """Solve the rows of steps ``1..prefix`` with every later column's
-    bounds pinned at its after-prefix value. The prefix's status; the
-    full-length point when a weak-duality bound on the whole problem
-    certifies it optimal and it passes :func:`check_solution`, None
-    otherwise; and the last step an optimal point that is not returned
-    uses (its last column away from the column's after-value), None for
+    bounds pinned at its after-prefix value and each flow's ``S`` at step
+    ``prefix`` at 1. The prefix's status; the full-length point when the
+    whole problem's weak-duality bound under the prefix's duals, padded
+    with zeros, certifies it optimal and it passes
+    :func:`check_solution`, None otherwise; and the last step an optimal
+    point that is not returned uses (see :func:`_certified`), None for
     every other outcome."""
     step_map = problem.step_map
     rows = np.flatnonzero(step_map.row_step <= prefix)
     later = step_map.col_step > prefix
+    lower = np.where(later, step_map.col_after, problem.col_lower)
+    lower[problem.layout.S[:, prefix - 1]] = 1.0
     status, objective, x, duals = _linprog(
         problem.objective, problem.A.select_rows(rows),
         problem.row_lower[rows], problem.row_upper[rows],
-        np.where(later, step_map.col_after, problem.col_lower),
-        np.where(later, step_map.col_after, problem.col_upper), presolve,
+        lower, np.where(later, step_map.col_after, problem.col_upper), problem.offset,
     )
     if status is not SolveStatus.OPTIMAL:
         return status, None, None
-    bound = _dual_bound(problem, _extended_duals(step_map, rows, duals, prefix))
+    y = np.zeros(problem.num_rows)
+    y[rows] = duals
     solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
-    return status, *_certified(problem, solution, bound, check_solution)
+    return status, *_certified(problem, solution, _dual_bound(problem, y))
 
 
 def _solve_rung(rung: LPProblem) -> tuple[SolveStatus, LPSolution | None, int | None]:
     """:func:`_solve_prefix` for a rung built on its own (its step map's
     ``step_count`` steps of a longer relaxation): the point it certifies
-    is the rung's, checked by :func:`check_solution` on the rung and by
-    :func:`_later_row_failures` on the later rows."""
+    is the rung's, checked by :func:`check_solution` on the rung. Its
+    last ``S`` are at 1, so the whole relaxation's later rows hold at the
+    later columns' after-values."""
     status, objective, x, duals = _linprog(
         rung.objective, rung.A, rung.row_lower, rung.row_upper,
-        rung.col_lower, rung.col_upper, _presolve(rung),
+        rung.col_lower, rung.col_upper, rung.offset,
     )
     if status is not SolveStatus.OPTIMAL:
         return status, None, None
     solution = LPSolution(SolveStatus.OPTIMAL, objective, x, rung.step_map.step_count)
-    return status, *_certified(rung, solution, _priced_bound(rung, duals), _rung_failures)
+    return status, *_certified(rung, solution, _priced_bound(rung, duals))
 
 
-def _certified(problem: LPProblem, solution: LPSolution, bound: float, failures):
+def _certified(problem: LPProblem, solution: LPSolution, bound: float):
     """``(solution, None)`` when ``bound`` reaches the optimal
-    ``solution``'s objective and ``failures(problem, solution)`` finds
-    nothing; otherwise ``(None, the last step its point uses)``."""
+    ``solution``'s objective and :func:`check_solution` finds nothing;
+    otherwise ``(None, the last step its point uses)``: the last step of
+    a column away from its after-value, counting an ``S`` short of 1 at
+    step t as step t + 1, in which its flow still sends."""
     objective, x = solution.objective, solution.x
     if bound >= objective - TOLERANCE * max(1.0, abs(objective)):
-        if not failures(problem, solution):
+        if not check_solution(problem, solution):
             return solution, None
     step_map = problem.step_map
-    used = step_map.col_step[np.abs(x - step_map.col_after) > TOLERANCE]
+    steps = step_map.col_step.copy()
+    steps[problem.layout.S] += 1
+    used = steps[np.abs(x - step_map.col_after) > TOLERANCE]
     return None, int(used.max(initial=0))
-
-
-def _extended_duals(step_map, rows: np.ndarray, duals: np.ndarray, prefix: int) -> np.ndarray:
-    """Row duals of the whole problem from the prefix's: each later
-    ``cum_j_i_t_s`` row gets its flow's ``dem`` dual clipped at 0, every
-    other later row gets 0.
-
-    With the later columns at their after-values, complementary slackness
-    asks of a flow's later ``cum_j_i_t_s`` duals that they not increase
-    (``S`` at 1), stay at least 0 (the last ``S``) and at least the ``dem``
-    dual (``x`` at 0), and start at most ``-d(S_prefix)``, the prefix
-    LP's reduced cost of the flow's last prefix ``S``. The constant
-    ``max(y_dem, 0)`` is the smallest choice that meets the first three,
-    so it meets the last whenever any choice does.
-    """
-    y = np.zeros(len(step_map.row_step))
-    y[rows] = duals
-    later = np.flatnonzero((step_map.row_step > prefix) & (step_map.row_dem >= 0))
-    y[later] = np.maximum(y[step_map.row_dem[later]], 0.0)
-    return y
 
 
 def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
     """Weak-duality lower bound on ``problem``'s optimum from row duals
     ``y``, after clipping entries whose sign the row bounds do not allow.
 
-    ``sum(y+ * row_lower - y- * row_upper) + sum(min(d * lb, d * ub))``
+    ``offset + sum(y+ * row_lower - y- * row_upper) + sum(min(d * lb, d * ub))``
     with ``d = c - A.T @ y``.
     """
     return _bound_and_reduced_costs(problem, y)[0]
@@ -434,67 +423,30 @@ def _bound_and_reduced_costs(problem: LPProblem, y: np.ndarray) -> tuple[float, 
     y = np.where(np.isinf(upper), np.maximum(y, 0.0), y)
     d = problem.objective - y @ problem.A
     pos, neg = y > 0, y < 0
-    bound = float(y[pos] @ lower[pos] + y[neg] @ upper[neg])
+    bound = problem.offset + float(y[pos] @ lower[pos] + y[neg] @ upper[neg])
     up, down = d > 0, d < 0
     return bound + float(d[up] @ problem.col_lower[up] + d[down] @ problem.col_upper[down]), d
-
-
-def _last_prefix_sums(rung: LPProblem) -> np.ndarray:
-    """The columns of each flow's last ``S`` in ``rung``, ``S_j_i_L``."""
-    step_map = rung.step_map
-    return np.flatnonzero((step_map.col_dem >= 0) & (step_map.col_step == step_map.step_count))
 
 
 def _priced_bound(rung: LPProblem, y: np.ndarray) -> float:
     """Weak-duality lower bound on the whole relaxation ``rung`` is the
     first ``L`` steps of, from the rung's row duals ``y``: the whole
-    relaxation's :func:`_dual_bound` under :func:`_extended_duals`, priced
-    in closed form in O(flows) instead of on its matrix.
+    relaxation's :func:`_dual_bound` with ``y`` padded with zeros for the
+    later rows, priced in closed form in O(flows) instead of on its
+    matrix.
 
-    With each flow's later ``cum_j_i_t_s`` rows at ``m = max(y_dem, 0)``
-    and every other later row at 0:
-
-    - each later ``X`` has reduced cost ``-y_fin * len_t`` at its upper
-      bound 1, which cancels the rung's shorter ``fin`` right-hand side;
-    - each later ``x`` has reduced cost ``m - y_dem >= 0``, each later
-      ``xe`` 0, both at their lower bound 0;
-    - the last ``S`` of the rung gains ``m`` in reduced cost, the later
-      ``S`` cancel ``m`` between consecutive rows, and the last ``S`` of
-      the whole relaxation has reduced cost ``-m`` at its upper bound 1.
-
-    So each flow adds ``min(0, d + m) - min(0, d) - m`` to the rung's own
-    bound, with ``d`` the rung's reduced cost of its last ``S``.
+    The later rows have dual 0, and no rung row touches a later column,
+    so every rung column keeps its reduced cost, and every later column
+    has its objective coefficient as reduced cost: each later ``X`` has
+    ``-w_j * len_t`` at its upper bound 1, which cancels the rung's
+    smaller offset; each later ``S`` and ``xe`` has 0. The one column
+    whose bounds differ is each flow's last ``S`` of the rung: [1, 1] in
+    the rung, [0, 1] in the whole relaxation. With reduced cost ``d`` it
+    adds ``d`` to the rung's bound and ``min(0, d)`` to the whole's, so
+    each flow takes ``max(0, d)`` off the rung's own bound.
     """
     bound, d = _bound_and_reduced_costs(rung, y)
-    last = _last_prefix_sums(rung)
-    m = np.maximum(y[rung.step_map.col_dem[last]], 0.0)
-    d = d[last]
-    return bound + float(np.sum(np.minimum(0.0, d + m) - np.minimum(0.0, d) - m))
-
-
-def _later_row_failures(rung: LPProblem, x: np.ndarray) -> list[str]:
-    """:func:`check_solution`'s report on the whole relaxation's rows past
-    ``rung`` for the rung's point ``x`` with every later column at its
-    after-value (``X``, ``S`` at 1; ``x``, ``xe`` at 0).
-
-    Only each flow's first later row, ``cum_j_i_{L+1}_s``, can fail: it
-    reads ``S_{L+1} - x_{L+1} - S_L = 1 - S_L``. Every later ``cum``,
-    ``cap`` and flow row is 0 at the after-values, and the whole ``fin``
-    row differs from the rung's by the same later lengths on both sides.
-    """
-    last = _last_prefix_sums(rung)
-    resid = np.abs(1.0 - x[last])
-    failures = []
-    for k in np.flatnonzero(~(resid <= TOLERANCE)):
-        tag = rung.col_names[last[k]][2:].rsplit("_", 1)[0]
-        step = rung.step_map.step_count + 1
-        failures.append(f"row cum_{tag}_{step}_s violated by {resid[k]:.3e}")
-    return failures
-
-
-def _rung_failures(rung: LPProblem, solution: LPSolution) -> list[str]:
-    """:func:`check_solution` on ``rung`` and :func:`_later_row_failures`."""
-    return check_solution(rung, solution) + _later_row_failures(rung, solution.x)
+    return bound - float(np.maximum(d[rung.layout.S[:, -1]], 0.0).sum())
 
 
 def check_solution(problem: LPProblem, solution: LPSolution, tol: float = TOLERANCE) -> list[str]:
@@ -517,7 +469,7 @@ def check_solution(problem: LPProblem, solution: LPSolution, tol: float = TOLERA
     resid = np.maximum(problem.row_lower - lhs, lhs - problem.row_upper)
     for r in np.flatnonzero(~(resid <= tol)):
         failures.append(f"row {problem.row_names[r]} violated by {resid[r]:.3e}")
-    recomputed = float(problem.objective @ x)
+    recomputed = problem.offset + float(problem.objective @ x)
     scale = max(1.0, abs(recomputed))
     if not abs(recomputed - solution.objective) <= tol * scale:  # NaN fails too
         failures.append(

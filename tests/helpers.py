@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from coflownet import Instance, LPProblem, RateSchedule, RoutingModel
 from coflownet.csr import CSR
-from coflownet.lp import StepMap, _named
+from coflownet.lp import _named
 from coflownet.openshop import OpenShopInstance
 from coflownet.solver import HighsStatus, _Highs, _set
 
@@ -60,9 +60,9 @@ def from_rows(objective, col_lower, col_upper, col_names, rows, layout=None) -> 
 
 
 def load_mps(path: str | Path) -> LPProblem:
-    """The problem HiGHS reads from the MPS file ``path``, names included,
-    and without a layout or step map; OSError when it cannot, ValueError
-    when two columns or rows share a name."""
+    """The problem HiGHS reads from the MPS file ``path``, names and
+    objective constant included, and without a layout or step map; OSError
+    when it cannot, ValueError when two columns or rows share a name."""
     highs = _Highs()
     _set(highs, "output_flag", False)
     if highs.readModel(str(path)) == HighsStatus.kError:
@@ -78,7 +78,9 @@ def load_mps(path: str | Path) -> LPProblem:
     A = CSR(m.start_, m.index_, m.value_, (lp.num_row_, lp.num_col_))
     columns = [np.array(v, dtype=float) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_)]
     rows = [np.array(v, dtype=float) for v in (lp.row_lower_, lp.row_upper_)]
-    return LPProblem(*columns, A, *rows, _named(lp.col_names_), _named(lp.row_names_))
+    return LPProblem(
+        *columns, A, *rows, _named(lp.col_names_), _named(lp.row_names_), offset=lp.offset_
+    )
 
 
 def permuted_rows(problem: LPProblem, order) -> LPProblem:
@@ -92,20 +94,10 @@ def permuted_rows(problem: LPProblem, order) -> LPProblem:
         A=problem.A.select_rows(order),
         row_lower=problem.row_lower[order],
         row_upper=problem.row_upper[order],
-        step_map=_permuted_step_map(problem.step_map, order) if problem.step_map else None,
-    )
-
-
-def _permuted_step_map(step_map: StepMap, order: np.ndarray) -> StepMap:
-    """The map of :func:`permuted_rows`; ``dem`` rows follow their rows."""
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    dem = step_map.row_dem[order]
-    return replace(
-        step_map,
-        row_step=step_map.row_step[order],
-        row_dem=np.where(dem >= 0, position[dem], -1),
-        col_dem=np.where(step_map.col_dem >= 0, position[step_map.col_dem], -1),
+        step_map=(
+            replace(problem.step_map, row_step=problem.step_map.row_step[order])
+            if problem.step_map else None
+        ),
     )
 
 

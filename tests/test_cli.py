@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import coflownet
 import coflownet.solver
@@ -26,7 +27,8 @@ from coflownet.cli import main
 from coflownet.bench import CSV_HEADER
 from coflownet.generate import MAX_GENERATED, GenConfig, demo_instance, generate_instance
 from coflownet.pipeline import STRATEGIES
-from coflownet.serialize import instance_to_dict, save_instance
+from coflownet.lp import columns_per_slot, flow_edges
+from coflownet.serialize import instance_from_dict, instance_to_dict, save_instance
 
 from helpers import load_mps
 
@@ -314,6 +316,24 @@ def test_mps_solver_solves_the_file_it_wrote(tmp_path, capsys):
                 prefixes += result.lp_steps < whole.step_map.step_count
                 cases += 1
     assert cases == 12 and prefixes > 0
+
+
+def test_the_mps_file_carries_the_objective_constant(tmp_path, capsys):
+    # HiGHS alone, reading the file, finds the optimum solve prints: the
+    # objective's constant term is in the file, not only in memory
+    inst, exported = tmp_path / "g.json", tmp_path / "g.mps"
+    assert run(["gen", "--topology", "gscale-like", "--jobs", 10, "--seed", 1, "--out", inst]) == 0
+    capsys.readouterr()
+    assert run(["solve", inst]) == 0
+    lp_objective = float(capsys.readouterr().out.split("\n", 1)[0].removeprefix("lp_objective"))
+    assert run(["solve", inst, "--write-mps", exported]) == 0
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(exported)) != HighsStatus.kError
+    highs.run()
+    assert highs.getModelStatus() == HighsModelStatus.kOptimal
+    assert highs.getLp().offset_ > 0
+    assert highs.getInfo().objective_function_value == pytest.approx(lp_objective, rel=1e-6, abs=0)
 
 
 def test_write_mps_leaves_the_file_when_the_solve_fails(tmp_path, monkeypatch, capsys):
@@ -618,7 +638,8 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 def test_horizon_blow_up_is_refused_before_allocating(tmp_path, data, horizon):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(data))
-    columns = f"{3 * horizon:,} LP columns"  # X, x and S per slot
+    instance = instance_from_dict(data)
+    columns = f"{columns_per_slot(instance, flow_edges(instance)) * horizon:,} LP columns"
     exported = tmp_path / "lp.mps"
     for command in (
         ["solve", inst],

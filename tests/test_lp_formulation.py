@@ -20,6 +20,7 @@ from coflownet import (
     build_interval_lp,
     build_time_indexed_lp,
     extract_fractional,
+    extract_interval_solution,
     geometric_intervals,
     horizon_lower_bound,
     horizon_upper_bound,
@@ -100,7 +101,8 @@ def test_horizon_lower_bound_below_the_last_slot_the_lp_uses(model):
         problem = build_time_indexed_lp(inst, horizon)
         # the full LP, not a prefix: a problem without a step map is solved whole
         sol = solve(replace(problem, step_map=None))
-        used = max(int(np.flatnonzero(sol.x[cols] > 1e-9)[-1]) + 1 for cols in problem.layout.x)
+        sent = np.diff(sol.x[problem.layout.S], axis=1, prepend=0.0)
+        used = max(int(np.flatnonzero(row > 1e-9)[-1]) + 1 for row in sent)
         assert horizon_lower_bound(inst) <= used <= horizon
 
 
@@ -118,11 +120,9 @@ def test_free_path_lp_one_slot_below_the_lower_bound_is_infeasible():
 
 
 def _step_of(name: str) -> int:
-    """The step a column or row name carries (0 for C, dem and fin)."""
+    """The step a column or row name carries."""
     parts = name.split("_")
-    position = {"X": 2, "x": 3, "S": 3, "xe": 3, "cum": 3, "src": 3, "snk": 3, "bal": 3}
-    if parts[0] in ("C", "dem", "fin"):
-        return 0
+    position = {"X": 2, "S": 3, "xe": 3, "cum": 3, "src": 3, "snk": 3, "bal": 3}
     return int(parts[-1] if parts[0] == "cap" else parts[position[parts[0]]])
 
 
@@ -138,12 +138,13 @@ def test_step_map_matches_the_names(model):
         assert m.row_step.tolist() == [_step_of(n) for n in problem.row_names]
         after = [float(n.split("_")[0] in ("X", "S")) for n in problem.col_names]
         assert m.col_after.tolist() == after
-        dems = {
-            problem.row_names[r]: problem.row_names[d] for r, d in enumerate(m.row_dem) if d >= 0
-        }
-        defs = [n for n in problem.row_names if n.startswith("cum_") and n.endswith("_s")]
-        assert dems == {name: "dem_{}_{}".format(*name.split("_")[1:3]) for name in defs}
-        assert m.step_count == len(problem.layout.x[0])
+        assert m.step_count == problem.layout.S.shape[1]
+        flows = [f"{j + 1}_{i + 1}" for j, i, _, _ in inst.iter_flows()]
+        last = [problem.col_names[c] for c in problem.layout.S[:, -1]]
+        assert last == [f"S_{tag}_{m.step_count}" for tag in flows]
+        # every flow is done by the last step, and by no other
+        assert (problem.col_lower[problem.layout.S[:, -1]] == 1.0).all()
+        assert np.count_nonzero(problem.col_lower) == len(flows)
         assert 1 <= m.first_prefix
 
 
@@ -175,7 +176,28 @@ def test_trivial_lp_only_feasible_point():
     sol = solve(problem)
     assert sol.status.value == "optimal"
     assert sol.objective == pytest.approx(1.0)
-    assert sol.x[problem.col_names.index("x_1_1_1")] == pytest.approx(1.0)
+    assert sol.x[problem.col_names.index("S_1_1_1")] == pytest.approx(1.0)
+    assert sol.x[problem.col_names.index("X_1_1")] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_lp_completions_add_up_to_the_objective(model):
+    # the objective is sum_j w_j * (1 + sum_t len_t * (1 - X_j_t)), the
+    # extracted completion bound per coflow, on slot and interval steps
+    rng = np.random.default_rng(31)
+    for k in range(6):
+        inst = fuzz_instance(rng, model)
+        weights = [cf.weight for cf in inst.coflows]
+        horizon = horizon_upper_bound(inst)
+        problem = build_time_indexed_lp(inst, horizon)
+        sol = solve(problem)
+        completion = extract_fractional(problem, sol.x, inst, horizon).lp_completion
+        assert sol.objective == pytest.approx(math.fsum(map(math.prod, zip(weights, completion))), rel=1e-9)
+        grid = interval_grid_for(inst, (0.2, 0.5436)[k % 2])
+        problem = build_interval_lp(inst, grid)
+        sol = solve(problem)
+        completion = extract_interval_solution(problem, sol.x, inst, grid).lp_completion
+        assert sol.objective == pytest.approx(math.fsum(map(math.prod, zip(weights, completion))), rel=1e-9)
 
 
 def test_golden_lp_objectives(solved_single, solved_free):
@@ -203,7 +225,7 @@ def test_release_respected_in_solution():
     problem = build_time_indexed_lp(inst, horizon)
     sol = solve(problem)
     for t in (1, 2):
-        assert sol.x[problem.col_names.index(f"x_1_1_{t}")] == pytest.approx(0.0, abs=1e-12)
+        assert sol.x[problem.col_names.index(f"S_1_1_{t}")] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fractional_release_rounds_up():
@@ -223,7 +245,7 @@ def test_fractional_release_rounds_up():
     problem = build_time_indexed_lp(inst, horizon)
     sol = solve(problem)
     for t in (1, 2):
-        assert sol.x[problem.col_names.index(f"x_1_1_{t}")] == pytest.approx(0.0, abs=1e-12)
+        assert sol.x[problem.col_names.index(f"S_1_1_{t}")] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_infeasible_horizon_flagged_before_solve():
@@ -273,11 +295,13 @@ def test_prefix_sum_identity_on_random_vectors(rng):
 def test_variable_naming_convention(solved_single, solved_free):
     p_single, _, _ = solved_single
     p_free, _, _ = solved_free
-    assert "C_1" in p_single.col_names
     assert "X_4_3" in p_single.col_names
-    assert "x_4_1_2" in p_single.col_names
     assert "S_4_1_2" in p_single.col_names
     assert "xe_4_1_2_s-v1" in p_free.col_names
+    # one cumulative column per flow-step: no completion or per-step amount columns
+    for p in (p_single, p_free):
+        assert {n.split("_")[0] for n in p.col_names} <= {"X", "S", "xe"}
+        assert {n.split("_")[0] for n in p.row_names} <= {"cum", "cap", "src", "snk", "bal"}
 
 
 # ---------------------------------------------------------------------------
@@ -389,38 +413,71 @@ def test_interval_pipeline_bounds_the_horizon_once(demo_free, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# cum rows: prefix formulation against the quadratic one
+# cum rows: cumulative columns against the textbook formulation
 
 
-def quadratic_cum_reference(instance, problem):
-    """``problem`` with its prefix columns ``S`` and ``cum`` rows replaced
-    by the textbook rows ``X_j_t - sum_{l <= t} x_j_i_l <= 0``, one per
-    (coflow, flow, step)."""
-    keep = [k for k, name in enumerate(problem.col_names) if not name.startswith("S_")]
-    new_index = np.full(problem.num_cols, -1)
-    new_index[keep] = np.arange(len(keep))
-    matrix = as_scipy(problem.A)
-    rows = []
-    for r, name in enumerate(problem.row_names):
-        if name.startswith("cum_"):
+def textbook_reference(instance, lengths, allowed):
+    """The relaxation as the paper writes it, one row at a time: columns
+    ``C_j``, ``X_j_t``, the per-step amounts ``x_j_i_t`` (and free-path
+    ``xe``); rows ``dem`` (each flow's amounts sum to 1), the quadratic
+    ``X_j_t - sum_{l <= t} x_j_i_l <= 0`` per (coflow, flow, step),
+    ``fin`` (``C_j + sum_t len_t X_j_t >= 1 + sum_t len_t``), and the
+    ``cap`` and flow rows on the amounts."""
+    steps = range(1, len(lengths) + 1)
+    obj, upper, names, rows = [], [], [], []
+
+    def col(name, cost=0.0, ub=1.0):
+        names.append(name)
+        obj.append(cost)
+        upper.append(ub)
+        return len(names) - 1
+
+    def row(name, plus, minus, rel, rhs, vals=None):
+        rows.append((name, plus + minus, vals or [1.0] * len(plus) + [-1.0] * len(minus), rel, rhs))
+
+    C = [col(f"C_{j + 1}", cf.weight, math.inf) for j, cf in enumerate(instance.coflows)]
+    X = {(j, t): col(f"X_{j + 1}_{t}") for j in range(len(C)) for t in steps}
+    users = {}  # edge id -> [(column per step, demand)]
+    for f, (j, _, _, fl) in enumerate(instance.iter_flows()):
+        x = {t: col(f"x_{f}_{t}", ub=float(allowed(fl, t))) for t in steps}
+        row(f"dem_{f}", list(x.values()), [], "=", 1.0)
+        for t in steps:
+            row(f"cum_{f}_{t}", [X[j, t]], [x[l] for l in range(1, t + 1)], "<=", 0.0)
+        if instance.model is RoutingModel.SINGLE_PATH:
+            for eid in fl.path:
+                users.setdefault(eid, []).append(([x[t] for t in steps], fl.demand))
             continue
-        lo, hi = problem.row_lower[r], problem.row_upper[r]
-        rel, rhs = ("=", lo) if lo == hi else ("<=", hi) if math.isinf(lo) else (">=", lo)
-        row = matrix.getrow(r)
-        rows.append((name, new_index[row.indices].tolist(), row.data.tolist(), rel, rhs))
-    steps = problem.layout.x.shape[1]
-    for f, (j, i, _, _) in enumerate(instance.iter_flows()):
-        for t in range(1, steps + 1):
-            progress = new_index[problem.col_names.index(f"X_{j + 1}_{t}")]
-            cols = [progress] + new_index[problem.layout.x[f, :t]].tolist()
-            rows.append((f"cum_{j + 1}_{i + 1}_{t}", cols, [1.0] + [-1.0] * t, "<=", 0.0))
-    return from_rows(
-        problem.objective[keep],
-        problem.col_lower[keep],
-        problem.col_upper[keep],
-        [problem.col_names[k] for k in keep],
-        rows,
-    )
+        edges = usable_edges(instance.network, fl.src, fl.dst)
+        xe = {(t, e.id): col(f"xe_{f}_{t}_{e.id}", ub=math.inf) for t in steps for e in edges}
+        for e in edges:
+            users.setdefault(e.id, []).append(([xe[t, e.id] for t in steps], fl.demand))
+        interior = sorted(({e.src for e in edges} | {e.dst for e in edges}) - {fl.src, fl.dst})
+        for t in steps:
+            def on(keep):
+                return [xe[t, e.id] for e in edges if keep(e)]
+
+            row(f"src_{f}_{t}", on(lambda e: e.src == fl.src), [x[t]], "=", 0.0)
+            row(f"snk_{f}_{t}", on(lambda e: e.dst == fl.dst), [x[t]], "=", 0.0)
+            for v in interior:
+                row(f"bal_{f}_{t}_{v}", on(lambda e: e.dst == v), on(lambda e: e.src == v), "=", 0.0)
+    for j in range(len(C)):
+        cols = [C[j]] + [X[j, t] for t in steps]
+        row(f"fin_{j + 1}", cols, [], ">=", 1.0 + math.fsum(lengths), [1.0] + list(lengths))
+    for e in instance.network.edges:
+        for t in steps if e.id in users else ():
+            cols = [c[t - 1] for c, _ in users[e.id]]
+            row(f"cap_{e.id}_{t}", cols, [], "<=", lengths[t - 1] * e.cap, [d for _, d in users[e.id]])
+    return from_rows(obj, [0.0] * len(names), upper, names, rows)
+
+
+def _step_rules(instance, grid=None):
+    """Step lengths of the slot LP over the horizon bound (``grid`` None)
+    or of the interval LP on ``grid``, and whether a flow may send in
+    step t (1-based)."""
+    if grid is None:
+        return [1.0] * horizon_upper_bound(instance), lambda fl, t: t > fl.release
+    lengths = np.diff(grid.boundaries).tolist()
+    return lengths, lambda fl, t: grid.boundaries[t - 1] >= fl.release - 1e-9
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
@@ -428,12 +485,12 @@ def test_prefix_cum_rows_match_quadratic_reference(model):
     rng = np.random.default_rng(2027)
     for k in range(10):
         inst = fuzz_instance(rng, model)
-        epsilon = (0.2, 0.5436)[k % 2]
-        for problem in (
-            build_time_indexed_lp(inst, horizon_upper_bound(inst)),
-            build_interval_lp(inst, interval_grid_for(inst, epsilon)),
+        grid = interval_grid_for(inst, (0.2, 0.5436)[k % 2])
+        for problem, rules in (
+            (build_time_indexed_lp(inst, horizon_upper_bound(inst)), _step_rules(inst)),
+            (build_interval_lp(inst, grid), _step_rules(inst, grid)),
         ):
-            got, want = solve(problem), solve(quadratic_cum_reference(inst, problem))
+            got, want = solve(problem), solve(textbook_reference(inst, *rules))
             assert got.status.value == want.status.value == "optimal"
             assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=0)
 
@@ -446,26 +503,28 @@ def _cum_nnz(problem):
 
 
 def test_cum_nonzeros_grow_linearly_in_the_horizon(demo_single):
-    horizon = 4 * horizon_upper_bound(demo_single)
-    small = _cum_nnz(build_time_indexed_lp(demo_single, horizon))
-    large = _cum_nnz(build_time_indexed_lp(demo_single, 2 * horizon))
-    assert large <= 2 * small + demo_single.flow_count
+    # two per X - S row, per (flow, step), and two per S_t - S_{t-1} row, per (flow, step > 1)
+    flows = demo_single.flow_count
+    for horizon in (4 * horizon_upper_bound(demo_single), 8 * horizon_upper_bound(demo_single)):
+        problem = build_time_indexed_lp(demo_single, horizon)
+        assert _cum_nnz(problem) == 2 * flows * horizon + 2 * flows * (horizon - 1)
 
 
 # ---------------------------------------------------------------------------
 # block assembly against a row-at-a-time reference
 
 
-def reference_assembly(instance, lengths, allowed, completion_ub):
+def reference_assembly(instance, lengths, allowed):
     """The relaxation written one column and one row at a time, in the
     documented order, and assembled by ``helpers.from_rows``."""
     steps = range(1, len(lengths) + 1)
     flows = list(instance.iter_flows())
-    obj, upper, names, rows = [], [], [], []
+    obj, lower, upper, names, rows = [], [], [], [], []
 
-    def col(name, cost=0.0, ub=1.0):
+    def col(name, cost=0.0, lb=0.0, ub=1.0):
         names.append(name)
         obj.append(cost)
+        lower.append(lb)
         upper.append(ub)
         return len(names) - 1
 
@@ -473,30 +532,34 @@ def reference_assembly(instance, lengths, allowed, completion_ub):
         vals = vals or [1.0] * len(plus) + [-1.0] * len(minus)
         rows.append((name, plus + minus, vals, rel, rhs))
 
-    C = [col(f"C_{j + 1}", cf.weight, completion_ub) for j, cf in enumerate(instance.coflows)]
-    X = {(j, t): col(f"X_{j + 1}_{t}") for j in range(len(C)) for t in steps}
+    weights = [cf.weight for cf in instance.coflows]
+    X = {
+        (j, t): col(f"X_{j + 1}_{t}", -w * lengths[t - 1])
+        for j, w in enumerate(weights) for t in steps
+    }
     tags = [f"{j + 1}_{i + 1}" for j, i, _, _ in flows]
-    x = {
-        (f, t): col(f"x_{tags[f]}_{t}", ub=float(allowed(fl, t)))
+    S = {
+        (f, t): col(f"S_{tags[f]}_{t}", lb=float(t == len(lengths)), ub=float(allowed(fl, t)))
         for f, (_, _, _, fl) in enumerate(flows) for t in steps
     }
-    S = {(f, t): col(f"S_{tags[f]}_{t}") for f in range(len(flows)) for t in steps}
-    for f in range(len(flows)):
-        row(f"dem_{tags[f]}", [x[f, t] for t in steps], [], "=", 1.0)
     for f, (j, _, _, _) in enumerate(flows):
         for t in steps:
-            prev = [S[f, t - 1]] if t > 1 else []
-            row(f"cum_{tags[f]}_{t}_s", [S[f, t]], [x[f, t]] + prev, "=", 0.0)
             row(f"cum_{tags[f]}_{t}", [X[j, t]], [S[f, t]], "<=", 0.0)
-    for j in range(len(C)):
-        cols = [C[j]] + [X[j, t] for t in steps]
-        row(f"fin_{j + 1}", cols, [], ">=", 1.0 + math.fsum(lengths), [1.0] + list(lengths))
-    users = {}  # edge id -> [(column per step, demand)]
+
+    def sent(f, t):
+        """The step's amount S_t - S_{t-1} as (+1 columns, -1 columns)."""
+        return [S[f, t]], [S[f, t - 1]] if t > 1 else []
+
+    users = {}  # edge id -> [(columns of step t, values of step t) per step]
     xe = None
     if instance.model is RoutingModel.SINGLE_PATH:
         for f, (_, _, _, fl) in enumerate(flows):
             for eid in fl.path:
-                users.setdefault(eid, []).append(([x[f, t] for t in steps], fl.demand))
+                entries = [
+                    (plus + minus, [fl.demand] * len(plus) + [-fl.demand] * len(minus))
+                    for plus, minus in (sent(f, t) for t in steps)
+                ]
+                users.setdefault(eid, []).append(entries)
     else:
         xe = []
         for f, (_, _, _, fl) in enumerate(flows):
@@ -510,43 +573,50 @@ def reference_assembly(instance, lengths, allowed, completion_ub):
             }
             xe.append({e.id: np.array([cols[t, e.id] for t in steps]) for e in edges})
             for e in edges:
-                users.setdefault(e.id, []).append(([cols[t, e.id] for t in steps], fl.demand))
+                users.setdefault(e.id, []).append([([cols[t, e.id]], [fl.demand]) for t in steps])
             nodes = {e.src for e in edges} | {e.dst for e in edges}
             for t in steps:
                 def on(keep):
                     return [cols[t, e.id] for e in edges if keep(e)]
 
-                row(f"src_{tags[f]}_{t}", on(lambda e: e.src == fl.src), [x[f, t]], "=", 0.0)
-                row(f"snk_{tags[f]}_{t}", on(lambda e: e.dst == fl.dst), [x[f, t]], "=", 0.0)
+                plus, minus = sent(f, t)
+                row(f"src_{tags[f]}_{t}", on(lambda e: e.src == fl.src) + minus, plus, "=", 0.0)
+                row(f"snk_{tags[f]}_{t}", on(lambda e: e.dst == fl.dst) + minus, plus, "=", 0.0)
                 for v in sorted(nodes - {fl.src, fl.dst}):
                     ins, outs = on(lambda e: e.dst == v), on(lambda e: e.src == v)
                     row(f"bal_{tags[f]}_{t}_{v}", ins, outs, "=", 0.0)
         xe = tuple(xe)
     for e in instance.network.edges:
         for t in steps if e.id in users else ():
-            cols = [c[t - 1] for c, _ in users[e.id]]
-            rhs = lengths[t - 1] * e.cap
-            row(f"cap_{e.id}_{t}", cols, [], "<=", rhs, [d for _, d in users[e.id]])
+            entries = [user[t - 1] for user in users[e.id]]
+            cols = [c for cs, _ in entries for c in cs]
+            vals = [v for _, vs in entries for v in vs]
+            row(f"cap_{e.id}_{t}", cols, [], "<=", lengths[t - 1] * e.cap, vals)
+    for f in range(len(flows)):
+        for t in steps[1:]:
+            row(f"cum_{tags[f]}_{t}_s", [S[f, t]], [S[f, t - 1]], ">=", 0.0)
     layout = ColumnLayout(
-        completion=np.array(C),
-        x=np.array([[x[f, t] for t in steps] for f in range(len(flows))]),
+        X=np.array([[X[j, t] for t in steps] for j in range(len(weights))]),
+        S=np.array([[S[f, t] for t in steps] for f in range(len(flows))]),
         xe=xe,
     )
-    return from_rows(obj, [0.0] * len(names), upper, names, rows, layout=layout)
+    problem = from_rows(obj, lower, upper, names, rows, layout=layout)
+    return replace(problem, offset=math.fsum(np.array(weights) * (1.0 + math.fsum(lengths))))
 
 
 def assert_same_problem(got, want):
-    """Bit for bit: names, bounds, objective, CSR arrays and layout. The
-    builder's names are built here, on first read."""
+    """Bit for bit: names, bounds, objective and its offset, CSR arrays and
+    layout. The builder's names are built here, on first read."""
     assert "col_names" not in vars(got) and "row_names" not in vars(got)
     assert got.col_names == want.col_names
     assert got.row_names == want.row_names
+    assert got.offset.hex() == want.offset.hex()
     pairs = [
         (getattr(got, k), getattr(want, k))
         for k in ("objective", "col_lower", "col_upper", "row_lower", "row_upper")
     ]
     pairs += [(getattr(got.A, k), getattr(want.A, k)) for k in ("indptr", "indices", "data")]
-    pairs += [(got.layout.completion, want.layout.completion), (got.layout.x, want.layout.x)]
+    pairs += [(got.layout.X, want.layout.X), (got.layout.S, want.layout.S)]
     assert (got.layout.xe is None) == (want.layout.xe is None)
     for a, b in zip(got.layout.xe or (), want.layout.xe or (), strict=True):
         assert list(a) == list(b)
@@ -561,17 +631,10 @@ def test_block_assembly_matches_row_reference(model):
     for k in range(12):
         inst = fuzz_instance(rng, model)
         horizon = horizon_upper_bound(inst)
-        slot = reference_assembly(
-            inst, [1.0] * horizon, lambda fl, t: t > fl.release, horizon + 1.0
-        )
+        slot = reference_assembly(inst, *_step_rules(inst))
         assert_same_problem(build_time_indexed_lp(inst, horizon), slot)
         grid = interval_grid_for(inst, (0.2, 0.5436)[k % 2])
-        interval = reference_assembly(
-            inst,
-            list(grid.lengths),
-            lambda fl, t: grid.boundaries[t - 1] >= fl.release - 1e-9,
-            grid.horizon + 1.0,
-        )
+        interval = reference_assembly(inst, *_step_rules(inst, grid))
         assert_same_problem(build_interval_lp(inst, grid), interval)
 
 
@@ -609,7 +672,7 @@ def test_edge_splits_match_per_edge_reference():
         x = x + np.where(rng.random(len(x)) < 0.2, -1e-10, 0.0)  # solver dust to clip
         got = extract_fractional(problem, x, inst, horizon).edge_fractions
         for f, (j, i, _, _) in enumerate(inst.iter_flows()):
-            total = np.clip(x[problem.layout.x[f]], 0.0, None).sum()
+            total = np.clip(np.diff(x[problem.layout.S[f]], prepend=0.0), 0.0, None).sum()
             splits = {
                 eid: np.clip(x[cols], 0.0, None) / total
                 for eid, cols in problem.layout.xe[f].items()

@@ -430,6 +430,37 @@ def test_lambda_point_examples():
     assert lambda_point(frac, 0, 1.0) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("model", list(RoutingModel))
+def test_lambda_table_is_lambda_point_per_coflow(model):
+    # the factors of run_stretch, 1/2 for the list order, and each level itself (ties)
+    from dataclasses import replace
+
+    rng = np.random.default_rng(33)
+    checked = 0
+    for inst, frac in _fuzz_solved(model, True, count=6, seed=929):
+        levels = np.unique(np.concatenate(frac.cumulative))
+        values = np.concatenate([
+            rounding._draw_factors(20, 3, frac.slot_count), [1.0, 0.5],
+            levels[(levels > 0) & (levels <= 1)], rng.uniform(1e-9, 1.0, 5),
+        ])
+        got = rounding._lambda_table(frac, values)
+        want = [[lambda_point(frac, j, v) for v in values.tolist()] for j in range(len(frac.cumulative))]
+        assert got.tobytes() == np.array(want).tobytes()
+        # coflows short of a fraction: the first of them, and its first such fraction, are named
+        first, last = min(1, len(frac.cumulative) - 1), len(frac.cumulative) - 1
+        short = replace(frac, cumulative=tuple(
+            c * 0.9 if j in (first, last) else c for j, c in enumerate(frac.cumulative)
+        ))
+        with pytest.raises(ValueError) as per_coflow:
+            for j in range(len(short.cumulative)):
+                rounding._lambda_points(short, j, values)
+        with pytest.raises(ValueError, match=f"^coflow {first + 1} never reaches fraction") as table:
+            rounding._lambda_table(short, values)
+        assert str(table.value) == str(per_coflow.value)
+        checked += 1
+    assert checked == 6
+
+
 def test_stretch_feasible_on_random_instances(rng):
     from conftest import fuzz_instance
 
