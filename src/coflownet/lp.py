@@ -79,8 +79,7 @@ from itertools import product
 import numpy as np
 
 from .csr import CSR
-from .graphs import max_flow_value, path_bottleneck, usable_edges
-from .model import Edge, FractionalSchedule, Instance, RoutingModel, coflow_progress
+from .model import FractionalSchedule, Instance, RoutingModel, coflow_progress
 
 
 @dataclass(frozen=True)
@@ -230,15 +229,8 @@ def _ceil_slots(value: float) -> int:
 
 def _solo_slots(instance: Instance):
     """Per flow in ``iter_flows`` order: the flow and the slots it needs
-    alone, demand over the path bottleneck (single-path) or over the
-    source-sink max-flow value (free-path)."""
-    for j, i, _, fl in instance.iter_flows():
-        if instance.model is RoutingModel.SINGLE_PATH:
-            rate = path_bottleneck(instance.network, fl.path)
-        else:
-            rate = max_flow_value(instance.network, fl.src, fl.dst)
-            if rate <= 1e-12:
-                raise ValueError(f"unroutable flow: coflow {j + 1} flow {i + 1}")
+    alone, its demand over its rate alone (``Instance.solo_rates``)."""
+    for (_, _, _, fl), rate in zip(instance.iter_flows(), instance.solo_rates):
         yield fl, _ceil_slots(fl.demand / rate)
 
 
@@ -271,9 +263,11 @@ def _lower_bound_terms(instance: Instance) -> list[tuple[int, int]]:
     - Free path, per node v and release r: the slots v's out-edges need
       for the demand of the flows out of v released at r or later, which
       may use only slots after r; likewise v's in-edges for the flows
-      into v. A flow's max-flow slots are not a term: the relaxations'
-      ``src``/``snk`` rows count gross flow, so a cycle back into the
-      source lets them beat the max-flow rate.
+      into v. A flow's max-flow slots are not a term, because of an open
+      defect (ROADMAP item 1): the relaxations' ``src``/``snk`` rows, and
+      ``verify_schedule``, count a flow's gross out-flow of its source and
+      gross in-flow of its sink. A cycle back into the source is then
+      counted as delivered, which lets both beat the max-flow rate.
     """
     if instance.model is RoutingModel.SINGLE_PATH:
         solo = list(_solo_slots(instance))
@@ -293,20 +287,20 @@ def _lower_bound_terms(instance: Instance) -> list[tuple[int, int]]:
         demand: dict[str, float] = {}
         for j, i, _, fl in flows:
             node = getattr(fl, end)
-            if cap.get(node, 0.0) <= 1e-12:
+            if not cap.get(node, 0.0) > 1e-12:  # NaN fails too
                 raise ValueError(f"unroutable flow: coflow {j + 1} flow {i + 1}")
             demand[node] = demand.get(node, 0.0) + fl.demand
             terms.append((fl.release, _ceil_slots(demand[node] / cap[node])))
     return terms
 
 
-def columns_per_slot(instance: Instance, edges: FlowEdges) -> int:
+def columns_per_slot(instance: Instance) -> int:
     """Columns the slot LP has per slot: ``X`` per coflow and ``S`` per
     flow, plus one ``xe`` per usable edge of each free-path flow
-    (``edges``, from :func:`flow_edges`)."""
+    (``Instance.flow_edges``)."""
     per_slot = len(instance.coflows) + instance.flow_count
     if instance.model is RoutingModel.FREE_PATH:
-        per_slot += sum(map(len, edges))
+        per_slot += sum(map(len, instance.flow_edges))
     return per_slot
 
 
@@ -320,15 +314,14 @@ MAX_SLOT_COLUMNS = 2_000_000
 
 class HorizonTooLarge(ValueError):
     """The horizon bound, or the interval grid over it, makes the model too
-    large to build."""
+    large to build, or its objective too large to sum."""
 
 
-def checked_horizon(instance: Instance, edges: FlowEdges) -> int:
+def checked_horizon(instance: Instance) -> int:
     """``horizon_upper_bound(instance)``, or :class:`HorizonTooLarge` when
-    that many slots times the columns per slot exceeds ``MAX_SLOT_COLUMNS``
-    (free-path flows on ``edges``, from ``flow_edges``)."""
+    that many slots times the columns per slot exceeds ``MAX_SLOT_COLUMNS``."""
     horizon = horizon_upper_bound(instance)
-    per_slot = columns_per_slot(instance, edges)
+    per_slot = columns_per_slot(instance)
     if horizon * per_slot > MAX_SLOT_COLUMNS:
         raise HorizonTooLarge(
             f"horizon bound of {horizon:,} slots needs about {horizon * per_slot:,} LP columns "
@@ -412,16 +405,9 @@ def interval_grid_for(instance: Instance, epsilon: float) -> IntervalGrid:
     the interval LP over the grid would have more than
     ``MAX_SLOT_COLUMNS`` columns.
     """
-    per_step = columns_per_slot(instance, flow_edges(instance))
-    return _padded_grid(instance, horizon_upper_bound(instance), epsilon, per_step)
-
-
-def _padded_grid(instance: Instance, bound: int, epsilon: float, per_step: int) -> IntervalGrid:
-    """:func:`interval_grid_for` with the instance's ``horizon_upper_bound``
-    and ``columns_per_slot`` already computed as ``bound`` and ``per_step``."""
-    release = instance.max_release
-    demand_slots = bound - release
-    target = bound
+    per_step, release = columns_per_slot(instance), instance.max_release
+    target = horizon_upper_bound(instance)
+    demand_slots = target - release
     while True:
         grid = geometric_intervals(target, epsilon, per_step)
         first_after = next(b for b in grid.boundaries if b >= release - 1e-9)
@@ -434,27 +420,6 @@ def _padded_grid(instance: Instance, bound: int, epsilon: float, per_step: int) 
 # LP assembly
 
 
-#: Usable edges of each free-path flow in ``iter_flows`` order, or None.
-FlowEdges = list[tuple[Edge, ...]] | None
-
-
-def flow_edges(instance: Instance) -> FlowEdges:
-    """Usable edges of each flow in ``iter_flows`` order for free path;
-    None for single path, whose flows keep their paths.
-
-    The builders compute them when not given them, so a caller that
-    builds more than one thing from them passes them on instead.
-    """
-    if instance.model is RoutingModel.SINGLE_PATH:
-        return None
-    out = []
-    for j, i, _, fl in instance.iter_flows():
-        out.append(usable_edges(instance.network, fl.src, fl.dst))
-        if not any(e.src == fl.src for e in out[-1]):
-            raise ValueError(f"unroutable flow: coflow {j + 1} flow {i + 1}")
-    return out
-
-
 def _block(naming: NameBlock, counts, indices, data, lower, upper, step):
     """One row family in row order: its naming, nonzeros per row, column
     indices, values, row bounds and row steps; scalars broadcast."""
@@ -465,13 +430,13 @@ def _block(naming: NameBlock, counts, indices, data, lower, upper, step):
     )
 
 
-def _flow_rows(tag: str, fl, edges, sums: np.ndarray, first: int):
-    """``src``/``snk``/``bal`` rows of one free-path flow whose ``xe``
-    columns start at ``first`` and whose ``S`` columns are ``sums``, one
-    block of ``len(edges)`` per step."""
-    ins: dict[str, list[int]] = {}  # node -> positions of its in-edges in ``edges``
+def _flow_rows(tag: str, fl, usable, sums: np.ndarray, first: int):
+    """``src``/``snk``/``bal`` rows of one free-path flow on its ``usable``
+    edges, whose ``xe`` columns start at ``first`` and whose ``S`` columns
+    are ``sums``, one block of ``len(usable)`` per step."""
+    ins: dict[str, list[int]] = {}  # node -> positions of its in-edges in ``usable``
     outs: dict[str, list[int]] = {}
-    for k, e in enumerate(edges):
+    for k, e in enumerate(usable):
         outs.setdefault(e.src, []).append(k)
         ins.setdefault(e.dst, []).append(k)
     interior = sorted((ins.keys() | outs.keys()) - {fl.src, fl.dst})
@@ -486,7 +451,7 @@ def _flow_rows(tag: str, fl, edges, sums: np.ndarray, first: int):
     vals = [v for plus, minus in template for v in [1.0] * len(plus) + [-1.0] * len(minus)]
     row = np.repeat(np.arange(len(template)), [len(plus) + len(minus) for plus, minus in template])
     steps = len(sums)
-    cols = first + len(edges) * np.arange(steps)[:, None] + local
+    cols = first + len(usable) * np.arange(steps)[:, None] + local
     cols[:, local == -1] = sums[:, None]
     cols[1:, local == -2] = sums[:-1, None]
     keep = np.ones(cols.shape, dtype=bool)
@@ -529,10 +494,10 @@ def _first_prefix(instance: Instance, boundaries: np.ndarray) -> int:
     return int(np.searchsorted(boundaries, ends.max() - 1e-9))
 
 
-def _assemble(instance: Instance, boundaries, edges: FlowEdges, steps: int | None = None) -> LPProblem:
+def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPProblem:
     """Either relaxation over the steps between consecutive ``boundaries``:
-    step t is ``(boundaries[t-1], boundaries[t]]``, with the free-path
-    flows on ``edges`` (from :func:`flow_edges` when None).
+    step t is ``(boundaries[t-1], boundaries[t]]``, with each free-path
+    flow on its usable edges (``Instance.flow_edges``).
 
     A flow may transmit only in steps that start at or after its release
     (on slot boundaries, slots ``t > release``), and the step map's first
@@ -561,6 +526,11 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges, steps: int | Non
         )
     first_prefix = _first_prefix(instance, boundaries)
     weight = np.array([c.weight for c in instance.coflows], dtype=float)
+    # objectives summed from it are at most the summed weight times 1 + T (the LP's) or 10 T^2 + 1
+    # (a schedule stretched by 1/lambda <= 10 T); math.fsum raises where Python floats give inf
+    span = 1.0 + float(boundaries[-1])
+    if not math.isfinite(10.0 * sum(weight.tolist()) * span * span):
+        raise HorizonTooLarge(f"coflow weights up to {weight.max():g} make the objective too large to sum")
     offset = math.fsum(weight * (1.0 + math.fsum(lengths)))
     if steps is not None and steps < len(lengths):
         offset = math.fsum([offset, *(-weight[:, None] * lengths[steps:]).ravel().tolist()])
@@ -602,8 +572,7 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges, steps: int | Non
                 )
     else:
         xe = []
-        edges = edges if edges is not None else flow_edges(instance)
-        for f, ((_, _, _, fl), usable, tag) in enumerate(zip(flows, edges, tags)):
+        for f, ((_, _, _, fl), usable, tag) in enumerate(zip(flows, instance.flow_edges, tags)):
             width = len(usable)
             col_naming.append(("xe_{}_{}_{}", ((tag,), t_range, [e.id for e in usable])))
             # the bound its cap row implies when the flow carries the edge alone
@@ -660,9 +629,8 @@ def _assemble(instance: Instance, boundaries, edges: FlowEdges, steps: int | Non
     )
 
 
-def build_time_indexed_lp(instance: Instance, horizon: int, edges: FlowEdges = None) -> LPProblem:
-    """The slot-indexed relaxation over slots ``1..horizon``, with the
-    free-path flows on ``edges`` (from :func:`flow_edges` when None).
+def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:
+    """The slot-indexed relaxation over slots ``1..horizon``.
 
     Minimizing it gives a lower bound on the weighted completion time of
     any feasible schedule. Raises if the horizon cannot even cover the
@@ -674,39 +642,35 @@ def build_time_indexed_lp(instance: Instance, horizon: int, edges: FlowEdges = N
         raise ValueError(
             f"horizon {horizon} does not exceed the latest release {instance.max_release}"
         )
-    return _assemble(instance, np.arange(horizon + 1.0), edges)
+    return _assemble(instance, np.arange(horizon + 1.0))
 
 
-def build_interval_lp(instance: Instance, grid: IntervalGrid, edges: FlowEdges = None) -> LPProblem:
-    """The geometric-interval relaxation on ``grid``, with the free-path
-    flows on ``edges`` (from :func:`flow_edges` when None).
+def build_interval_lp(instance: Instance, grid: IntervalGrid) -> LPProblem:
+    """The geometric-interval relaxation on ``grid``.
 
     Step t is the interval ``(tau_{t-1}, tau_t]``; capacities scale with
     interval length and the completion bound weighs progress by it. A
     flow may be scheduled only in intervals wholly after its release, so
     uniform-speed expansion never transmits early.
     """
-    return _assemble(instance, grid.boundaries, edges)
+    return _assemble(instance, grid.boundaries)
 
 
 # ---------------------------------------------------------------------------
 # solution extraction
 
 
-def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, lengths: np.ndarray):
+def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, steps: int):
     """Pull per-flow step fractions (and free-path edge splits) out of a
-    solved column vector of the relaxation with step ``lengths``, clipping
-    solver dust and renormalizing each flow to sum exactly to one; and each
-    coflow's completion bound ``1 + sum_t len_t * (1 - X_j_t)``.
+    solved column vector of the relaxation with ``steps`` steps, clipping
+    solver dust and renormalizing each flow to sum exactly to one.
 
     A flow's fraction in step t is ``S_t - S_{t-1}``. ``problem`` may be a
     prefix rung of the relaxation: each series is padded with zeros to
-    every step first, and each completion bound gains 0 from the later
-    ``X`` at 1, so the sums, and so every fraction and bound, are bitwise
+    every step first, so the sums, and so every fraction, are bitwise
     those of the whole relaxation's point.
     """
     layout = problem.layout
-    steps = len(lengths)
     if layout is None or layout.S.shape[0] != instance.flow_count or layout.S.shape[1] > steps:
         raise ValueError("problem has no column layout for this instance and step count")
     built = layout.S.shape[1]
@@ -730,19 +694,20 @@ def _collect(problem: LPProblem, x: np.ndarray, instance: Instance, lengths: np.
             splits /= total
             used = np.flatnonzero((splits > 0).any(axis=1))
             edge_fractions[j].append({eids[k]: splits[k] for k in used})
-    short = lengths[:built] * (1.0 - x[layout.X])
-    completion = tuple(math.fsum([1.0, *row]) for row in short.tolist())
     edges = tuple(map(tuple, edge_fractions)) if layout.xe is not None else None
-    return tuple(map(tuple, fractions)), edges, completion
+    return tuple(map(tuple, fractions)), edges
 
 
 def extract_fractional(
     problem: LPProblem, x: np.ndarray, instance: Instance, horizon: int
 ) -> FractionalSchedule:
     """FractionalSchedule over ``horizon`` slots from a solved
-    slot-indexed LP column vector; ``problem`` may be a rung of fewer
-    slots, whose later slots carry nothing."""
-    fractions, edge_fractions, completion = _collect(problem, x, instance, np.ones(horizon))
+    slot-indexed LP column vector, with each coflow's completion bound
+    ``1 + sum_t (1 - X_j_t)``; ``problem`` may be a rung of fewer slots,
+    whose later slots carry nothing and whose later ``X`` at 1 add 0 to
+    the bound."""
+    fractions, edge_fractions = _collect(problem, x, instance, horizon)
+    completion = tuple(math.fsum([1.0, *row]) for row in (1.0 - x[problem.layout.X]).tolist())
     return FractionalSchedule(
         slot_count=horizon,
         fractions=fractions,
@@ -759,18 +724,10 @@ class IntervalSolution:
     grid: IntervalGrid
     fractions: tuple[tuple[np.ndarray, ...], ...]
     edge_fractions: tuple[tuple[dict[str, np.ndarray], ...], ...] | None
-    lp_completion: tuple[float, ...]
 
 
 def extract_interval_solution(
     problem: LPProblem, x: np.ndarray, instance: Instance, grid: IntervalGrid
 ) -> IntervalSolution:
-    fractions, edge_fractions, completion = _collect(
-        problem, x, instance, np.diff(grid.boundaries)
-    )
-    return IntervalSolution(
-        grid=grid,
-        fractions=fractions,
-        edge_fractions=edge_fractions,
-        lp_completion=completion,
-    )
+    fractions, edge_fractions = _collect(problem, x, instance, grid.interval_count)
+    return IntervalSolution(grid=grid, fractions=fractions, edge_fractions=edge_fractions)

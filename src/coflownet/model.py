@@ -134,6 +134,49 @@ class Instance:
     def max_release(self) -> int:
         return max((fl.release for _, _, _, fl in self.iter_flows()), default=0)
 
+    @cached_property
+    def flow_edges(self) -> tuple[tuple[Edge, ...], ...] | None:
+        """Each flow's usable edges (``graphs.usable_edges``) in ``iter_flows``
+        order for free path, None for single path; ValueError ``unroutable
+        flow`` when none leaves a flow's source."""
+        if self.model is RoutingModel.SINGLE_PATH:
+            return None
+        from .graphs import usable_edges  # local import to avoid a cycle
+
+        return self._per_route(
+            lambda fl: usable_edges(self.network, fl.src, fl.dst),
+            lambda fl, edges: any(e.src == fl.src for e in edges),
+        )
+
+    @cached_property
+    def solo_rates(self) -> tuple[float, ...]:
+        """Each flow's rate alone in ``iter_flows`` order: its path bottleneck,
+        or its source-sink max-flow value for free path; ValueError
+        ``unroutable flow`` for a rate that is not positive (NaN included)."""
+        from .graphs import max_flow_value, path_bottleneck  # local import to avoid a cycle
+
+        net, single = self.network, self.model is RoutingModel.SINGLE_PATH
+        return self._per_route(
+            lambda fl: path_bottleneck(net, fl.path) if single else max_flow_value(net, fl.src, fl.dst),
+            lambda fl, rate: rate > 0,
+        )
+
+    def _per_route(self, compute, usable) -> tuple:
+        """``compute(flow)`` per flow, worked out once per route (a path, or a
+        source-sink pair for free path); ValueError ``unroutable flow`` at the
+        first flow whose value ``usable(flow, value)`` refuses."""
+        single = self.model is RoutingModel.SINGLE_PATH
+        known: dict = {}
+        out = []
+        for j, i, _, fl in self.iter_flows():
+            route = fl.path if single else (fl.src, fl.dst)
+            if route not in known:
+                known[route] = compute(fl)
+            if not usable(fl, known[route]):
+                raise ValueError(f"unroutable flow: coflow {j + 1} flow {i + 1}")
+            out.append(known[route])
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class FractionalSchedule:
@@ -289,7 +332,10 @@ def weighted_objective(completions, weights) -> float:
     """Exact weighted sum over coflows of weight times completion."""
     if len(completions) != len(weights):
         raise ValueError("completions and weights differ in length")
-    return math.fsum(w * c for w, c in zip(weights, completions))
+    try:
+        return math.fsum(w * c for w, c in zip(weights, completions))
+    except OverflowError:  # finite terms whose sum is beyond the float range
+        return sum(w * c for w, c in zip(weights, completions))  # inf, not raised
 
 
 def flow_coflows(instance: Instance) -> np.ndarray:

@@ -30,12 +30,10 @@ import numpy as np
 from .lp import (
     HorizonTooLarge,
     _assemble,
-    _padded_grid,
     checked_horizon,
-    columns_per_slot,
     extract_fractional,
     extract_interval_solution,
-    flow_edges,
+    interval_grid_for,
 )
 from .model import (
     CompletionReport,
@@ -92,17 +90,15 @@ class PipelineResult:
 
 
 def _relaxation(instance: Instance, strategy: str, epsilon: float | None):
-    """The free-path usable edges, the checked horizon bound, the interval
-    grid (None for the slot LP) and the step boundaries of ``strategy``'s
-    relaxation of the valid ``instance``; :class:`HorizonTooLarge` before
-    anything that grows with the horizon exists."""
-    edges = flow_edges(instance)
-    horizon = checked_horizon(instance, edges)
+    """The checked horizon bound, the interval grid (None for the slot LP)
+    and the step boundaries of ``strategy``'s relaxation of the valid
+    ``instance``; :class:`HorizonTooLarge` before anything that grows with
+    the horizon exists."""
+    horizon = checked_horizon(instance)
     if strategy != "interval-stretch":
-        return edges, horizon, None, np.arange(horizon + 1.0)
-    eps = 0.2 if epsilon is None else epsilon
-    grid = _padded_grid(instance, horizon, eps, columns_per_slot(instance, edges))
-    return edges, horizon, grid, grid.boundaries
+        return horizon, None, np.arange(horizon + 1.0)
+    grid = interval_grid_for(instance, 0.2 if epsilon is None else epsilon)
+    return horizon, grid, grid.boundaries
 
 
 def write_relaxation(instance: Instance, strategy: str, epsilon: float | None, path: str | Path) -> None:
@@ -115,8 +111,8 @@ def write_relaxation(instance: Instance, strategy: str, epsilon: float | None, p
     file cannot be written."""
     if Path(path).suffix != ".mps":
         raise ValueError(f"an LP file must end in .mps, got {str(path)!r}")
-    edges, _, _, boundaries = _relaxation(instance, strategy, epsilon)
-    save_mps(_assemble(instance, boundaries, edges), path)
+    _, _, boundaries = _relaxation(instance, strategy, epsilon)
+    save_mps(_assemble(instance, boundaries), path)
 
 
 def run_pipeline(
@@ -136,8 +132,8 @@ def run_pipeline(
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_trials(trials)
     check_instance(instance)
-    edges, horizon, grid, boundaries = _relaxation(instance, strategy, epsilon)
-    problem, solution = solve_relaxation(instance, boundaries, edges)
+    horizon, grid, boundaries = _relaxation(instance, strategy, epsilon)
+    problem, solution = solve_relaxation(instance, boundaries)
     if solution.status is not SolveStatus.OPTIMAL:
         raise SolveFailure(solution.status)
     if grid is not None:

@@ -257,18 +257,18 @@ def _stack_edges(nested, slots: int):
     return _stack(rows, slots), np.array(owner, dtype=np.int64), eids
 
 
-def _unstack(slots: int, like, amounts: np.ndarray, edges=None) -> RateSchedule:
+def _unstack(slots: int, like, amounts: np.ndarray, splits=None) -> RateSchedule:
     """Slice stacked rows back into a ``RateSchedule`` nested like
-    ``like``; ``edges`` is ``(rows, owner, eids)`` as from ``_stack_edges``."""
+    ``like``; ``splits`` is ``(rows, owner, eids)`` as from ``_stack_edges``."""
 
     def nest(rows):
         flat = iter(rows)
         return tuple(tuple(islice(flat, len(flows))) for flows in like)
 
     edge_amounts = None
-    if edges is not None:
+    if splits is not None:
         by_flow = [{} for _ in range(len(amounts))]
-        for series, f, eid in zip(*edges):
+        for series, f, eid in zip(*splits):
             by_flow[f][eid] = series
         edge_amounts = nest(by_flow)
     return RateSchedule(slot_count=slots, amounts=nest(amounts), edge_amounts=edge_amounts)
@@ -313,16 +313,16 @@ def _moved(rows: np.ndarray, source: np.ndarray) -> np.ndarray:
     return np.concatenate([rows, np.zeros((len(rows), 1), dtype=rows.dtype)], axis=1)[:, source]
 
 
-def _compact(amounts: np.ndarray, edges, release: np.ndarray):
+def _compact(amounts: np.ndarray, splits, release: np.ndarray):
     """:func:`compact_idle_slots` on stacked rows: the moved amounts and
-    edges (``(rows, owner, eids)`` or None), cut after the last busy slot.
-    Slots move whole, so the busy slots after the moves are the targets
-    and the slots that stayed."""
+    edge splits (``(rows, owner, eids)`` or None), cut after the last busy
+    slot. Slots move whole, so the busy slots after the moves are the
+    targets and the slots that stayed."""
     source = _plan(amounts > AMOUNT_EPS, release)
-    if edges is not None:
-        rows, owner, eids = edges
-        edges = (_moved(rows, source), owner, eids)
-    return _moved(amounts, source), edges
+    if splits is not None:
+        rows, owner, eids = splits
+        splits = (_moved(rows, source), owner, eids)
+    return _moved(amounts, source), splits
 
 
 def _objectives(completions: np.ndarray, weights: np.ndarray) -> list[float]:

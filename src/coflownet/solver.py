@@ -81,7 +81,7 @@ from typing import ClassVar
 import numpy as np
 
 from .csr import _load_extension
-from .lp import FlowEdges, LPProblem, _assemble, _first_prefix
+from .lp import LPProblem, _assemble, _first_prefix
 from .model import Instance
 
 #: scipy's HiGHS binding, private to scipy: pyproject.toml asks for the
@@ -173,9 +173,7 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
     return _solve_whole(problem)
 
 
-def solve_relaxation(
-    instance: Instance, boundaries, edges: FlowEdges = None
-) -> tuple[LPProblem, LPSolution]:
+def solve_relaxation(instance: Instance, boundaries) -> tuple[LPProblem, LPSolution]:
     """Minimize the relaxation over the steps between consecutive
     ``boundaries`` (see :func:`coflownet.lp._assemble`) with HiGHS: the LP
     that was solved, and its solution.
@@ -190,14 +188,14 @@ def solve_relaxation(
     boundaries = np.asarray(boundaries, dtype=float)
 
     def attempt(prefix):
-        rung = _assemble(instance, boundaries, edges, prefix)
+        rung = _assemble(instance, boundaries, prefix)
         status, solution, used = _solve_rung(rung)
         return status, None if solution is None else (rung, solution), used
 
     solved = _solve_prefixes(_first_prefix(instance, boundaries), len(boundaries) - 1, attempt)
     if solved is not None:
         return solved
-    problem = _assemble(instance, boundaries, edges)
+    problem = _assemble(instance, boundaries)
     return problem, _solve_whole(problem)
 
 

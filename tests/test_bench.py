@@ -111,7 +111,7 @@ def test_bench_records_row_failures_and_continues(monkeypatch):
 def test_pipeline_surfaces_solver_failure(monkeypatch, demo_single):
     import coflownet.pipeline as pipe
 
-    def fake_solve(instance, boundaries, edges=None, options=None):
+    def fake_solve(instance, boundaries):
         return None, LPSolution(status=SolveStatus.ITERATION_LIMIT, objective=float("nan"), x=None)
 
     monkeypatch.setattr(pipe, "solve_relaxation", fake_solve)
@@ -125,7 +125,7 @@ def test_cli_exit_3_on_solver_failure(monkeypatch, tmp_path):
     from coflownet.serialize import save_instance
     from coflownet.generate import demo_instance
 
-    def fake_solve(instance, boundaries, edges=None, options=None):
+    def fake_solve(instance, boundaries):
         return None, LPSolution(status=SolveStatus.ITERATION_LIMIT, objective=float("nan"), x=None)
 
     monkeypatch.setattr(pipe, "solve_relaxation", fake_solve)
@@ -148,13 +148,16 @@ def test_pipeline_refuses_a_negative_seed_before_any_lp(monkeypatch, demo_single
 
 @pytest.mark.parametrize("strategy", ["stretch", "heuristic", "interval-stretch"])
 def test_pipeline_refuses_an_invalid_instance_before_any_lp(monkeypatch, unknown_path_edge, strategy):
+    import coflownet.graphs as graphs
     import coflownet.pipeline as pipe
 
     def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was built")
+        raise AssertionError("a flow was routed or an LP was built")
 
-    for name in ("flow_edges", "solve_relaxation"):
-        monkeypatch.setattr(pipe, name, no_lp)
+    # every routing fact the instance caches comes from these graph functions
+    for name in ("usable_edges", "max_flow_value", "path_bottleneck"):
+        monkeypatch.setattr(graphs, name, no_lp)
+    monkeypatch.setattr(pipe, "solve_relaxation", no_lp)
     message = "^invalid instance: coflow 1 flow 1: path edge 'zz' not in network$"
     with pytest.raises(ValueError, match=message):
         pipe.run_pipeline(unknown_path_edge, strategy=strategy)
@@ -282,7 +285,7 @@ def test_a_failed_shared_solve_fails_both_rows_alike(monkeypatch):
 
     calls = []
 
-    def fake_solve(instance, boundaries, edges=None, options=None):
+    def fake_solve(instance, boundaries):
         calls.append(instance)
         return None, LPSolution(status=SolveStatus.ITERATION_LIMIT, objective=float("nan"), x=None)
 

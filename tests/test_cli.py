@@ -27,10 +27,10 @@ from coflownet.cli import main
 from coflownet.bench import CSV_HEADER
 from coflownet.generate import MAX_GENERATED, GenConfig, demo_instance, generate_instance
 from coflownet.pipeline import STRATEGIES
-from coflownet.lp import columns_per_slot, flow_edges
-from coflownet.serialize import instance_from_dict, instance_to_dict, save_instance
+from coflownet.lp import columns_per_slot
+from coflownet.serialize import instance_from_dict, instance_to_dict, save_instance, schedule_to_dict
 
-from helpers import load_mps
+from helpers import demo_optimal_schedule, load_mps
 
 
 def run(args):
@@ -188,6 +188,7 @@ def _looping_path_instance():
 
 
 _OVERFLOW = "a demand/capacity ratio of inf slots is too large to build"
+_HEAVY = "make the objective too large to sum"
 
 
 @pytest.mark.parametrize(
@@ -201,12 +202,15 @@ _OVERFLOW = "a demand/capacity ratio of inf slots is too large to build"
         (_looping_path_instance(), "path visits node 'a' twice"),
         (_one_edge_instance(cap=1e-10, demand=1e300), _OVERFLOW),
         (_one_edge_instance(cap=1e-10, demand=1e300, model="free_path"), _OVERFLOW),
+        (_one_edge_instance(weight=1e308), _HEAVY),
+        (_one_edge_instance(weight=1e308, model="free_path"), _HEAVY),
         (_self_loop_instance(), "edge a-a: self-loop"),
         ({**_one_edge_instance(), "nodes": ["a", "b", "a"]}, "node a: duplicate node name"),
     ],
     ids=[
         "no-coflows", "cap-inf", "cap-nan", "demand-inf", "weight-inf", "path-loop",
-        "ratio-overflow-single", "ratio-overflow-free", "self-loop", "duplicate-node",
+        "ratio-overflow-single", "ratio-overflow-free", "weight-overflow-single",
+        "weight-overflow-free", "self-loop", "duplicate-node",
     ],
 )
 def test_degenerate_instance_is_reported_not_raised(tmp_path, capsys, data, message):
@@ -216,11 +220,24 @@ def test_degenerate_instance_is_reported_not_raised(tmp_path, capsys, data, mess
         assert run(command) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
-    # an overflowing ratio is a valid instance, only too large to build
-    valid = message == _OVERFLOW
+    # an overflowing ratio or weight is a valid instance, only too large to build
+    valid = message in (_OVERFLOW, _HEAVY)
     assert run(["validate", inst]) == (0 if valid else 1)
     captured = capsys.readouterr()
     assert ("instance ok" if valid else message) in captured.out and "Traceback" not in captured.err
+
+
+def test_a_schedule_objective_beyond_the_float_range_reads_inf(tmp_path, capsys):
+    # two weights of 1e308 and unit completions: finite terms whose exact
+    # sum overflows, which math.fsum alone raises on
+    data = instance_to_dict(demo_instance(RoutingModel.SINGLE_PATH))
+    for record in data["coflows"][:2]:
+        record["weight"] = 1e308
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    inst.write_text(json.dumps(data))
+    sched.write_text(json.dumps(schedule_to_dict(demo_optimal_schedule(RoutingModel.SINGLE_PATH))))
+    assert run(["validate", inst, "--schedule", sched]) == 0
+    assert "schedule ok, objective inf" in capsys.readouterr().out
 
 
 def _retyped(*keys, value):
@@ -639,7 +656,7 @@ def test_horizon_blow_up_is_refused_before_allocating(tmp_path, data, horizon):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(data))
     instance = instance_from_dict(data)
-    columns = f"{columns_per_slot(instance, flow_edges(instance)) * horizon:,} LP columns"
+    columns = f"{columns_per_slot(instance) * horizon:,} LP columns"
     exported = tmp_path / "lp.mps"
     for command in (
         ["solve", inst],

@@ -646,7 +646,7 @@ def test_built_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, workloa
         for p, boundaries in _both_relaxations(inst):
             for prefix in _rungs(p.step_map):
                 handed.clear()
-                coflownet.solver._solve_rung(_assemble(inst, boundaries, None, prefix))
+                coflownet.solver._solve_rung(_assemble(inst, boundaries, prefix))
                 got = list(handed)
                 handed.clear()
                 coflownet.solver._linprog(*reference_prefix_arrays(p, prefix))
@@ -719,7 +719,7 @@ def test_closed_form_pricing_is_the_whole_relaxations_dual_bound(monkeypatch, wo
             problem, solution = coflownet.solver.solve_relaxation(inst, boundaries)
             uncertified += len(priced) - (problem.step_map.step_count < p.step_map.step_count)
             for prefix, y in priced:
-                rung = _assemble(inst, boundaries, None, prefix)
+                rung = _assemble(inst, boundaries, prefix)
                 rows = np.flatnonzero(p.step_map.row_step <= prefix)
                 # an identity for any duals: HiGHS's, and random ones, under
                 # which some last S of the rung also has a positive reduced cost
@@ -754,7 +754,7 @@ def _blocked_instance():
 def test_a_positive_reduced_cost_of_a_last_s_blocks_the_certificate(monkeypatch):
     inst = _blocked_instance()
     boundaries = np.arange(horizon_upper_bound(inst) + 1.0)
-    rung = _assemble(inst, boundaries, None, 5)
+    rung = _assemble(inst, boundaries, 5)
     assert rung.step_map.first_prefix == 5
     status, objective, x, y = coflownet.solver._linprog(
         rung.objective, rung.A, rung.row_lower, rung.row_upper,
@@ -787,7 +787,7 @@ def test_a_rung_point_short_of_a_whole_flow_fails_its_column_bound():
     # at the later columns' after-values, and check_solution sees a shortfall
     inst = generate_instance(GenConfig(topology="gscale-like", jobs=40, seed=0))
     boundaries = np.arange(horizon_upper_bound(inst) + 1.0)
-    rung = _assemble(inst, boundaries, None, 15)
+    rung = _assemble(inst, boundaries, 15)
     status, solution, _ = coflownet.solver._solve_rung(rung)
     assert status is SolveStatus.OPTIMAL and solution is not None
     last = rung.layout.S[:, -1]
@@ -804,9 +804,9 @@ def test_run_pipeline_builds_no_step_it_does_not_solve(monkeypatch, workloads):
     built = []
     inner = coflownet.solver._assemble
 
-    def counted(instance, boundaries, edges, steps=None):
+    def counted(instance, boundaries, steps=None):
         built.append(len(boundaries) - 1 if steps is None else steps)
-        return inner(instance, boundaries, edges, steps)
+        return inner(instance, boundaries, steps)
 
     monkeypatch.setattr(coflownet.solver, "_assemble", counted)
     calls = 0

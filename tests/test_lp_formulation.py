@@ -196,7 +196,8 @@ def test_lp_completions_add_up_to_the_objective(model):
         grid = interval_grid_for(inst, (0.2, 0.5436)[k % 2])
         problem = build_interval_lp(inst, grid)
         sol = solve(problem)
-        completion = extract_interval_solution(problem, sol.x, inst, grid).lp_completion
+        short = np.diff(grid.boundaries) * (1.0 - sol.x[problem.layout.X])
+        completion = [math.fsum([1.0, *row]) for row in short.tolist()]
         assert sol.objective == pytest.approx(math.fsum(map(math.prod, zip(weights, completion))), rel=1e-9)
 
 
@@ -397,18 +398,21 @@ def test_interval_grid_padding_keeps_lp_feasible():
 
 
 def test_interval_pipeline_bounds_the_horizon_once(demo_free, monkeypatch):
-    import coflownet.lp
+    # the max-flow behind each free-path flow's horizon term runs once per
+    # source-sink pair, though the horizon bound is read more than once
+    import coflownet.graphs
     import coflownet.pipeline
 
+    fresh = demo_instance(RoutingModel.FREE_PATH)  # the fixture's facts may be cached
     calls = []
 
-    def counted(instance):
-        calls.append(instance)
-        return horizon_upper_bound(instance)
+    def counted(network, src, dst):
+        calls.append((src, dst))
+        return max_flow_value(network, src, dst)
 
-    monkeypatch.setattr(coflownet.lp, "horizon_upper_bound", counted)
-    result = coflownet.pipeline.run_pipeline(demo_free, "interval-stretch", trials=2, epsilon=0.2)
-    assert len(calls) == 1
+    monkeypatch.setattr(coflownet.graphs, "max_flow_value", counted)
+    result = coflownet.pipeline.run_pipeline(fresh, "interval-stretch", trials=2, epsilon=0.2)
+    assert sorted(calls) == sorted({(fl.src, fl.dst) for _, _, _, fl in fresh.iter_flows()})
     assert result.fractional.slot_count == math.ceil(interval_grid_for(demo_free, 0.2).horizon - 1e-9)
 
 
@@ -650,16 +654,114 @@ def test_pipeline_builds_no_lp_name(monkeypatch, model):
 
 
 @pytest.mark.parametrize("strategy", ["stretch", "interval-stretch"])
-def test_pipeline_finds_each_flows_usable_edges_once(demo_free, monkeypatch, strategy):
+def test_pipeline_finds_each_flows_usable_edges_once(monkeypatch, strategy):
+    fresh = demo_instance(RoutingModel.FREE_PATH)
     calls = []
 
     def counted(network, src, dst):
         calls.append((src, dst))
         return usable_edges(network, src, dst)
 
-    monkeypatch.setattr(coflownet.lp, "usable_edges", counted)
-    coflownet.pipeline.run_pipeline(demo_free, strategy=strategy, trials=2)
-    assert len(calls) == demo_free.flow_count
+    monkeypatch.setattr(coflownet.graphs, "usable_edges", counted)
+    coflownet.pipeline.run_pipeline(fresh, strategy=strategy, trials=2)
+    assert sorted(calls) == sorted({(fl.src, fl.dst) for _, _, _, fl in fresh.iter_flows()})
+
+
+def _released_free_instance():
+    """A free-path instance whose flows share source-sink pairs and have
+    releases."""
+    net = demo_instance(RoutingModel.FREE_PATH).network
+    pairs = [("s", "t", 0), ("s", "t", 2), ("v1", "t", 1), ("s", "t", 1), ("v1", "t", 0), ("t", "v3", 3)]
+    coflows = tuple(
+        Coflow((Flow(src, dst, 1.5, release), Flow("s", "v2", 0.5, release)), 1.0 + k)
+        for k, (src, dst, release) in enumerate(pairs)
+    )
+    return Instance(network=net, coflows=coflows, model=RoutingModel.FREE_PATH)
+
+
+def test_routing_facts_are_worked_out_once_per_pair_across_pipeline_calls(monkeypatch):
+    import coflownet.graphs
+
+    inst = _released_free_instance()
+    pairs = {(fl.src, fl.dst) for _, _, _, fl in inst.iter_flows()}
+    assert len(pairs) < inst.flow_count
+    calls = {"usable_edges": [], "max_flow_value": []}
+    for name, real in (("usable_edges", usable_edges), ("max_flow_value", max_flow_value)):
+        def counted(network, src, dst, name=name, real=real):
+            calls[name].append((src, dst))
+            return real(network, src, dst)
+
+        monkeypatch.setattr(coflownet.graphs, name, counted)
+    coflownet.pipeline.run_pipeline(inst, "stretch", trials=2)
+    coflownet.pipeline.run_pipeline(inst, "interval-stretch", trials=2)
+    for name, seen in calls.items():
+        assert sorted(seen) == sorted(pairs), name
+    # an instance made by dataclasses.replace works its facts out afresh
+    for seen in calls.values():
+        seen.clear()
+    fewer = replace(inst, coflows=inst.coflows[:2])
+    assert fewer.solo_rates == inst.solo_rates[:4]
+    assert fewer.flow_edges == inst.flow_edges[:4]
+    want = sorted({(fl.src, fl.dst) for _, _, _, fl in fewer.iter_flows()})
+    assert sorted(calls["max_flow_value"]) == sorted(calls["usable_edges"]) == want
+
+
+def test_routing_facts_match_the_graph_functions_per_flow():
+    for inst in (_released_free_instance(), demo_instance(RoutingModel.SINGLE_PATH)):
+        flows = [fl for _, _, _, fl in inst.iter_flows()]
+        if inst.model is RoutingModel.FREE_PATH:
+            assert inst.flow_edges == tuple(usable_edges(inst.network, fl.src, fl.dst) for fl in flows)
+            want = [max_flow_value(inst.network, fl.src, fl.dst) for fl in flows]
+        else:
+            assert inst.flow_edges is None
+            want = [path_bottleneck(inst.network, fl.path) for fl in flows]
+        assert inst.solo_rates == tuple(want)
+
+
+def _cut_into(instance, node, cap=0.0):
+    """``instance`` with every edge into ``node`` at capacity ``cap``."""
+    edges = tuple(replace(e, cap=cap) if e.dst == node else e for e in instance.network.edges)
+    return replace(instance, network=replace(instance.network, edges=edges))
+
+
+@pytest.mark.parametrize("model", list(RoutingModel))
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+def test_a_flow_with_no_positive_rate_is_unroutable(model, cap):
+    inst = _cut_into(demo_instance(model), "t", cap)
+    message = "^unroutable flow: coflow 1 flow 1$"
+    with pytest.raises(ValueError, match=message):
+        inst.solo_rates
+    for build in (
+        horizon_upper_bound,
+        horizon_lower_bound,
+        lambda i: interval_grid_for(i, 0.2),
+        lambda i: build_time_indexed_lp(i, 10),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(inst)
+
+
+def test_an_unreachable_free_path_sink_is_unroutable():
+    # node x only sends, to s: the source s has out-edges, but none leads to x
+    net = demo_instance(RoutingModel.FREE_PATH).network
+    net = Network(nodes=(*net.nodes, "x"), edges=(*net.edges, Edge("x-s", "x", "s", 1.0)))
+    inst = Instance(
+        network=net,
+        coflows=(Coflow((Flow("s", "t", 1.0),), 1.0), Coflow((Flow("s", "x", 1.0),), 1.0)),
+        model=RoutingModel.FREE_PATH,
+    )
+    message = "^unroutable flow: coflow 2 flow 1$"
+    for fact in ("flow_edges", "solo_rates"):
+        with pytest.raises(ValueError, match=message):
+            getattr(inst, fact)
+    for build in (
+        horizon_upper_bound,
+        horizon_lower_bound,
+        lambda i: interval_grid_for(i, 0.2),
+        lambda i: build_time_indexed_lp(i, 10),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(inst)
 
 
 def test_edge_splits_match_per_edge_reference():

@@ -258,7 +258,6 @@ def test_expand_uniform_split():
         grid=grid,
         fractions=((np.array([0.0, 0.5, 0.5]),),),
         edge_fractions=None,
-        lp_completion=(4.0,),
     )
     sched = expand_interval_schedule(sol, inst)
     np.testing.assert_allclose(sched.amounts[0][0], [0.0, 0.5, 0.25, 0.25])
@@ -271,7 +270,6 @@ def test_expand_unit_interval():
         grid=grid,
         fractions=((np.array([1.0]),),),
         edge_fractions=None,
-        lp_completion=(1.0,),
     )
     sched = expand_interval_schedule(sol, inst)
     np.testing.assert_allclose(sched.amounts[0][0], [1.0])
