@@ -57,14 +57,14 @@ run scipy's own sparse kernels without importing ``scipy.sparse`` (see
 column block and row family records a :data:`NameBlock` pattern, and
 :class:`LPProblem` builds the strings when they are first read.
 
-The assembly also records a :class:`StepMap`: the step of every column
-and row, and the value each column takes once its coflow or flow is
-done (``X``/``S`` at 1, ``xe`` at 0). With it and the layout's ``S``
-columns the solver can solve a prefix of the steps, with each flow's
-``S`` pinned at 1 at the prefix's end, and certify that prefix optimal
-for the whole relaxation. It slices the prefix from a relaxation built
-whole (:func:`coflownet.solver.solve`), or has the assembly build only
-the prefix's steps, a rung, from the instance
+Every row's columns sit in its own step or the step before, so the
+layout and the matrix tell the solver where each column and row sits in
+time, and it can solve a prefix of the steps, with each flow's ``S``
+pinned at 1 at the prefix's end, and certify that prefix optimal for the
+whole relaxation. The assembly records only the prefix worth trying
+first, :attr:`LPProblem.first_prefix`. The solver slices the prefix from
+a relaxation built whole (:func:`coflownet.solver.solve`), or has the
+assembly build only the prefix's steps, a rung, from the instance
 (:func:`coflownet.solver.solve_relaxation`, which the pipeline calls):
 a rung's arrays are bitwise the sliced ones.
 """
@@ -98,24 +98,6 @@ class ColumnLayout:
     xe: tuple[dict[str, np.ndarray], ...] | None = None
 
 
-@dataclass(frozen=True)
-class StepMap:
-    """Where each column and row of a relaxation sits in time.
-
-    ``col_step``/``row_step`` hold the 1-based step of each column and
-    row. ``col_after`` is the value a column takes when the schedule
-    ended before its step: 1 for ``X``/``S``, 0 for ``xe``.
-    ``first_prefix`` is the step count worth trying first, from
-    :func:`horizon_lower_bound`.
-    """
-
-    col_step: np.ndarray
-    col_after: np.ndarray
-    row_step: np.ndarray
-    step_count: int
-    first_prefix: int
-
-
 #: How to name a run of columns or rows: ``(fmt, axes)`` names them
 #: ``fmt.format(*combo)`` for each ``combo`` of ``itertools.product(*axes)``.
 NameBlock = tuple[str, tuple]
@@ -146,8 +128,11 @@ class LPProblem:
     unique, and built on first read of ``col_names``/``row_names`` from
     ``col_naming``/``row_naming`` (see :data:`NameBlock`): the relaxation
     builders record one block per variable or row family, unique by
-    construction. ``layout`` and ``step_map`` are set by the relaxation
-    builders; solution extraction reads the first, the solver both.
+    construction. ``layout`` and ``first_prefix`` are set by the
+    relaxation builders: solution extraction and the solver read the
+    layout, and only :func:`coflownet.solver.solve` reads
+    ``first_prefix``, the step count worth trying first
+    (:func:`_first_prefix`).
     """
 
     objective: np.ndarray
@@ -160,7 +145,7 @@ class LPProblem:
     row_naming: tuple[NameBlock, ...]
     offset: float = 0.0
     layout: ColumnLayout | None = None
-    step_map: StepMap | None = None
+    first_prefix: int | None = None
 
     def __post_init__(self):
         rows, cols = self.A.shape
@@ -181,13 +166,6 @@ class LPProblem:
         one_sided = np.isinf(self.row_lower) != np.isinf(self.row_upper)
         if not np.all(one_sided | (self.row_lower == self.row_upper)):
             raise ValueError("every row must be an equality or one-sided")
-        m = self.step_map
-        if m is not None and not (
-            self.layout is not None
-            and len(m.col_step) == len(m.col_after) == self.num_cols
-            and len(m.row_step) == self.num_rows
-        ):
-            raise ValueError("step map does not match the problem's rows and columns")
 
     @property
     def num_cols(self) -> int:
@@ -420,13 +398,13 @@ def interval_grid_for(instance: Instance, epsilon: float) -> IntervalGrid:
 # LP assembly
 
 
-def _block(naming: NameBlock, counts, indices, data, lower, upper, step):
+def _block(naming: NameBlock, counts, indices, data, lower, upper):
     """One row family in row order: its naming, nonzeros per row, column
-    indices, values, row bounds and row steps; scalars broadcast."""
+    indices, values and row bounds; scalars broadcast."""
     rows = _name_count((naming,))
     return (
         naming, np.broadcast_to(counts, rows), indices, np.broadcast_to(data, len(indices)),
-        np.broadcast_to(lower, rows), np.broadcast_to(upper, rows), np.broadcast_to(step, rows),
+        np.broadcast_to(lower, rows), np.broadcast_to(upper, rows),
     )
 
 
@@ -459,9 +437,8 @@ def _flow_rows(tag: str, fl, usable, sums: np.ndarray, first: int):
     naming = ("{2[0]}_{0}_{1}{2[1]}", ((tag,), range(1, steps + 1), kinds))
     rows = len(template) * np.arange(steps)[:, None] + row
     counts = np.bincount(rows[keep], minlength=steps * len(template))
-    row_steps = np.repeat(np.arange(1, steps + 1), len(template))
     data = np.broadcast_to(vals, cols.shape)[keep]
-    return _block(naming, counts, cols[keep], data, 0.0, 0.0, row_steps)
+    return _block(naming, counts, cols[keep], data, 0.0, 0.0)
 
 
 def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
@@ -480,7 +457,6 @@ def _cap_rows(network, users: dict[str, list], lengths: np.ndarray):
                 np.broadcast_to(value, keep.shape)[keep],
                 -math.inf,
                 lengths * e.cap,
-                steps.ravel() + 1,
             )
 
 
@@ -500,8 +476,8 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
     flow on its usable edges (``Instance.flow_edges``).
 
     A flow may transmit only in steps that start at or after its release
-    (on slot boundaries, slots ``t > release``), and the step map's first
-    prefix is :func:`_first_prefix`.
+    (on slot boundaries, slots ``t > release``), and its first prefix is
+    :func:`_first_prefix`.
 
     With ``steps``, only the columns and rows of steps ``1..steps`` are
     built: the prefix rung the solver hands HiGHS (see
@@ -546,9 +522,6 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
     col_naming = [("X_{}_{}", (j_range, t_range)), ("S_{}_{}", (tags, t_range))]
     # a flow sends nothing before its release
     upper = [np.ones(J * T), open_steps.ravel().astype(float)]
-    step = np.arange(1, T + 1)
-    col_step = [np.tile(step, J), np.tile(step, F)]
-    col_after = [np.ones(cols)]
 
     # cum: per (flow, step) X - S <= 0; the S_t - S_{t-1} >= 0 rows go last
     blocks = [
@@ -559,7 +532,6 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
             np.tile([1.0, -1.0], F * T),
             -math.inf,
             0.0,
-            np.tile(step, F),
         ),
     ]
     users: dict[str, list] = {}
@@ -578,8 +550,6 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
             # the bound its cap row implies when the flow carries the edge alone
             implied = lengths[:, None] * np.array([e.cap for e in usable]) / fl.demand
             upper.append(np.where(open_steps[f][:, None], implied, 0.0).ravel())
-            col_step.append(np.repeat(step, width))
-            col_after.append(np.zeros(width * T))
             blocks.append(_flow_rows(tag, fl, usable, S[f], cols))
             series = cols + np.arange(width)[:, None] + width * np.arange(T)
             xe.append({e.id: series[k] for k, e in enumerate(usable)})
@@ -596,11 +566,10 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
             np.tile([1.0, -1.0], F * (T - 1)),
             0.0,
             math.inf,
-            np.tile(step[1:], F),
         )
     )
 
-    row_naming, counts, indices, data, row_lower, row_upper, row_step = zip(*blocks)
+    row_naming, counts, indices, data, row_lower, row_upper = zip(*blocks)
     counts = np.concatenate(counts)
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -619,13 +588,7 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
         row_naming=row_naming,
         offset=offset,
         layout=ColumnLayout(X=X, S=S, xe=xe),
-        step_map=StepMap(
-            col_step=np.concatenate(col_step),
-            col_after=np.concatenate(col_after),
-            row_step=np.concatenate(row_step),
-            step_count=T,
-            first_prefix=first_prefix,
-        ),
+        first_prefix=first_prefix,
     )
 
 

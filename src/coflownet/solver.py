@@ -22,11 +22,14 @@ problem rejects is handed back. :func:`save_mps` has HiGHS write a
 problem to an MPS file for other solvers; nothing in the package reads
 one back.
 
-A relaxation built with a step map is first solved on a prefix of its
-time steps: the rows of steps ``1..L``, with every later column's bounds
-pinned at its after-prefix value and each flow's ``S`` at step ``L``
-pinned at 1, so that every flow is done within the prefix. Every later
-row then holds at the after-values. The prefix's row duals, padded with
+A relaxation built with a first prefix is first solved on a prefix of
+its time steps: the rows of steps ``1..L``, with every later column's
+bounds pinned at its after-prefix value and each flow's ``S`` at step
+``L`` pinned at 1, so that every flow is done within the prefix. Every
+later row then holds at the after-values. The time axis comes from the
+problem's column layout and matrix (:func:`_time_axis`): a column's step
+is its place in its ``X``, ``S`` or ``xe`` series, and a row's step is
+the latest of its columns'. The prefix's row duals, padded with
 zeros for the later rows, give a weak-duality bound on the whole
 problem; the prefix point is returned only when that bound reaches its
 objective, which proves it optimal for every step. A prefix whose point
@@ -148,13 +151,13 @@ class LPSolution:
     objective: float
     x: np.ndarray | None
     #: Time steps HiGHS solved: the certified prefix, or every step of
-    #: the problem; None for a problem without a step map.
+    #: the problem; None for a problem without a column layout.
     steps: int | None = None
 
 
 def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution:
     """Minimize ``problem`` with HiGHS in memory, a certified prefix of its
-    steps first when it has a step map, each prefix sliced from
+    steps first when it has a ``first_prefix``, each prefix sliced from
     ``problem``. Deterministic given identical inputs. ``options`` is not
     read (see :class:`SolveOptions`).
 
@@ -162,11 +165,11 @@ def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution
     statuses, not exceptions. An iteration-limited solve may carry no
     point (``x is None``).
     """
-    step_map = problem.step_map
-    if step_map is not None:
+    if problem.first_prefix is not None:
+        axis = _time_axis(problem)
         solution = _solve_prefixes(
-            step_map.first_prefix, step_map.step_count,
-            lambda prefix: _solve_prefix(problem, prefix),
+            problem.first_prefix, problem.layout.S.shape[1],
+            lambda prefix: _solve_prefix(problem, axis, prefix),
         )
         if solution is not None:
             return solution  # certified and checked against the whole problem
@@ -206,7 +209,7 @@ def _solve_whole(problem: LPProblem) -> LPSolution:
         problem.objective, problem.A, problem.row_lower, problem.row_upper,
         problem.col_lower, problem.col_upper, problem.offset,
     )
-    steps = problem.step_map.step_count if problem.step_map is not None else None
+    steps = problem.layout.S.shape[1] if problem.layout is not None else None
     solution = LPSolution(status, objective, x, steps)
     if solution.status is SolveStatus.OPTIMAL:
         failures = check_solution(problem, solution)
@@ -342,65 +345,82 @@ def _solve_prefixes(first_prefix: int, step_count: int, attempt):
     return None
 
 
+def _time_axis(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a relaxation's columns and rows sit in time: the 1-based step
+    of each column, from its place in its ``X``, ``S`` or ``xe`` series of
+    ``problem.layout``; the value each column takes once its coflow or
+    flow is done, 1 for ``X``/``S`` and 0 for ``xe``; and the step of each
+    row, the latest step of its columns."""
+    layout, A = problem.layout, problem.A
+    series = np.vstack([layout.X, layout.S, *(c for s in layout.xe or () for c in s.values())])
+    col_step = np.empty(problem.num_cols, dtype=np.int64)
+    col_step[series] = np.arange(1, layout.S.shape[1] + 1)
+    after = np.zeros(problem.num_cols)
+    after[layout.X] = after[layout.S] = 1.0
+    return col_step, after, np.maximum.reduceat(col_step[A.indices], A.indptr[:-1])
+
+
 def _solve_prefix(
-    problem: LPProblem, prefix: int
+    problem: LPProblem, axis, prefix: int
 ) -> tuple[SolveStatus, LPSolution | None, int | None]:
-    """Solve the rows of steps ``1..prefix`` with every later column's
-    bounds pinned at its after-prefix value and each flow's ``S`` at step
-    ``prefix`` at 1. The prefix's status; the full-length point when the
-    whole problem's weak-duality bound under the prefix's duals, padded
-    with zeros, certifies it optimal and it passes
-    :func:`check_solution`, None otherwise; and the last step an optimal
-    point that is not returned uses (see :func:`_certified`), None for
-    every other outcome."""
-    step_map = problem.step_map
-    rows = np.flatnonzero(step_map.row_step <= prefix)
-    later = step_map.col_step > prefix
-    lower = np.where(later, step_map.col_after, problem.col_lower)
+    """Solve the rows of steps ``1..prefix`` (on ``axis``, the problem's
+    :func:`_time_axis`) with every later column's bounds pinned at its
+    after-prefix value and each flow's ``S`` at step ``prefix`` at 1.
+    The prefix's status; the full-length point when the whole problem's
+    weak-duality bound under the prefix's duals, padded with zeros,
+    certifies it optimal and it passes :func:`check_solution`, None
+    otherwise; and the last step an optimal point that is not returned
+    uses (see :func:`_certified`), None for every other outcome."""
+    col_step, after, row_step = axis
+    rows = np.flatnonzero(row_step <= prefix)
+    later = col_step > prefix
+    lower = np.where(later, after, problem.col_lower)
     lower[problem.layout.S[:, prefix - 1]] = 1.0
     status, objective, x, duals = _linprog(
         problem.objective, problem.A.select_rows(rows),
         problem.row_lower[rows], problem.row_upper[rows],
-        lower, np.where(later, step_map.col_after, problem.col_upper), problem.offset,
+        lower, np.where(later, after, problem.col_upper), problem.offset,
     )
     if status is not SolveStatus.OPTIMAL:
         return status, None, None
     y = np.zeros(problem.num_rows)
     y[rows] = duals
     solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
-    return status, *_certified(problem, solution, _dual_bound(problem, y))
+    return status, *_certified(problem, solution, _dual_bound(problem, y), axis)
 
 
 def _solve_rung(rung: LPProblem) -> tuple[SolveStatus, LPSolution | None, int | None]:
-    """:func:`_solve_prefix` for a rung built on its own (its step map's
-    ``step_count`` steps of a longer relaxation): the point it certifies
-    is the rung's, checked by :func:`check_solution` on the rung. Its
-    last ``S`` are at 1, so the whole relaxation's later rows hold at the
-    later columns' after-values."""
+    """:func:`_solve_prefix` for a rung built on its own (the first steps
+    of a longer relaxation): the point it certifies is the rung's,
+    checked by :func:`check_solution` on the rung. Its last ``S`` are at
+    1, so the whole relaxation's later rows hold at the later columns'
+    after-values."""
     status, objective, x, duals = _linprog(
         rung.objective, rung.A, rung.row_lower, rung.row_upper,
         rung.col_lower, rung.col_upper, rung.offset,
     )
     if status is not SolveStatus.OPTIMAL:
         return status, None, None
-    solution = LPSolution(SolveStatus.OPTIMAL, objective, x, rung.step_map.step_count)
+    solution = LPSolution(SolveStatus.OPTIMAL, objective, x, rung.layout.S.shape[1])
     return status, *_certified(rung, solution, _priced_bound(rung, duals))
 
 
-def _certified(problem: LPProblem, solution: LPSolution, bound: float):
+def _certified(problem: LPProblem, solution: LPSolution, bound: float, axis=None):
     """``(solution, None)`` when ``bound`` reaches the optimal
     ``solution``'s objective and :func:`check_solution` finds nothing;
     otherwise ``(None, the last step its point uses)``: the last step of
-    a column away from its after-value, counting an ``S`` short of 1 at
-    step t as step t + 1, in which its flow still sends."""
+    a column away from its after-value (on ``axis``, the problem's
+    :func:`_time_axis`, worked out here when not given), counting an
+    ``S`` short of 1 at step t as step t + 1, in which its flow still
+    sends."""
     objective, x = solution.objective, solution.x
     if bound >= objective - TOLERANCE * max(1.0, abs(objective)):
         if not check_solution(problem, solution):
             return solution, None
-    step_map = problem.step_map
-    steps = step_map.col_step.copy()
+    col_step, after, _ = axis or _time_axis(problem)
+    steps = col_step.copy()
     steps[problem.layout.S] += 1
-    used = steps[np.abs(x - step_map.col_after) > TOLERANCE]
+    used = steps[np.abs(x - after) > TOLERANCE]
     return None, int(used.max(initial=0))
 
 

@@ -45,7 +45,8 @@ class Violation:
         return f"{self.kind}: {self.subject}{where} (by {self.magnitude:.3e})"
 
 
-@np.errstate(invalid="ignore")  # inf - inf is reported as a NaN excess, not warned about
+# a load that overflows to inf, and inf - inf, are reported as capacity excesses, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def verify_schedule(schedule: RateSchedule, instance: Instance) -> list[Violation]:
     """All feasibility violations of ``schedule`` on ``instance`` (empty =
     ok), each by more than ``FEAS_TOL``."""

@@ -94,10 +94,6 @@ def permuted_rows(problem: LPProblem, order) -> LPProblem:
         A=problem.A.select_rows(order),
         row_lower=problem.row_lower[order],
         row_upper=problem.row_upper[order],
-        step_map=(
-            replace(problem.step_map, row_step=problem.step_map.row_step[order])
-            if problem.step_map else None
-        ),
     )
 
 

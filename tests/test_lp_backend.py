@@ -46,6 +46,7 @@ from coflownet.solver import (
     LPSolution,
     _dual_bound,
     _priced_bound,
+    _time_axis,
     check_solution,
     save_mps,
 )
@@ -377,8 +378,8 @@ def test_all_fixed_problem_is_solved_without_highs(monkeypatch):
 
 
 def full_solve(p):
-    """HiGHS on every step of ``p``: the same problem without a step map."""
-    return solve(replace(p, step_map=None))
+    """HiGHS on every step of ``p``: the same problem without a first prefix."""
+    return solve(replace(p, first_prefix=None))
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
@@ -391,18 +392,18 @@ def test_prefix_solve_matches_full_solve(model):
         interval = build_interval_lp(inst, interval_grid_for(inst, 0.5))
         for p in (slot, interval):
             got, want = solve(p), full_solve(p)
-            assert want.steps is None
+            assert want.steps == p.layout.S.shape[1]
             assert got.status is want.status is SolveStatus.OPTIMAL
             assert got.objective == pytest.approx(want.objective, rel=1e-9)
             assert check_solution(p, got) == []
-            assert 1 <= got.steps <= p.step_map.step_count
-            prefixes += got.steps < p.step_map.step_count
+            assert 1 <= got.steps <= want.steps
+            prefixes += got.steps < want.steps
     assert prefixes > 0
 
 
-def _rungs(step_map):
-    prefix, out = step_map.first_prefix, []
-    while prefix < step_map.step_count:
+def _rungs(p):
+    prefix, out = p.first_prefix, []
+    while prefix < p.layout.S.shape[1]:
         out.append(prefix)
         prefix = max(prefix + 1, math.ceil(prefix * PREFIX_GROWTH))
     return out
@@ -445,19 +446,20 @@ def test_uncertified_prefixes_fall_back_to_the_full_solve(monkeypatch, model):
     monkeypatch.setattr(coflownet.solver, "_dual_bound", lambda problem, y: -math.inf)
     calls = _highs_calls(monkeypatch)
     got = solve(p)
-    rungs = _rungs(p.step_map)
+    rungs = _rungs(p)
     assert rungs
     free = p.col_lower < p.col_upper
+    col_step, _, _ = _time_axis(p)
     # a rung also pins each flow's S at its last step
     assert [len(objective) for objective, *_ in calls] == [
         *(
-            np.count_nonzero(free & (p.step_map.col_step <= prefix))
+            np.count_nonzero(free & (col_step <= prefix))
             - np.count_nonzero(free[p.layout.S[:, prefix - 1]])
             for prefix in rungs
         ),
         np.count_nonzero(free),
     ]
-    assert got.steps == p.step_map.step_count
+    assert got.steps == p.layout.S.shape[1]
     assert got.objective == want.objective
 
 
@@ -505,7 +507,7 @@ def test_every_lp_goes_to_highs_with_presolve_off(monkeypatch, model):
         settings.clear()
         got = solve(p)
         assert got.status is SolveStatus.OPTIMAL
-        assert settings == ["off"] * (len(_rungs(p.step_map)) + 1)
+        assert settings == ["off"] * (len(_rungs(p)) + 1)
         assert got.objective == pytest.approx(_presolved(p), rel=1e-9)
     # open-shop reductions are single-path LPs
     settings.clear()
@@ -543,12 +545,12 @@ def reference_prefix_arrays(p, prefix):
     row bounds shifted by the pinned and later columns' values; and the
     objective constant, the offset plus the later columns' terms
     (``math.fsum``). ``scipy.sparse`` slices and multiplies the matrix."""
-    step_map = p.step_map
-    kept = step_map.col_step <= prefix
+    col_step, after, row_step = _time_axis(p)
+    kept = col_step <= prefix
     kept[p.layout.S[:, prefix - 1]] = False
     cols = np.flatnonzero(kept)
-    rows = np.flatnonzero(step_map.row_step <= prefix)
-    tail = np.where(kept, 0.0, step_map.col_after)
+    rows = np.flatnonzero(row_step <= prefix)
+    tail = np.where(kept, 0.0, after)
     head = as_scipy(p.A)[rows]
     shift = head @ tail
     sliced = head[:, cols]
@@ -593,9 +595,9 @@ def test_prefix_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, model)
             build_time_indexed_lp(inst, horizon_upper_bound(inst)),
             build_interval_lp(inst, interval_grid_for(inst, 0.5)),
         ):
-            for prefix in _rungs(p.step_map):
+            for prefix in _rungs(p):
                 handed.clear()
-                coflownet.solver._solve_prefix(p, prefix)
+                coflownet.solver._solve_prefix(p, _time_axis(p), prefix)
                 got = list(handed)
                 handed.clear()
                 coflownet.solver._linprog(*reference_prefix_arrays(p, prefix))
@@ -644,7 +646,7 @@ def test_built_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, workloa
     rungs = 0
     for inst in _rung_instances(workloads):
         for p, boundaries in _both_relaxations(inst):
-            for prefix in _rungs(p.step_map):
+            for prefix in _rungs(p):
                 handed.clear()
                 coflownet.solver._solve_rung(_assemble(inst, boundaries, prefix))
                 got = list(handed)
@@ -705,7 +707,7 @@ def test_closed_form_pricing_is_the_whole_relaxations_dual_bound(monkeypatch, wo
     inner = coflownet.solver._priced_bound
 
     def spy(rung, y):
-        priced.append((rung.step_map.step_count, y))
+        priced.append((rung.layout.S.shape[1], y))
         return inner(rung, y)
 
     monkeypatch.setattr(coflownet.solver, "_priced_bound", spy)
@@ -717,10 +719,11 @@ def test_closed_form_pricing_is_the_whole_relaxations_dual_bound(monkeypatch, wo
         for p, boundaries in _both_relaxations(inst):
             priced.clear()
             problem, solution = coflownet.solver.solve_relaxation(inst, boundaries)
-            uncertified += len(priced) - (problem.step_map.step_count < p.step_map.step_count)
+            uncertified += len(priced) - (problem.layout.S.shape[1] < p.layout.S.shape[1])
+            _, _, row_step = _time_axis(p)
             for prefix, y in priced:
                 rung = _assemble(inst, boundaries, prefix)
-                rows = np.flatnonzero(p.step_map.row_step <= prefix)
+                rows = np.flatnonzero(row_step <= prefix)
                 # an identity for any duals: HiGHS's, and random ones, under
                 # which some last S of the rung also has a positive reduced cost
                 for duals in (y, rng.normal(0.0, np.abs(y).max(initial=1.0), len(y))):
@@ -755,7 +758,7 @@ def test_a_positive_reduced_cost_of_a_last_s_blocks_the_certificate(monkeypatch)
     inst = _blocked_instance()
     boundaries = np.arange(horizon_upper_bound(inst) + 1.0)
     rung = _assemble(inst, boundaries, 5)
-    assert rung.step_map.first_prefix == 5
+    assert rung.first_prefix == 5
     status, objective, x, y = coflownet.solver._linprog(
         rung.objective, rung.A, rung.row_lower, rung.row_upper,
         rung.col_lower, rung.col_upper, rung.offset,
@@ -770,13 +773,13 @@ def test_a_positive_reduced_cost_of_a_last_s_blocks_the_certificate(monkeypatch)
     inner = coflownet.solver._solve_rung
 
     def spy(rung):
-        tried.append(rung.step_map.step_count)
+        tried.append(rung.layout.S.shape[1])
         return inner(rung)
 
     monkeypatch.setattr(coflownet.solver, "_solve_rung", spy)
     problem, solution = coflownet.solver.solve_relaxation(inst, boundaries)
     assert tried == [5, 6]
-    assert solution.steps == problem.step_map.step_count == 6
+    assert solution.steps == problem.layout.S.shape[1] == 6
     assert solution.objective < objective - 1.0
     whole = build_time_indexed_lp(inst, horizon_upper_bound(inst))
     assert solution.objective == pytest.approx(full_solve(whole).objective, rel=1e-9)
@@ -863,7 +866,7 @@ def test_infeasible_prefix_moves_on_to_the_next_rung(monkeypatch):
         RoutingModel.SINGLE_PATH,
     )
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert (p.step_map.first_prefix, p.step_map.step_count) == (3, 8)
+    assert (p.first_prefix, p.layout.S.shape[1]) == (3, 8)
     calls = _count_linprog(monkeypatch)
     got = solve(p)
     assert [status for _, status in calls] == [SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
@@ -878,7 +881,7 @@ def test_released_demand_through_a_cut_sets_the_first_prefix(monkeypatch):
     inst = Instance(net, (late, Coflow((Flow("c", "d", 1.0, 0),), 1.0)), RoutingModel.FREE_PATH)
     assert horizon_lower_bound(inst) == 4
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert (p.step_map.first_prefix, p.step_map.step_count) == (4, 5)
+    assert (p.first_prefix, p.layout.S.shape[1]) == (4, 5)
     calls = _count_linprog(monkeypatch)
     got = solve(p)
     assert [status for _, status in calls] == [SolveStatus.OPTIMAL]
@@ -905,8 +908,8 @@ def test_failed_prefix_goes_straight_to_the_whole_problem(monkeypatch, fail, lim
     # instance 0 of the single-path benchmark corpus: a ladder of 11 rungs
     inst = generate_instance(GenConfig(topology="gscale-like", jobs=40, seed=0))
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert (p.step_map.first_prefix, p.step_map.step_count) == (15, 184)
-    assert len(_rungs(p.step_map)) == 11
+    assert (p.first_prefix, p.layout.S.shape[1]) == (15, 184)
+    assert len(_rungs(p)) == 11
     runs = []
 
     class Counted(_Highs):
@@ -923,7 +926,7 @@ def test_failed_prefix_goes_straight_to_the_whole_problem(monkeypatch, fail, lim
         monkeypatch.setattr(coflownet.solver, "ITERATION_LIMIT", limit)
     got = solve(p)
     assert len(runs) == 2  # the first rung, then the whole problem
-    assert got.status is status and got.steps == p.step_map.step_count
+    assert got.status is status and got.steps == p.layout.S.shape[1]
 
 
 def test_free_corpus_lps_certify_at_their_first_prefix(monkeypatch):
@@ -941,7 +944,7 @@ def test_free_corpus_lps_certify_at_their_first_prefix(monkeypatch):
         calls.clear()
         got = solve(p)
         assert [status for _, status in calls] == [SolveStatus.OPTIMAL]
-        assert got.steps == p.step_map.first_prefix < p.step_map.step_count
+        assert got.steps == p.first_prefix < p.layout.S.shape[1]
 
 
 def test_binding_uncertified_prefix_grows_by_one_step(monkeypatch):
@@ -949,7 +952,7 @@ def test_binding_uncertified_prefix_grows_by_one_step(monkeypatch):
     # and uses slot 30, but does not certify, so 31 is tried next (not 38)
     inst = _free_corpus(8)
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert p.step_map.first_prefix == 30
+    assert p.first_prefix == 30
     calls = _count_linprog(monkeypatch)
     got = solve(p)
     assert [status for _, status in calls] == [SolveStatus.OPTIMAL] * 2
@@ -957,17 +960,13 @@ def test_binding_uncertified_prefix_grows_by_one_step(monkeypatch):
     assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
 
 
-def test_step_map_follows_row_permutations_and_is_checked(solved_free, rng, tmp_path):
+def test_a_row_permuted_relaxation_certifies_on_the_same_prefix(solved_free, rng, tmp_path):
+    # row steps are read off the matrix, so they follow any reordering of its rows
     p, _, _ = solved_free
-    order = rng.permutation(p.num_rows)
-    q = permuted_rows(p, order)
-    np.testing.assert_array_equal(q.step_map.row_step, p.step_map.row_step[order])
-    assert solve(q).steps == solve(p).steps < p.step_map.step_count
-    # a map left in the old row order misplaces rows: no error, same optimum
-    unpermuted = solve(replace(q, step_map=p.step_map))
-    assert unpermuted.objective == pytest.approx(solve(p).objective, rel=1e-9)
-    stale = replace(p.step_map, row_step=p.step_map.row_step[1:])
-    with pytest.raises(ValueError, match="step map"):
-        replace(p, step_map=stale)
+    q = permuted_rows(p, rng.permutation(p.num_rows))
+    got, want = solve(q), solve(p)
+    assert got.steps == want.steps < p.layout.S.shape[1]
+    assert got.objective == pytest.approx(want.objective, rel=1e-9)
+    assert check_solution(q, got) == []
     save_mps(p, tmp_path / "p.mps")
-    assert load_mps(tmp_path / "p.mps").step_map is None
+    assert load_mps(tmp_path / "p.mps").first_prefix is None

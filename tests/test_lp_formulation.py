@@ -31,8 +31,9 @@ from coflownet import (
 from coflownet.generate import demo_instance
 from coflownet.graphs import max_flow_value, path_bottleneck, usable_edges
 import coflownet.lp
-from coflownet.lp import ColumnLayout
+from coflownet.lp import ColumnLayout, _assemble
 from coflownet.serialize import instance_from_dict
+from coflownet.solver import _time_axis
 
 
 def sequential_schedule(instance):
@@ -99,8 +100,8 @@ def test_horizon_lower_bound_below_the_last_slot_the_lp_uses(model):
         inst = fuzz_instance(rng, model)
         horizon = horizon_upper_bound(inst)
         problem = build_time_indexed_lp(inst, horizon)
-        # the full LP, not a prefix: a problem without a step map is solved whole
-        sol = solve(replace(problem, step_map=None))
+        # the full LP, not a prefix: a problem without a first prefix is solved whole
+        sol = solve(replace(problem, first_prefix=None))
         sent = np.diff(sol.x[problem.layout.S], axis=1, prepend=0.0)
         used = max(int(np.flatnonzero(row > 1e-9)[-1]) + 1 for row in sent)
         assert horizon_lower_bound(inst) <= used <= horizon
@@ -114,7 +115,7 @@ def test_free_path_lp_one_slot_below_the_lower_bound_is_infeasible():
         bound = horizon_lower_bound(inst)
         if bound - 1 > inst.max_release:
             problem = build_time_indexed_lp(inst, bound - 1)
-            assert solve(replace(problem, step_map=None)).status is SolveStatus.INFEASIBLE
+            assert solve(replace(problem, first_prefix=None)).status is SolveStatus.INFEASIBLE
             checked += 1
     assert checked >= 10
 
@@ -127,25 +128,38 @@ def _step_of(name: str) -> int:
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))
-def test_step_map_matches_the_names(model):
-    inst = fuzz_instance(np.random.default_rng(5), model)
-    for problem in (
-        build_time_indexed_lp(inst, horizon_upper_bound(inst)),
-        build_interval_lp(inst, interval_grid_for(inst, 0.5)),
-    ):
-        m = problem.step_map
-        assert m.col_step.tolist() == [_step_of(n) for n in problem.col_names]
-        assert m.row_step.tolist() == [_step_of(n) for n in problem.row_names]
-        after = [float(n.split("_")[0] in ("X", "S")) for n in problem.col_names]
-        assert m.col_after.tolist() == after
-        assert m.step_count == problem.layout.S.shape[1]
-        flows = [f"{j + 1}_{i + 1}" for j, i, _, _ in inst.iter_flows()]
-        last = [problem.col_names[c] for c in problem.layout.S[:, -1]]
-        assert last == [f"S_{tag}_{m.step_count}" for tag in flows]
-        # every flow is done by the last step, and by no other
-        assert (problem.col_lower[problem.layout.S[:, -1]] == 1.0).all()
-        assert np.count_nonzero(problem.col_lower) == len(flows)
-        assert 1 <= m.first_prefix
+def test_the_time_axis_read_off_the_layout_matches_the_names(model):
+    rng = np.random.default_rng(5)
+    instances = [fuzz_instance(rng, model) for _ in range(4)]
+    assert any(fl.release for inst in instances for _, _, _, fl in inst.iter_flows())
+    checked = 0
+    for inst in instances:
+        slots = np.arange(horizon_upper_bound(inst) + 1.0)
+        grid = np.asarray(interval_grid_for(inst, 0.5).boundaries)
+        for boundaries in (slots, grid):
+            whole = _assemble(inst, boundaries)
+            rungs = sorted({whole.first_prefix, len(boundaries) - 2} & set(range(1, len(boundaries) - 1)))
+            for problem in [whole, *(_assemble(inst, boundaries, L) for L in rungs)]:
+                col_step, after, row_step = _time_axis(problem)
+                assert col_step.tolist() == [_step_of(n) for n in problem.col_names]
+                assert row_step.tolist() == [_step_of(n) for n in problem.row_names]
+                assert after.tolist() == [float(n[0] in "XS") for n in problem.col_names]
+                # a prefix's rows hold only its own columns, and a later row
+                # only the previous step's: each row's entries lie at its
+                # step or the step before
+                entry_step = col_step[problem.A.indices]
+                row_of_entry = np.repeat(row_step, np.diff(problem.A.indptr))
+                assert np.isin(row_of_entry - entry_step, [0, 1]).all()
+                T = problem.layout.S.shape[1]
+                flows = [f"{j + 1}_{i + 1}" for j, i, _, _ in inst.iter_flows()]
+                last = [problem.col_names[c] for c in problem.layout.S[:, -1]]
+                assert last == [f"S_{tag}_{T}" for tag in flows]
+                # every flow is done by the last step, and by no other
+                assert (problem.col_lower[problem.layout.S[:, -1]] == 1.0).all()
+                assert np.count_nonzero(problem.col_lower) == len(flows)
+                assert problem.first_prefix == whole.first_prefix >= 1
+                checked += 1
+    assert checked >= 16
 
 
 @pytest.mark.parametrize("model", list(RoutingModel))

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -52,6 +53,21 @@ def test_capacity_violation_flagged(demo_single):
     bad = RateSchedule(sched.slot_count, amounts)
     violations = verify_schedule(bad, demo_single)
     assert any(v.kind == "capacity" and v.slot == 1 for v in violations)
+
+
+def test_an_edge_load_beyond_the_float_range_is_a_capacity_violation_without_a_warning(demo_free):
+    """3 x 1e308 overflows to an infinite load: reported, not warned about."""
+    sched = demo_optimal_schedule(RoutingModel.FREE_PATH)
+    edge_amounts = [[dict(d) for d in flows] for flows in sched.edge_amounts]
+    edge_amounts[3][0]["s-v1"] = np.array([0.0, 1e308])
+    bad = RateSchedule(sched.slot_count, sched.amounts, tuple(map(tuple, edge_amounts)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        violations = verify_schedule(bad, demo_free)
+    assert any(
+        v.kind == "capacity" and v.subject == "edge s-v1 overloaded" and v.magnitude == math.inf
+        for v in violations
+    )
 
 
 def test_release_violation_flagged():
