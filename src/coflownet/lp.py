@@ -58,21 +58,20 @@ column block and row family records a :data:`NameBlock` pattern, and
 :class:`LPProblem` builds the strings when they are first read.
 
 Every row's columns sit in its own step or the step before, so the
-layout and the matrix tell the solver where each column and row sits in
-time, and it can solve a prefix of the steps, with each flow's ``S``
-pinned at 1 at the prefix's end, and certify that prefix optimal for the
-whole relaxation. The assembly records only the prefix worth trying
-first, :attr:`LPProblem.first_prefix`. The solver slices the prefix from
-a relaxation built whole (:func:`coflownet.solver.solve`), or has the
-assembly build only the prefix's steps, a rung, from the instance
-(:func:`coflownet.solver.solve_relaxation`, which the pipeline calls):
-a rung's arrays are bitwise the sliced ones.
+solver can solve a prefix of the steps, with each flow's ``S`` pinned at
+1 at the prefix's end, and certify that prefix optimal for the whole
+relaxation. It has the assembly build only the prefix's steps, a rung,
+from the instance (:func:`coflownet.solver.solve_relaxation`): a rung's
+arrays are bitwise those of the whole relaxation sliced to the prefix,
+with the later columns pinned. A relaxation built whole records what it
+was built from, :attr:`LPProblem.relaxation`, so that
+:func:`coflownet.solver.solve` runs the same rungs for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -120,7 +119,8 @@ def _names(naming: tuple[NameBlock, ...]) -> tuple[str, ...]:
 class LPProblem:
     """``min offset + objective @ x`` subject to
     ``row_lower <= A @ x <= row_upper`` and ``col_lower <= x <= col_upper``;
-    immutable after construction.
+    immutable after construction: its arrays, and those of ``A``, are made
+    read-only.
 
     ``A`` is a :class:`~coflownet.csr.CSR` matrix, checked when it was
     made. Every row is an equality (equal bounds) or
@@ -128,11 +128,14 @@ class LPProblem:
     unique, and built on first read of ``col_names``/``row_names`` from
     ``col_naming``/``row_naming`` (see :data:`NameBlock`): the relaxation
     builders record one block per variable or row family, unique by
-    construction. ``layout`` and ``first_prefix`` are set by the
-    relaxation builders: solution extraction and the solver read the
-    layout, and only :func:`coflownet.solver.solve` reads
-    ``first_prefix``, the step count worth trying first
-    (:func:`_first_prefix`).
+    construction. ``layout`` is set by the relaxation builders, for
+    solution extraction and the solver.
+
+    ``relaxation`` is ``(instance, boundaries)`` on a relaxation built
+    whole, None otherwise: :func:`coflownet.solver.solve` solves such a
+    problem on rungs built from it. It is not a constructor field, so
+    ``dataclasses.replace`` drops it, and an edited copy is solved whole,
+    as given.
     """
 
     objective: np.ndarray
@@ -145,7 +148,9 @@ class LPProblem:
     row_naming: tuple[NameBlock, ...]
     offset: float = 0.0
     layout: ColumnLayout | None = None
-    first_prefix: int | None = None
+    relaxation: tuple[Instance, np.ndarray] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         rows, cols = self.A.shape
@@ -166,6 +171,10 @@ class LPProblem:
         one_sided = np.isinf(self.row_lower) != np.isinf(self.row_upper)
         if not np.all(one_sided | (self.row_lower == self.row_upper)):
             raise ValueError("every row must be an equality or one-sided")
+        # solve may build a relaxation's rungs from ``relaxation`` instead of
+        # reading these arrays, so an edit in place would go unseen
+        for v in (*values, self.A.indptr, self.A.indices, self.A.data):
+            v.flags.writeable = False
 
     @property
     def num_cols(self) -> int:
@@ -476,8 +485,7 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
     flow on its usable edges (``Instance.flow_edges``).
 
     A flow may transmit only in steps that start at or after its release
-    (on slot boundaries, slots ``t > release``), and its first prefix is
-    :func:`_first_prefix`.
+    (on slot boundaries, slots ``t > release``).
 
     With ``steps``, only the columns and rows of steps ``1..steps`` are
     built: the prefix rung the solver hands HiGHS (see
@@ -485,8 +493,9 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
     are at 1, and its offset is the whole relaxation's with the later
     ``X`` at 1, the terms ``-w_j * len_t``, added in by ``math.fsum``, as
     the solver's substitution adds them. So its arrays and offset are
-    bitwise those the solver slices from the whole relaxation, with the
-    later columns pinned, for the same prefix.
+    bitwise those of the whole relaxation sliced to the prefix, with the
+    later columns pinned. Otherwise the problem records
+    ``(instance, boundaries)`` as its :attr:`LPProblem.relaxation`.
     """
     boundaries = np.asarray(boundaries, dtype=float)
     lengths = np.diff(boundaries)
@@ -500,13 +509,16 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
             f"horizon {boundaries[-1]} leaves no interval after release "
             f"of coflow {j + 1} flow {i + 1}"
         )
-    first_prefix = _first_prefix(instance, boundaries)
+    instance.solo_rates  # ValueError for an unroutable flow
     weight = np.array([c.weight for c in instance.coflows], dtype=float)
     # objectives summed from it are at most the summed weight times 1 + T (the LP's) or 10 T^2 + 1
     # (a schedule stretched by 1/lambda <= 10 T); math.fsum raises where Python floats give inf
-    span = 1.0 + float(boundaries[-1])
-    if not math.isfinite(10.0 * sum(weight.tolist()) * span * span):
-        raise HorizonTooLarge(f"coflow weights up to {weight.max():g} make the objective too large to sum")
+    span, total = 1.0 + float(boundaries[-1]), sum(weight.tolist())
+    if not math.isfinite(10.0 * total * span * span):
+        raise HorizonTooLarge(
+            f"coflow weights summing to {total:g} over a horizon span of {span:g} slots "
+            "make the objective too large to sum"
+        )
     offset = math.fsum(weight * (1.0 + math.fsum(lengths)))
     if steps is not None and steps < len(lengths):
         offset = math.fsum([offset, *(-weight[:, None] * lengths[steps:]).ravel().tolist()])
@@ -577,7 +589,7 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
     # every flow is done by the last step
     col_lower = np.zeros(cols)
     col_lower[S[:, -1]] = 1.0
-    return LPProblem(
+    problem = LPProblem(
         objective=np.concatenate([(-weight[:, None] * lengths).ravel(), np.zeros(cols - J * T)]),
         col_lower=col_lower,
         col_upper=np.concatenate(upper),
@@ -588,8 +600,10 @@ def _assemble(instance: Instance, boundaries, steps: int | None = None) -> LPPro
         row_naming=row_naming,
         offset=offset,
         layout=ColumnLayout(X=X, S=S, xe=xe),
-        first_prefix=first_prefix,
     )
+    if T == len(boundaries) - 1:
+        object.__setattr__(problem, "relaxation", (instance, boundaries))
+    return problem
 
 
 def build_time_indexed_lp(instance: Instance, horizon: int) -> LPProblem:

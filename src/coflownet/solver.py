@@ -22,35 +22,29 @@ problem rejects is handed back. :func:`save_mps` has HiGHS write a
 problem to an MPS file for other solvers; nothing in the package reads
 one back.
 
-A relaxation built with a first prefix is first solved on a prefix of
-its time steps: the rows of steps ``1..L``, with every later column's
-bounds pinned at its after-prefix value and each flow's ``S`` at step
-``L`` pinned at 1, so that every flow is done within the prefix. Every
-later row then holds at the after-values. The time axis comes from the
-problem's column layout and matrix (:func:`_time_axis`): a column's step
-is its place in its ``X``, ``S`` or ``xe`` series, and a row's step is
-the latest of its columns'. The prefix's row duals, padded with
-zeros for the later rows, give a weak-duality bound on the whole
-problem; the prefix point is returned only when that bound reaches its
-objective, which proves it optimal for every step. A prefix whose point
-is optimal but not certified and uses its last step (a flow sends in
-step ``L``, so its ``S`` at ``L - 1`` is short of 1) is binding, so it
-grows by one step; an infeasible prefix, or an uncertified optimum that
-ends earlier, grows by ``PREFIX_GROWTH``.
+A relaxation is first solved on a prefix of its time steps, a rung
+built on its own from the instance (:func:`_ladder`): the rows and
+columns of steps ``1..L``, with each flow's ``S`` at step ``L`` pinned at
+1, so that every flow is done within the prefix and every later row
+holds with the later columns at their after-values (``X`` and ``S`` at 1,
+``xe`` at 0). The rung's row duals, padded with zeros for the later rows,
+give a weak-duality bound on the whole relaxation, priced in closed form
+in O(flows) (:func:`_priced_bound`); the rung point is returned only when
+that bound reaches its objective, which proves it optimal for every
+step. A rung whose point is optimal but not certified and uses its last
+step (a flow sends in step ``L``, so its ``S`` at ``L - 1`` is short of
+1) is binding, so it grows by one step; an infeasible rung, or an
+uncertified optimum that ends earlier, grows by ``PREFIX_GROWTH``.
 After any other status (HiGHS failed: ``numerical``, ``iteration_limit``),
-and once a prefix would cover every step, the whole problem is solved
+and once a prefix would cover every step, the whole relaxation is solved
 as it is. This is the pricing step of time-indexed column generation
 (van den Akker, Hurkens & Savelsbergh, 2000).
 
-One ladder (:func:`_solve_prefixes`) walks the prefixes for two
-sources of rungs. :func:`solve` slices each prefix from a relaxation
-built whole and prices the later steps on its matrix.
-:func:`solve_relaxation`, which the pipeline calls, builds each prefix
-as a rung of its own from the instance and prices the later steps in
-closed form, in O(flows) (:func:`_priced_bound`); it builds the whole
-relaxation only when the ladder reaches its end. Both hand HiGHS
-bitwise the same arrays and add the same objective constant, so they
-return the same point and objective.
+:func:`solve_relaxation`, which the pipeline calls, returns the rung
+that certified and its point; it builds the whole relaxation only when
+none does. :func:`solve` on a relaxation built whole (one with a
+:attr:`~coflownet.lp.LPProblem.relaxation`) runs the same rungs and pads
+the rung point to the whole problem; any other problem is solved whole.
 
 Every HiGHS call goes through :func:`_linprog`, the one place that
 removes fixed columns: HiGHS sees only the columns whose bounds leave
@@ -58,8 +52,7 @@ them free and the rows that touch one of them. The fixed columns (a
 prefix's later steps, each flow's last ``S``, a flow's steps before its
 release) are substituted into the row bounds, and their objective terms,
 with the problem's offset, into the objective constant (``math.fsum``,
-so that a sliced prefix and a built rung get the same constant bit for
-bit).
+as the assembly sums a rung's offset).
 
 HiGHS's presolve is off for every LP. Presolve pays only when its
 reductions make up for its own cost (Andersen & Andersen, 1995), and on
@@ -76,7 +69,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import ClassVar
@@ -156,50 +149,67 @@ class LPSolution:
 
 
 def solve(problem: LPProblem, options: SolveOptions | None = None) -> LPSolution:
-    """Minimize ``problem`` with HiGHS in memory, a certified prefix of its
-    steps first when it has a ``first_prefix``, each prefix sliced from
-    ``problem``. Deterministic given identical inputs. ``options`` is not
-    read (see :class:`SolveOptions`).
+    """Minimize ``problem`` with HiGHS in memory, on the rungs of
+    :func:`_ladder` first when it is a relaxation built whole.
+    Deterministic given identical inputs. ``options`` is not read (see
+    :class:`SolveOptions`).
 
     Infeasible, unbounded and numerically failed solves come back as
     statuses, not exceptions. An iteration-limited solve may carry no
     point (``x is None``).
     """
-    if problem.first_prefix is not None:
-        axis = _time_axis(problem)
-        solution = _solve_prefixes(
-            problem.first_prefix, problem.layout.S.shape[1],
-            lambda prefix: _solve_prefix(problem, axis, prefix),
-        )
-        if solution is not None:
-            return solution  # certified and checked against the whole problem
+    if problem.relaxation is not None:
+        solved = _ladder(*problem.relaxation)
+        if solved is not None:
+            solution = _padded(problem, *solved)
+            # re-checked on ``problem`` itself, as every returned optimum is
+            if not check_solution(problem, solution):
+                return solution
     return _solve_whole(problem)
 
 
 def solve_relaxation(instance: Instance, boundaries) -> tuple[LPProblem, LPSolution]:
     """Minimize the relaxation over the steps between consecutive
     ``boundaries`` (see :func:`coflownet.lp._assemble`) with HiGHS: the LP
-    that was solved, and its solution.
-
-    The prefixes are tried as :func:`solve` tries them, but each rung is
-    built on its own from the instance, and the steps after it are priced
-    in closed form (:func:`_priced_bound`) instead of on the whole
-    relaxation's matrix. The LP returned is then that rung, and its point
-    has the rung's columns; extraction pads it to every step. The whole
-    relaxation is built only when no rung certifies.
+    that was solved, and its solution. That LP is the rung of
+    :func:`_ladder` that certified, whose point has the rung's columns
+    (extraction pads it to every step), or the whole relaxation, built
+    only when no rung certifies.
     """
     boundaries = np.asarray(boundaries, dtype=float)
-
-    def attempt(prefix):
-        rung = _assemble(instance, boundaries, prefix)
-        status, solution, used = _solve_rung(rung)
-        return status, None if solution is None else (rung, solution), used
-
-    solved = _solve_prefixes(_first_prefix(instance, boundaries), len(boundaries) - 1, attempt)
+    solved = _ladder(instance, boundaries)
     if solved is not None:
         return solved
     problem = _assemble(instance, boundaries)
     return problem, _solve_whole(problem)
+
+
+def _ladder(instance: Instance, boundaries: np.ndarray) -> tuple[LPProblem, LPSolution] | None:
+    """The first rung that certifies and its solution, trying ever longer
+    prefixes, shorter than every step, from :func:`_first_prefix` on; None
+    when none certifies or HiGHS fails on one."""
+    prefix, step_count = _first_prefix(instance, boundaries), len(boundaries) - 1
+    while prefix < step_count:
+        rung = _assemble(instance, boundaries, prefix)
+        status, solution, used = _solve_rung(rung)
+        if solution is not None:
+            return rung, solution
+        if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+            return None  # a HiGHS failure, not a prefix too short
+        if used == prefix:  # the optimal point runs to the prefix's end
+            prefix += 1
+        else:
+            prefix = max(prefix + 1, math.ceil(prefix * PREFIX_GROWTH))
+    return None
+
+
+def _padded(problem: LPProblem, rung: LPProblem, solution: LPSolution) -> LPSolution:
+    """``solution`` of ``rung``, the first steps of the relaxation
+    ``problem``, with its point padded to ``problem``'s columns: every
+    later column at its after-value."""
+    x = _time_axis(problem)[1]
+    x[_series(problem)[:, : solution.steps]] = solution.x[_series(rung)]
+    return replace(solution, x=x)
 
 
 def _solve_whole(problem: LPProblem) -> LPSolution:
@@ -323,78 +333,34 @@ def save_mps(problem: LPProblem, path: str | Path) -> None:
         raise OSError(f"cannot write the LP to {path}: HiGHS could not write it")
 
 
-def _solve_prefixes(first_prefix: int, step_count: int, attempt):
-    """The first certified prefix solution, trying ever longer prefixes
-    shorter than the whole problem of ``step_count`` steps, from
-    ``first_prefix`` on; None when none certifies or HiGHS fails on one.
-
-    ``attempt(prefix)`` solves one rung, as :func:`_solve_prefix` does:
-    its status, what it certified (None when nothing) and the last step
-    an uncertified optimal point uses."""
-    prefix = first_prefix
-    while prefix < step_count:
-        status, solution, used = attempt(prefix)
-        if solution is not None:
-            return solution
-        if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
-            return None  # a HiGHS failure, not a prefix too short
-        if used == prefix:  # the optimal point runs to the prefix's end
-            prefix += 1
-        else:
-            prefix = max(prefix + 1, math.ceil(prefix * PREFIX_GROWTH))
-    return None
+def _series(problem: LPProblem) -> np.ndarray:
+    """Every ``X``, ``S`` and ``xe`` series of ``problem.layout``, one row of
+    step columns each, in layout order."""
+    layout = problem.layout
+    return np.vstack([layout.X, layout.S, *(c for s in layout.xe or () for c in s.values())])
 
 
-def _time_axis(problem: LPProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a relaxation's columns and rows sit in time: the 1-based step
-    of each column, from its place in its ``X``, ``S`` or ``xe`` series of
-    ``problem.layout``; the value each column takes once its coflow or
-    flow is done, 1 for ``X``/``S`` and 0 for ``xe``; and the step of each
-    row, the latest step of its columns."""
-    layout, A = problem.layout, problem.A
-    series = np.vstack([layout.X, layout.S, *(c for s in layout.xe or () for c in s.values())])
+def _time_axis(problem: LPProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Where a relaxation's columns sit in time: the 1-based step of each
+    column, its place in its series (:func:`_series`); and the value each
+    column takes once its coflow or flow is done, 1 for ``X``/``S`` and 0
+    for ``xe``."""
+    layout = problem.layout
     col_step = np.empty(problem.num_cols, dtype=np.int64)
-    col_step[series] = np.arange(1, layout.S.shape[1] + 1)
+    col_step[_series(problem)] = np.arange(1, layout.S.shape[1] + 1)
     after = np.zeros(problem.num_cols)
     after[layout.X] = after[layout.S] = 1.0
-    return col_step, after, np.maximum.reduceat(col_step[A.indices], A.indptr[:-1])
-
-
-def _solve_prefix(
-    problem: LPProblem, axis, prefix: int
-) -> tuple[SolveStatus, LPSolution | None, int | None]:
-    """Solve the rows of steps ``1..prefix`` (on ``axis``, the problem's
-    :func:`_time_axis`) with every later column's bounds pinned at its
-    after-prefix value and each flow's ``S`` at step ``prefix`` at 1.
-    The prefix's status; the full-length point when the whole problem's
-    weak-duality bound under the prefix's duals, padded with zeros,
-    certifies it optimal and it passes :func:`check_solution`, None
-    otherwise; and the last step an optimal point that is not returned
-    uses (see :func:`_certified`), None for every other outcome."""
-    col_step, after, row_step = axis
-    rows = np.flatnonzero(row_step <= prefix)
-    later = col_step > prefix
-    lower = np.where(later, after, problem.col_lower)
-    lower[problem.layout.S[:, prefix - 1]] = 1.0
-    status, objective, x, duals = _linprog(
-        problem.objective, problem.A.select_rows(rows),
-        problem.row_lower[rows], problem.row_upper[rows],
-        lower, np.where(later, after, problem.col_upper), problem.offset,
-    )
-    if status is not SolveStatus.OPTIMAL:
-        return status, None, None
-    y = np.zeros(problem.num_rows)
-    y[rows] = duals
-    solution = LPSolution(SolveStatus.OPTIMAL, objective, x, prefix)
-    return status, *_certified(problem, solution, _dual_bound(problem, y), axis)
+    return col_step, after
 
 
 def _solve_rung(rung: LPProblem) -> tuple[SolveStatus, LPSolution | None, int | None]:
-    """:func:`_solve_prefix` for a rung built on its own (the first steps
-    of a longer relaxation): the point it certifies is the rung's,
-    checked by :func:`check_solution` on the rung. Its last ``S`` are at
-    1, so the whole relaxation's later rows hold at the later columns'
-    after-values."""
+    """Solve ``rung``, the first steps of a longer relaxation: its status;
+    its solution when :func:`_priced_bound` certifies it optimal for the
+    whole relaxation and it passes :func:`check_solution` on the rung,
+    None otherwise; and the last step an optimal point that is not
+    returned uses (see :func:`_certified`), None for every other outcome.
+    The rung's last ``S`` are at 1, so the whole relaxation's later rows
+    hold at the later columns' after-values."""
     status, objective, x, duals = _linprog(
         rung.objective, rung.A, rung.row_lower, rung.row_upper,
         rung.col_lower, rung.col_upper, rung.offset,
@@ -405,37 +371,31 @@ def _solve_rung(rung: LPProblem) -> tuple[SolveStatus, LPSolution | None, int | 
     return status, *_certified(rung, solution, _priced_bound(rung, duals))
 
 
-def _certified(problem: LPProblem, solution: LPSolution, bound: float, axis=None):
+def _certified(problem: LPProblem, solution: LPSolution, bound: float):
     """``(solution, None)`` when ``bound`` reaches the optimal
     ``solution``'s objective and :func:`check_solution` finds nothing;
     otherwise ``(None, the last step its point uses)``: the last step of
-    a column away from its after-value (on ``axis``, the problem's
-    :func:`_time_axis`, worked out here when not given), counting an
+    a column away from its after-value (:func:`_time_axis`), counting an
     ``S`` short of 1 at step t as step t + 1, in which its flow still
     sends."""
     objective, x = solution.objective, solution.x
     if bound >= objective - TOLERANCE * max(1.0, abs(objective)):
         if not check_solution(problem, solution):
             return solution, None
-    col_step, after, _ = axis or _time_axis(problem)
+    col_step, after = _time_axis(problem)
     steps = col_step.copy()
     steps[problem.layout.S] += 1
     used = steps[np.abs(x - after) > TOLERANCE]
     return None, int(used.max(initial=0))
 
 
-def _dual_bound(problem: LPProblem, y: np.ndarray) -> float:
-    """Weak-duality lower bound on ``problem``'s optimum from row duals
-    ``y``, after clipping entries whose sign the row bounds do not allow.
-
-    ``offset + sum(y+ * row_lower - y- * row_upper) + sum(min(d * lb, d * ub))``
-    with ``d = c - A.T @ y``.
-    """
-    return _bound_and_reduced_costs(problem, y)[0]
-
-
 def _bound_and_reduced_costs(problem: LPProblem, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """:func:`_dual_bound` and the reduced costs ``d`` it was taken with."""
+    """Weak-duality lower bound on ``problem``'s optimum from row duals
+    ``y``, after clipping entries whose sign the row bounds do not allow,
+    and the reduced costs ``d = c - A.T @ y`` it was taken with:
+
+    ``offset + sum(y+ * row_lower - y- * row_upper) + sum(min(d * lb, d * ub))``.
+    """
     lower, upper = problem.row_lower, problem.row_upper
     y = np.where(np.isinf(lower), np.minimum(y, 0.0), y)
     y = np.where(np.isinf(upper), np.maximum(y, 0.0), y)
@@ -449,9 +409,9 @@ def _bound_and_reduced_costs(problem: LPProblem, y: np.ndarray) -> tuple[float, 
 def _priced_bound(rung: LPProblem, y: np.ndarray) -> float:
     """Weak-duality lower bound on the whole relaxation ``rung`` is the
     first ``L`` steps of, from the rung's row duals ``y``: the whole
-    relaxation's :func:`_dual_bound` with ``y`` padded with zeros for the
-    later rows, priced in closed form in O(flows) instead of on its
-    matrix.
+    relaxation's :func:`_bound_and_reduced_costs` bound with ``y`` padded
+    with zeros for the later rows, priced in closed form in O(flows)
+    instead of on its matrix.
 
     The later rows have dual 0, and no rung row touches a later column,
     so every rung column keeps its reduced cost, and every later column

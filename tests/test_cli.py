@@ -501,6 +501,9 @@ def _instance_text(coflow=None, flow=None):
         (None, ["bench", "--trials", 0], "--trials must be at least 1"),
         (None, ["bench", "--trials", MAX_TRIALS + 1], f"--trials must be at most {MAX_TRIALS:,}"),
         (None, ["bench", "--strategies", "interval-stretch", "--epsilon", 0], "--epsilon must be positive"),
+        # the weights are fine: the grid's one long interval is what overflows
+        (None, ["solve", "inst.json", "--strategy", "interval-stretch", "--epsilon", 1e300],
+         "coflow weights summing to 4 over a horizon span of 1e+300 slots make the objective too large"),
         (None, ["solve", "inst.json", "--seed", -1], "--seed must be non-negative, got -1"),
         (None, ["bench", "--seed", -5], "--seed must be non-negative, got -5"),
         (None, ["check", "--seed", -1], "--seed must be non-negative, got -1"),
@@ -527,7 +530,7 @@ def _instance_text(coflow=None, flow=None):
         "gen-jobs-0",
         "gen-flows-min-above-max", "gen-negative-demand", "gen-cap-0", "bench-cap-negative", "bench-cap-overflow",
         "bench-epsilon-abc",
-        "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0",
+        "bench-trials-0", "bench-trials-over-cap", "bench-interval-epsilon-0", "solve-interval-epsilon-1e300",
         "solve-negative-seed", "bench-negative-seed", "check-negative-seed", "gen-negative-seed",
         "check-mps-unwritable", "bench-negative-instances", "schedule-nan-amount", "schedule-coflows-object",
         "schedule-flows-object", "schedule-amounts-object", "schedule-edge-amounts-array",

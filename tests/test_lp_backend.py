@@ -39,13 +39,14 @@ from coflownet import (
 )
 import coflownet.solver
 from coflownet.csr import CSR
-from coflownet.lp import _assemble
+from coflownet.lp import _assemble, _first_prefix
 from coflownet.generate import GenConfig, demo_instance, generate_instance
 from coflownet.solver import (
     PREFIX_GROWTH,
     LPSolution,
-    _dual_bound,
+    _bound_and_reduced_costs,
     _priced_bound,
+    _solve_whole,
     _time_axis,
     check_solution,
     save_mps,
@@ -377,11 +378,6 @@ def test_all_fixed_problem_is_solved_without_highs(monkeypatch):
 # certified prefix solve
 
 
-def full_solve(p):
-    """HiGHS on every step of ``p``: the same problem without a first prefix."""
-    return solve(replace(p, first_prefix=None))
-
-
 @pytest.mark.parametrize("model", list(RoutingModel))
 def test_prefix_solve_matches_full_solve(model):
     rng = np.random.default_rng(808)
@@ -391,7 +387,7 @@ def test_prefix_solve_matches_full_solve(model):
         slot = build_time_indexed_lp(inst, horizon_upper_bound(inst))
         interval = build_interval_lp(inst, interval_grid_for(inst, 0.5))
         for p in (slot, interval):
-            got, want = solve(p), full_solve(p)
+            got, want = solve(p), _solve_whole(p)
             assert want.steps == p.layout.S.shape[1]
             assert got.status is want.status is SolveStatus.OPTIMAL
             assert got.objective == pytest.approx(want.objective, rel=1e-9)
@@ -402,7 +398,7 @@ def test_prefix_solve_matches_full_solve(model):
 
 
 def _rungs(p):
-    prefix, out = p.first_prefix, []
+    prefix, out = _first_prefix(*p.relaxation), []
     while prefix < p.layout.S.shape[1]:
         out.append(prefix)
         prefix = max(prefix + 1, math.ceil(prefix * PREFIX_GROWTH))
@@ -441,15 +437,15 @@ def _highs_calls(monkeypatch):
 def test_uncertified_prefixes_fall_back_to_the_full_solve(monkeypatch, model):
     inst = demo_instance(model)
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    want = full_solve(p)
+    want = _solve_whole(p)
     # a bound that certifies nothing
-    monkeypatch.setattr(coflownet.solver, "_dual_bound", lambda problem, y: -math.inf)
+    monkeypatch.setattr(coflownet.solver, "_priced_bound", lambda rung, y: -math.inf)
     calls = _highs_calls(monkeypatch)
     got = solve(p)
     rungs = _rungs(p)
     assert rungs
     free = p.col_lower < p.col_upper
-    col_step, _, _ = _time_axis(p)
+    col_step, _ = _time_axis(p)
     # a rung also pins each flow's S at its last step
     assert [len(objective) for objective, *_ in calls] == [
         *(
@@ -497,7 +493,7 @@ def _presolved(p):
 @pytest.mark.parametrize("model", list(RoutingModel))
 def test_every_lp_goes_to_highs_with_presolve_off(monkeypatch, model):
     # every prefix rung and the whole-problem fallback, of both relaxations
-    monkeypatch.setattr(coflownet.solver, "_dual_bound", lambda problem, y: -math.inf)
+    monkeypatch.setattr(coflownet.solver, "_priced_bound", lambda rung, y: -math.inf)
     settings = _presolve_settings(monkeypatch)
     inst = demo_instance(model)
     for p in (
@@ -538,14 +534,22 @@ def test_free_path_lps_without_presolve_match_presolved_highs():
     assert checked == 24
 
 
+def _row_steps(p):
+    """Each row's step: the latest step of its columns."""
+    col_step, _ = _time_axis(p)
+    return np.maximum.reduceat(col_step[p.A.indices], p.A.indptr[:-1])
+
+
 def reference_prefix_arrays(p, prefix):
-    """The arrays a prefix solve hands ``_linprog``, before pinned columns
-    go through its substitution: the prefix's rows and columns sliced out,
+    """The arrays a prefix rung of the whole relaxation ``p`` hands
+    ``_linprog``, sliced from ``p``, before pinned columns go through its
+    substitution: the prefix's rows (:func:`_row_steps`) and columns,
     without each flow's ``S`` at step ``prefix``, which is pinned at 1; the
     row bounds shifted by the pinned and later columns' values; and the
     objective constant, the offset plus the later columns' terms
     (``math.fsum``). ``scipy.sparse`` slices and multiplies the matrix."""
-    col_step, after, row_step = _time_axis(p)
+    col_step, after = _time_axis(p)
+    row_step = _row_steps(p)
     kept = col_step <= prefix
     kept[p.layout.S[:, prefix - 1]] = False
     cols = np.flatnonzero(kept)
@@ -581,32 +585,6 @@ def _bits(array):
     if isinstance(array, CSR):
         return [array.shape, *map(_bits, (array.indptr, array.indices, array.data))]
     return [array.dtype, array.shape, array.tobytes()]
-
-
-@pytest.mark.parametrize("model", list(RoutingModel))
-def test_prefix_rungs_hand_highs_the_sliced_reference_arrays(monkeypatch, model):
-    handed = _highs_calls(monkeypatch)
-    objectives = _linprog_objectives(monkeypatch)
-    rng = np.random.default_rng(606)
-    rungs = 0
-    for _ in range(6):
-        inst = fuzz_instance(rng, model)
-        for p in (
-            build_time_indexed_lp(inst, horizon_upper_bound(inst)),
-            build_interval_lp(inst, interval_grid_for(inst, 0.5)),
-        ):
-            for prefix in _rungs(p):
-                handed.clear()
-                coflownet.solver._solve_prefix(p, _time_axis(p), prefix)
-                got = list(handed)
-                handed.clear()
-                coflownet.solver._linprog(*reference_prefix_arrays(p, prefix))
-                assert len(got) == len(handed) == 1
-                assert list(map(_bits, got[0])) == list(map(_bits, handed[0]))
-                # the same objective constant: HiGHS's objective plus it, bit for bit
-                assert objectives[-2].hex() == objectives[-1].hex()
-                rungs += 1
-    assert rungs >= 10
 
 
 def _rung_instances(workloads, model=None):
@@ -720,7 +698,7 @@ def test_closed_form_pricing_is_the_whole_relaxations_dual_bound(monkeypatch, wo
             priced.clear()
             problem, solution = coflownet.solver.solve_relaxation(inst, boundaries)
             uncertified += len(priced) - (problem.layout.S.shape[1] < p.layout.S.shape[1])
-            _, _, row_step = _time_axis(p)
+            row_step = _row_steps(p)
             for prefix, y in priced:
                 rung = _assemble(inst, boundaries, prefix)
                 rows = np.flatnonzero(row_step <= prefix)
@@ -729,10 +707,11 @@ def test_closed_form_pricing_is_the_whole_relaxations_dual_bound(monkeypatch, wo
                 for duals in (y, rng.normal(0.0, np.abs(y).max(initial=1.0), len(y))):
                     padded = np.zeros(p.num_rows)
                     padded[rows] = duals
-                    want = _dual_bound(p, padded)
+                    want = _bound_and_reduced_costs(p, padded)[0]
                     got = inner(rung, duals)
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
-                    above += not math.isclose(got, _dual_bound(rung, duals), rel_tol=1e-9)
+                    own = _bound_and_reduced_costs(rung, duals)[0]
+                    above += not math.isclose(got, own, rel_tol=1e-9)
                 rungs += 1
     assert rungs >= 10 and above >= 5 and uncertified >= 1
 
@@ -758,7 +737,7 @@ def test_a_positive_reduced_cost_of_a_last_s_blocks_the_certificate(monkeypatch)
     inst = _blocked_instance()
     boundaries = np.arange(horizon_upper_bound(inst) + 1.0)
     rung = _assemble(inst, boundaries, 5)
-    assert rung.first_prefix == 5
+    assert _first_prefix(inst, boundaries) == 5
     status, objective, x, y = coflownet.solver._linprog(
         rung.objective, rung.A, rung.row_lower, rung.row_upper,
         rung.col_lower, rung.col_upper, rung.offset,
@@ -782,7 +761,7 @@ def test_a_positive_reduced_cost_of_a_last_s_blocks_the_certificate(monkeypatch)
     assert solution.steps == problem.layout.S.shape[1] == 6
     assert solution.objective < objective - 1.0
     whole = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert solution.objective == pytest.approx(full_solve(whole).objective, rel=1e-9)
+    assert solution.objective == pytest.approx(_solve_whole(whole).objective, rel=1e-9)
 
 
 def test_a_rung_point_short_of_a_whole_flow_fails_its_column_bound():
@@ -866,12 +845,12 @@ def test_infeasible_prefix_moves_on_to_the_next_rung(monkeypatch):
         RoutingModel.SINGLE_PATH,
     )
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert (p.first_prefix, p.layout.S.shape[1]) == (3, 8)
+    assert (_first_prefix(*p.relaxation), p.layout.S.shape[1]) == (3, 8)
     calls = _count_linprog(monkeypatch)
     got = solve(p)
     assert [status for _, status in calls] == [SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
     assert got.steps == 4
-    assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
+    assert got.objective == pytest.approx(_solve_whole(p).objective, rel=1e-9)
 
 
 def test_released_demand_through_a_cut_sets_the_first_prefix(monkeypatch):
@@ -881,12 +860,12 @@ def test_released_demand_through_a_cut_sets_the_first_prefix(monkeypatch):
     inst = Instance(net, (late, Coflow((Flow("c", "d", 1.0, 0),), 1.0)), RoutingModel.FREE_PATH)
     assert horizon_lower_bound(inst) == 4
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert (p.first_prefix, p.layout.S.shape[1]) == (4, 5)
+    assert (_first_prefix(*p.relaxation), p.layout.S.shape[1]) == (4, 5)
     calls = _count_linprog(monkeypatch)
     got = solve(p)
     assert [status for _, status in calls] == [SolveStatus.OPTIMAL]
     assert got.steps == 4
-    assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
+    assert got.objective == pytest.approx(_solve_whole(p).objective, rel=1e-9)
 
 
 def _free_corpus(seed):
@@ -908,7 +887,7 @@ def test_failed_prefix_goes_straight_to_the_whole_problem(monkeypatch, fail, lim
     # instance 0 of the single-path benchmark corpus: a ladder of 11 rungs
     inst = generate_instance(GenConfig(topology="gscale-like", jobs=40, seed=0))
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert (p.first_prefix, p.layout.S.shape[1]) == (15, 184)
+    assert (_first_prefix(*p.relaxation), p.layout.S.shape[1]) == (15, 184)
     assert len(_rungs(p)) == 11
     runs = []
 
@@ -944,7 +923,7 @@ def test_free_corpus_lps_certify_at_their_first_prefix(monkeypatch):
         calls.clear()
         got = solve(p)
         assert [status for _, status in calls] == [SolveStatus.OPTIMAL]
-        assert got.steps == p.first_prefix < p.layout.S.shape[1]
+        assert got.steps == _first_prefix(*p.relaxation) < p.layout.S.shape[1]
 
 
 def test_binding_uncertified_prefix_grows_by_one_step(monkeypatch):
@@ -952,21 +931,66 @@ def test_binding_uncertified_prefix_grows_by_one_step(monkeypatch):
     # and uses slot 30, but does not certify, so 31 is tried next (not 38)
     inst = _free_corpus(8)
     p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
-    assert p.first_prefix == 30
+    assert _first_prefix(*p.relaxation) == 30
     calls = _count_linprog(monkeypatch)
     got = solve(p)
     assert [status for _, status in calls] == [SolveStatus.OPTIMAL] * 2
     assert got.steps == 31
-    assert got.objective == pytest.approx(full_solve(p).objective, rel=1e-9)
+    assert got.objective == pytest.approx(_solve_whole(p).objective, rel=1e-9)
 
 
-def test_a_row_permuted_relaxation_certifies_on_the_same_prefix(solved_free, rng, tmp_path):
-    # row steps are read off the matrix, so they follow any reordering of its rows
+def test_edited_copies_of_a_relaxation_are_solved_as_given(solved_free, rng, tmp_path):
+    # a copy does not keep what the relaxation was built from, so it is
+    # solved whole, as it is, and not on rungs rebuilt from the instance
     p, _, _ = solved_free
-    q = permuted_rows(p, rng.permutation(p.num_rows))
-    got, want = solve(q), solve(p)
-    assert got.steps == want.steps < p.layout.S.shape[1]
+    want = solve(p)
+    assert p.relaxation is not None and want.steps < p.layout.S.shape[1]
+    permuted = permuted_rows(p, rng.permutation(p.num_rows))
+    # coflow 1's X at the last step is 1 in every optimum, and only its
+    # upper bound holds it: at 0.5, it adds half its cost back
+    last = p.layout.X[0, -1]
+    upper = p.col_upper.copy()
+    upper[last] = 0.5
+    lowered = replace(p, col_upper=upper)
+    assert permuted.relaxation is None and lowered.relaxation is None
+    got = solve(permuted)
+    assert got.steps == p.layout.S.shape[1]
     assert got.objective == pytest.approx(want.objective, rel=1e-9)
-    assert check_solution(q, got) == []
+    assert check_solution(permuted, got) == []
+    got = solve(lowered)
+    assert got.objective == _solve_whole(lowered).objective
+    assert got.objective == pytest.approx(want.objective - 0.5 * p.objective[last], rel=1e-9)
+    assert got.objective > want.objective + 0.1
     save_mps(p, tmp_path / "p.mps")
-    assert load_mps(tmp_path / "p.mps").first_prefix is None
+    assert load_mps(tmp_path / "p.mps").relaxation is None
+    # and the relaxation itself cannot be edited in place
+    for array in (p.objective, p.col_upper, p.row_upper, p.A.data):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_solve_runs_the_pipelines_rungs_on_a_relaxation_built_whole(workloads):
+    # instances 0 and 1 of each seed-1 benchmark corpus: single-path slot
+    # LPs, and free-path slot and interval LPs
+    certified = 0
+    for workload in workloads.WORKLOADS.values():
+        for item in workloads.requests(workload, 1)[:2]:
+            inst = item.instance
+            for call in workload.calls:
+                result = run_pipeline(inst, call.strategy, trials=1, epsilon=call.epsilon)
+                if call.strategy == "interval-stretch":
+                    grid = interval_grid_for(inst, call.epsilon)
+                    boundaries, p = np.asarray(grid.boundaries), build_interval_lp(inst, grid)
+                else:
+                    boundaries = np.arange(horizon_upper_bound(inst) + 1.0)
+                    p = build_time_indexed_lp(inst, horizon_upper_bound(inst))
+                got = solve(p)
+                assert got.objective.hex() == result.lp_objective.hex()
+                rung, solution = coflownet.solver.solve_relaxation(inst, boundaries)
+                assert got.steps == solution.steps == rung.layout.S.shape[1] == result.lp_steps
+                # the rung point, padded by name: later X and S at 1, xe at 0
+                at = dict(zip(rung.col_names, solution.x.tolist()))
+                padded = [at.get(name, float(name[0] in "XS")) for name in p.col_names]
+                assert got.x.tolist() == padded
+                certified += got.steps < p.layout.S.shape[1]
+    assert certified == 8

@@ -31,7 +31,7 @@ from coflownet import (
 from coflownet.generate import demo_instance
 from coflownet.graphs import max_flow_value, path_bottleneck, usable_edges
 import coflownet.lp
-from coflownet.lp import ColumnLayout, _assemble
+from coflownet.lp import ColumnLayout, _assemble, _first_prefix
 from coflownet.serialize import instance_from_dict
 from coflownet.solver import _time_axis
 
@@ -100,8 +100,8 @@ def test_horizon_lower_bound_below_the_last_slot_the_lp_uses(model):
         inst = fuzz_instance(rng, model)
         horizon = horizon_upper_bound(inst)
         problem = build_time_indexed_lp(inst, horizon)
-        # the full LP, not a prefix: a problem without a first prefix is solved whole
-        sol = solve(replace(problem, first_prefix=None))
+        # the full LP, not a prefix: a copy has no relaxation, so it is solved whole
+        sol = solve(replace(problem))
         sent = np.diff(sol.x[problem.layout.S], axis=1, prepend=0.0)
         used = max(int(np.flatnonzero(row > 1e-9)[-1]) + 1 for row in sent)
         assert horizon_lower_bound(inst) <= used <= horizon
@@ -115,7 +115,7 @@ def test_free_path_lp_one_slot_below_the_lower_bound_is_infeasible():
         bound = horizon_lower_bound(inst)
         if bound - 1 > inst.max_release:
             problem = build_time_indexed_lp(inst, bound - 1)
-            assert solve(replace(problem, first_prefix=None)).status is SolveStatus.INFEASIBLE
+            assert solve(replace(problem)).status is SolveStatus.INFEASIBLE
             checked += 1
     assert checked >= 10
 
@@ -138,16 +138,18 @@ def test_the_time_axis_read_off_the_layout_matches_the_names(model):
         grid = np.asarray(interval_grid_for(inst, 0.5).boundaries)
         for boundaries in (slots, grid):
             whole = _assemble(inst, boundaries)
-            rungs = sorted({whole.first_prefix, len(boundaries) - 2} & set(range(1, len(boundaries) - 1)))
+            first = _first_prefix(inst, boundaries)
+            assert first >= 1
+            rungs = sorted({first, len(boundaries) - 2} & set(range(1, len(boundaries) - 1)))
             for problem in [whole, *(_assemble(inst, boundaries, L) for L in rungs)]:
-                col_step, after, row_step = _time_axis(problem)
+                col_step, after = _time_axis(problem)
                 assert col_step.tolist() == [_step_of(n) for n in problem.col_names]
-                assert row_step.tolist() == [_step_of(n) for n in problem.row_names]
                 assert after.tolist() == [float(n[0] in "XS") for n in problem.col_names]
                 # a prefix's rows hold only its own columns, and a later row
                 # only the previous step's: each row's entries lie at its
                 # step or the step before
                 entry_step = col_step[problem.A.indices]
+                row_step = np.array([_step_of(n) for n in problem.row_names])
                 row_of_entry = np.repeat(row_step, np.diff(problem.A.indptr))
                 assert np.isin(row_of_entry - entry_step, [0, 1]).all()
                 T = problem.layout.S.shape[1]
@@ -157,7 +159,12 @@ def test_the_time_axis_read_off_the_layout_matches_the_names(model):
                 # every flow is done by the last step, and by no other
                 assert (problem.col_lower[problem.layout.S[:, -1]] == 1.0).all()
                 assert np.count_nonzero(problem.col_lower) == len(flows)
-                assert problem.first_prefix == whole.first_prefix >= 1
+                # only the relaxation built whole records what it was built from
+                if problem is whole:
+                    assert problem.relaxation[0] is inst
+                    assert problem.relaxation[1].tobytes() == boundaries.tobytes()
+                else:
+                    assert problem.relaxation is None
                 checked += 1
     assert checked >= 16
 
